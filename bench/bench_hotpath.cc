@@ -1,20 +1,15 @@
-// bench_hotpath — dispatch-throughput microbenchmark for the columnar
-// hot path (CSR SetViews + projection arena) against the seed
-// representation (a fresh std::vector per set per consumer, projections
-// stored as fresh vectors).
+// bench_hotpath — microbenchmarks for the columnar hot path (CSR
+// SetViews + projection arena, coverage kernels, scan sources, dense
+// rows).
 //
 // Workload: the Figure 1.1 planted instance (n=2000, m=4000, OPT<=25,
-// seed 1). Both paths run the same Size-Test-shaped work — filter each
+// seed 1). The dispatch stage runs Size-Test-shaped work — filter each
 // set against a live bitset, store light projections, drop heavy ones —
 // multiplexed over `--consumers` parallel consumers on a PassScheduler,
-// exactly the per-set work iterSetCover's guesses do per scan:
-//
-//   * vector path (pre-refactor): each consumer copies the dispatched
-//     elements into a fresh std::vector, filters into another fresh
-//     vector, and stores it; per-round cleanup frees every one of them.
-//   * view path (this repo): consumers read the borrowed SetView span
-//     in place and filter straight into a bump arena; per-round cleanup
-//     is an O(1) epoch reset.
+// exactly the per-set work iterSetCover's guesses do per scan. The
+// consumers read the borrowed SetView span in place and filter straight
+// into a bump arena; per-round cleanup is an O(1) epoch reset. Its
+// sets/sec is a trajectory number, not an A/B.
 //
 // A second A/B stage measures the coverage kernels themselves
 // (util/cover_kernels.h): the masked-filter, masked-popcount, and
@@ -32,15 +27,7 @@
 // checksum cross-check proving the three dispatch identical elements.
 // Reported as GB/s of underlying bytes and sets/sec per source.
 //
-// A fourth stage A/Bs gain maintenance: MergeStage runs the exact
-// greedy over all m planted candidates twice — kRescan (every
-// unpicked candidate's gain recomputed per round) vs kTransposed (the
-// element→candidates index + decremental GainTracker + lazy heap) —
-// with an identical-cover check. The reported reduction in gain
-// evaluations per round (sets_touched / rounds) is the
-// output-sensitivity headline the CI release gate holds at >= 5x.
-//
-// A fifth stage A/Bs the dense representation: the dense-eligible sets
+// A fourth stage A/Bs the dense representation: the dense-eligible sets
 // of a zipf instance generated at max_set_size = n/2 run the sparse
 // word kernels over their spans vs the fused dense kernels
 // (count/mark) over their BitsetCSR rows under `auto` ISA dispatch,
@@ -48,12 +35,11 @@
 // the dense fused count path at >= 1.5x the sparse word path.
 //
 // Reported: sets/sec dispatched, ns per element projected, the
-// view-vs-vector / word-vs-scalar / dense-vs-word speedups and the
-// transposed-vs-rescan work reduction, the scan-stage GB/s, peak RSS,
-// the detected SIMD tier (`cpu` block), and a timed registry run of
-// the full `iter` solver with its covers/passes/space so the perf
+// word-vs-scalar / dense-vs-word speedups, the scan-stage GB/s, peak
+// RSS, the detected SIMD tier (`cpu` block), and a timed registry run
+// of the full `iter` solver with its covers/passes/space so the perf
 // trajectory carries correctness context. `--json FILE` (default
-// BENCH_hotpath.json) writes schema streamcover.bench_hotpath.v5; CI
+// BENCH_hotpath.json) writes schema streamcover.bench_hotpath.v6; CI
 // uploads it per PR so the numbers accumulate. `--selftest` checks the
 // strict flag parser (non-positive and malformed values rejected) and
 // exits.
@@ -75,7 +61,6 @@
 #include "setsystem/binary_io.h"
 #include "setsystem/generators.h"
 #include "setsystem/stream_generators.h"
-#include "shard/merge_stage.h"
 #include "stream/mmap_set_source.h"
 #include "stream/pass_scheduler.h"
 #include "stream/set_source.h"
@@ -103,46 +88,7 @@ DynamicBitset MakeLiveMask(uint32_t n) {
   return live;
 }
 
-/// Pre-refactor representation: per-set vector materialization, fresh
-/// projection vectors, per-round frees.
-class VectorPathConsumer final : public ScanConsumer {
- public:
-  VectorPathConsumer(const DynamicBitset* live, size_t threshold,
-                     uint64_t rounds)
-      : live_(live), threshold_(threshold), remaining_(rounds) {}
-
-  void OnSet(const SetView& set) override {
-    // The copy every pre-view consumer paid: elements materialize as a
-    // fresh vector before the consumer's own logic sees them.
-    std::vector<uint32_t> elems(set.begin(), set.end());
-    std::vector<uint32_t> proj;
-    for (uint32_t e : elems) {
-      if (live_->Test(e)) proj.push_back(e);
-    }
-    if (proj.empty() || proj.size() >= threshold_) return;
-    checksum_ += proj.size();
-    projections_.emplace_back(set.id, std::move(proj));
-  }
-  void OnPassEnd() override {
-    stored_ += projections_.size();
-    projections_.clear();  // frees every projection vector
-    if (remaining_ > 0) --remaining_;
-  }
-  bool done() const override { return remaining_ == 0; }
-
-  uint64_t stored() const { return stored_; }
-  uint64_t checksum() const { return checksum_; }
-
- private:
-  const DynamicBitset* live_;
-  const size_t threshold_;
-  uint64_t remaining_;
-  std::vector<std::pair<uint32_t, std::vector<uint32_t>>> projections_;
-  uint64_t stored_ = 0;
-  uint64_t checksum_ = 0;
-};
-
-/// Columnar representation: borrowed spans in, bump-arena storage,
+/// Size-Test-shaped consumer: borrowed spans in, bump-arena storage,
 /// O(1) epoch reset per round.
 class ViewPathConsumer final : public ScanConsumer {
  public:
@@ -160,7 +106,6 @@ class ViewPathConsumer final : public ScanConsumer {
       arena_.RewindTo(mark);
       return;
     }
-    checksum_ += length;
     refs_.push_back(set.id);
   }
   void OnPassEnd() override {
@@ -172,7 +117,6 @@ class ViewPathConsumer final : public ScanConsumer {
   bool done() const override { return remaining_ == 0; }
 
   uint64_t stored() const { return stored_; }
-  uint64_t checksum() const { return checksum_; }
 
  private:
   const DynamicBitset* live_;
@@ -181,7 +125,6 @@ class ViewPathConsumer final : public ScanConsumer {
   U32Arena arena_;
   std::vector<uint32_t> refs_;
   uint64_t stored_ = 0;
-  uint64_t checksum_ = 0;
 };
 
 struct DispatchStats {
@@ -189,21 +132,19 @@ struct DispatchStats {
   double sets_per_sec = 0;
   double ns_per_element = 0;
   uint64_t stored = 0;
-  uint64_t checksum = 0;
 };
 
-template <typename Consumer>
 DispatchStats RunDispatch(Instance& instance, const DynamicBitset& live,
                           size_t threshold, uint32_t consumers,
                           uint64_t rounds, uint32_t threads) {
   SetStream stream = instance.NewStream();
   PassScheduler scheduler(stream, threads);
-  std::vector<Consumer> pool;
+  std::vector<ViewPathConsumer> pool;
   pool.reserve(consumers);
   for (uint32_t c = 0; c < consumers; ++c) {
     pool.emplace_back(&live, threshold, rounds);
   }
-  for (Consumer& c : pool) scheduler.Register(&c);
+  for (ViewPathConsumer& c : pool) scheduler.Register(&c);
 
   WallTimer timer;
   scheduler.RunToCompletion();
@@ -218,10 +159,7 @@ DispatchStats RunDispatch(Instance& instance, const DynamicBitset& live,
       static_cast<double>(consumers) * static_cast<double>(rounds);
   stats.sets_per_sec = dispatched_sets / stats.seconds;
   stats.ns_per_element = stats.seconds * 1e9 / dispatched_elems;
-  for (Consumer& c : pool) {
-    stats.stored += c.stored();
-    stats.checksum += c.checksum();
-  }
+  for (const ViewPathConsumer& c : pool) stats.stored += c.stored();
   return stats;
 }
 
@@ -571,103 +509,6 @@ bool RunScanStage(uint64_t scan_m, uint64_t seed, JsonValue* scan_json) {
   return true;
 }
 
-// --- Gain-maintenance A/B: MergeStage kRescan vs kTransposed over all
-// m planted candidates. Same covers byte for byte; only the work
-// differs — the reduction in gain evaluations per round is the
-// output-sensitivity measurement. -------------------------------------
-
-struct GainModeStats {
-  double seconds = 0;
-  uint64_t rounds = 0;
-  uint64_t sets_touched = 0;
-  uint64_t gain_updates = 0;
-  double touched_per_round = 0;
-  std::vector<uint32_t> cover;
-};
-
-GainModeStats RunGainMode(const SetSystem& system, GainMaintenance mode) {
-  MergeStageOptions options;
-  options.kernel = KernelPolicy::kWord;
-  options.gain = mode;
-  MergeStage stage(system.num_elements(), system.num_sets(), options);
-  for (uint32_t s = 0; s < system.num_sets(); ++s) {
-    stage.AddCandidate(s, system.GetSet(s));
-  }
-  WallTimer timer;
-  MergeOutcome outcome = stage.Merge();
-  GainModeStats stats;
-  stats.seconds = timer.ElapsedSeconds();
-  stats.rounds = stage.counters().rounds;
-  stats.sets_touched = stage.counters().sets_touched;
-  stats.gain_updates = stage.counters().gain_updates;
-  stats.touched_per_round =
-      stats.rounds > 0 ? static_cast<double>(stats.sets_touched) /
-                             static_cast<double>(stats.rounds)
-                       : 0.0;
-  stats.cover = std::move(outcome.cover.set_ids);
-  return stats;
-}
-
-JsonValue GainModeJson(const GainModeStats& stats) {
-  JsonValue v = JsonValue::Object();
-  v.Set("seconds", stats.seconds);
-  v.Set("rounds", stats.rounds);
-  v.Set("sets_touched", stats.sets_touched);
-  v.Set("gain_updates", stats.gain_updates);
-  v.Set("touched_per_round", stats.touched_per_round);
-  v.Set("cover", static_cast<uint64_t>(stats.cover.size()));
-  return v;
-}
-
-bool RunGainStage(const SetSystem& system, JsonValue* gain_json) {
-  const GainModeStats rescan =
-      RunGainMode(system, GainMaintenance::kRescan);
-  const GainModeStats transposed =
-      RunGainMode(system, GainMaintenance::kTransposed);
-  if (rescan.cover != transposed.cover) {
-    std::fprintf(stderr,
-                 "gain stage: rescan and transposed covers differ "
-                 "(%zu vs %zu picks)\n",
-                 rescan.cover.size(), transposed.cover.size());
-    return false;
-  }
-  const double reduction =
-      transposed.touched_per_round > 0
-          ? rescan.touched_per_round / transposed.touched_per_round
-          : 0.0;
-
-  benchutil::Banner(
-      "Gain maintenance — transposed index vs per-round rescan "
-      "(MergeStage over all m=" + std::to_string(system.num_sets()) +
-      " candidates, identical covers of " +
-      std::to_string(transposed.cover.size()) + " picks)");
-  Table table({"mode", "seconds", "rounds", "gain evals", "evals/round",
-               "gain updates"});
-  table.AddRow({"rescan", Table::Fmt(rescan.seconds, 3),
-                Table::Fmt(rescan.rounds),
-                Table::Fmt(rescan.sets_touched),
-                Table::Fmt(rescan.touched_per_round, 1),
-                Table::Fmt(rescan.gain_updates)});
-  table.AddRow({"transposed", Table::Fmt(transposed.seconds, 3),
-                Table::Fmt(transposed.rounds),
-                Table::Fmt(transposed.sets_touched),
-                Table::Fmt(transposed.touched_per_round, 1),
-                Table::Fmt(transposed.gain_updates)});
-  table.Print(std::cout);
-  benchutil::Note("evals/round reduction (rescan / transposed): " +
-                  Table::Fmt(reduction, 1) + "x; wall speedup " +
-                  Table::Fmt(rescan.seconds / transposed.seconds, 2) +
-                  "x");
-
-  *gain_json = JsonValue::Object();
-  gain_json->Set("rescan", GainModeJson(rescan));
-  gain_json->Set("transposed", GainModeJson(transposed));
-  gain_json->Set("covers_match", true);
-  gain_json->Set("touched_per_round_reduction", reduction);
-  gain_json->Set("speedup", rescan.seconds / transposed.seconds);
-  return true;
-}
-
 // --- Dense-representation A/B: sparse word kernels over spans vs the
 // fused dense kernels over BitsetCSR rows, on the dense-eligible sets
 // of a zipf instance drawn at max_set_size = n/2. ---------------------
@@ -851,7 +692,7 @@ JsonValue DispatchJson(const DispatchStats& stats) {
 int Run(const std::string& json_path, uint32_t consumers, uint64_t rounds,
         uint32_t threads, uint64_t scan_m) {
   benchutil::Banner(
-      "Hot path — SetView/arena dispatch vs the seed vector path "
+      "Hot path — SetView/arena dispatch "
       "(fig11 planted n=2000, m=4000, " +
       std::to_string(consumers) + " consumers x " +
       std::to_string(rounds) + " rounds, threads=" +
@@ -873,36 +714,18 @@ int Run(const std::string& json_path, uint32_t consumers, uint64_t rounds,
   // light and get stored.
   const size_t threshold = kN / (2 * kOpt);
 
-  // Untimed warmup so both paths measure steady-state capacity, not
+  // Untimed warmup so the timed run measures steady-state capacity, not
   // first-touch page faults.
-  RunDispatch<ViewPathConsumer>(*instance, live, threshold, consumers,
-                                /*rounds=*/2, threads);
-
-  DispatchStats vector_stats = RunDispatch<VectorPathConsumer>(
-      *instance, live, threshold, consumers, rounds, threads);
-  DispatchStats view_stats = RunDispatch<ViewPathConsumer>(
-      *instance, live, threshold, consumers, rounds, threads);
-  if (vector_stats.checksum != view_stats.checksum ||
-      vector_stats.stored != view_stats.stored) {
-    std::fprintf(stderr,
-                 "dispatch checksum mismatch: the two paths did not do "
-                 "identical work\n");
-    return 1;
-  }
-  const double speedup = view_stats.sets_per_sec / vector_stats.sets_per_sec;
+  RunDispatch(*instance, live, threshold, consumers, /*rounds=*/2, threads);
+  const DispatchStats view_stats =
+      RunDispatch(*instance, live, threshold, consumers, rounds, threads);
 
   Table table({"path", "sets/sec", "ns/element", "stored projections"});
-  table.AddRow({"vector (seed)",
-                Table::Fmt(static_cast<uint64_t>(vector_stats.sets_per_sec)),
-                Table::Fmt(vector_stats.ns_per_element, 2),
-                Table::Fmt(vector_stats.stored)});
   table.AddRow({"view (arena)",
                 Table::Fmt(static_cast<uint64_t>(view_stats.sets_per_sec)),
                 Table::Fmt(view_stats.ns_per_element, 2),
                 Table::Fmt(view_stats.stored)});
   table.Print(std::cout);
-  benchutil::Note("speedup (view vs vector): " + Table::Fmt(speedup, 2) +
-                  "x");
 
   // --- Kernel A/B: scalar reference vs word-parallel twins. ---
   const SetSystem* system = instance->materialized();
@@ -969,10 +792,6 @@ int Run(const std::string& json_path, uint32_t consumers, uint64_t rounds,
   JsonValue scan_json;
   if (!RunScanStage(scan_m, kSeed, &scan_json)) return 1;
 
-  // --- Gain maintenance: transposed index vs per-round rescan. ---
-  JsonValue gain_json;
-  if (!RunGainStage(*system, &gain_json)) return 1;
-
   // --- Dense representation: fused bitset-row kernels vs word spans. ---
   JsonValue dense_json;
   if (!RunDenseStage(rounds * 10, kSeed, &dense_json)) return 1;
@@ -999,7 +818,7 @@ int Run(const std::string& json_path, uint32_t consumers, uint64_t rounds,
 
   if (!json_path.empty()) {
     JsonValue doc = JsonValue::Object();
-    doc.Set("schema", "streamcover.bench_hotpath.v5");
+    doc.Set("schema", "streamcover.bench_hotpath.v6");
     // What the auto dense kernels dispatch to on this host — keeps the
     // trajectory's absolute numbers interpretable across runners.
     JsonValue cpu = JsonValue::Object();
@@ -1028,9 +847,7 @@ int Run(const std::string& json_path, uint32_t consumers, uint64_t rounds,
     p.Set("scan_m", scan_m);
     doc.Set("params", std::move(p));
     JsonValue dispatch = JsonValue::Object();
-    dispatch.Set("vector_path", DispatchJson(vector_stats));
     dispatch.Set("view_path", DispatchJson(view_stats));
-    dispatch.Set("speedup", speedup);
     doc.Set("dispatch", std::move(dispatch));
     JsonValue kernels = JsonValue::Object();
     kernels.Set("rounds", kernel_rounds);
@@ -1039,7 +856,6 @@ int Run(const std::string& json_path, uint32_t consumers, uint64_t rounds,
     kernels.Set("mark", KernelAbJson(mark_scalar, mark_word));
     doc.Set("kernels", std::move(kernels));
     doc.Set("scan", std::move(scan_json));
-    doc.Set("gain", std::move(gain_json));
     doc.Set("dense", std::move(dense_json));
     JsonValue solver = JsonValue::Object();
     solver.Set("solver", "iter");

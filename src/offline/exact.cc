@@ -4,8 +4,10 @@
 #include <vector>
 
 #include "offline/greedy.h"
+#include "setsystem/transposed_index.h"
 #include "util/bitset.h"
 #include "util/check.h"
+#include "util/cover_kernels.h"
 
 namespace streamcover {
 namespace {
@@ -13,7 +15,7 @@ namespace {
 // Search state shared across the recursion.
 struct SearchContext {
   const SetSystem* system;
-  const InvertedIndex* index;
+  const TransposedIndex* index;  // element -> sets, ascending ids
   uint64_t max_nodes;
   uint64_t nodes = 0;
   bool budget_exhausted = false;
@@ -21,15 +23,6 @@ struct SearchContext {
   std::vector<uint32_t> current;    // partial cover on the search path
   std::vector<bool> alive;          // sets not removed by dominance
 };
-
-size_t ResidualGain(const SetSystem& system, uint32_t set_id,
-                    const DynamicBitset& uncovered) {
-  size_t gain = 0;
-  for (uint32_t e : system.GetSet(set_id)) {
-    if (uncovered.Test(e)) ++gain;
-  }
-  return gain;
-}
 
 // Lower bound #1: every set covers at most max_gain uncovered elements.
 size_t CoverageLowerBound(const SetSystem& system,
@@ -40,7 +33,8 @@ size_t CoverageLowerBound(const SetSystem& system,
   size_t max_gain = 0;
   for (uint32_t s = 0; s < system.num_sets(); ++s) {
     if (!alive[s]) continue;
-    max_gain = std::max(max_gain, ResidualGain(system, s, uncovered));
+    max_gain = std::max(max_gain, CountUncovered(system.GetSet(s), uncovered,
+                                                 KernelPolicy::kWord));
   }
   if (max_gain == 0) return residual;  // infeasible residual; forces prune
   return (residual + max_gain - 1) / max_gain;
@@ -48,17 +42,17 @@ size_t CoverageLowerBound(const SetSystem& system,
 
 // Lower bound #2: greedy packing of "witness" elements no two of which
 // share a live set; each witness needs a distinct set in any cover.
-size_t PackingLowerBound(const SetSystem& system, const InvertedIndex& index,
+size_t PackingLowerBound(const SetSystem& system, const TransposedIndex& index,
                          const std::vector<bool>& alive,
                          const DynamicBitset& uncovered) {
   std::vector<bool> set_blocked(system.num_sets(), false);
   size_t witnesses = 0;
   uncovered.ForEach([&](uint32_t e) {
-    for (uint32_t s : index.SetsContaining(e)) {
+    for (uint32_t s : index.Sets(e)) {
       if (alive[s] && set_blocked[s]) return;
     }
     ++witnesses;
-    for (uint32_t s : index.SetsContaining(e)) {
+    for (uint32_t s : index.Sets(e)) {
       if (alive[s]) set_blocked[s] = true;
     }
   });
@@ -68,12 +62,9 @@ size_t PackingLowerBound(const SetSystem& system, const InvertedIndex& index,
 void TakeSet(SearchContext& ctx, uint32_t set_id, DynamicBitset& uncovered,
              std::vector<uint32_t>& newly_covered) {
   ctx.current.push_back(set_id);
-  for (uint32_t e : ctx.system->GetSet(set_id)) {
-    if (uncovered.Test(e)) {
-      uncovered.Reset(e);
-      newly_covered.push_back(e);
-    }
-  }
+  FilterInto(ctx.system->GetSet(set_id), uncovered, newly_covered,
+             KernelPolicy::kWord);
+  MarkCovered(newly_covered, uncovered, KernelPolicy::kWord);
 }
 
 void UntakeSet(SearchContext& ctx, DynamicBitset& uncovered,
@@ -101,7 +92,7 @@ void Search(SearchContext& ctx, DynamicBitset& uncovered) {
   size_t branch_degree = SIZE_MAX;
   uncovered.ForEach([&](uint32_t e) {
     size_t degree = 0;
-    for (uint32_t s : ctx.index->SetsContaining(e)) {
+    for (uint32_t s : ctx.index->Sets(e)) {
       if (ctx.alive[s]) ++degree;
     }
     if (degree < branch_degree) {
@@ -112,7 +103,7 @@ void Search(SearchContext& ctx, DynamicBitset& uncovered) {
   if (branch_degree == 0) return;  // uncoverable residual element
   if (branch_degree == 1) {
     uint32_t forced = UINT32_MAX;
-    for (uint32_t s : ctx.index->SetsContaining(branch_element)) {
+    for (uint32_t s : ctx.index->Sets(branch_element)) {
       if (ctx.alive[s]) forced = s;
     }
     std::vector<uint32_t> newly;
@@ -134,9 +125,11 @@ void Search(SearchContext& ctx, DynamicBitset& uncovered) {
   // promising (largest residual gain) first. Standard completeness
   // argument: every cover must include one of these candidates.
   std::vector<std::pair<size_t, uint32_t>> candidates;
-  for (uint32_t s : ctx.index->SetsContaining(branch_element)) {
+  for (uint32_t s : ctx.index->Sets(branch_element)) {
     if (!ctx.alive[s]) continue;
-    candidates.push_back({ResidualGain(*ctx.system, s, uncovered), s});
+    candidates.push_back({CountUncovered(ctx.system->GetSet(s), uncovered,
+                                        KernelPolicy::kWord),
+                          s});
   }
   std::sort(candidates.rbegin(), candidates.rend());
   // Exclusion refinement: after exploring candidate i, forbid it in the
@@ -168,7 +161,15 @@ OfflineResult ExactSolver::Solve(const SetSystem& system) const {
     for (uint32_t e : system.GetSet(s)) uncovered.Set(e);
   }
 
-  InvertedIndex index(system);
+  TransposedIndex::Builder builder(system.num_elements());
+  for (uint32_t s = 0; s < system.num_sets(); ++s) {
+    builder.CountSet(system.GetSet(s));
+  }
+  builder.PrepareFill();
+  for (uint32_t s = 0; s < system.num_sets(); ++s) {
+    builder.FillSet(s, system.GetSet(s));
+  }
+  const TransposedIndex index = std::move(builder).Build();
   SearchContext ctx;
   ctx.system = &system;
   ctx.index = &index;

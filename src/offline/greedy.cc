@@ -3,102 +3,25 @@
 #include <algorithm>
 #include <cmath>
 #include <utility>
-#include <vector>
 
-#include "setsystem/transposed_index.h"
-#include "util/check.h"
-#include "util/cover_kernels.h"
-#include "util/heap.h"
+#include "offline/lazy_greedy.h"
+#include "util/bitset.h"
 
 namespace streamcover {
 
 OfflineResult GreedySolver::Solve(const SetSystem& system) const {
-  DynamicBitset all(system.num_elements(), true);
-  return SolveTargets(system, all, kernel_);
+  LazyGreedyResult run = LazyGreedy::OverSets(system, kernel_).Run(
+      DynamicBitset(system.num_elements(), true));
+  OfflineResult result;
+  result.cover.set_ids = std::move(run.picks);
+  result.work = run.sets_touched;
+  result.sets_touched = run.sets_touched;
+  result.gain_updates = run.gain_updates;
+  return result;
 }
 
 double GreedySolver::Rho(uint32_t num_elements) const {
   return std::log(static_cast<double>(std::max(num_elements, 2u))) + 1.0;
-}
-
-OfflineResult GreedySolver::SolveTargets(const SetSystem& system,
-                                         const DynamicBitset& targets,
-                                         KernelPolicy kernel) {
-  SC_CHECK_EQ(targets.size(), system.num_elements());
-  OfflineResult result;
-  DynamicBitset uncovered = targets;
-
-  // Element → sets index over the whole system: one count sweep + one
-  // fill sweep. Its columns drive both the coverability pre-pass (an
-  // element with an empty column is uncoverable) and the exact
-  // decremental gains below.
-  TransposedIndex::Builder builder(system.num_elements());
-  for (uint32_t s = 0; s < system.num_sets(); ++s) {
-    builder.CountSet(system.GetSet(s));
-  }
-  builder.PrepareFill();
-  for (uint32_t s = 0; s < system.num_sets(); ++s) {
-    builder.FillSet(s, system.GetSet(s));
-  }
-  const TransposedIndex index = std::move(builder).Build();
-
-  // Clear target bits for elements no set contains (uncoverable).
-  for (uint32_t e = 0; e < system.num_elements(); ++e) {
-    if (!index.Coverable(e)) uncovered.Reset(e);
-  }
-
-  GainTracker gains(&index, system.num_sets());
-  gains.InitFromMask(uncovered);
-
-  // Flat max-heap of lazily aged entries packed as (gain << 32 | set
-  // id). Entry order is identical to the former pair<gain, id>
-  // priority_queue (gain first, id tie-break) and all keys are
-  // distinct. Claims only age upward (the tracker's gains are exact and
-  // non-increasing), so a root whose claim matches its tracked gain
-  // majorizes every other entry's true gain: it is the exact greedy
-  // argmax under the key order. A stale root is re-keyed in place with
-  // one sift-down — pop-and-reuse — and never re-counted against the
-  // mask: the tracker already knows its residual gain.
-  auto pack = [](uint64_t gain, uint32_t s) -> uint64_t {
-    return (gain << 32) | s;
-  };
-  std::vector<uint64_t> heap;
-  heap.reserve(system.num_sets());
-  for (uint32_t s = 0; s < system.num_sets(); ++s) {
-    const uint64_t gain = gains.gain(s);
-    if (gain > 0) heap.push_back(pack(gain, s));
-  }
-  std::make_heap(heap.begin(), heap.end());
-
-  std::vector<uint32_t> newly;
-  while (uncovered.Any() && !heap.empty()) {
-    const uint64_t top = heap.front();
-    const uint32_t s = static_cast<uint32_t>(top);
-    const uint64_t gain = gains.gain(s);
-    ++result.work;
-    ++result.sets_touched;
-    if (gain == 0) {
-      std::pop_heap(heap.begin(), heap.end());
-      heap.pop_back();
-      continue;
-    }
-    if (gain != (top >> 32)) {
-      heap.front() = pack(gain, s);
-      SiftDownRoot(heap);
-      continue;
-    }
-    std::pop_heap(heap.begin(), heap.end());
-    heap.pop_back();
-    newly.clear();
-    FilterInto(system.GetSet(s), uncovered, newly, kernel);
-    MarkCovered(newly, uncovered, kernel);
-    SC_DCHECK_EQ(newly.size(), gain);
-    // The pick's own column entries zero its tracked gain too.
-    gains.OnCovered(newly);
-    result.cover.set_ids.push_back(s);
-  }
-  result.gain_updates = gains.gain_updates();
-  return result;
 }
 
 }  // namespace streamcover

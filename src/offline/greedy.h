@@ -1,14 +1,16 @@
-// The classic greedy SetCover algorithm, rho = ln n.
+// The classic greedy SetCover algorithm, rho = ln n — algOfflineSC as
+// iterSetCover runs it on every sampled sub-instance, and the store-all
+// rows of Figure 1.1 (offline_greedy, store_all_greedy).
 //
-// Lazy-evaluation variant: a max-heap of (stale gain, set id); gains are
-// only recomputed when a set is popped, which is correct because gains
-// are monotonically non-increasing as the cover grows.
+// A thin caller of LazyGreedy (offline/lazy_greedy.h): every set is a
+// borrowed sparse candidate indexed by its set id, so the system is never
+// copied; ties go to the larger set id; the run covers every coverable
+// element.
 
 #ifndef STREAMCOVER_OFFLINE_GREEDY_H_
 #define STREAMCOVER_OFFLINE_GREEDY_H_
 
 #include "offline/solver.h"
-#include "util/bitset.h"
 #include "util/cover_kernels.h"
 
 namespace streamcover {
@@ -17,8 +19,8 @@ namespace streamcover {
 class GreedySolver : public OfflineSolver {
  public:
   GreedySolver() = default;
-  /// Selects the coverage-kernel twin for gain recomputation; results
-  /// are identical either way.
+  /// Selects the coverage-kernel twin for the picks; results are
+  /// identical either way.
   explicit GreedySolver(KernelPolicy kernel) : kernel_(kernel) {}
 
   OfflineResult Solve(const SetSystem& system) const override;
@@ -26,12 +28,6 @@ class GreedySolver : public OfflineSolver {
   double Rho(uint32_t num_elements) const override;
 
   std::string name() const override { return "greedy"; }
-
-  /// Greedy cover of only the elements flagged in `targets`.
-  /// Shared by solvers and baselines that cover residual ground sets.
-  static OfflineResult SolveTargets(
-      const SetSystem& system, const DynamicBitset& targets,
-      KernelPolicy kernel = KernelPolicy::kWord);
 
  private:
   KernelPolicy kernel_ = KernelPolicy::kWord;

@@ -1,59 +1,21 @@
 #include "offline/max_cover.h"
 
-#include <queue>
 #include <utility>
 
+#include "offline/lazy_greedy.h"
 #include "util/bitset.h"
-#include "util/check.h"
-#include "util/cover_kernels.h"
 
 namespace streamcover {
 
 MaxCoverResult GreedyMaxCover(const SetSystem& system, uint32_t budget,
                               KernelPolicy kernel) {
+  LazyGreedyResult run = LazyGreedy::OverSets(system, kernel).Run(
+      DynamicBitset(system.num_elements(), true), LazyGreedy::kAllCoverable,
+      budget);
   MaxCoverResult result;
-  DynamicBitset uncovered(system.num_elements(), true);
-
-  // Lazy greedy, same structure as GreedySolver but budget-capped.
-  using Entry = std::pair<size_t, uint32_t>;
-  std::priority_queue<Entry> heap;
-  for (uint32_t s = 0; s < system.num_sets(); ++s) {
-    size_t size = system.SetSize(s);
-    if (size > 0) heap.push({size, s});
-  }
-  while (result.cover.size() < budget && !heap.empty()) {
-    auto [stale_gain, s] = heap.top();
-    heap.pop();
-    const size_t gain = CountUncovered(system.GetSet(s), uncovered, kernel);
-    if (gain == 0) continue;
-    if (!heap.empty() && gain < heap.top().first) {
-      heap.push({gain, s});
-      continue;
-    }
-    result.cover.set_ids.push_back(s);
-    result.covered += gain;
-    MarkCovered(system.GetSet(s), uncovered, kernel);
-  }
+  result.cover.set_ids = std::move(run.picks);
+  result.covered = run.covered;
   return result;
-}
-
-MaxCoverResult BruteForceMaxCover(const SetSystem& system, uint32_t budget) {
-  const uint32_t m = system.num_sets();
-  SC_CHECK_LE(m, 24u);
-  MaxCoverResult best;
-  for (uint32_t mask = 0; mask < (1u << m); ++mask) {
-    if (static_cast<uint32_t>(__builtin_popcount(mask)) > budget) continue;
-    Cover c;
-    for (uint32_t s = 0; s < m; ++s) {
-      if (mask & (1u << s)) c.set_ids.push_back(s);
-    }
-    uint64_t covered = CoveredCount(system, c);
-    if (covered > best.covered) {
-      best.covered = covered;
-      best.cover = std::move(c);
-    }
-  }
-  return best;
 }
 
 }  // namespace streamcover

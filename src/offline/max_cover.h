@@ -23,13 +23,12 @@ struct MaxCoverResult {
 };
 
 /// Greedy Max k-Cover: picks up to `budget` sets, each maximizing the
-/// marginal coverage; stops early if coverage is complete.
+/// marginal coverage; stops early if coverage is complete. The picks are
+/// the first `budget` picks of GreedySolver().Solve(system) (same
+/// LazyGreedy run, same larger-id tie rule, capped).
 /// Guarantee: covered >= (1 - 1/e) * OPT_k.
 MaxCoverResult GreedyMaxCover(const SetSystem& system, uint32_t budget,
                               KernelPolicy kernel = KernelPolicy::kWord);
-
-/// Exhaustive optimum for tests (m <= ~20).
-MaxCoverResult BruteForceMaxCover(const SetSystem& system, uint32_t budget);
 
 }  // namespace streamcover
 

@@ -52,31 +52,4 @@ bool SetSystem::Contains(uint32_t set_id, uint32_t element) const {
   return std::binary_search(s.begin(), s.end(), element);
 }
 
-InvertedIndex::InvertedIndex(const SetSystem& system) {
-  const uint32_t n = system.num_elements();
-  std::vector<size_t> degree(n, 0);
-  for (uint32_t s = 0; s < system.num_sets(); ++s) {
-    for (uint32_t e : system.GetSet(s)) ++degree[e];
-  }
-  offsets_.assign(n + 1, 0);
-  for (uint32_t e = 0; e < n; ++e) offsets_[e + 1] = offsets_[e] + degree[e];
-  set_ids_.resize(offsets_[n]);
-  std::vector<size_t> cursor(offsets_.begin(), offsets_.end() - 1);
-  for (uint32_t s = 0; s < system.num_sets(); ++s) {
-    for (uint32_t e : system.GetSet(s)) set_ids_[cursor[e]++] = s;
-  }
-}
-
-std::span<const uint32_t> InvertedIndex::SetsContaining(
-    uint32_t element) const {
-  SC_DCHECK_LT(element + 1, offsets_.size());
-  return {set_ids_.data() + offsets_[element],
-          offsets_[element + 1] - offsets_[element]};
-}
-
-size_t InvertedIndex::Degree(uint32_t element) const {
-  SC_DCHECK_LT(element + 1, offsets_.size());
-  return offsets_[element + 1] - offsets_[element];
-}
-
 }  // namespace streamcover

@@ -98,23 +98,6 @@ class SetSystem {
   std::vector<uint32_t> elements_;
 };
 
-/// Element -> covering sets index in CSR form. Used by offline solvers;
-/// streaming algorithms never build it (it would cost O(mn) space).
-class InvertedIndex {
- public:
-  explicit InvertedIndex(const SetSystem& system);
-
-  /// Ids of the sets containing `element`, ascending.
-  std::span<const uint32_t> SetsContaining(uint32_t element) const;
-
-  /// Number of sets containing `element`.
-  size_t Degree(uint32_t element) const;
-
- private:
-  std::vector<size_t> offsets_;
-  std::vector<uint32_t> set_ids_;
-};
-
 }  // namespace streamcover
 
 #endif  // STREAMCOVER_SETSYSTEM_SET_SYSTEM_H_

@@ -3,14 +3,14 @@
 //
 // Every multi-pass consumer in this library keeps, for some candidate
 // family F' and a shrinking uncovered mask U, the residual gains
-// |S ∩ U| for S in F'. The rescan way to maintain them is to recompute
-// every candidate's gain after each pick — rounds × |F'| kernel calls
-// touching rounds × nnz(F') elements. The transposed index flips the
-// direction: a CSR over element → {sets containing it}, built in one
-// counting sweep + one fill sweep over the candidates (and, for
-// iterSetCover, per guess from that guess's stored projections — see
-// offline/greedy.cc, which transposes whatever system the Size-Test
-// pass handed it). When elements become covered, GainTracker walks
+// |S ∩ U| for S in F'. Recomputing every candidate's gain after each
+// pick would cost rounds × |F'| kernel calls touching rounds × nnz(F')
+// elements. The transposed index flips the direction: a CSR over
+// element → {sets containing it}, built in one counting sweep + one
+// fill sweep over the candidates (offline/lazy_greedy.cc builds one per
+// greedy run: over each iterSetCover guess's sub-instance, the store-all
+// buffer, or the shard merge's candidates; offline/exact.cc builds one
+// for branching). When elements become covered, GainTracker walks
 // exactly the affected columns and decrements exact gains — each
 // (element, set) pair is touched at most ONCE over the whole run, so
 // total maintenance is nnz(F') instead of rounds × nnz(F').
@@ -22,8 +22,8 @@
 //
 // Counters: `gain_updates` counts individual gain decrements (the
 // O(1) maintenance ops); consumers report `sets_touched` for the gain
-// *evaluations* they perform (pops/rescans) — the pair the bench and
-// sweep reports surface to make output-sensitivity observable.
+// *evaluations* they perform (pops/rescans) — the pair the sweep report
+// and perfbench surface to make output-sensitivity observable.
 
 #ifndef STREAMCOVER_SETSYSTEM_TRANSPOSED_INDEX_H_
 #define STREAMCOVER_SETSYSTEM_TRANSPOSED_INDEX_H_
@@ -40,8 +40,8 @@
 namespace streamcover {
 
 /// CSR over element → indices of the sets that contain it. Set indices
-/// are whatever the builder's fill calls said — candidate insertion
-/// order for MergeStage, set ids for a whole SetSystem. Columns list
+/// are whatever the builder's fill calls said — LazyGreedy's candidate
+/// indices, set ids for a whole SetSystem. Columns list
 /// sets in fill order (ascending when sets are filled in index order).
 class TransposedIndex {
  public:

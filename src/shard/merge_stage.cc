@@ -1,43 +1,10 @@
 #include "shard/merge_stage.h"
 
-#include <algorithm>
-#include <limits>
-
+#include "offline/lazy_greedy.h"
 #include "util/check.h"
-#include "util/heap.h"
 #include "util/mathutil.h"
 
 namespace streamcover {
-namespace {
-
-/// Heap key: gain in the high half, earliest-candidate-wins tie-break
-/// in the low half (max-heap, so the low half stores the complement of
-/// the insertion index).
-uint64_t Pack(uint64_t gain, size_t idx) {
-  return (gain << 32) |
-         (std::numeric_limits<uint32_t>::max() - static_cast<uint32_t>(idx));
-}
-uint64_t PackedGain(uint64_t key) { return key >> 32; }
-size_t PackedIndex(uint64_t key) {
-  return std::numeric_limits<uint32_t>::max() -
-         static_cast<uint32_t>(key & 0xFFFFFFFFULL);
-}
-
-/// Visits every set bit of a dense row, ascending.
-template <typename Fn>
-void ForEachRowBit(std::span<const uint64_t> row, Fn&& fn) {
-  for (size_t w = 0; w < row.size(); ++w) {
-    uint64_t bits = row[w];
-    while (bits != 0) {
-      const uint32_t e = static_cast<uint32_t>(
-          w * 64 + static_cast<size_t>(__builtin_ctzll(bits)));
-      fn(e);
-      bits &= bits - 1;
-    }
-  }
-}
-
-}  // namespace
 
 MergeStage::MergeStage(uint32_t num_elements, uint32_t num_sets,
                        MergeStageOptions options)
@@ -57,7 +24,6 @@ void MergeStage::AddCandidate(uint32_t id,
   }
   seen_ids_.Set(id);
   ids_.push_back(id);
-  sizes_.push_back(static_cast<uint32_t>(elems.size()));
   if (ShouldStoreDense(elems.size(), num_elements_)) {
     dense_row_.push_back(dense_.AddRow(elems));
     offsets_.push_back(elems_.size());
@@ -70,150 +36,32 @@ void MergeStage::AddCandidate(uint32_t id,
   }
 }
 
-uint64_t MergeStage::GainOf(size_t i, const DynamicBitset& mask) const {
-  if (IsDense(i)) {
-    return CountUncoveredDense(dense_.Row(dense_row_[i]), mask,
-                               options_.kernel);
-  }
-  return CountUncovered(SparseElems(i), mask, options_.kernel);
-}
-
-uint64_t MergeStage::PickInto(size_t i, DynamicBitset& mask,
-                              std::vector<uint32_t>& newly) const {
-  newly.clear();
-  if (IsDense(i)) {
-    const std::span<const uint64_t> row = dense_.Row(dense_row_[i]);
-    const uint64_t gain = FilterIntoDense(row, mask, newly, options_.kernel);
-    const uint64_t cleared = MarkCoveredDense(row, mask, options_.kernel);
-    SC_DCHECK_EQ(gain, cleared);
-    (void)cleared;
-    return gain;
-  }
-  const std::span<const uint32_t> elems = SparseElems(i);
-  FilterInto(elems, mask, newly, options_.kernel);
-  return MarkCovered(elems, mask, options_.kernel);
-}
-
 MergeOutcome MergeStage::Merge() {
+  LazyGreedy greedy(num_elements_, LazyGreedy::Ties::kLowestIndex,
+                    options_.kernel);
+  for (size_t i = 0; i < ids_.size(); ++i) {
+    if (dense_row_[i] != kSparse) {
+      greedy.AddDense(dense_.Row(dense_row_[i]));
+    } else {
+      greedy.AddSparse(std::span<const uint32_t>(elems_).subspan(
+          offsets_[i], offsets_[i + 1] - offsets_[i]));
+    }
+  }
   const uint64_t required =
       num_elements_ - AllowedUncovered(num_elements_,
                                        options_.coverage_fraction);
-  return options_.gain == GainMaintenance::kTransposed
-             ? MergeTransposed(required)
-             : MergeRescan(required);
-}
+  LazyGreedyResult run =
+      greedy.Run(DynamicBitset(num_elements_, true), required);
+  // Working state, then one cover word per pick.
+  tracker_.Charge(run.working_words + run.picks.size());
+  counters_.rounds = run.picks.size();
+  counters_.sets_touched = run.sets_touched;
+  counters_.gain_updates = run.gain_updates;
 
-MergeOutcome MergeStage::MergeTransposed(uint64_t required) {
   MergeOutcome outcome;
-  LiveMask uncovered(num_elements_, true);
-
-  // One count sweep + one fill sweep over the candidates builds the
-  // element → candidate-index columns (candidate order => sorted
-  // columns).
-  TransposedIndex::Builder builder(num_elements_);
-  for (size_t i = 0; i < ids_.size(); ++i) {
-    if (IsDense(i)) {
-      ForEachRowBit(dense_.Row(dense_row_[i]),
-                    [&](uint32_t e) { builder.CountElement(e); });
-    } else {
-      builder.CountSet(SparseElems(i));
-    }
-  }
-  builder.PrepareFill();
-  for (size_t i = 0; i < ids_.size(); ++i) {
-    const uint32_t idx = static_cast<uint32_t>(i);
-    if (IsDense(i)) {
-      ForEachRowBit(dense_.Row(dense_row_[i]),
-                    [&](uint32_t e) { builder.FillElement(idx, e); });
-    } else {
-      builder.FillSet(idx, SparseElems(i));
-    }
-  }
-  const TransposedIndex index = std::move(builder).Build();
-  GainTracker gains(&index, static_cast<uint32_t>(ids_.size()));
-  gains.InitFromMask(uncovered.bits());
-  // The initial mask is all-live and spans are duplicate-free, so every
-  // starting gain equals the stored size — seed the heap from sizes_.
-  std::vector<uint32_t> all_covered;  // reused per pick
-  std::vector<uint64_t> heap;
-  heap.reserve(ids_.size());
-  for (size_t i = 0; i < ids_.size(); ++i) {
-    SC_DCHECK_EQ(gains.gain(static_cast<uint32_t>(i)), sizes_[i]);
-    if (sizes_[i] > 0) heap.push_back(Pack(sizes_[i], i));
-  }
-  tracker_.Charge(uncovered.WordCount() + heap.size() + index.word_count() +
-                  gains.word_count());
-  std::make_heap(heap.begin(), heap.end());
-
-  while (outcome.covered < required && !heap.empty()) {
-    const uint64_t top = heap.front();
-    const size_t idx = PackedIndex(top);
-    const uint64_t gain = gains.gain(static_cast<uint32_t>(idx));
-    ++counters_.sets_touched;
-    if (gain == 0) {
-      // Dead entry: fully covered by earlier picks. Drop it.
-      std::pop_heap(heap.begin(), heap.end());
-      heap.pop_back();
-      continue;
-    }
-    if (gain != PackedGain(top)) {
-      // Stale claim (claims only age upward). Re-key the root in place
-      // and sift once — pop-and-reuse instead of pop + push.
-      heap.front() = Pack(gain, idx);
-      SiftDownRoot(heap);
-      continue;
-    }
-    // Claim is current, so this root majorizes every candidate's true
-    // gain: it is the exact greedy argmax. Pop and take it.
-    std::pop_heap(heap.begin(), heap.end());
-    heap.pop_back();
-    const uint64_t realized = PickInto(idx, uncovered.bits(), all_covered);
-    SC_DCHECK_EQ(realized, gain);
-    // The pick's own column entries zero its tracked gain along with
-    // everyone else's — a popped candidate never needs tombstoning.
-    gains.OnCovered(all_covered);
-    outcome.covered += realized;
-    outcome.cover.set_ids.push_back(ids_[idx]);
-    ++counters_.rounds;
-    tracker_.Charge(1);
-  }
-  counters_.gain_updates = gains.gain_updates();
-  outcome.success = outcome.covered >= required;
-  return outcome;
-}
-
-MergeOutcome MergeStage::MergeRescan(uint64_t required) {
-  MergeOutcome outcome;
-  LiveMask uncovered(num_elements_, true);
-  std::vector<uint8_t> picked(ids_.size(), 0);
-  std::vector<uint32_t> newly;
-  tracker_.Charge(uncovered.WordCount() + (ids_.size() + 7) / 8);
-
-  while (outcome.covered < required) {
-    // Full rescan: recompute every unpicked candidate's residual gain.
-    // Strictly-greater keeps the earliest-inserted winner on ties,
-    // matching the transposed heap's packed-key order.
-    uint64_t best_gain = 0;
-    size_t best_idx = 0;
-    for (size_t i = 0; i < ids_.size(); ++i) {
-      if (picked[i]) continue;
-      const uint64_t gain = GainOf(i, uncovered.bits());
-      ++counters_.sets_touched;
-      if (gain > best_gain) {
-        best_gain = gain;
-        best_idx = i;
-      }
-    }
-    if (best_gain == 0) break;
-    picked[best_idx] = 1;
-    const uint64_t realized = PickInto(best_idx, uncovered.bits(), newly);
-    SC_DCHECK_EQ(realized, best_gain);
-    outcome.covered += realized;
-    outcome.cover.set_ids.push_back(ids_[best_idx]);
-    ++counters_.rounds;
-    tracker_.Charge(1);
-  }
-  outcome.success = outcome.covered >= required;
+  for (uint32_t i : run.picks) outcome.cover.set_ids.push_back(ids_[i]);
+  outcome.covered = run.covered;
+  outcome.success = run.success;
   return outcome;
 }
 

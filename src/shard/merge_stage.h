@@ -15,34 +15,11 @@
 // kernels. Either way the stored footprint and the per-query work are
 // the smaller of the two forms.
 //
-// Gain maintenance (MergeStageOptions::gain):
-//   * kTransposed (default) — output-sensitive: an element→candidates
-//     TransposedIndex is built over the union (one count + one fill
-//     sweep), a GainTracker keeps every candidate's residual gain
-//     exact by decrementing along the picked set's newly covered
-//     elements, and a lazy-deletion max-heap pops candidates whose
-//     cached claim matches the tracked gain. A stale root is re-keyed
-//     in place (one sift-down) instead of popped and re-pushed, and a
-//     root whose claim is still current is accepted directly — the
-//     pop-and-reuse fast path. Total maintenance is nnz(candidates):
-//     each (element, candidate) pair is touched at most once.
-//   * kRescan — the A/B baseline: every unpicked candidate's gain is
-//     recomputed from the mask each round (rounds × candidates kernel
-//     calls). Same covers, byte for byte; only the work differs.
-//
-// Both modes pick the exact greedy argmax with earliest-inserted-wins
-// tie-breaking, so the merged cover is a pure function of the candidate
-// sequence — identical across modes, kernels, shard sources, and
-// thread counts. (The heap mode's accept rule "claim == tracked gain"
-// guarantees this: claims are only stale upward, so a current-claim
-// root majorizes every other candidate's gain, and the packed key's
-// complement-index low half resolves ties toward the earliest insert.)
-//
-// Counters: `sets_touched` counts candidate-gain evaluations (heap
-// inspections in kTransposed, per-round recomputes in kRescan);
-// `gain_updates` counts the tracker's O(1) decrements (0 in kRescan).
-// The pair is what bench_hotpath's gain stage and the sweep report
-// surface to make output-sensitivity observable.
+// Merge() runs LazyGreedy (offline/lazy_greedy.h) over both stores,
+// numbering candidates in insertion order with the earliest-inserted
+// candidate winning gain ties, so the merged cover is a pure function of
+// the candidate sequence — identical across kernels, shard sources, and
+// thread counts. counters() carries LazyGreedy's work counters.
 
 #ifndef STREAMCOVER_SHARD_MERGE_STAGE_H_
 #define STREAMCOVER_SHARD_MERGE_STAGE_H_
@@ -53,32 +30,24 @@
 #include <vector>
 
 #include "setsystem/cover.h"
-#include "setsystem/transposed_index.h"
 #include "stream/space_tracker.h"
 #include "util/bitset.h"
 #include "util/cover_kernels.h"
 
 namespace streamcover {
 
-/// How MergeStage keeps candidate gains current between picks.
-enum class GainMaintenance : uint8_t {
-  kTransposed,  ///< element→candidates index + exact decremental gains
-  kRescan,      ///< recompute every candidate per round (A/B baseline)
-};
-
 struct MergeStageOptions {
   KernelPolicy kernel = KernelPolicy::kWord;
   /// epsilon-Partial target, same semantics as RunOptions: the merge
   /// stops once 1 - coverage_fraction of U may stay uncovered.
   double coverage_fraction = 1.0;
-  GainMaintenance gain = GainMaintenance::kTransposed;
 };
 
-/// Work accounting for one Merge() call (see header comment).
+/// Work accounting for one Merge() call.
 struct MergeCounters {
   uint64_t rounds = 0;        ///< picks performed
   uint64_t sets_touched = 0;  ///< candidate-gain evaluations
-  uint64_t gain_updates = 0;  ///< tracker decrements (kTransposed only)
+  uint64_t gain_updates = 0;  ///< tracker decrements
 };
 
 struct MergeOutcome {
@@ -109,24 +78,6 @@ class MergeStage {
  private:
   static constexpr uint32_t kSparse = UINT32_MAX;
 
-  bool IsDense(size_t i) const { return dense_row_[i] != kSparse; }
-  std::span<const uint32_t> SparseElems(size_t i) const {
-    return std::span<const uint32_t>(elems_).subspan(
-        offsets_[i], offsets_[i + 1] - offsets_[i]);
-  }
-
-  /// Residual gain of candidate `i` against `mask`, via the matching
-  /// representation's kernel.
-  uint64_t GainOf(size_t i, const DynamicBitset& mask) const;
-
-  /// Appends candidate i's still-uncovered elements to `newly`, clears
-  /// them from `mask`, and returns the realized gain.
-  uint64_t PickInto(size_t i, DynamicBitset& mask,
-                    std::vector<uint32_t>& newly) const;
-
-  MergeOutcome MergeTransposed(uint64_t required);
-  MergeOutcome MergeRescan(uint64_t required);
-
   const uint32_t num_elements_;
   const MergeStageOptions options_;
 
@@ -135,10 +86,8 @@ class MergeStage {
 
   // Candidate storage, insertion order: candidate i is either sparse
   // (elems_[offsets_[i], offsets_[i+1]), dense_row_[i] == kSparse) or
-  // a dense bitset row (dense_.Row(dense_row_[i])). sizes_[i] is the
-  // element count either way.
+  // a dense bitset row (dense_.Row(dense_row_[i])).
   std::vector<uint32_t> ids_;
-  std::vector<uint32_t> sizes_;
   std::vector<uint32_t> dense_row_;
   std::vector<size_t> offsets_{0};
   std::vector<uint32_t> elems_;

@@ -12,7 +12,6 @@
 
 #include "baselines/dimv14.h"                 // IWYU pragma: export
 #include "baselines/iterative_greedy.h"       // IWYU pragma: export
-#include "baselines/store_all_greedy.h"       // IWYU pragma: export
 #include "baselines/streaming_max_cover.h"    // IWYU pragma: export
 #include "baselines/threshold_greedy.h"       // IWYU pragma: export
 #include "commlb/chasing.h"                   // IWYU pragma: export
@@ -34,6 +33,7 @@
 #include "geometry/range_space.h"             // IWYU pragma: export
 #include "offline/exact.h"                    // IWYU pragma: export
 #include "offline/greedy.h"                   // IWYU pragma: export
+#include "offline/lazy_greedy.h"              // IWYU pragma: export
 #include "offline/max_cover.h"                // IWYU pragma: export
 #include "offline/weighted_greedy.h"          // IWYU pragma: export
 #include "setsystem/binary_io.h"              // IWYU pragma: export

@@ -8,9 +8,10 @@
 
 #include "baselines/dimv14.h"
 #include "baselines/iterative_greedy.h"
-#include "baselines/store_all_greedy.h"
 #include "baselines/threshold_greedy.h"
+#include "core/instance.h"
 #include "core/iter_set_cover.h"
+#include "core/solver_registry.h"
 #include "setsystem/generators.h"
 #include "util/mathutil.h"
 
@@ -28,10 +29,16 @@ PlantedInstance MakeInstance(uint64_t seed, uint32_t n = 500,
   return GeneratePlanted(options, rng);
 }
 
-TEST(StoreAllGreedyTest, OnePassFullSpace) {
+/// Figure 1.1's store-all row, through the registry.
+RunResult RunStoreAll(const SetSystem& system) {
+  Instance instance = Instance::WrapSystem(&system, {"store-all", ""});
+  return RunSolver("store_all_greedy", instance, RunOptions());
+}
+
+TEST(StoreAllTest, OnePassFullSpace) {
   PlantedInstance inst = MakeInstance(1);
-  SetStream stream(&inst.system);
-  BaselineResult r = StoreAllGreedy(stream);
+  RunResult r = RunStoreAll(inst.system);
+  ASSERT_TRUE(r.ok()) << r.error;
   ASSERT_TRUE(r.success);
   EXPECT_TRUE(IsFullCover(inst.system, r.cover));
   EXPECT_EQ(r.passes, 1u);
@@ -167,10 +174,7 @@ TEST(BaselineEdgeCaseTest, SingleCoveringSet) {
   b.AddSet({0, 1, 2, 3, 4, 5, 6, 7});
   b.AddSet({0});
   SetSystem system = std::move(b).Build();
-  {
-    SetStream stream(&system);
-    EXPECT_EQ(StoreAllGreedy(stream).cover.size(), 1u);
-  }
+  EXPECT_EQ(RunStoreAll(system).cover.size(), 1u);
   {
     SetStream stream(&system);
     EXPECT_EQ(IterativeGreedy(stream).cover.size(), 1u);

@@ -4,11 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "baselines/streaming_max_cover.h"
 #include "baselines/threshold_greedy.h"
 #include "core/iter_set_cover.h"
+#include "offline/greedy.h"
 #include "offline/max_cover.h"
 #include "offline/weighted_greedy.h"
 #include "setsystem/generators.h"
@@ -103,17 +106,32 @@ TEST(PartialCoverTest, PartialSucceedsOnUncoverableInstances) {
 
 // ----- Max k-Cover ---------------------------------------------------
 
+// Exhaustive Max k-Cover optimum: the best coverage over every subset of
+// at most `budget` sets (m <= ~20).
+uint64_t BruteForceMaxCoverage(const SetSystem& system, uint32_t budget) {
+  const uint32_t m = system.num_sets();
+  uint64_t best = 0;
+  for (uint32_t mask = 0; mask < (1u << m); ++mask) {
+    if (static_cast<uint32_t>(__builtin_popcount(mask)) > budget) continue;
+    Cover c;
+    for (uint32_t s = 0; s < m; ++s) {
+      if (mask & (1u << s)) c.set_ids.push_back(s);
+    }
+    best = std::max<uint64_t>(best, CoveredCount(system, c));
+  }
+  return best;
+}
+
 TEST(MaxCoverTest, GreedyMatchesNemhauserBoundVsBruteForce) {
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     Rng rng(seed);
     SetSystem system = GenerateUniformRandom(20, 12, 0.25, rng);
     for (uint32_t budget : {1u, 2u, 3u}) {
       MaxCoverResult greedy = GreedyMaxCover(system, budget);
-      MaxCoverResult opt = BruteForceMaxCover(system, budget);
+      const uint64_t opt = BruteForceMaxCoverage(system, budget);
       EXPECT_LE(greedy.cover.size(), budget);
       EXPECT_GE(static_cast<double>(greedy.covered),
-                (1.0 - 1.0 / std::exp(1.0)) *
-                        static_cast<double>(opt.covered) -
+                (1.0 - 1.0 / std::exp(1.0)) * static_cast<double>(opt) -
                     1e-9)
           << "seed " << seed << " budget " << budget;
     }
@@ -132,6 +150,22 @@ TEST(MaxCoverTest, CoveredCountMatchesVerification) {
   SetSystem system = GenerateUniformRandom(50, 30, 0.2, rng);
   MaxCoverResult r = GreedyMaxCover(system, 5);
   EXPECT_EQ(r.covered, CoveredCount(system, r.cover));
+}
+
+TEST(MaxCoverTest, PicksArePrefixOfGreedySolverPicks) {
+  // Max k-Cover runs the offline greedy capped at k picks, so its cover
+  // is exactly the first k picks of GreedySolver — ties included.
+  for (uint64_t seed = 1; seed <= 2000; ++seed) {
+    Rng rng(seed);
+    const SetSystem system = GenerateUniformRandom(30, 25, 0.2, rng);
+    const std::vector<uint32_t> full =
+        GreedySolver().Solve(system).cover.set_ids;
+    for (uint32_t budget = 1; budget <= full.size(); ++budget) {
+      const std::vector<uint32_t> prefix(full.begin(), full.begin() + budget);
+      ASSERT_EQ(GreedyMaxCover(system, budget).cover.set_ids, prefix)
+          << "seed " << seed << " budget " << budget;
+    }
+  }
 }
 
 TEST(StreamingMaxCoverTest, BudgetRespectedAndCompetitive) {

@@ -7,10 +7,11 @@
 #include <sstream>
 
 #include "baselines/iterative_greedy.h"
-#include "baselines/store_all_greedy.h"
 #include "baselines/threshold_greedy.h"
 #include "commlb/isc_to_setcover.h"
+#include "core/instance.h"
 #include "core/iter_set_cover.h"
+#include "core/solver_registry.h"
 #include "geometry/geom_generators.h"
 #include "geometry/geom_set_cover.h"
 #include "geometry/range_space.h"
@@ -55,8 +56,8 @@ TEST(IntegrationTest, AllAlgorithmsAgreeOnFeasibility) {
 
   std::vector<std::pair<std::string, size_t>> covers;
   {
-    SetStream s(&inst.system);
-    BaselineResult r = StoreAllGreedy(s);
+    Instance instance = Instance::WrapSystem(&inst.system, {"planted", ""});
+    RunResult r = RunSolver("store_all_greedy", instance, RunOptions());
     ASSERT_TRUE(r.success);
     covers.push_back({"store-all", r.cover.size()});
   }

@@ -1,14 +1,17 @@
-// Offline solver tests: greedy correctness/approximation behaviour and
-// exact branch-and-bound validated against brute force on random
-// instances (property sweep).
+// Offline solver tests: greedy correctness/approximation behaviour,
+// LazyGreedy's target mask and stop rules, and exact
+// branch-and-bound validated against brute force on random instances
+// (property sweep).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "offline/exact.h"
 #include "offline/greedy.h"
+#include "offline/lazy_greedy.h"
 #include "setsystem/cover.h"
 #include "setsystem/generators.h"
 
@@ -56,7 +59,7 @@ TEST(GreedySolverTest, EmptyInstance) {
   EXPECT_TRUE(r.cover.set_ids.empty());
 }
 
-TEST(GreedySolverTest, SolveTargetsRestrictsToTargets) {
+TEST(LazyGreedyTest, TargetMaskRestrictsCover) {
   SetSystem::Builder b(6);
   b.AddSet({0, 1, 2});
   b.AddSet({3});
@@ -64,8 +67,55 @@ TEST(GreedySolverTest, SolveTargetsRestrictsToTargets) {
   SetSystem s = std::move(b).Build();
   DynamicBitset targets(6);
   targets.Set(3);
-  OfflineResult r = GreedySolver::SolveTargets(s, targets);
-  EXPECT_EQ(r.cover.set_ids, (std::vector<uint32_t>{1}));
+  LazyGreedyResult r =
+      LazyGreedy::OverSets(s, KernelPolicy::kWord).Run(targets);
+  EXPECT_EQ(r.picks, (std::vector<uint32_t>{1}));
+  EXPECT_EQ(r.covered, 1u);
+  EXPECT_TRUE(r.success);
+}
+
+// Three disjoint sets of sizes 3, 2, 1 over 6 elements: greedy takes
+// them largest first.
+SetSystem Staircase() {
+  SetSystem::Builder b(6);
+  b.AddSet({0, 1, 2});
+  b.AddSet({3, 4});
+  b.AddSet({5});
+  return std::move(b).Build();
+}
+
+TEST(LazyGreedyTest, StopsWhenBudgetReached) {
+  const SetSystem s = Staircase();
+  LazyGreedyResult r = LazyGreedy::OverSets(s, KernelPolicy::kWord)
+                           .Run(DynamicBitset(6, true),
+                                LazyGreedy::kAllCoverable, /*budget=*/2);
+  EXPECT_EQ(r.picks, (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(r.covered, 5u);
+  EXPECT_FALSE(r.success);
+}
+
+TEST(LazyGreedyTest, StopsWhenCoverageTargetReached) {
+  const SetSystem s = Staircase();
+  LazyGreedyResult r = LazyGreedy::OverSets(s, KernelPolicy::kWord)
+                           .Run(DynamicBitset(6, true), /*required=*/4);
+  EXPECT_EQ(r.picks, (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(r.covered, 5u);
+  EXPECT_TRUE(r.success);
+}
+
+TEST(LazyGreedyTest, HeapExhaustedBeforeTargetFails) {
+  // Elements 6 and 7 are in no candidate: a target counting them can
+  // never be met, so the run drains the heap and reports failure.
+  SetSystem::Builder b(8);
+  b.AddSet({0, 1, 2});
+  b.AddSet({3, 4});
+  b.AddSet({5});
+  const SetSystem s = std::move(b).Build();
+  LazyGreedyResult r = LazyGreedy::OverSets(s, KernelPolicy::kWord)
+                           .Run(DynamicBitset(8, true), /*required=*/8);
+  EXPECT_EQ(r.picks, (std::vector<uint32_t>{0, 1, 2}));
+  EXPECT_EQ(r.covered, 6u);
+  EXPECT_FALSE(r.success);
 }
 
 TEST(GreedySolverTest, AdversarialInstanceShowsLogGap) {

@@ -1,4 +1,4 @@
-// Unit tests for SetSystem, InvertedIndex, Cover utilities.
+// Unit tests for SetSystem and Cover utilities.
 
 #include <gtest/gtest.h>
 
@@ -52,17 +52,6 @@ TEST(SetSystemTest, Contains) {
   EXPECT_TRUE(s.Contains(0, 1));
   EXPECT_FALSE(s.Contains(0, 3));
   EXPECT_FALSE(s.Contains(4, 0));
-}
-
-TEST(InvertedIndexTest, DegreesAndMembership) {
-  SetSystem s = MakeSmall();
-  InvertedIndex index(s);
-  EXPECT_EQ(index.Degree(2), 2u);  // sets 0 and 1
-  EXPECT_EQ(index.Degree(5), 2u);  // sets 2 and 3
-  EXPECT_EQ(index.Degree(0), 1u);
-  auto sets = index.SetsContaining(3);
-  EXPECT_EQ(std::vector<uint32_t>(sets.begin(), sets.end()),
-            (std::vector<uint32_t>{1, 2}));
 }
 
 TEST(CoverTest, CoverageMaskAndCount) {

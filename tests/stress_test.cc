@@ -11,10 +11,11 @@
 #include <set>
 
 #include "baselines/iterative_greedy.h"
-#include "baselines/store_all_greedy.h"
 #include "baselines/threshold_greedy.h"
 #include "commlb/isc_to_setcover.h"
+#include "core/instance.h"
 #include "core/iter_set_cover.h"
+#include "core/solver_registry.h"
 #include "geometry/canonical.h"
 #include "offline/exact.h"
 #include "offline/greedy.h"
@@ -44,8 +45,8 @@ TEST_P(DifferentialSweepTest, AllAlgorithmsFeasibleAndOrdered) {
 
   size_t store_all = 0;
   {
-    SetStream s(&inst.system);
-    BaselineResult r = StoreAllGreedy(s);
+    Instance instance = Instance::WrapSystem(&inst.system, {"planted", ""});
+    RunResult r = RunSolver("store_all_greedy", instance, RunOptions());
     ASSERT_TRUE(r.success);
     ASSERT_TRUE(IsFullCover(inst.system, r.cover));
     store_all = r.cover.size();
