@@ -22,10 +22,11 @@
 // (--scan-m sets, default 200k; the acceptance run uses 10^7) is
 // streamed straight to disk in both formats via the streaming
 // generators, then scanned through each SetSource — text re-parse
-// (FileSetSource), binary mmap decode (MmapSetSource), and the
-// in-memory CSR (InMemorySetSource over the loaded system) — with a
-// checksum cross-check proving the three dispatch identical elements.
-// Reported as GB/s of underlying bytes and sets/sec per source.
+// (FileSetSource), binary mmap chunk decode (MmapSetSource) inline and
+// on 4 decode threads, and the in-memory CSR (InMemorySetSource over
+// the loaded system) — with a checksum cross-check proving they all
+// dispatch identical elements. Reported as GB/s of underlying bytes and
+// sets/sec per source; the `mmap` row is the inline chunk decode.
 //
 // A fourth stage A/Bs the dense representation: the dense-eligible sets
 // of a zipf instance generated at max_set_size = n/2 run the sparse
@@ -275,28 +276,17 @@ struct ScanStats {
 };
 
 /// One warmup scan (page cache / parse buffers), then one timed scan
-/// that folds every dispatched element into a checksum. Sources with a
-/// batch scan path (the pipelined mmap decode) are consumed through
-/// ScanBatches — the grain PassScheduler's threaded mode actually uses
-/// — so the pipelined-vs-serial gate measures the production consumer,
-/// not a per-set re-wrap of it.
+/// that folds every dispatched element into a checksum. Every source is
+/// consumed through ScanBatches, the grain PassScheduler dispatches.
 bool MeasureScan(SetSource& source, uint64_t bytes, ScanStats* stats) {
   auto scan_once = [&](ScanStats* out) {
     uint64_t checksum = 0, sets = 0;
-    bool ok;
-    if (source.SupportsBatchScan()) {
-      ok = source.ScanBatches([&](std::span<const SetView> views) {
-        sets += views.size();
-        for (const SetView& view : views) {
-          for (uint32_t e : view.elems) checksum += e;
-        }
-      });
-    } else {
-      ok = source.Scan([&](const SetView& view) {
-        ++sets;
+    const bool ok = source.ScanBatches([&](std::span<const SetView> views) {
+      sets += views.size();
+      for (const SetView& view : views) {
         for (uint32_t e : view.elems) checksum += e;
-      });
-    }
+      }
+    });
     if (out != nullptr) {
       out->checksum = checksum;
       out->sets = sets;
@@ -314,7 +304,7 @@ bool MeasureScan(SetSource& source, uint64_t bytes, ScanStats* stats) {
 }
 
 /// Best of `trials` timed scans (one shared warmup inside the first
-/// MeasureScan) — the measurement the pipelined-vs-serial gate runs on,
+/// MeasureScan) — the measurement the pipelined-vs-inline gate runs on,
 /// so a single scheduler hiccup can't fail CI.
 bool MeasureScanBestOf(SetSource& source, uint64_t bytes, int trials,
                        ScanStats* stats) {
@@ -408,7 +398,7 @@ bool RunScanStage(uint64_t scan_m, uint64_t seed, JsonValue* scan_json) {
   {
     std::optional<MmapSetSource> source =
         MmapSetSource::Open(bin_path, &error);
-    // Serial and pipelined runs share the mapping (and its page-cache
+    // Inline and pipelined runs share the mapping (and its page-cache
     // warmup), best-of-3 each: the 2x gate compares equal work — the
     // checksum cross-check below proves it — under equal cache state.
     if (!source.has_value() ||
@@ -464,7 +454,7 @@ bool RunScanStage(uint64_t scan_m, uint64_t seed, JsonValue* scan_json) {
   table.AddRow({"text (FileSetSource)", Table::Fmt(txt_bytes),
                 Table::Fmt(text_stats.gb_per_sec, 3),
                 Table::Fmt(static_cast<uint64_t>(text_stats.sets_per_sec))});
-  table.AddRow({"binary (MmapSetSource)", Table::Fmt(bin_bytes),
+  table.AddRow({"binary inline (MmapSetSource)", Table::Fmt(bin_bytes),
                 Table::Fmt(mmap_stats.gb_per_sec, 3),
                 Table::Fmt(static_cast<uint64_t>(mmap_stats.sets_per_sec))});
   table.AddRow(
@@ -485,7 +475,7 @@ bool RunScanStage(uint64_t scan_m, uint64_t seed, JsonValue* scan_json) {
                  2) +
       "x smaller than text");
   benchutil::Note(
-      "pipelined vs serial mmap: " +
+      "pipelined vs inline mmap decode: " +
       Table::Fmt(pipelined_stats.sets_per_sec / mmap_stats.sets_per_sec,
                  2) +
       "x sets/sec at " + std::to_string(kPipelineThreads) +

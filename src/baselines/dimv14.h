@@ -65,13 +65,6 @@ class Dimv14Consumer final : public ScanConsumer {
   void OnPassEnd() override;
   bool done() const override { return phase_ == Phase::kDone; }
 
-  /// Base-pass batches are prefiltered against the active frame's
-  /// residual: a set projecting to nothing stores nothing. The update
-  /// pass is guarded by picked set ids instead, so it opts out.
-  const LiveMask* batch_filter() const override {
-    return phase_ == Phase::kBasePass ? base_targets_ : nullptr;
-  }
-
   /// Finishes accounting; call once the consumer is done.
   BaselineResult TakeResult(uint64_t logical_passes);
 

@@ -57,12 +57,6 @@ class ThresholdSieveConsumer final : public ScanConsumer {
   void OnPassEnd() override;
   bool done() const override { return done_; }
 
-  /// A set with no still-uncovered element records no backups and never
-  /// clears the threshold, so the scheduler may drop it pre-dispatch.
-  const LiveMask* batch_filter() const override {
-    return done_ ? nullptr : &uncovered_;
-  }
-
   /// Finishes accounting; call once the consumer is done.
   BaselineResult TakeResult(uint64_t logical_passes);
 

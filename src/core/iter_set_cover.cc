@@ -118,23 +118,6 @@ class GuessConsumer final : public ScanConsumer {
 
   bool done() const override { return phase_ == Phase::kDone; }
 
-  // Batch prefilter for the threaded scheduler: in the mask-dominated
-  // phases a set with no live element is a no-op, so the scheduler may
-  // drop it before dispatch. Pass 2 is guarded by set id instead (one
-  // bit test per set — cheaper than any intersection), so it opts out.
-  const LiveMask* batch_filter() const override {
-    switch (phase_) {
-      case Phase::kPass1:
-        return &live_;
-      case Phase::kFinalSweep:
-        return &uncovered_;
-      case Phase::kPass2:
-      case Phase::kDone:
-        return nullptr;
-    }
-    return nullptr;
-  }
-
   uint64_t k() const { return k_; }
   bool success() const { return success_; }
   bool killed() const { return killed_; }

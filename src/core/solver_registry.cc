@@ -321,7 +321,7 @@ RunResult DispatchSolver(
     }
     WallTimer timer;
     SetStream stream(kEmptySystem);
-    PassScheduler scheduler(stream, options.threads, options.kernel);
+    PassScheduler scheduler(stream, options.threads);
     RunContext ctx{stream, scheduler, instance.geometry(), options};
     RunResult result = entry->run(ctx);
     if (result.ok()) {
@@ -342,7 +342,7 @@ RunResult DispatchSolver(
   WallTimer timer;
   stream->set_cancel(options.cancel);
   stream->set_scan_threads(options.scan_threads);
-  PassScheduler scheduler(*stream, options.threads, options.kernel);
+  PassScheduler scheduler(*stream, options.threads);
   RunContext ctx{*stream, scheduler, nullptr, options};
   RunResult result = entry->run(ctx);
   // A repository failure mid-run (file truncated or corrupted under the

@@ -65,14 +65,16 @@ struct RunOptions {
   /// the trade-off benches (IterSetCoverSingleGuess through the
   /// registry). 0 = normal parallel-guess run.
   uint64_t iter_guess = 0;
-  /// Worker threads for the shared-scan PassScheduler; <= 1 dispatches
-  /// inline. Results are bit-identical at every thread count.
+  /// Worker threads the shared-scan PassScheduler splits the live
+  /// consumers over, per batch; <= 1 dispatches inline. Every worker
+  /// walks each batch in stream order, so results are bit-identical at
+  /// every thread count.
   uint32_t threads = 1;
-  /// Decode workers for the pipelined binary-disk scan
-  /// (stream/pipelined_scan.h): <= 1 keeps the serial decode loop,
-  /// larger values overlap chunked varint decode with dispatch on
-  /// mmap-backed instances. Text and in-memory repositories ignore it.
-  /// Results are bit-identical at every value.
+  /// Decode threads of the binary chunk decoder
+  /// (stream/pipelined_scan.h): <= 1 decodes each chunk inline on the
+  /// scanning thread, larger values overlap chunk decode with dispatch
+  /// on mmap-backed instances. Text and in-memory repositories ignore
+  /// it. Results are bit-identical at every value.
   uint32_t scan_threads = 1;
   /// iterSetCover: retire guesses that provably cannot beat a completed
   /// winner (never changes the winning cover; shaves physical scans and
@@ -84,11 +86,10 @@ struct RunOptions {
   /// solvers ignore it. Must be >= 1; shards == 1 is byte-identical to
   /// the unsharded `greedi` reference.
   uint32_t shards = 1;
-  /// Coverage-kernel twin for every solver's inner loop and the
-  /// scheduler's batch prefilter (util/cover_kernels.h). `word` is the
-  /// 64-elements-per-mask-word path; `scalar` is the per-element
-  /// reference loop. Covers, passes, and space are identical either
-  /// way — only throughput changes.
+  /// Coverage-kernel twin for every solver's inner loop
+  /// (util/cover_kernels.h). `word` is the 64-elements-per-mask-word
+  /// path; `scalar` is the per-element reference loop. Covers, passes,
+  /// and space are identical either way — only throughput changes.
   KernelPolicy kernel = KernelPolicy::kWord;
   /// Offline solver (algOfflineSC) for the sampling algorithms;
   /// null => greedy.

@@ -1,6 +1,7 @@
 #include "core/workload_registry.h"
 
 #include <algorithm>
+#include <initializer_list>
 #include <utility>
 
 #include "geometry/geom_generators.h"
@@ -21,8 +22,51 @@ InstanceInfo GeneratedInfo(const char* family, const WorkloadParams& params) {
   return info;
 }
 
+/// One generator precondition, named the way an error message shows it.
+struct Bound {
+  bool holds;
+  std::string text;
+};
+
+// The generators SC_CHECK their preconditions. Each factory checks them
+// first, so an out-of-range spec comes back as std::nullopt with a
+// message naming the first violated bound instead of aborting.
+bool Fits(const char* family, const WorkloadParams& params,
+          std::initializer_list<Bound> bounds, std::string* error) {
+  for (const Bound& bound : bounds) {
+    if (bound.holds) continue;
+    if (error != nullptr) {
+      *error = std::string("workload '") + family + "' (" +
+               params.Describe() + ") out of range: needs " + bound.text;
+    }
+    return false;
+  }
+  return true;
+}
+
+/// The hidden partition of U into blocks of max_set_size that sparse
+/// and zipf plant, one set per block.
+bool PartitionFits(const char* family, const WorkloadParams& params,
+                   std::string* error) {
+  const uint64_t size = params.max_set_size;
+  const uint64_t blocks = size == 0 ? 0 : (params.n + size - 1) / size;
+  return Fits(family, params,
+              {{params.n >= 1, "n >= 1"},
+               {size >= 1, "max_set_size >= 1"},
+               {params.m >= blocks, "m >= ceil(n / max_set_size) = " +
+                                        std::to_string(blocks)}},
+              error);
+}
+
 std::optional<Instance> MakePlanted(const WorkloadParams& params,
-                                    std::string* /*error*/) {
+                                    std::string* error) {
+  if (!Fits("planted", params,
+            {{params.k >= 1, "k >= 1"},
+             {params.n >= params.k, "n >= k"},
+             {params.m >= params.k, "m >= k"}},
+            error)) {
+    return std::nullopt;
+  }
   Rng rng(params.seed);
   PlantedOptions options;
   options.num_elements = params.n;
@@ -34,7 +78,8 @@ std::optional<Instance> MakePlanted(const WorkloadParams& params,
 }
 
 std::optional<Instance> MakeSparse(const WorkloadParams& params,
-                                   std::string* /*error*/) {
+                                   std::string* error) {
+  if (!PartitionFits("sparse", params, error)) return std::nullopt;
   Rng rng(params.seed);
   return Instance::FromPlanted(
       GenerateSparse(params.n, params.m, params.max_set_size, rng),
@@ -42,7 +87,8 @@ std::optional<Instance> MakeSparse(const WorkloadParams& params,
 }
 
 std::optional<Instance> MakeZipf(const WorkloadParams& params,
-                                 std::string* /*error*/) {
+                                 std::string* error) {
+  if (!PartitionFits("zipf", params, error)) return std::nullopt;
   Rng rng(params.seed);
   return Instance::FromPlanted(
       GenerateZipf(params.n, params.m, params.alpha, params.max_set_size,
@@ -51,13 +97,26 @@ std::optional<Instance> MakeZipf(const WorkloadParams& params,
 }
 
 std::optional<Instance> MakeAdversarial(const WorkloadParams& params,
-                                        std::string* /*error*/) {
+                                        std::string* error) {
+  // n = 2^(levels+1) - 2 must stay within the 2^31 element ids the file
+  // formats carry.
+  if (!Fits("adversarial", params,
+            {{params.levels >= 1 && params.levels <= 30,
+              "levels in [1, 30], got " + std::to_string(params.levels)}},
+            error)) {
+    return std::nullopt;
+  }
   return Instance::FromPlanted(GenerateGreedyAdversarial(params.levels),
                                GeneratedInfo("adversarial", params));
 }
 
 std::optional<Instance> MakeDisjointBlocks(const WorkloadParams& params,
-                                           std::string* /*error*/) {
+                                           std::string* error) {
+  if (!Fits("disjoint_blocks", params,
+            {{params.k >= 1, "k >= 1"}, {params.n >= params.k, "n >= k"}},
+            error)) {
+    return std::nullopt;
+  }
   Rng rng(params.seed);
   const uint32_t singletons =
       params.m > params.k ? params.m - params.k : 0;
@@ -67,7 +126,13 @@ std::optional<Instance> MakeDisjointBlocks(const WorkloadParams& params,
 }
 
 std::optional<Instance> MakeGeom(ShapeClass cls, const char* family,
-                                 const WorkloadParams& params) {
+                                 const WorkloadParams& params,
+                                 std::string* error) {
+  if (!Fits(family, params,
+            {{params.k >= 1, "k >= 1"}, {params.m >= params.k, "m >= k"}},
+            error)) {
+    return std::nullopt;
+  }
   Rng rng(params.seed);
   GeomPlantedOptions options;
   options.num_points = params.n;
@@ -127,20 +192,20 @@ void RegisterBuiltins(WorkloadRegistry& registry) {
       "planted clusters covered by disks + noise disks (Theorem 4.6 "
       "workload)",
       Kind::kGeometric,
-      [](const WorkloadParams& p, std::string*) {
-        return MakeGeom(ShapeClass::kDisk, "geom_disks", p);
+      [](const WorkloadParams& p, std::string* error) {
+        return MakeGeom(ShapeClass::kDisk, "geom_disks", p, error);
       });
   add("geom_rects",
       "planted clusters covered by axis-parallel rectangles + noise",
       Kind::kGeometric,
-      [](const WorkloadParams& p, std::string*) {
-        return MakeGeom(ShapeClass::kRect, "geom_rects", p);
+      [](const WorkloadParams& p, std::string* error) {
+        return MakeGeom(ShapeClass::kRect, "geom_rects", p, error);
       });
   add("geom_triangles",
       "planted clusters covered by fat triangles + noise",
       Kind::kGeometric,
-      [](const WorkloadParams& p, std::string*) {
-        return MakeGeom(ShapeClass::kFatTriangle, "geom_triangles", p);
+      [](const WorkloadParams& p, std::string* error) {
+        return MakeGeom(ShapeClass::kFatTriangle, "geom_triangles", p, error);
       });
   add("figure12",
       "Figure 1.2 pathology: Theta(n^2) distinct 2-point rectangles, "

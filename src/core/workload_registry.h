@@ -10,7 +10,9 @@
 // `list-workloads` and `sweep` commands expose them directly.
 //
 // Unknown names fail cleanly: MakeWorkload returns std::nullopt with a
-// diagnostic naming the alternatives.
+// diagnostic naming the alternatives. So do params outside a
+// generator's preconditions: the factory names the violated bound
+// instead of reaching the generator's SC_CHECK.
 
 #ifndef STREAMCOVER_CORE_WORKLOAD_REGISTRY_H_
 #define STREAMCOVER_CORE_WORKLOAD_REGISTRY_H_

@@ -114,11 +114,15 @@ bool IsMalformedInstanceSpec(const std::string& name, std::string* error) {
   if (colon == std::string::npos) return false;
   WorkloadParams scratch;
   std::string param_error;
-  if (ParseWorkloadParams(name.substr(colon + 1), &scratch, &param_error)) {
-    return false;
+  if (!ParseWorkloadParams(name.substr(colon + 1), &scratch, &param_error)) {
+    if (error != nullptr) *error = name + ": " + param_error;
+    return true;
   }
-  if (error != nullptr) *error = name + ": " + param_error;
-  return true;
+  // The params parse. A generated workload reads no file, so its load
+  // failed because its factory found them out of range.
+  const WorkloadRegistry::Entry* entry =
+      WorkloadRegistry::Global().Find(name.substr(0, colon));
+  return entry != nullptr && entry->kind != WorkloadRegistry::Kind::kFile;
 }
 
 InstanceCache::InstanceCache(uint64_t byte_budget)

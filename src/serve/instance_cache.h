@@ -42,11 +42,12 @@ struct InstanceCacheStats {
   uint64_t resident_count = 0;
 };
 
-/// True iff `name` is a workload spec with an unparseable "k=v,..."
-/// suffix (bad syntax, unknown or duplicate key, bad value) — the
-/// caller's request is malformed, as opposed to naming an unknown
-/// workload or missing file. Lets the serving layer answer bad_request
-/// instead of not_found. Fills *error with the parse diagnostic.
+/// For a `name` whose load failed: true iff the request is malformed —
+/// a workload spec with an unparseable "k=v,..." suffix (bad syntax,
+/// unknown or duplicate key, bad value; *error gets the parse
+/// diagnostic), or a generated workload whose params parse but are out
+/// of range — as opposed to naming an unknown workload or missing file.
+/// Lets the serving layer answer bad_request instead of not_found.
 bool IsMalformedInstanceSpec(const std::string& name, std::string* error);
 
 /// One resident entry as reported by List().

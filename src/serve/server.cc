@@ -242,7 +242,7 @@ void CoverageServer::RunSolve(Job& job) {
   std::shared_ptr<const Instance> instance =
       cache_.Get(job.request.instance, &cache_error);
   if (instance == nullptr) {
-    // Distinguish a request that is syntactically broken (unparseable
+    // Distinguish a malformed request (unparseable or out-of-range
     // workload spec — the client's bug) from one naming an unknown
     // workload or absent file (the name's fault): bad_request vs
     // not_found, so clients and dashboards can tell them apart.

@@ -32,8 +32,7 @@ std::optional<SetSystem> ReadSetSystem(std::istream& is, std::string* error) {
     uint64_t size = 0;
     if (!(is >> size)) return fail("truncated set header");
     if (size > n) return fail("set larger than universe");
-    elems.clear();
-    elems.reserve(size);
+    elems.clear();  // no reserve from `size`: the header may lie
     for (uint64_t i = 0; i < size; ++i) {
       uint64_t e = 0;
       if (!(is >> e)) return fail("truncated set body");

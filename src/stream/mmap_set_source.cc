@@ -56,93 +56,33 @@ std::optional<MmapSetSource> MmapSetSource::Open(const std::string& path,
                                     &layout_error)) {
     return fail(path + ": " + layout_error);  // ~Mapping unmaps
   }
+  map->chunks = binfmt::BuildChunkPlan(map->layout, kDefaultScanChunkBytes);
   return MmapSetSource(std::move(map));
 }
 
 std::unique_ptr<SetSource> MmapSetSource::Fork(std::string* error) const {
   (void)error;
-  // Shares map_; everything mutable (decode buffer, sticky error, scan
+  // Shares map_; everything mutable (decoder, sticky error, scan
   // counter, cancel hook) starts fresh in the fork.
   return std::unique_ptr<SetSource>(new MmapSetSource(map_));
 }
 
 PipelinedScanner& MmapSetSource::EnsureScanner() {
-  if (chunk_plan_.empty()) {
-    chunk_plan_ =
-        binfmt::BuildChunkPlan(map_->layout, kDefaultScanChunkBytes);
-  }
   if (scanner_ == nullptr || scanner_threads_ != scan_threads()) {
-    PipelinedScanOptions options;
-    options.decode_threads = scan_threads();
     scanner_ = std::make_unique<PipelinedScanner>(
         map_->data, num_elements_, map_->layout,
-        std::span<const binfmt::ScanChunk>(chunk_plan_), options);
+        std::span<const binfmt::ScanChunk>(map_->chunks), scan_threads());
     scanner_threads_ = scan_threads();
   }
   return *scanner_;
 }
 
-bool MmapSetSource::PipelinedPass(
-    const PipelinedScanner::BatchVisitor& visit) {
-  if (!error_.empty()) return false;  // sticky: the file is already bad
-  ++scans_;
+bool MmapSetSource::ScanBatches(const SetBatchVisitor& visit) {
+  if (!BeginScan()) return false;  // sticky: the file is already bad
   std::string error;
   if (!EnsureScanner().Run(map_->path, visit, cancel_token(), &error)) {
-    error_ = error;  // serial-format diagnostic (or the deadline code)
+    error_ = error;  // "path: corrupt set S: msg", or the deadline code
     return false;
-  }
-  return true;
-}
-
-bool MmapSetSource::ScanBatches(const SetBatchVisitor& visit) {
-  if (scan_threads() <= 1) return SetSource::ScanBatches(visit);
-  return PipelinedPass(visit);
-}
-
-bool MmapSetSource::Scan(const SetVisitor& visit) {
-  if (scan_threads() > 1) {
-    // Pipelined decode, serial dispatch: chunks arrive in set-id order
-    // and are fanned back into per-set visits, so the visitor observes
-    // exactly the serial sequence.
-    return PipelinedPass([&visit](std::span<const SetView> sets) {
-      for (const SetView& set : sets) visit(set);
-    });
-  }
-  if (!error_.empty()) return false;  // sticky: the file is already bad
-  auto fail = [this](uint32_t set_id, const std::string& msg) {
-    error_ =
-        map_->path + ": corrupt set " + std::to_string(set_id) + ": " + msg;
-    return false;
-  };
-  ++scans_;
-  // Offsets were validated monotone within the file at Open, so every
-  // [cursor, end) below is a well-formed in-bounds window; only the
-  // varint contents inside it still need checking.
-  const uint8_t* data = map_->data;
-  const binfmt::BinaryLayout& layout = map_->layout;
-  const uint8_t* cursor = data + binfmt::kHeaderBytes;
-  for (uint32_t s = 0; s < num_sets_; ++s) {
-    if (s % kCancelStride == 0 && CancelFired()) return false;
-    const uint8_t* end = data + layout.SetOffset(s + 1);
-    auto size = binfmt::DecodeVarint(&cursor, end);
-    if (!size.has_value() || *size > num_elements_) {
-      return fail(s, "bad size varint");
-    }
-    scan_buffer_.clear();
-    scan_buffer_.reserve(*size);
-    uint64_t prev = 0;
-    for (uint64_t i = 0; i < *size; ++i) {
-      auto delta = binfmt::DecodeVarint(&cursor, end);
-      if (!delta.has_value()) return fail(s, "truncated body");
-      // Delta-1 coding off a strictly increasing sequence: decoding
-      // reproduces the sorted-unique invariant by construction.
-      const uint64_t e = (i == 0) ? *delta : prev + *delta + 1;
-      if (e >= num_elements_) return fail(s, "element id out of range");
-      scan_buffer_.push_back(static_cast<uint32_t>(e));
-      prev = e;
-    }
-    if (cursor != end) return fail(s, "trailing bytes");
-    visit(SetView{s, std::span<const uint32_t>(scan_buffer_)});
   }
   return true;
 }

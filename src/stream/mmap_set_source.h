@@ -1,9 +1,10 @@
 // Out-of-core set repository over the binary format.
 //
 // MmapSetSource maps a binary set-system file (setsystem/binary_io.h)
-// read-only and decodes each set into a reused scan buffer during Scan,
-// dispatching the same sorted-unique SetViews every other source does.
-// The kernel is advised that scans are sequential (madvise), so repeated
+// read-only and scans it through the chunk decoder
+// (stream/pipelined_scan.h), delivering each decoded chunk as one batch
+// of the same sorted-unique SetViews every other source dispatches. The
+// kernel is advised that scans are sequential (madvise), so repeated
 // physical passes over a file larger than RAM stay bandwidth-bound: the
 // page cache streams the file instead of thrashing, and no per-pass
 // parsing of ASCII numbers happens at all. This is the piece that makes
@@ -13,7 +14,7 @@
 // (a truncated or resized file is rejected up front — the failure mode
 // the text source can only discover mid-scan). Decode errors inside a
 // set body (corrupt varints, out-of-range ids) surface as graceful
-// Scan failures per the SetSource error contract, never aborts.
+// scan failures per the SetSource error contract, never aborts.
 
 #ifndef STREAMCOVER_STREAM_MMAP_SET_SOURCE_H_
 #define STREAMCOVER_STREAM_MMAP_SET_SOURCE_H_
@@ -31,13 +32,13 @@
 namespace streamcover {
 
 /// Scans a binary set-system file through a read-only memory mapping.
-/// Spans passed to the visitor are valid only for the duration of that
-/// callback (they point into the reused decode buffer). Scans share the
-/// buffer, so one MmapSetSource's scans are not concurrency-safe with
-/// each other (PassScheduler serializes them by construction) — but
-/// Fork() hands out independent scanners over the *same* mapped pages,
-/// which is how the serving layer runs concurrent requests against one
-/// resident file without remapping it per request.
+/// Views passed to the visitor are valid only for the duration of that
+/// callback (they point into the decoder's ring slots). One
+/// MmapSetSource's scans are not concurrency-safe with each other
+/// (PassScheduler serializes them by construction) — but Fork() hands
+/// out independent scanners over the *same* mapped pages, which is how
+/// the serving layer runs concurrent requests against one resident file
+/// without remapping it per request.
 class MmapSetSource : public SetSource {
  public:
   /// Maps `path` and validates header + footer structure (magic,
@@ -45,7 +46,7 @@ class MmapSetSource : public SetSource {
   /// std::nullopt and fills *error on any mismatch. The body checksum
   /// is NOT verified here — that would cost a full read of a file this
   /// class exists to stream lazily; LoadBinarySetSystemFromFile checks
-  /// it, and structural corruption still fails cleanly during Scan.
+  /// it, and body corruption still fails cleanly during a scan.
   static std::optional<MmapSetSource> Open(const std::string& path,
                                            std::string* error);
 
@@ -57,20 +58,15 @@ class MmapSetSource : public SetSource {
   uint32_t num_elements() const override { return num_elements_; }
   uint32_t num_sets() const override { return num_sets_; }
 
-  /// scan_threads() <= 1 runs the serial decode loop below, untouched
-  /// since PR 6 and the byte-identity reference; > 1 routes through the
-  /// pipelined chunk engine (stream/pipelined_scan.h) with that many
-  /// decode workers, dispatching the same views in the same order.
-  bool Scan(const SetVisitor& visit) override;
-
-  /// Pipelined runs deliver each decoded chunk as one batch whose views
-  /// stay valid for the whole callback — what the threaded
-  /// PassScheduler consumes directly instead of re-buffering.
+  /// One pass of the chunk decoder with scan_threads() decode threads
+  /// (1 = inline on the calling thread); one batch per chunk.
   bool ScanBatches(const SetBatchVisitor& visit) override;
+
+  /// Kept for perfbench/ only (see SetSource::SupportsBatchScan).
   bool SupportsBatchScan() const override { return scan_threads() > 1; }
 
-  /// Shares the mapping (one mmap, refcounted) but owns a fresh decode
-  /// buffer and error state, so fork and parent may scan concurrently.
+  /// Shares the mapping (one mmap, refcounted) but owns a fresh decoder
+  /// and error state, so fork and parent may scan concurrently.
   /// The pages stay mapped until the last fork drops them.
   std::unique_ptr<SetSource> Fork(std::string* error) const override;
 
@@ -84,12 +80,6 @@ class MmapSetSource : public SetSource {
   /// Bytes of the underlying mapping, for cache byte accounting.
   uint64_t repository_bytes() const { return map_->size; }
 
-  /// Number of front-to-back decode scans so far — the mmap counterpart
-  /// of FileSetSource::parses(), and equally equal to *physical* scans
-  /// under the shared-scan scheduler. Per scanner: forks count their
-  /// own.
-  uint64_t scans() const { return scans_; }
-
  private:
   /// The refcounted immutable mapping every fork shares. munmap happens
   /// exactly once, when the last scanner over it is destroyed.
@@ -99,31 +89,18 @@ class MmapSetSource : public SetSource {
     const uint8_t* data = nullptr;
     uint64_t size = 0;
     binfmt::BinaryLayout layout;
+    std::vector<binfmt::ScanChunk> chunks;  // the decoder's chunk plan
   };
 
   explicit MmapSetSource(std::shared_ptr<const Mapping> map);
 
-  /// One pipelined pass over the whole file; shared by Scan (per-set
-  /// fan-in) and ScanBatches (chunk batches). Handles sticky error,
-  /// scan counting, and the error latch.
-  bool PipelinedPass(const PipelinedScanner::BatchVisitor& visit);
-
-  /// The per-scanner pipeline engine, built lazily on the first
-  /// pipelined pass (and rebuilt if scan_threads changes). Chunk plans
-  /// and slot pools are retained across passes, so multi-pass solvers
-  /// pay construction once.
+  /// The per-scanner chunk decoder, built on the first scan and rebuilt
+  /// if scan_threads changes; its slot batches persist across passes.
   PipelinedScanner& EnsureScanner();
 
   std::shared_ptr<const Mapping> map_;
   uint32_t num_elements_ = 0;
   uint32_t num_sets_ = 0;
-  uint64_t scans_ = 0;
-  std::vector<uint32_t> scan_buffer_;  // reused across sets and scans
-
-  // Pipelined-scan state; untouched (and unallocated) at
-  // scan_threads <= 1. The plan is a pure function of the mapping;
-  // the scanner additionally depends on the worker count.
-  std::vector<binfmt::ScanChunk> chunk_plan_;
   std::unique_ptr<PipelinedScanner> scanner_;
   uint32_t scanner_threads_ = 0;
 };

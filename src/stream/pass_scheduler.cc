@@ -6,20 +6,10 @@
 #include "util/check.h"
 
 namespace streamcover {
-namespace {
-
-// Batch bounds for threaded dispatch: flush when either fills. Workers
-// are (re)spawned per flush, so batches are sized to make that roughly
-// once per scan on laptop-scale instances (a few MB of transient
-// scratch) — the spawn cost amortizes over the whole round.
-constexpr size_t kBatchMaxSets = size_t{1} << 16;
-constexpr size_t kBatchMaxWords = size_t{1} << 20;
-
-}  // namespace
 
 PassScheduler::PassScheduler(SetStream& stream, uint32_t threads,
-                             KernelPolicy kernel)
-    : stream_(&stream), threads_(std::max(threads, 1u)), kernel_(kernel) {}
+                             KernelPolicy)
+    : stream_(&stream), threads_(std::max(threads, 1u)) {}
 
 size_t PassScheduler::Register(ScanConsumer* consumer) {
   SC_CHECK(consumer != nullptr);
@@ -56,53 +46,20 @@ uint64_t PassScheduler::total_passes() const {
   return total;
 }
 
-void PassScheduler::FlushBatch(const std::vector<ScanConsumer*>& live,
-                               uint32_t workers) {
-  if (batch_ids_.empty()) return;
-  // Materialize the columnar batch as one SetView array before any
-  // worker starts: the element arena is stable for the whole flush, so
-  // the views can be shared read-only across workers.
-  batch_views_.clear();
-  batch_views_.reserve(batch_ids_.size());
-  for (size_t i = 0; i < batch_ids_.size(); ++i) {
-    batch_views_.push_back(SetView{
-        batch_ids_[i],
-        std::span<const uint32_t>(batch_elems_.data() + batch_offsets_[i],
-                                  batch_offsets_[i + 1] - batch_offsets_[i])});
-  }
-  DispatchBatch(std::span<const SetView>(batch_views_), live, workers);
-  batch_ids_.clear();
-  batch_offsets_.assign(1, 0);
-  batch_elems_.clear();
-}
-
 void PassScheduler::DispatchBatch(std::span<const SetView> views,
                                   const std::vector<ScanConsumer*>& live,
                                   uint32_t workers) {
-  if (views.empty()) return;
   // Static partition: worker w serves consumers w, w+workers, ... Each
   // consumer is touched by exactly one worker and receives the whole
   // batch in stream order, so no locks and no dispatch-order
-  // nondeterminism. A consumer that publishes a live mask
-  // (batch_filter) gets the batch prefiltered: one word-parallel
-  // intersection test per set drops the no-op sets before they pay the
-  // consumer's per-set machinery. The filtered list is per-worker
-  // scratch; masks shrink monotonically within a pass, so a drop
-  // verdict never invalidates.
+  // nondeterminism. The walk is set-major — every owned consumer sees a
+  // set while its elements are still in cache — which is also the order
+  // a single inline worker uses.
   auto serve = [&](uint32_t worker) {
-    std::vector<SetView> filtered;
-    for (size_t c = worker; c < live.size(); c += workers) {
-      const LiveMask* mask = live[c]->batch_filter();
-      if (mask == nullptr) {
-        live[c]->OnBatch(views);
-        continue;
+    for (const SetView& set : views) {
+      for (size_t c = worker; c < live.size(); c += workers) {
+        live[c]->OnSet(set);
       }
-      filtered.clear();
-      filtered.reserve(views.size());
-      for (const SetView& view : views) {
-        if (Intersects(view, *mask, kernel_)) filtered.push_back(view);
-      }
-      live[c]->OnBatch(std::span<const SetView>(filtered));
     }
   };
   std::vector<std::thread> pool;
@@ -128,43 +85,15 @@ size_t PassScheduler::RunRound() {
   ++physical_scans_;
   const uint32_t workers = static_cast<uint32_t>(
       std::min<size_t>(threads_, live.size()));
-  bool scan_ok = true;
-  if (workers <= 1) {
-    scan_ok = stream_->ForEachSet([&](const SetView& set) {
-      for (ScanConsumer* consumer : live) consumer->OnSet(set);
-    });
-  } else if (stream_->supports_batch_scan()) {
-    // The source pre-decodes whole batches (pipelined mmap scan) whose
-    // views are stable for the callback — dispatch them to the worker
-    // pool directly, no copy-and-batch staging. A failed scan needs no
-    // tail cleanup: the source only ever delivers complete batches.
-    scan_ok = stream_->ForEachBatch([&](std::span<const SetView> views) {
-      DispatchBatch(views, live, workers);
-    });
-  } else {
-    scan_ok = stream_->ForEachSet([&](const SetView& set) {
-      batch_ids_.push_back(set.id);
-      batch_elems_.insert(batch_elems_.end(), set.begin(), set.end());
-      batch_offsets_.push_back(batch_elems_.size());
-      if (batch_ids_.size() >= kBatchMaxSets ||
-          batch_elems_.size() >= kBatchMaxWords) {
-        FlushBatch(live, workers);
-      }
-    });
-    // Drop (don't dispatch) a partial tail batch from a failed scan:
-    // consumers must never act on a pass that didn't complete.
-    if (scan_ok) {
-      FlushBatch(live, workers);
-    } else {
-      batch_ids_.clear();
-      batch_offsets_.assign(1, 0);
-      batch_elems_.clear();
-    }
-  }
+  const bool scan_ok = stream_->ForEachBatch(
+      [&](std::span<const SetView> views) {
+        DispatchBatch(views, live, workers);
+      });
   if (!scan_ok) {
     // The round died mid-scan: no pass attribution, no OnPassEnd — the
-    // consumers saw a prefix, not a pass. Drivers observe the 0 return
-    // (and stream().error()) and unwind.
+    // consumers saw at most the batches before the failing one, not a
+    // pass. Drivers observe the 0 return (and stream().error()) and
+    // unwind.
     stream_failed_ = true;
     return 0;
   }

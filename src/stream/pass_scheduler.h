@@ -6,9 +6,9 @@
 // composition made executable. Streaming algorithms are expressed as
 // `ScanConsumer` state machines (per-guess, per-threshold-level, or one
 // per whole algorithm); the scheduler runs rounds, where each round is a
-// single `SetStream::ForEachSet` scan whose sets are dispatched to every
-// live consumer. A disk-backed `FileSetSource` is therefore parsed once
-// per round, not once per guess per round.
+// single `SetStream::ForEachBatch` scan whose batches are dispatched to
+// every live consumer. A disk-backed source is therefore read once per
+// round, not once per guess per round.
 //
 // Accounting: the scheduler counts *physical scans* (rounds that touched
 // the repository) and attributes one *logical pass* per round to each
@@ -18,14 +18,12 @@
 // the parallel-composition space sum (Lemma 2.2's log n factor) is the
 // sum of consumer peaks.
 //
-// Threading: with `threads > 1` the scheduler buffers the scan into a
-// columnar batch (one SetView array over one element arena) and fans
-// consumers out across worker threads, handing each consumer the whole
-// batch at once via OnBatch. Each consumer is owned by exactly one
-// worker per batch and sees every set in stream order, so results are
-// bit-identical to the serial dispatch; consumers never need locks as
-// long as they touch only their own state in OnSet()/OnBatch().
-// OnPassEnd() and all inter-round work run on the calling thread.
+// Dispatch: every batch goes through DispatchBatch, which splits the
+// live consumers over `threads` workers (one runs inline). Each worker
+// walks the batch once, handing every set to each consumer it owns in
+// stream order, so results are bit-identical at every thread count and
+// consumers need no locks as long as OnSet() touches only their own
+// state. OnPassEnd() and all inter-round work run on the calling thread.
 
 #ifndef STREAMCOVER_STREAM_PASS_SCHEDULER_H_
 #define STREAMCOVER_STREAM_PASS_SCHEDULER_H_
@@ -53,32 +51,10 @@ class ScanConsumer {
   /// only their own state.
   virtual void OnSet(const SetView& set) = 0;
 
-  /// A contiguous run of sets of the current pass, in stream order.
-  /// Batched dispatch entry used by the threaded scheduler: one virtual
-  /// call amortizes over the whole batch. The default forwards to OnSet
-  /// per view, so overriding it is an optimization, never a semantic
-  /// change.
-  virtual void OnBatch(std::span<const SetView> sets) {
-    for (const SetView& set : sets) OnSet(set);
-  }
-
   /// The current pass finished. Runs on the scheduling thread; this is
   /// where inter-pass work (offline solves, sampling, phase advance)
   /// belongs.
   virtual void OnPassEnd() = 0;
-
-  /// Optional batch prefilter. When non-null, the threaded scheduler
-  /// drops sets with no element in the mask before this consumer's
-  /// OnBatch dispatch (word-parallel intersection test, one check per
-  /// set). Returning a mask is a contract with two clauses:
-  ///   * a set with zero mask intersection must be a semantic no-op for
-  ///     the consumer in its current phase, and
-  ///   * the mask may only lose bits during a pass, so a zero verdict
-  ///     taken at batch-flush time can never become stale.
-  /// Called (and the mask read) only by the worker that owns this
-  /// consumer for the batch, between the consumer's own dispatches —
-  /// the same no-shared-state rule as OnSet/OnBatch.
-  virtual const LiveMask* batch_filter() const { return nullptr; }
 
   /// True once the consumer needs no further passes. A done consumer is
   /// never served again.
@@ -91,12 +67,11 @@ class ScanConsumer {
 class PassScheduler {
  public:
   /// `threads` <= 1 dispatches inline on the calling thread; larger
-  /// values fan consumers out over that many workers per batch.
-  /// `kernel` selects the coverage-kernel twin the batch prefilter
-  /// (ScanConsumer::batch_filter) runs; results are identical either
-  /// way.
+  /// values fan consumers out over that many workers per batch. The
+  /// KernelPolicy argument is ignored; it stays only because perfbench/
+  /// still passes one — drop it in the next change to perfbench/.
   explicit PassScheduler(SetStream& stream, uint32_t threads = 1,
-                         KernelPolicy kernel = KernelPolicy::kWord);
+                         KernelPolicy = KernelPolicy::kWord);
 
   /// Registers a consumer and returns its slot (index for passes()).
   size_t Register(ScanConsumer* consumer);
@@ -168,8 +143,8 @@ class PassScheduler {
 
   /// Hands a batch of newly covered elements to every registered
   /// listener. Publishing consumers call this from OnPassEnd (or any
-  /// other scheduling-thread context) — never from OnSet/OnBatch, which
-  /// may run on worker threads. Each element must be published at most
+  /// other scheduling-thread context) — never from OnSet, which may run
+  /// on worker threads. Each element must be published at most
   /// once per publisher, matching the listener contract.
   void PublishCoverageDelta(std::span<const uint32_t> newly_covered) {
     for (CoverageDeltaListener* listener : delta_listeners_) {
@@ -183,34 +158,19 @@ class PassScheduler {
     uint64_t passes = 0;
   };
 
-  /// Dispatches the buffered batch to `live` across the worker pool,
-  /// then clears the batch.
-  void FlushBatch(const std::vector<ScanConsumer*>& live, uint32_t workers);
-
-  /// Fans one materialized batch of views out to `live` across the
-  /// worker pool (static partition + per-consumer batch prefilter).
-  /// Views must stay valid for the whole call — true for the staged
-  /// batch_views_ and for source-delivered pipelined chunks alike.
+  /// Hands every set of one batch to each of `live`, in stream order,
+  /// over `workers` threads (static partition of the consumers; the
+  /// calling thread is worker 0). Views must stay valid for the call.
   void DispatchBatch(std::span<const SetView> views,
                      const std::vector<ScanConsumer*>& live,
                      uint32_t workers);
 
   SetStream* stream_;
   uint32_t threads_;
-  KernelPolicy kernel_;
   std::vector<Slot> slots_;
   std::vector<CoverageDeltaListener*> delta_listeners_;
   uint64_t physical_scans_ = 0;
   bool stream_failed_ = false;
-
-  // Threaded dispatch buffers one batch of sets in columnar form — ids
-  // + CSR-style offsets over one element arena, materialized as a
-  // SetView array at flush time. Transient scan scratch, not algorithm
-  // space; capacity is retained across batches and rounds.
-  std::vector<uint32_t> batch_ids_;
-  std::vector<size_t> batch_offsets_{0};
-  std::vector<uint32_t> batch_elems_;
-  std::vector<SetView> batch_views_;
 };
 
 }  // namespace streamcover

@@ -10,10 +10,14 @@
 namespace streamcover {
 namespace {
 
-/// Scan-loop poll stride inside decode workers — the same granularity
-/// as SetSource::kCancelStride so a pipelined deadline lands exactly as
-/// promptly as a serial one.
-constexpr uint32_t kCancelStride = 256;
+/// Ring slots per decode thread: while one chunk decodes, the one before
+/// it can sit decoded and waiting, so a worker never idles for lack of
+/// a free slot. Bounds decoded-but-undelivered memory to ~2 chunks of
+/// element storage per thread.
+constexpr uint32_t kSlotsPerDecodeThread = 2;
+
+/// madvise(MADV_WILLNEED) window, in chunks ahead of the claim frontier.
+constexpr uint64_t kReadaheadChunks = 8;
 
 }  // namespace
 
@@ -21,22 +25,19 @@ PipelinedScanner::PipelinedScanner(const uint8_t* data,
                                    uint64_t num_elements,
                                    const binfmt::BinaryLayout& layout,
                                    std::span<const binfmt::ScanChunk> chunks,
-                                   const PipelinedScanOptions& options)
+                                   uint32_t decode_threads)
     : data_(data),
       num_elements_(num_elements),
       layout_(&layout),
       chunks_(chunks),
-      options_(options) {
-  SC_CHECK(options_.decode_threads >= 1);
-  depth_ = options_.ring_depth != 0
-               ? options_.ring_depth
-               : std::max(2u, 2 * options_.decode_threads);
+      decode_threads_(decode_threads),
+      depth_(kSlotsPerDecodeThread * decode_threads) {
+  SC_CHECK(decode_threads_ >= 1);
 }
 
 void PipelinedScanner::Readahead(uint64_t claimed) {
-  if (options_.readahead_chunks == 0) return;
   const uint64_t want =
-      std::min<uint64_t>(chunks_.size(), claimed + 1 + options_.readahead_chunks);
+      std::min<uint64_t>(chunks_.size(), claimed + 1 + kReadaheadChunks);
   uint64_t from = 0;
   {
     // advise_frontier_ rides the claim lock's cadence: the caller just
@@ -57,20 +58,16 @@ void PipelinedScanner::Readahead(uint64_t claimed) {
 }
 
 bool PipelinedScanner::DecodeChunk(const binfmt::ScanChunk& chunk,
-                                   Slot& slot, const std::string& path,
+                                   SetBatch& batch, const std::string& path,
                                    const CancelToken* cancel,
                                    std::string* error) {
   auto fail = [&](uint32_t set_id, const std::string& msg) {
-    // Byte-for-byte the serial MmapSetSource::Scan diagnostic, so the
-    // error contract is invariant under scan_threads.
     *error =
         path + ": corrupt set " + std::to_string(set_id) + ": " + msg;
     return false;
   };
-  slot.elems.clear();
-  slot.offsets.clear();
-  slot.offsets.reserve(chunk.set_count + 1);
-  slot.offsets.push_back(0);
+  batch.Reset(chunk.first_set);
+  batch.offsets.reserve(chunk.set_count + 1);
   const uint8_t* cursor = data_ + chunk.byte_begin;
   for (uint32_t i = 0; i < chunk.set_count; ++i) {
     const uint32_t s = chunk.first_set + i;
@@ -96,37 +93,45 @@ bool PipelinedScanner::DecodeChunk(const binfmt::ScanChunk& chunk,
     for (uint64_t j = 0; j < *size; ++j) {
       auto delta = binfmt::DecodeVarint(&cursor, set_end);
       if (!delta.has_value()) return fail(s, "truncated body");
+      // Delta-1 coding off a strictly increasing sequence: decoding
+      // reproduces the sorted-unique invariant by construction.
       const uint64_t e = (j == 0) ? *delta : prev + *delta + 1;
       if (e >= num_elements_) return fail(s, "element id out of range");
-      slot.elems.push_back(static_cast<uint32_t>(e));
+      batch.elems.push_back(static_cast<uint32_t>(e));
       prev = e;
     }
     if (cursor != set_end) return fail(s, "trailing bytes");
-    slot.offsets.push_back(slot.elems.size());
+    batch.EndSet();
   }
-  // Views are materialized only now, after elems stops growing, so the
-  // spans can never dangle across a reallocation.
-  slot.views.clear();
-  slot.views.reserve(chunk.set_count);
-  for (uint32_t i = 0; i < chunk.set_count; ++i) {
-    slot.views.push_back(SetView{
-        chunk.first_set + i,
-        std::span<const uint32_t>(slot.elems.data() + slot.offsets[i],
-                                  slot.offsets[i + 1] - slot.offsets[i])});
-  }
+  batch.MakeViews();
   return true;
 }
 
 bool PipelinedScanner::Run(const std::string& path,
-                           const BatchVisitor& visit,
+                           const SetBatchVisitor& visit,
                            const CancelToken* cancel, std::string* error) {
-  const uint64_t num_chunks = chunks_.size();
-  if (num_chunks == 0) return true;
-
-  // Fresh per-run pipeline state (Run may be called repeatedly); slot
-  // element pools keep their capacity across runs, so steady-state
-  // multi-pass solvers decode allocation-free.
+  if (chunks_.empty()) return true;
+  // Fresh per-run state (Run may be called repeatedly); slot batches
+  // keep their capacity across runs, so steady-state multi-pass solvers
+  // decode allocation-free.
   slots_.resize(depth_);
+  advise_frontier_ = 0;
+  abort_ = false;
+  if (decode_threads_ > 1) return RunPool(path, visit, cancel, error);
+  SetBatch& batch = slots_[0].batch;
+  for (uint64_t c = 0; c < chunks_.size(); ++c) {
+    Readahead(c);
+    if (!DecodeChunk(chunks_[c], batch, path, cancel, error)) return false;
+    visit(batch.views);
+  }
+  return true;
+}
+
+bool PipelinedScanner::RunPool(const std::string& path,
+                               const SetBatchVisitor& visit,
+                               const CancelToken* cancel,
+                               std::string* error) {
+  const uint64_t num_chunks = chunks_.size();
   for (Slot& slot : slots_) {
     slot.state = Slot::State::kEmpty;
     slot.chunk = 0;
@@ -134,8 +139,6 @@ bool PipelinedScanner::Run(const std::string& path,
   }
   next_claim_ = 0;
   next_consume_ = 0;
-  advise_frontier_ = 0;
-  abort_ = false;
 
   auto worker = [&] {
     for (;;) {
@@ -160,7 +163,7 @@ bool PipelinedScanner::Run(const std::string& path,
       Slot& slot = slots_[c % depth_];
       std::string decode_error;
       const bool ok =
-          DecodeChunk(chunks_[c], slot, path, cancel, &decode_error);
+          DecodeChunk(chunks_[c], slot.batch, path, cancel, &decode_error);
       {
         std::lock_guard<std::mutex> lock(mu_);
         slot.state = ok ? Slot::State::kReady : Slot::State::kFailed;
@@ -170,8 +173,8 @@ bool PipelinedScanner::Run(const std::string& path,
     }
   };
 
-  const uint32_t pool_size = static_cast<uint32_t>(std::min<uint64_t>(
-      options_.decode_threads, num_chunks));
+  const uint32_t pool_size = static_cast<uint32_t>(
+      std::min<uint64_t>(decode_threads_, num_chunks));
   std::vector<std::thread> pool;
   pool.reserve(pool_size);
   for (uint32_t w = 0; w < pool_size; ++w) pool.emplace_back(worker);
@@ -187,7 +190,7 @@ bool PipelinedScanner::Run(const std::string& path,
       });
       if (slot.state == Slot::State::kFailed) {
         // First failed chunk in set-id order — its recorded error names
-        // the first corrupt set in stream order, exactly like serial.
+        // the first corrupt set in stream order, as an inline run would.
         *error = slot.error;
         ok = false;
         abort_ = true;
@@ -197,7 +200,7 @@ bool PipelinedScanner::Run(const std::string& path,
     // Dispatch outside the lock: decode of later chunks proceeds while
     // the consumer works through this one. The slot stays kReady (so no
     // worker reuses it) until we mark it consumed below.
-    visit(std::span<const SetView>(slot.views));
+    visit(slot.batch.views);
     {
       std::lock_guard<std::mutex> lock(mu_);
       slot.state = Slot::State::kEmpty;

@@ -1,30 +1,17 @@
-// Pipelined parallel decode over a mapped binary repository.
+// The chunk decoder behind every binary mmap scan.
 //
-// The serial MmapSetSource::Scan leaves the disk path ~4.5x below
-// in-memory throughput (BENCH_hotpath.json): one thread both decodes
-// LEB128 varints and dispatches sets, so the consumer idles while bytes
-// decode and the decoder idles while the consumer works. This engine
-// closes that gap by splitting the set range into fixed-work chunks via
-// the SCOVRB01 offsets footer (~256KB of encoded body each — fixed
-// bytes, not fixed sets, so set-size skew cannot starve a worker),
-// decoding chunks on a small worker pool into per-chunk SetView
-// batches, and handing completed chunks to the single consumer thread
-// strictly **in set-id order** through a bounded ring of in-flight
-// chunks. Decode of chunks k+1..k+D overlaps dispatch of chunk k; an
-// madvise(MADV_WILLNEED) readahead window walks ahead of the decode
-// frontier so page faults are prefetched before a worker blocks on
-// them.
-//
-// Contracts kept identical to the serial decode loop:
-//   * sets reach the consumer in set-id order, with the same values —
-//     a scan_threads=1 run is byte-identical to the pipelined one;
-//   * a corrupt varint anywhere fails the scan gracefully with the
-//     exact serial diagnostic ("path: corrupt set S: msg") for the
-//     first corrupt set in stream order, and no partially decoded
-//     chunk is ever delivered;
-//   * the CancelToken is polled inside decode workers every
-//     kCancelStride sets, so a deadline fires during decode stalls,
-//     not just between dispatches.
+// The set range is split into fixed-work chunks via the SCOVRB01 offsets
+// footer (~256KB of encoded body each, so set-size skew cannot starve a
+// worker); each chunk decodes into a SetBatch and reaches the scanning
+// thread strictly **in set-id order**, one batch per chunk. One decode
+// thread decodes inline and starts no helper. More decode on a worker
+// pool into a bounded ring, overlapping decode of chunks k+1..k+D with
+// dispatch of chunk k, with an madvise(MADV_WILLNEED) window ahead of
+// the decode frontier. Either way the sets delivered are identical; a
+// corrupt varint fails the scan with "path: corrupt set S: msg" for the
+// first corrupt set in stream order and delivers no set of its chunk;
+// and the CancelToken is polled at every chunk start and every
+// kCancelStride sets inside it.
 
 #ifndef STREAMCOVER_STREAM_PIPELINED_SCAN_H_
 #define STREAMCOVER_STREAM_PIPELINED_SCAN_H_
@@ -32,14 +19,13 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "setsystem/binary_io.h"
-#include "setsystem/set_view.h"
+#include "stream/set_source.h"
 #include "util/cancel_token.h"
 
 namespace streamcover {
@@ -51,82 +37,61 @@ namespace streamcover {
 /// ~100k+ varints decoded inside.
 inline constexpr uint64_t kDefaultScanChunkBytes = 256 * 1024;
 
-struct PipelinedScanOptions {
-  /// Decode workers; must be >= 1 (callers route <= 1 to the serial
-  /// loop before constructing a scanner).
-  uint32_t decode_threads = 2;
-  /// Encoded bytes per chunk (see kDefaultScanChunkBytes).
-  uint64_t chunk_bytes = kDefaultScanChunkBytes;
-  /// Bounded ring of in-flight chunks; 0 = auto (2 * decode_threads,
-  /// min 2). Bounds decoded-but-undelivered memory to
-  /// ring_depth * ~chunk_bytes of element storage.
-  uint32_t ring_depth = 0;
-  /// madvise(MADV_WILLNEED) window, in chunks ahead of the claim
-  /// frontier; 0 disables readahead.
-  uint32_t readahead_chunks = 8;
-};
-
 /// One scan = one PipelinedScanner::Run. The scanner borrows the
 /// mapping and the chunk plan; per-run state (ring slots, workers) is
-/// owned here and torn down before Run returns, so a source can run
-/// scans back to back while reusing nothing but the plan.
+/// owned here and reset by each Run, so a source can run scans back to
+/// back while reusing the plan and the slots' capacity.
 class PipelinedScanner {
  public:
-  /// Called once per completed chunk, in set-id order, from the Run
-  /// calling thread. Views (and the spans inside them) are valid only
-  /// for the duration of the call — they point into a ring slot that
-  /// is recycled for a later chunk afterwards.
-  using BatchVisitor =
-      std::function<void(std::span<const SetView> sets)>;
-
   /// `data` is the full mapped file; `chunks` comes from
   /// binfmt::BuildChunkPlan over the same layout. Both must outlive
-  /// the scanner.
+  /// the scanner. `decode_threads` >= 1; 1 decodes inline.
   PipelinedScanner(const uint8_t* data, uint64_t num_elements,
                    const binfmt::BinaryLayout& layout,
                    std::span<const binfmt::ScanChunk> chunks,
-                   const PipelinedScanOptions& options);
+                   uint32_t decode_threads);
 
-  /// Runs one full scan: decodes every chunk across the worker pool
-  /// and delivers each to `visit` in order. Returns false — with the
-  /// serial-format diagnostic in *error — on a corrupt body or a fired
-  /// cancel token (*error == kDeadlineExceededError then, matching the
-  /// serial poll). Workers are always joined before returning.
-  bool Run(const std::string& path, const BatchVisitor& visit,
+  /// Runs one full scan, delivering each chunk to `visit` in order from
+  /// the calling thread; views are valid only for the duration of the
+  /// call. Returns false — with the diagnostic in *error — on a corrupt
+  /// body or a fired cancel token (*error == kDeadlineExceededError
+  /// then). Workers are always joined before returning.
+  bool Run(const std::string& path, const SetBatchVisitor& visit,
            const CancelToken* cancel, std::string* error);
 
  private:
-  /// One ring slot: the decoded element pool + views for one chunk.
-  /// Storage is per-slot (not shared) so decode of chunk k+1 never
-  /// invalidates views the consumer is still dispatching for chunk k.
+  /// One ring slot: the decoded batch for one chunk. Storage is
+  /// per-slot (not shared) so decode of chunk k+1 never invalidates
+  /// views the consumer is still dispatching for chunk k.
   struct Slot {
     enum class State { kEmpty, kDecoding, kReady, kFailed };
     State state = State::kEmpty;
-    uint64_t chunk = 0;           // which chunk currently occupies it
-    std::vector<uint32_t> elems;  // decoded ids, all sets of the chunk
-    std::vector<size_t> offsets;  // CSR offsets into elems
-    std::vector<SetView> views;   // materialized after decode completes
-    std::string error;            // set iff kFailed
+    uint64_t chunk = 0;  // which chunk currently occupies it
+    SetBatch batch;
+    std::string error;   // set iff kFailed
   };
 
-  /// Decodes `chunk` into `slot` (everything but the final state
-  /// transition — that happens under the lock in the worker loop).
-  /// Returns false with *error set in serial format on corruption, a
-  /// fired cancel, or an observed abort.
-  bool DecodeChunk(const binfmt::ScanChunk& chunk, Slot& slot,
+  /// Decodes `chunk` into `batch` and builds its views. Returns false
+  /// with *error set on corruption, a fired cancel, or an observed
+  /// abort.
+  bool DecodeChunk(const binfmt::ScanChunk& chunk, SetBatch& batch,
                    const std::string& path, const CancelToken* cancel,
                    std::string* error);
 
   /// Advises the kernel of upcoming chunk bytes up to
-  /// `claimed + readahead_chunks`. Called by workers right after
-  /// claiming; frontier bookkeeping is internal.
+  /// `claimed + kReadaheadChunks`. Called right after claiming a chunk;
+  /// frontier bookkeeping is internal.
   void Readahead(uint64_t claimed);
+
+  /// The worker-pool run behind Run when decode_threads_ > 1.
+  bool RunPool(const std::string& path, const SetBatchVisitor& visit,
+               const CancelToken* cancel, std::string* error);
 
   const uint8_t* data_;
   uint64_t num_elements_;
   const binfmt::BinaryLayout* layout_;
   std::span<const binfmt::ScanChunk> chunks_;
-  PipelinedScanOptions options_;
+  uint32_t decode_threads_;
   uint32_t depth_;
 
   // Per-run pipeline state, guarded by mu_ except where noted.

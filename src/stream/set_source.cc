@@ -10,17 +10,26 @@
 
 namespace streamcover {
 
+std::span<const SetView> SetBatch::MakeViews() {
+  views.clear();
+  views.reserve(num_sets());
+  for (size_t i = 0; i < num_sets(); ++i) {
+    views.push_back(SetView{
+        first_set + static_cast<uint32_t>(i),
+        std::span<const uint32_t>(elems.data() + offsets[i],
+                                  offsets[i + 1] - offsets[i])});
+  }
+  return views;
+}
+
 std::unique_ptr<SetSource> SetSource::Fork(std::string* error) const {
   if (error != nullptr) *error = "source does not support forking";
   return nullptr;
 }
 
-bool SetSource::ScanBatches(const SetBatchVisitor& visit) {
-  // Degenerate batching over the per-set scan: one view per batch.
-  // Correctness-equivalent to Scan by construction; sources answering
-  // true from SupportsBatchScan() override this with a real batch path.
-  return Scan([&visit](const SetView& set) {
-    visit(std::span<const SetView>(&set, 1));
+bool SetSource::Scan(const SetVisitor& visit) {
+  return ScanBatches([&visit](std::span<const SetView> sets) {
+    for (const SetView& set : sets) visit(set);
   });
 }
 
@@ -35,12 +44,19 @@ uint32_t InMemorySetSource::num_elements() const {
 
 uint32_t InMemorySetSource::num_sets() const { return system_->num_sets(); }
 
-bool InMemorySetSource::Scan(const SetVisitor& visit) {
-  if (!error_.empty()) return false;  // sticky (a fired deadline stays fired)
+bool InMemorySetSource::ScanBatches(const SetBatchVisitor& visit) {
+  if (!BeginScan()) return false;  // sticky (a fired deadline stays fired)
   const uint32_t m = system_->num_sets();
-  for (uint32_t s = 0; s < m; ++s) {
-    if (s % kCancelStride == 0 && CancelFired()) return false;
-    visit(system_->GetView(s));
+  uint32_t s = 0;
+  while (s < m) {
+    if (CancelFired()) return false;
+    views_.clear();
+    size_t words = 0;
+    while (s < m && !BatchFull(views_.size(), words)) {
+      views_.push_back(system_->GetView(s++));
+      words += views_.back().size();
+    }
+    visit(views_);
   }
   return true;
 }
@@ -89,8 +105,8 @@ std::unique_ptr<SetSource> FileSetSource::Fork(std::string* error) const {
   return std::make_unique<FileSetSource>(std::move(*fork));
 }
 
-bool FileSetSource::Scan(const SetVisitor& visit) {
-  if (!error_.empty()) return false;  // sticky: the file is already bad
+bool FileSetSource::ScanBatches(const SetBatchVisitor& visit) {
+  if (!BeginScan()) return false;  // sticky: the file is already bad
   auto fail = [this](const std::string& msg) {
     error_ = path_ + ": " + msg;
     return false;
@@ -99,7 +115,6 @@ bool FileSetSource::Scan(const SetVisitor& visit) {
   // Open validated the header, but the file can vanish or be truncated
   // between passes — report that, don't abort.
   if (!in) return fail("cannot reopen");
-  ++parses_;
   // Advise sequential readahead on the file's page cache before the
   // front-to-back parse. fadvise keys on the inode's cache, not the
   // descriptor, so a transient fd covers the ifstream's reads too; a
@@ -113,46 +128,51 @@ bool FileSetSource::Scan(const SetVisitor& visit) {
   if (!(in >> magic >> n >> m) || magic != "setcover") {
     return fail("header changed since Open");
   }
-  for (uint32_t s = 0; s < num_sets_; ++s) {
-    if (s % kCancelStride == 0 && CancelFired()) return false;
-    uint64_t size = 0;
-    if (!(in >> size)) {
-      return fail("truncated set header at set " + std::to_string(s));
-    }
-    if (size > num_elements_) {
-      return fail("set " + std::to_string(s) + " larger than universe");
-    }
-    scan_buffer_.clear();
-    scan_buffer_.reserve(size);
-    bool sorted_unique = true;
-    for (uint64_t i = 0; i < size; ++i) {
-      uint64_t e = 0;
-      if (!(in >> e)) {
-        return fail("truncated set body at set " + std::to_string(s));
+  std::vector<uint32_t>& elems = batch_.elems;
+  uint32_t s = 0;
+  while (s < num_sets_) {
+    if (CancelFired()) return false;
+    batch_.Reset(s);
+    for (; s < num_sets_ && !BatchFull(batch_.num_sets(), elems.size());
+         ++s) {
+      uint64_t size = 0;
+      if (!(in >> size)) {
+        return fail("truncated set header at set " + std::to_string(s));
       }
-      if (e >= num_elements_) {
-        return fail("element id " + std::to_string(e) +
-                    " out of range in set " + std::to_string(s));
+      if (size > num_elements_) {
+        return fail("set " + std::to_string(s) + " larger than universe");
       }
-      if (!scan_buffer_.empty() && e <= scan_buffer_.back()) {
-        sorted_unique = false;
+      // Elements are appended as they are read, never reserved from the
+      // claimed size: a lying size costs only the bytes actually there.
+      const size_t begin = elems.size();
+      bool sorted_unique = true;
+      for (uint64_t i = 0; i < size; ++i) {
+        uint64_t e = 0;
+        if (!(in >> e)) {
+          return fail("truncated set body at set " + std::to_string(s));
+        }
+        if (e >= num_elements_) {
+          return fail("element id " + std::to_string(e) +
+                      " out of range in set " + std::to_string(s));
+        }
+        if (elems.size() > begin && e <= elems.back()) sorted_unique = false;
+        elems.push_back(static_cast<uint32_t>(e));
       }
-      scan_buffer_.push_back(static_cast<uint32_t>(e));
+      // Dispatched element spans are sorted and duplicate-free everywhere
+      // in the library: the CSR builder enforces it in memory
+      // (SetSystem::Builder::AddSet), and the word-parallel coverage
+      // kernels (util/cover_kernels.h) rely on it. Normalize a malformed
+      // file line here so streaming from disk sees exactly what loading
+      // the same file into memory would; well-formed files pay only the
+      // monotonicity check above.
+      if (!sorted_unique) {
+        const auto first = elems.begin() + static_cast<ptrdiff_t>(begin);
+        std::sort(first, elems.end());
+        elems.erase(std::unique(first, elems.end()), elems.end());
+      }
+      batch_.EndSet();
     }
-    // Dispatched element spans are sorted and duplicate-free everywhere
-    // in the library: the CSR builder enforces it in memory
-    // (SetSystem::Builder::AddSet), and the word-parallel coverage
-    // kernels (util/cover_kernels.h) rely on it. Normalize a malformed
-    // file line here so streaming from disk sees exactly what loading
-    // the same file into memory would; well-formed files pay only the
-    // monotonicity check above.
-    if (!sorted_unique) {
-      std::sort(scan_buffer_.begin(), scan_buffer_.end());
-      scan_buffer_.erase(
-          std::unique(scan_buffer_.begin(), scan_buffer_.end()),
-          scan_buffer_.end());
-    }
-    visit(SetView{s, std::span<const uint32_t>(scan_buffer_)});
+    visit(batch_.MakeViews());
   }
   return true;
 }

@@ -6,7 +6,9 @@
 // gateway algorithms get to F — it exposes no random access, and it
 // counts passes. Benches read the counter to fill the "passes" column of
 // Figure 1.1. The repository itself is pluggable (stream/set_source.h):
-// in-memory CSR or an on-disk file re-parsed per pass.
+// in-memory CSR, a text file re-parsed per pass, or a mapped binary
+// file. Each delivers a pass as batches of SetViews (ForEachBatch);
+// ForEachSet is the same pass unrolled one set at a time.
 
 #ifndef STREAMCOVER_STREAM_SET_STREAM_H_
 #define STREAMCOVER_STREAM_SET_STREAM_H_
@@ -21,7 +23,8 @@
 
 namespace streamcover {
 
-/// One sequential scan per ForEachSet call; no other access to F.
+/// One sequential scan per ForEachBatch / ForEachSet call; no other
+/// access to F.
 class SetStream {
  public:
   /// Streams an in-memory system. Does not take ownership; `system`
@@ -41,35 +44,31 @@ class SetStream {
   uint32_t num_elements() const { return source_->num_elements(); }
   uint32_t num_sets() const { return source_->num_sets(); }
 
-  /// Performs one pass: invokes fn(const SetView&) for every set in
-  /// stream order. Counts as one pass even if the caller stops consuming
-  /// early (the scan cursor cannot be rewound mid-pass). Returns false
-  /// if the underlying repository failed mid-scan (see SetSource::Scan);
-  /// error() carries the diagnostic and further passes keep failing.
-  template <typename Fn>
-  bool ForEachSet(Fn&& fn) {
-    ++passes_;
-    return source_->Scan(SetVisitor(std::forward<Fn>(fn)));
-  }
-
-  /// Performs one pass delivered as contiguous batches in stream order
-  /// (fn(std::span<const SetView>)) — same pass accounting and failure
-  /// contract as ForEachSet, coarser dispatch grain. Worth calling only
-  /// when supports_batch_scan(); otherwise batches degenerate to one
-  /// set each.
+  /// Performs one pass delivered as contiguous batches in stream order:
+  /// invokes fn(std::span<const SetView>) once per batch. Counts as one
+  /// pass even if the caller stops consuming early (the scan cursor
+  /// cannot be rewound mid-pass). Returns false if the underlying
+  /// repository failed mid-scan (see SetSource::ScanBatches); error()
+  /// carries the diagnostic and further passes keep failing.
   template <typename Fn>
   bool ForEachBatch(Fn&& fn) {
     ++passes_;
     return source_->ScanBatches(SetBatchVisitor(std::forward<Fn>(fn)));
   }
 
-  /// True when the source pre-decodes genuine multi-set batches
-  /// (pipelined mmap scan) — the scheduler's cue to skip its own
-  /// copy-and-batch staging.
-  bool supports_batch_scan() const { return source_->SupportsBatchScan(); }
+  /// The same pass, one set at a time: invokes fn(const SetView&) for
+  /// every set in stream order. A loop over ForEachBatch, so the
+  /// per-set call is inlined and only each batch crosses a
+  /// std::function.
+  template <typename Fn>
+  bool ForEachSet(Fn&& fn) {
+    return ForEachBatch([&fn](std::span<const SetView> sets) {
+      for (const SetView& set : sets) fn(set);
+    });
+  }
 
-  /// Sets the decode-worker count for sources with a parallel scan
-  /// path; see SetSource::set_scan_threads.
+  /// Sets the decode-worker count of the binary decoder; see
+  /// SetSource::set_scan_threads.
   void set_scan_threads(uint32_t threads) {
     source_->set_scan_threads(threads);
   }

@@ -105,9 +105,8 @@ std::vector<KernelIsa> SupportedKernelIsas();
 /// The still-uncovered elements a consumer filters against: a
 /// DynamicBitset with the role made explicit. Every ScanConsumer owns
 /// one per residual it tracks (space-charged in logical words exactly
-/// like the raw bitset it replaces), the kernels read/update it, and
-/// PassScheduler's batched dispatch prefilters whole columnar batches
-/// against it (ScanConsumer::batch_filter).
+/// like the raw bitset it replaces), and the kernels read/update it at
+/// the top of the consumer's OnSet.
 class LiveMask {
  public:
   LiveMask() = default;
@@ -152,7 +151,8 @@ size_t MarkCovered(std::span<const uint32_t> elems, DynamicBitset& mask,
                    KernelPolicy policy);
 
 /// True iff any element of `elems` has its mask bit set. Early-exits on
-/// the first hit — the cheap pre-test the batch prefilter runs.
+/// the first hit — the cheap pre-test a consumer runs before any
+/// per-set work.
 bool Intersects(std::span<const uint32_t> elems, const DynamicBitset& mask,
                 KernelPolicy policy);
 

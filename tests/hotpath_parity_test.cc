@@ -16,7 +16,7 @@
 //    run with --kernel scalar, word, and auto (auto adds runtime SIMD
 //    dispatch for the dense kernels) must agree on covers, passes,
 //    scans, and space exactly, at --threads 1 and 4 (the threaded path
-//    additionally exercises the scheduler's batch prefilter).
+//    splits the consumers over the scheduler's workers).
 
 #include <cmath>
 #include <cstdio>
@@ -325,10 +325,10 @@ TEST(HotpathParityTest, KernelPoliciesAreByteIdenticalAcrossSolvers) {
   }
 }
 
-TEST(HotpathParityTest, KernelPoliciesAgreeUnderThreadedPrefilter) {
-  // threads=4 engages the scheduler's batched dispatch and hence the
-  // batch_filter prefilter; both kernels (and the serial baseline) must
-  // land on the same result. early_exit keeps the retire rule covered.
+TEST(HotpathParityTest, KernelPoliciesAgreeOnThreadedEarlyExitRuns) {
+  // threads=4 splits the guess consumers over the scheduler's workers
+  // while early_exit retires guesses between rounds; both kernels must
+  // land on the serial run's result.
   Instance instance = MakeRegistered("planted", 8);
   RunOptions base;
   base.sample_constant = 0.05;

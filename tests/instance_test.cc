@@ -196,6 +196,50 @@ TEST(WorkloadRegistryTest, FileWorkloadNeedsPath) {
   EXPECT_NE(error.find("path"), std::string::npos);
 }
 
+TEST(WorkloadRegistryTest, OutOfRangeParamsFailWithTheBoundNotAnAbort) {
+  // One spec per family that would break a generator's SC_CHECK; the
+  // factory must refuse it with the bound, never abort.
+  struct Case {
+    const char* family;
+    WorkloadParams params;
+    const char* bound;
+  };
+  WorkloadParams planted;  // the serve repro: k > m
+  planted.n = 200;
+  planted.m = 4;
+  planted.k = 5;
+  WorkloadParams sparse;  // fewer sets than partition blocks
+  sparse.n = 1000;
+  sparse.m = 10;
+  sparse.max_set_size = 32;
+  WorkloadParams zipf;
+  zipf.max_set_size = 0;
+  WorkloadParams adversarial;
+  adversarial.levels = 0;
+  WorkloadParams blocks;
+  blocks.n = 3;
+  blocks.k = 5;
+  WorkloadParams geom;
+  geom.k = 0;
+  const Case cases[] = {
+      {"planted", planted, "m >= k"},
+      {"sparse", sparse, "m >= ceil(n / max_set_size) = 32"},
+      {"zipf", zipf, "max_set_size >= 1"},
+      {"adversarial", adversarial, "levels in [1, 30]"},
+      {"disjoint_blocks", blocks, "n >= k"},
+      {"geom_disks", geom, "k >= 1"},
+      {"geom_rects", geom, "k >= 1"},
+      {"geom_triangles", geom, "k >= 1"},
+  };
+  for (const Case& c : cases) {
+    std::string error;
+    EXPECT_FALSE(MakeWorkload(c.family, c.params, &error).has_value())
+        << c.family;
+    EXPECT_NE(error.find(c.bound), std::string::npos)
+        << c.family << ": " << error;
+  }
+}
+
 TEST(WorkloadRegistryTest, EveryGeneratedWorkloadIsRunnable) {
   WorkloadParams params;
   params.n = 120;

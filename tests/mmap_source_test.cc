@@ -213,30 +213,21 @@ TEST(OpenDiskSetSourceTest, SniffsMagicAndPicksTheRightBackend) {
   EXPECT_FALSE(error.empty());
 }
 
-// --- Pipelined scan (scan_threads > 1) -------------------------------
-
-std::vector<std::vector<uint32_t>> CollectSerial(MmapSetSource& source) {
-  std::vector<std::vector<uint32_t>> sets;
-  EXPECT_TRUE(source.Scan([&](const SetView& set) {
-    EXPECT_EQ(set.id, sets.size());
-    sets.emplace_back(set.begin(), set.end());
-  }));
-  return sets;
-}
+// --- The chunk decoder at 1 (inline) and more decode threads ---------
 
 TEST(PipelinedScanTest, MatchesSerialOrderAndContentAcrossThreadCounts) {
   PlantedInstance inst = MakeInstance(7);
   const std::string bin = WriteBinary(inst.system, "pipe_parity.bin");
+  std::vector<std::vector<uint32_t>> expect;
+  for (uint32_t s = 0; s < inst.system.num_sets(); ++s) {
+    auto set = inst.system.GetSet(s);
+    expect.emplace_back(set.begin(), set.end());
+  }
   std::string error;
-  auto serial = MmapSetSource::Open(bin, &error);
-  ASSERT_TRUE(serial.has_value()) << error;
-  const std::vector<std::vector<uint32_t>> expect = CollectSerial(*serial);
-
-  for (uint32_t threads : {2u, 4u, 8u}) {
+  for (uint32_t threads : {1u, 2u, 4u, 8u}) {
     auto source = MmapSetSource::Open(bin, &error);
     ASSERT_TRUE(source.has_value()) << error;
     source->set_scan_threads(threads);
-    EXPECT_TRUE(source->SupportsBatchScan());
     std::vector<std::vector<uint32_t>> sets;
     ASSERT_TRUE(source->Scan([&](const SetView& set) {
       ASSERT_EQ(set.id, sets.size()) << "out-of-order delivery";
@@ -277,11 +268,9 @@ TEST(PipelinedScanTest, ManySmallChunksDeliverInOrder) {
       binfmt::BuildChunkPlan(layout, /*target_bytes=*/64);
   ASSERT_GT(chunks.size(), 8u) << "chunk plan too coarse for this test";
 
-  PipelinedScanOptions options;
-  options.decode_threads = 4;
   PipelinedScanner scanner(data, layout.n, layout,
                            std::span<const binfmt::ScanChunk>(chunks),
-                           options);
+                           /*decode_threads=*/4);
   std::vector<std::vector<uint32_t>> sets;
   ASSERT_TRUE(scanner.Run(
       bin,
@@ -318,25 +307,20 @@ TEST(PipelinedScanTest, CorruptVarintMatchesSerialDiagnosticAndSticks) {
     std::ofstream os(bad, std::ios::binary);
     os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
-  std::string error;
-  auto serial = MmapSetSource::Open(bad, &error);
-  ASSERT_TRUE(serial.has_value()) << error;
-  EXPECT_FALSE(serial->Scan([](const SetView&) {}));
-
-  auto pipelined = MmapSetSource::Open(bad, &error);
-  ASSERT_TRUE(pipelined.has_value()) << error;
-  pipelined->set_scan_threads(4);
-  size_t visited = 0;
-  EXPECT_FALSE(pipelined->Scan([&](const SetView&) { ++visited; }));
-  EXPECT_EQ(visited, 0u) << "no partial batch before the fault";
-  // The pipelined diagnostic is byte-identical to the serial one.
-  EXPECT_EQ(pipelined->error(), serial->error());
-  EXPECT_NE(pipelined->error().find("corrupt set 0"), std::string::npos)
-      << pipelined->error();
-  // Sticky: the next pipelined scan refuses immediately.
-  visited = 0;
-  EXPECT_FALSE(pipelined->Scan([&](const SetView&) { ++visited; }));
-  EXPECT_EQ(visited, 0u);
+  for (uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    std::string error;
+    auto source = MmapSetSource::Open(bad, &error);
+    ASSERT_TRUE(source.has_value()) << error;
+    source->set_scan_threads(threads);
+    size_t visited = 0;
+    EXPECT_FALSE(source->Scan([&](const SetView&) { ++visited; }));
+    EXPECT_EQ(visited, 0u) << "no partial batch before the fault";
+    EXPECT_EQ(source->error(), bad + ": corrupt set 0: bad size varint");
+    // Sticky: the next scan refuses immediately.
+    EXPECT_FALSE(source->Scan([&](const SetView&) { ++visited; }));
+    EXPECT_EQ(visited, 0u);
+  }
 }
 
 TEST(PipelinedScanTest, MidChunkTruncationFailsGracefullyInOrder) {
@@ -373,11 +357,11 @@ TEST(PipelinedScanTest, MidChunkTruncationFailsGracefullyInOrder) {
     os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
 
-  auto serial = MmapSetSource::Open(bad, &error);
-  ASSERT_TRUE(serial.has_value()) << error;
-  EXPECT_FALSE(serial->Scan([](const SetView&) {}));
-  EXPECT_NE(serial->error().find("truncated body"), std::string::npos)
-      << serial->error();
+  auto inline_decode = MmapSetSource::Open(bad, &error);
+  ASSERT_TRUE(inline_decode.has_value()) << error;
+  EXPECT_FALSE(inline_decode->Scan([](const SetView&) {}));
+  EXPECT_NE(inline_decode->error().find("truncated body"), std::string::npos)
+      << inline_decode->error();
 
   auto pipelined = MmapSetSource::Open(bad, &error);
   ASSERT_TRUE(pipelined.has_value()) << error;
@@ -385,7 +369,7 @@ TEST(PipelinedScanTest, MidChunkTruncationFailsGracefullyInOrder) {
   EXPECT_FALSE(pipelined->Scan([&](const SetView& set) {
     EXPECT_LT(set.id, corrupt_set) << "set delivered past the fault";
   }));
-  EXPECT_EQ(pipelined->error(), serial->error());
+  EXPECT_EQ(pipelined->error(), inline_decode->error());
 }
 
 TEST(PipelinedScanTest, CancelDuringDecodeReportsDeadline) {
@@ -400,7 +384,7 @@ TEST(PipelinedScanTest, CancelDuringDecodeReportsDeadline) {
   source->set_cancel(&expired);
   EXPECT_FALSE(source->Scan([](const SetView&) {}));
   // The bare error *code*, with no path or set prefix — dispatchers
-  // match it exactly (same contract as the serial scan).
+  // match it exactly (same contract as an inline scan).
   EXPECT_EQ(source->error(), kDeadlineExceededError);
 }
 

@@ -3,7 +3,7 @@
 // invariance (also the TSan target: >= 4 consumers fanned out over
 // workers), the determinism guarantee that the multiplexed iterSetCover
 // is byte-identical to the old sequential per-guess path (in-memory and
-// file-backed), the file re-parse regression (parses == physical scans,
+// file-backed), the re-scan regression (source scans == physical scans,
 // not sequential scans), heterogeneous consumers (DIMV14 + threshold
 // sieves sharing scans), and the winner-preserving early-exit rule.
 
@@ -116,7 +116,8 @@ void ExpectSameOutcome(const StreamingResult& multiplexed,
 
 TEST(PassSchedulerTest, OnePhysicalScanServesEveryLiveConsumer) {
   PlantedInstance inst = MakePlanted(1, 50, 80, 4);
-  SetStream stream(&inst.system);
+  InMemorySetSource source(&inst.system);
+  SetStream stream(&source);
   PassScheduler scheduler(stream);
 
   CountingConsumer one(1), two(2), four(4);
@@ -130,6 +131,7 @@ TEST(PassSchedulerTest, OnePhysicalScanServesEveryLiveConsumer) {
   // exactly as many passes as it needed, all from shared scans.
   EXPECT_EQ(scheduler.physical_scans(), 4u);
   EXPECT_EQ(stream.passes(), 4u);
+  EXPECT_EQ(source.scans(), scheduler.physical_scans());
   EXPECT_EQ(scheduler.passes(s1), 1u);
   EXPECT_EQ(scheduler.passes(s2), 2u);
   EXPECT_EQ(scheduler.passes(s4), 4u);
@@ -220,7 +222,7 @@ TEST(PassSchedulerTest, FileBackedMultiplexingMatchesAndParsesOncePerRound) {
   // Same contract on a disk-backed repository, plus the re-parse
   // regression: a multi-guess run re-parses the file once per physical
   // scan — not once per guess per pass, the old guesses x passes I/O
-  // blow-up.
+  // blow-up. The source's scans() counts the parses.
   PlantedInstance inst = MakePlanted(6);
   const std::string path =
       testing::TempDir() + "/pass_scheduler_file_test.txt";
@@ -245,10 +247,9 @@ TEST(PassSchedulerTest, FileBackedMultiplexingMatchesAndParsesOncePerRound) {
   // >= 8 guesses on n=300 (k = 1..512), each needing >= 2 passes:
   // the sequential path parses the file per guess per pass, the
   // scheduler once per round.
-  EXPECT_EQ(multiplexed_source->parses(), multiplexed.physical_scans);
-  EXPECT_EQ(sequential_source->parses(), sequential.sequential_scans);
-  EXPECT_GE(sequential_source->parses(),
-            8 * multiplexed_source->parses());
+  EXPECT_EQ(multiplexed_source->scans(), multiplexed.physical_scans);
+  EXPECT_EQ(sequential_source->scans(), sequential.sequential_scans);
+  EXPECT_GE(sequential_source->scans(), 8 * multiplexed_source->scans());
   std::remove(path.c_str());
 }
 

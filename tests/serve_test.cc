@@ -387,6 +387,19 @@ TEST(ServeTest, MalformedInstanceSpecIsBadRequestNotNotFound) {
   EXPECT_FALSE(bad_value.At("ok").AsBool());
   EXPECT_EQ(ErrorCode(bad_value), kErrBadRequest) << bad_value.Dump(0);
 
+  // Params that parse but break the generator's preconditions (k > m)
+  // are the request's fault too — and must not take the server down.
+  JsonValue out_of_range = ParseResponse(Call(
+      server,
+      R"({"op":"solve","instance":"planted:n=200,m=4,k=5","solver":"iter"})"));
+  EXPECT_FALSE(out_of_range.At("ok").AsBool());
+  EXPECT_EQ(ErrorCode(out_of_range), kErrBadRequest) << out_of_range.Dump(0);
+  EXPECT_NE(out_of_range.At("error").At("message").AsString().find("m >= k"),
+            std::string::npos)
+      << out_of_range.Dump(0);
+  EXPECT_TRUE(
+      ParseResponse(Call(server, R"({"op":"ping"})")).At("ok").AsBool());
+
   // A bare unknown name is still not_found — nothing malformed about it.
   JsonValue unknown = ParseResponse(Call(
       server, R"({"op":"solve","instance":"no_such","solver":"iter"})"));

@@ -610,12 +610,12 @@ int CmdStats(const Args& args) {
         binfmt::BuildChunkPlan(source->layout(), kDefaultScanChunkBytes);
     const uint64_t body_bytes =
         source->layout().footer_offset - binfmt::kHeaderBytes;
-    // One serial decode pass (the scan_threads=1 reference the
+    // One inline chunk-decode pass (scan_threads=1, the reference the
     // pipelined gate in bench_hotpath is measured against).
     WallTimer timer;
     uint64_t decoded = 0;
-    if (!source->Scan([&decoded](const SetView& view) {
-          decoded += view.size();
+    if (!source->ScanBatches([&decoded](std::span<const SetView> views) {
+          for (const SetView& view : views) decoded += view.size();
         })) {
       std::fprintf(stderr, "scan failed: %s\n", source->error().c_str());
       return 1;
@@ -626,8 +626,8 @@ int CmdStats(const Args& args) {
                 chunks.size(),
                 static_cast<unsigned long long>(kDefaultScanChunkBytes /
                                                 1024));
-    std::printf("  encoded GB/s : %.2f (serial decode, %llu body bytes, "
-                "warm cache)\n",
+    std::printf("  encoded GB/s : %.2f (inline chunk decode, %llu body "
+                "bytes, warm cache)\n",
                 seconds > 0 ? static_cast<double>(body_bytes) / seconds /
                                   1e9
                             : 0.0,
@@ -1084,9 +1084,9 @@ int CmdSelfTest() {
     if (CmdSolve(solve) != 1) return 1;
   }
   {
-    // Pipelined scan: --scan-threads dispatches the chunked decoder on
-    // the mmap path and must agree with the serial scan (same exit
-    // status and a successful cover); the flag is strictly parsed —
+    // Pipelined scan: --scan-threads runs the chunk decoder on a decode
+    // pool and must agree with the inline decode (same exit status and
+    // a successful cover); the flag is strictly parsed —
     // malformed and non-positive values exit 1, never silently coerce.
     const std::string bin_path = dir + "/streamcover_cli_selftest.bin";
     Args solve;
