@@ -15,7 +15,7 @@ Dimv14Consumer::Dimv14Consumer(uint32_t n, uint32_t m,
                                const Dimv14Options& options,
                                const OfflineSolver& offline)
     : n_(n), m_(m), options_(&options), offline_(&offline),
-      kernel_(options.kernel), rng_(options.seed) {
+      kernel_(options.kernel), rng_(options.seed), reindex_(n, UINT32_MAX) {
   // Base case: |V| such that m * |V| = O~(m n^delta) — i.e.
   // |V| <= c * n^delta * log m * log n (no k factor; see header).
   base_size_ = static_cast<uint64_t>(std::ceil(
@@ -32,9 +32,9 @@ Dimv14Consumer::Dimv14Consumer(uint32_t n, uint32_t m,
 }
 
 void Dimv14Consumer::PrepareBasePass(Frame& frame) {
+  // The targets are ascending, so the map is increasing and every
+  // reindexed projection stays sorted.
   base_target_elems_ = frame.targets.ToVector();
-  reindex_.clear();
-  reindex_.reserve(base_target_elems_.size() * 2);
   for (uint32_t i = 0; i < base_target_elems_.size(); ++i) {
     reindex_[base_target_elems_[i]] = i;
   }
@@ -127,17 +127,15 @@ void Dimv14Consumer::Advance() {
 void Dimv14Consumer::OnSet(const SetView& set) {
   switch (phase_) {
     case Phase::kBasePass: {
-      // Masked filter against the frame's residual first; only the
-      // survivors (all of them target elements by construction) pay the
-      // reindex hash lookup. Both filters visit a sorted span, so the
-      // projection order — and the sub-instance — is unchanged.
+      // Masked filter against the frame's residual first; the
+      // survivors are all target elements by construction, so each has
+      // a reindex entry.
       proj_scratch_.clear();
       FilterInto(set, *base_targets_, proj_scratch_, kernel_);
       if (proj_scratch_.empty()) return;
       for (uint32_t& e : proj_scratch_) {
-        auto it = reindex_.find(e);
-        SC_DCHECK(it != reindex_.end());
-        e = it->second;
+        SC_DCHECK(reindex_[e] != UINT32_MAX);
+        e = reindex_[e];
       }
       stored_words_ += proj_scratch_.size() + 1;
       tracker_.Charge(proj_scratch_.size() + 1);
@@ -167,6 +165,7 @@ void Dimv14Consumer::OnPassEnd() {
       }
       tracker_.Release(stored_words_);
       tracker_.Release(2 * base_target_elems_.size());
+      for (uint32_t e : base_target_elems_) reindex_[e] = UINT32_MAX;
       // The base case always finishes its frame: covered elements are
       // covered, uncoverable leftovers are dropped — both die with the
       // popped frame's residual bitset.

@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "baselines/baseline_result.h"
@@ -102,9 +101,11 @@ class Dimv14Consumer final : public ScanConsumer {
   // Base-pass scratch (one base pass active at a time). The masked
   // filter kernel writes into a reused buffer that is then reindexed in
   // place and appended to the sub-builder's CSR arena — no per-set
-  // vector is materialized and no hash lookup runs for dead elements.
+  // vector is materialized. `reindex_` is dense over U: the target
+  // element's sub-instance id, UINT32_MAX elsewhere (reset after each
+  // base pass, so only the targets are ever written).
   std::vector<uint32_t> base_target_elems_;
-  std::unordered_map<uint32_t, uint32_t> reindex_;
+  std::vector<uint32_t> reindex_;
   std::optional<SetSystem::Builder> sub_builder_;
   std::vector<uint32_t> original_ids_;
   std::vector<uint32_t> proj_scratch_;

@@ -144,7 +144,7 @@ void ThresholdSieveConsumer::OnPassEnd() {
     const double exponent = static_cast<double>(p_ + 1 - pass_index_) /
                             static_cast<double>(p_ + 1);
     threshold_ = std::pow(dn_, exponent);
-    FlushPassDelta();  // scheduling thread: hand this pass's coverage on
+    FlushPassDelta();  // pass end: hand this pass's coverage on
     return;
   }
   FinishFromBackups();

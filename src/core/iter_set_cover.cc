@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 
 #include "core/projection_store.h"
@@ -24,7 +23,9 @@ namespace {
 // by whatever physical scan the PassScheduler is running. All mutable
 // state is owned by the consumer, so any number of guesses can share
 // one scan — serially or on worker threads — with bit-identical
-// results.
+// results. That includes the pass-end work the scheduler runs on its
+// workers: the offline solve reads only the guess's own sub-instance,
+// built in place from its projection arena (no copy, no hash map).
 class GuessConsumer final : public ScanConsumer {
  public:
   GuessConsumer(uint64_t k, uint32_t n, uint32_t m,
@@ -202,8 +203,8 @@ class GuessConsumer final : public ScanConsumer {
                  static_cast<double>(k_);
     heavy_picks_.clear();
     // Epoch reset: the previous iteration's projections died with their
-    // ReleaseEpoch in FinishPass1, so the arena drops to empty in O(1)
-    // (capacity retained) with the word watermark provably at zero.
+    // ReleaseEpoch in FinishPass1, so the store drops to empty in O(1)
+    // with the word watermark provably at zero.
     projections_.ResetEpoch();
     phase_ = Phase::kPass1;
   }
@@ -214,32 +215,19 @@ class GuessConsumer final : public ScanConsumer {
     for (uint32_t id : heavy_picks_) TakeSet(id);
 
     // --- Offline solve on the sampled sub-instance (no pass). ---
-    // Re-index the still-live sampled elements to [0, n_sub).
-    std::vector<uint32_t> live_elems;
+    // Re-index the still-live sampled elements to [0, n_sub). The
+    // sample is ascending, so the map is increasing and the projections
+    // stay sorted as the store rewrites them in place into the
+    // sub-instance; the compacted buffer is freed with `sub` below.
+    std::vector<uint32_t> reindex(n_, UINT32_MAX);
+    uint32_t n_sub = 0;
     for (uint32_t e : sample_) {
-      if (live_.Test(e)) live_elems.push_back(e);
+      if (live_.Test(e)) reindex[e] = n_sub++;
     }
-    if (!live_elems.empty()) {
-      std::unordered_map<uint32_t, uint32_t> reindex;
-      reindex.reserve(live_elems.size() * 2);
-      for (uint32_t i = 0; i < live_elems.size(); ++i) {
-        reindex[live_elems[i]] = i;
-      }
-      SetSystem::Builder sub_builder(
-          static_cast<uint32_t>(live_elems.size()));
+    if (n_sub > 0) {
       std::vector<uint32_t> original_ids;
-      original_ids.reserve(projections_.refs().size());
-      for (const ProjectionStore::Ref& ref : projections_.refs()) {
-        mapped_scratch_.clear();
-        for (uint32_t e : projections_.Elements(ref)) {
-          auto it = reindex.find(e);
-          if (it != reindex.end()) mapped_scratch_.push_back(it->second);
-        }
-        if (mapped_scratch_.empty()) continue;
-        sub_builder.AddSet(std::span<const uint32_t>(mapped_scratch_));
-        original_ids.push_back(ref.set_id);
-      }
-      SetSystem sub = std::move(sub_builder).Build();
+      const SetSystem sub =
+          projections_.TakeSubInstance(reindex, n_sub, original_ids);
       OfflineResult offline_result = offline_->Solve(sub);
       gain_updates_ += offline_result.gain_updates;
       sets_touched_ += offline_result.sets_touched;
@@ -251,7 +239,7 @@ class GuessConsumer final : public ScanConsumer {
         // marginal order, so trimming the pick tail IS the greedy
         // partial cover of the sub-instance.
         const uint64_t sub_allowed =
-            allowed_uncovered_ * live_elems.size() / uncovered_count_;
+            allowed_uncovered_ * n_sub / uncovered_count_;
         if (sub_allowed > 0) {
           DynamicBitset covered_sub(sub.num_elements());
           uint64_t covered_count = 0;
@@ -276,8 +264,8 @@ class GuessConsumer final : public ScanConsumer {
     }
 
     // Projections, sample ids, and the live mask die with the iteration
-    // (the arena itself resets at the top of the next one, with the
-    // watermark attribution CHECKed back to zero here).
+    // (the store resets at the top of the next one, with the watermark
+    // attribution CHECKed back to zero here).
     projections_.ReleaseEpoch(tracker_);
     tracker_.Release(sample_.size());
     tracker_.Release(live_.WordCount());
@@ -353,7 +341,6 @@ class GuessConsumer final : public ScanConsumer {
   double threshold_ = 0.0;
   std::vector<uint32_t> heavy_picks_;
   ProjectionStore projections_;
-  std::vector<uint32_t> mapped_scratch_;  // per-set transient, not charged
   DynamicBitset picked_this_iter_;
   std::vector<uint32_t> sweep_picks_;
 };

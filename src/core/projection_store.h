@@ -11,15 +11,23 @@
 // Life cycle per iteration (epoch):
 //   mark = StageMark(); StagePush(e)...        stage while filtering
 //   CommitLight(id, mark) or Abandon(mark)     keep the ref or rewind
-//   ... offline solve reads refs()/Elements() ...
+//   sub = TakeSubInstance(reindex, ...)        compact in place, hand the
+//                                              buffer to the offline solve
 //   ReleaseEpoch(tracker)                      give the words back
-//   ResetEpoch()                               O(1) reset, keeps capacity
+//   ResetEpoch()                               O(1) reset
+//
+// The hand-off is optional (an iteration whose sample died to heavy sets
+// solves nothing). When it happens, the arena's buffer leaves with the
+// sub-instance and is freed with it, so the next epoch grows a fresh
+// buffer; without it, ResetEpoch keeps the capacity.
 //
 // Accounting discipline: the store counts the logical words (elements
-// + one id word per stored projection) its refs pin, and ReleaseEpoch /
-// ResetEpoch CHECK that the arena, the refs, and the word watermark
-// agree — a desynchronized SpaceTracker attribution aborts instead of
-// silently misreporting `projection_words_peak`.
+// + one id word per stored projection) its refs pin, and TakeSubInstance
+// / ReleaseEpoch / ResetEpoch CHECK that the arena, the refs, and the
+// word watermark agree — a desynchronized SpaceTracker attribution
+// aborts instead of silently misreporting `projection_words_peak`. The
+// words stay charged across the hand-off until ReleaseEpoch, exactly as
+// if the projections were still stored.
 
 #ifndef STREAMCOVER_CORE_PROJECTION_STORE_H_
 #define STREAMCOVER_CORE_PROJECTION_STORE_H_
@@ -27,8 +35,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "setsystem/set_system.h"
 #include "stream/space_tracker.h"
 #include "util/arena.h"
 #include "util/check.h"
@@ -87,27 +97,70 @@ class ProjectionStore {
   /// Epochs completed so far (ResetEpoch calls).
   uint64_t epoch() const { return arena_.epoch(); }
 
-  /// Releases this epoch's projection words from `tracker`, checking
-  /// that the watermark attribution matches the stored content exactly.
-  void ReleaseEpoch(SpaceTracker& tracker) {
+  /// Hands the epoch's projections over as an offline sub-instance on
+  /// `num_sub_elements` elements, without a copy. Each projection is
+  /// rewritten in place through `reindex` (reindex[e] is e's
+  /// sub-instance id, UINT32_MAX drops e); projections left empty are
+  /// skipped, the rest keep their commit order, and `set_ids` receives
+  /// their original ids. `reindex` must be increasing on the elements it
+  /// keeps, so the sorted projections stay sorted. The arena's buffer
+  /// moves into the returned system; the store holds no projection
+  /// afterwards, but its words stay charged until ReleaseEpoch.
+  SetSystem TakeSubInstance(std::span<const uint32_t> reindex,
+                            uint32_t num_sub_elements,
+                            std::vector<uint32_t>& set_ids) {
+    // The refs tile the arena in commit order (each commit starts at
+    // the previous tail; heavy and empty stages rewind), as this CHECK
+    // pins, so the write cursor never passes the read cursor.
     SC_CHECK_EQ(words_, arena_.size() + refs_.size());
+    std::vector<uint32_t> words = arena_.TakeWords();
+    std::vector<size_t> offsets{0};
+    set_ids.clear();
+    size_t write = 0;
+    for (const Ref& ref : refs_) {
+      SC_DCHECK_LE(write, ref.offset);
+      for (size_t read = ref.offset; read < ref.offset + ref.length;
+           ++read) {
+        // Store always, advance only on a kept element (branch-free).
+        const uint32_t sub = reindex[words[read]];
+        words[write] = sub;
+        write += sub != UINT32_MAX;
+      }
+      if (write == offsets.back()) continue;  // emptied by heavy sets
+      offsets.push_back(write);
+      set_ids.push_back(ref.set_id);
+    }
+    words.resize(write);
+    refs_.clear();
+    handed_off_ = true;
+    return SetSystem::FromSortedCsr(num_sub_elements, std::move(offsets),
+                                    std::move(words));
+  }
+
+  /// Releases this epoch's projection words from `tracker`, checking
+  /// that the watermark attribution matches the stored content exactly
+  /// (TakeSubInstance made the same check before it emptied the store).
+  void ReleaseEpoch(SpaceTracker& tracker) {
+    if (!handed_off_) SC_CHECK_EQ(words_, arena_.size() + refs_.size());
     tracker.Release(words_);
     words_ = 0;
   }
 
-  /// O(1) reset to an empty epoch (capacity retained). The epoch's
-  /// words must have been released first: resetting the arena also
-  /// resets the projection-word attribution, never strands it.
+  /// O(1) reset to an empty epoch. The epoch's words must have been
+  /// released first: resetting the arena also resets the
+  /// projection-word attribution, never strands it.
   void ResetEpoch() {
     SC_CHECK_EQ(words_, 0u);
     refs_.clear();
     arena_.ResetEpoch();
+    handed_off_ = false;
   }
 
  private:
   U32Arena arena_;
   std::vector<Ref> refs_;
   uint64_t words_ = 0;
+  bool handed_off_ = false;  ///< TakeSubInstance ran this epoch
 };
 
 }  // namespace streamcover

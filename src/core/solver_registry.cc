@@ -139,6 +139,7 @@ RunResult RunGeometric(RunContext& ctx) {
     return result;
   }
   ShapeStream shapes(&ctx.geometry->shapes);
+  shapes.set_cancel(ctx.options.cancel);
   GeomSetCoverOptions opts;
   opts.delta = ctx.options.delta;
   opts.sample_constant = ctx.options.sample_constant;
@@ -149,6 +150,10 @@ RunResult RunGeometric(RunContext& ctx) {
           ? AlgGeomSCSingleGuess(shapes, ctx.geometry->points,
                                  ctx.options.iter_guess, opts)
           : AlgGeomSC(shapes, ctx.geometry->points, opts);
+  if (shapes.cancelled()) {
+    result.error = kDeadlineExceededError;
+    return result;
+  }
   result.cover = std::move(r.cover);
   result.success = r.success;
   result.passes = r.passes;

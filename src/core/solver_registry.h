@@ -66,9 +66,11 @@ struct RunOptions {
   /// registry). 0 = normal parallel-guess run.
   uint64_t iter_guess = 0;
   /// Worker threads the shared-scan PassScheduler splits the live
-  /// consumers over, per batch; <= 1 dispatches inline. Every worker
-  /// walks each batch in stream order, so results are bit-identical at
-  /// every thread count.
+  /// consumers over, per batch and again for their pass-end work (each
+  /// iterSetCover guess's offline solve); <= 1 runs everything inline.
+  /// Every worker walks each batch in stream order and each consumer's
+  /// pass end touches only its own state, so results are bit-identical
+  /// at every thread count.
   uint32_t threads = 1;
   /// Decode threads of the binary chunk decoder
   /// (stream/pipelined_scan.h): <= 1 decodes each chunk inline on the
@@ -92,15 +94,15 @@ struct RunOptions {
   /// and space are identical either way — only throughput changes.
   KernelPolicy kernel = KernelPolicy::kWord;
   /// Offline solver (algOfflineSC) for the sampling algorithms;
-  /// null => greedy.
+  /// null => greedy. With threads > 1 its Solve runs concurrently for
+  /// different guesses, so it must be safe to call from several threads.
   const OfflineSolver* offline = nullptr;
   /// Cooperative cancellation for deadline-bounded serving: when set,
   /// every scan of the run's stream polls it at batch granularity and a
   /// fired token unwinds the run through the stream-failure contract,
   /// surfacing RunResult.error == kDeadlineExceededError. Must outlive
-  /// the run. nullptr (default) = uncancellable. Geometric solvers
-  /// stream the shape payload, not a SetSource, and are not yet
-  /// covered.
+  /// the run. nullptr (default) = uncancellable. Geometric solvers poll
+  /// it in their shape scans, every kCancelStride shapes.
   const CancelToken* cancel = nullptr;
 };
 

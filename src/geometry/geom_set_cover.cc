@@ -57,7 +57,10 @@ GeomStreamingResult RunGuess(
 
   // One logical pass over the shapes. The first pass materializes the
   // simulator-side trace cache (see GuessState comment) in the same
-  // single scan; later passes replay it. fn(id, shape, trace).
+  // single scan; later passes replay it. fn(id, shape, trace). After a
+  // pass that the stream's cancel token cut short, the guess drives no
+  // further pass and returns unsuccessful (a cancelled stream never
+  // delivers another shape, so the partial cache is never read).
   auto pass_over_traces = [&](auto&& fn) {
     if (trace_cache.empty() && m > 0) {
       trace_cache.resize(m);
@@ -95,6 +98,7 @@ GeomStreamingResult RunGuess(
         ++heavy;
       }
     });
+    if (stream.cancelled()) return GeomStreamingResult{};
     diag.heavy_picked = heavy;
 
     uint64_t uncovered_count = uncovered.Count();
@@ -158,6 +162,7 @@ GeomStreamingResult RunGuess(
         store.Insert(local);
       }
     });
+    if (stream.cancelled()) return GeomStreamingResult{};
     diag.canonical_sets = store.size();
     diag.canonical_words = store.total_words();
     diag.oversize_ranges = oversize;
@@ -205,6 +210,7 @@ GeomStreamingResult RunGuess(
         }
       }
     });
+    if (stream.cancelled()) return GeomStreamingResult{};
     // Every canonical set is a sub-trace of some streamed range, so all
     // must match; CHECK defends the invariant.
     SC_CHECK_EQ(unmatched, 0u);
@@ -233,6 +239,7 @@ GeomStreamingResult RunGuess(
         for (uint32_t e : trace) uncovered.Reset(e);
       }
     });
+    if (stream.cancelled()) return GeomStreamingResult{};
   }
 
   result.success = uncovered.None();
@@ -296,7 +303,7 @@ GeomStreamingResult AlgGeomSC(ShapeStream& stream,
         (!best.success || guess.cover.size() < best.cover.size())) {
       best = std::move(guess);
     }
-    if (k >= n) break;
+    if (k >= n || stream.cancelled()) break;
   }
 
   best.passes = passes_max;

@@ -65,7 +65,9 @@ struct GeomStreamingResult {
 };
 
 /// Runs algGeomSC on (points, shape stream). Points are memory-resident
-/// (charged 2n words); shapes are visited only through passes.
+/// (charged 2n words); shapes are visited only through passes. Once the
+/// stream is cancelled (ShapeStream::set_cancel) no further pass runs
+/// and the result is unsuccessful; check stream.cancelled().
 GeomStreamingResult AlgGeomSC(ShapeStream& stream,
                               const std::vector<Point>& points,
                               const GeomSetCoverOptions& options);

@@ -9,6 +9,8 @@
 
 #include "geometry/primitives.h"
 #include "setsystem/set_system.h"
+#include "stream/set_source.h"
+#include "util/cancel_token.h"
 
 namespace streamcover {
 
@@ -29,19 +31,36 @@ class ShapeStream {
     return static_cast<uint32_t>(shapes_->size());
   }
 
-  /// One pass: fn(shape_id, shape) in stream order.
+  /// Arms (or disarms, with nullptr) cooperative cancellation: each pass
+  /// polls `cancel` every kCancelStride shapes, and once it fires the
+  /// stream fails stickily, like a SetSource. Must outlive the passes.
+  void set_cancel(const CancelToken* cancel) { cancel_ = cancel; }
+
+  /// One pass: fn(shape_id, shape) in stream order. A pass that finds
+  /// the stream cancelled stops delivering shapes; every later pass
+  /// delivers none.
   template <typename Fn>
   void ForEachShape(Fn&& fn) {
     ++passes_;
     for (uint32_t i = 0; i < shapes_->size(); ++i) {
+      if (i % kCancelStride == 0 && cancel_ != nullptr &&
+          cancel_->cancelled()) {
+        cancelled_ = true;
+      }
+      if (cancelled_) return;
       fn(i, (*shapes_)[i]);
     }
   }
+
+  /// True once a pass was cancelled (sticky).
+  bool cancelled() const { return cancelled_; }
 
   uint64_t passes() const { return passes_; }
 
  private:
   const std::vector<Shape>* shapes_;
+  const CancelToken* cancel_ = nullptr;
+  bool cancelled_ = false;
   uint64_t passes_ = 0;
 };
 

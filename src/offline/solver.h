@@ -40,6 +40,9 @@ class OfflineSolver {
 
   /// Covers all coverable elements of `system`. Elements contained in no
   /// set are ignored (callers guarantee coverability where it matters).
+  /// May be called from several threads at once (iterSetCover's guesses
+  /// solve on PassScheduler's workers), so implementations keep no
+  /// mutable state or guard it themselves.
   virtual OfflineResult Solve(const SetSystem& system) const = 0;
 
   /// The approximation factor rho as a function of the universe size.

@@ -30,6 +30,21 @@ SetSystem SetSystem::Builder::Build() && {
   return SetSystem(num_elements_, std::move(offsets_), std::move(elements_));
 }
 
+SetSystem SetSystem::FromSortedCsr(uint32_t num_elements,
+                                   std::vector<size_t> offsets,
+                                   std::vector<uint32_t> elements) {
+  SC_DCHECK(!offsets.empty() && offsets.front() == 0);
+  SC_DCHECK_EQ(offsets.back(), elements.size());
+  for (size_t s = 0; s + 1 < offsets.size(); ++s) {
+    SC_DCHECK_LE(offsets[s], offsets[s + 1]);
+    for (size_t i = offsets[s]; i < offsets[s + 1]; ++i) {
+      SC_DCHECK_LT(elements[i], num_elements);
+      SC_DCHECK(i == offsets[s] || elements[i - 1] < elements[i]);
+    }
+  }
+  return SetSystem(num_elements, std::move(offsets), std::move(elements));
+}
+
 SetSystem::SetSystem(uint32_t num_elements, std::vector<size_t> offsets,
                      std::vector<uint32_t> elements)
     : num_elements_(num_elements),

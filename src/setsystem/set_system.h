@@ -6,7 +6,9 @@
 // i-th set scanned in a pass. Construction goes through Builder, which
 // appends each set to the CSR arena and sorts/deduplicates it in place
 // there — generators and IO feed it spans, so no per-set vector is ever
-// materialized on the build path.
+// materialized on the build path. A CSR that is already sorted (an
+// iterSetCover guess's compacted projections) is adopted as is through
+// FromSortedCsr, without a copy.
 
 #ifndef STREAMCOVER_SETSYSTEM_SET_SYSTEM_H_
 #define STREAMCOVER_SETSYSTEM_SET_SYSTEM_H_
@@ -57,6 +59,14 @@ class SetSystem {
   };
 
   SetSystem() = default;
+
+  /// Adopts a CSR without copying it: `offsets` starts at 0, is
+  /// non-decreasing and ends at elements.size(); every set is strictly
+  /// ascending and inside [0, num_elements). Order and range are
+  /// DCHECKed, so callers own the invariant Builder would establish.
+  static SetSystem FromSortedCsr(uint32_t num_elements,
+                                 std::vector<size_t> offsets,
+                                 std::vector<uint32_t> elements);
 
   /// |U|.
   uint32_t num_elements() const { return num_elements_; }

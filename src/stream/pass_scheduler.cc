@@ -1,11 +1,29 @@
 #include "stream/pass_scheduler.h"
 
 #include <algorithm>
+#include <atomic>
 #include <thread>
 
 #include "util/check.h"
 
 namespace streamcover {
+namespace {
+
+// Runs body(w) for every w in [0, workers): worker 0 on the calling
+// thread, the others on threads started here and joined before return
+// (std::jthread joins on destruction, also if body(0) throws). The one
+// place the scheduler starts threads; workers == 1 starts none.
+template <typename Body>
+void RunOnWorkers(uint32_t workers, const Body& body) {
+  std::vector<std::jthread> pool;
+  pool.reserve(workers - 1);
+  for (uint32_t w = 1; w < workers; ++w) {
+    pool.emplace_back([&body, w] { body(w); });
+  }
+  body(0);
+}
+
+}  // namespace
 
 PassScheduler::PassScheduler(SetStream& stream, uint32_t threads,
                              KernelPolicy)
@@ -55,18 +73,28 @@ void PassScheduler::DispatchBatch(std::span<const SetView> views,
   // nondeterminism. The walk is set-major — every owned consumer sees a
   // set while its elements are still in cache — which is also the order
   // a single inline worker uses.
-  auto serve = [&](uint32_t worker) {
+  RunOnWorkers(workers, [&](uint32_t worker) {
     for (const SetView& set : views) {
       for (size_t c = worker; c < live.size(); c += workers) {
         live[c]->OnSet(set);
       }
     }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(workers - 1);
-  for (uint32_t w = 1; w < workers; ++w) pool.emplace_back(serve, w);
-  serve(0);
-  for (std::thread& t : pool) t.join();
+  });
+}
+
+void PassScheduler::RunPassEnds(const std::vector<ScanConsumer*>& live,
+                                uint32_t workers) {
+  // Dynamic claiming: pass-end costs are very uneven (an iterSetCover
+  // guess's offline solve shrinks as k grows), so each worker takes the
+  // next unclaimed consumer instead of a fixed share. Every OnPassEnd
+  // runs exactly once, on one thread; the join orders it before
+  // anything the calling thread does next.
+  std::atomic<size_t> next{0};
+  RunOnWorkers(workers, [&](uint32_t) {
+    for (size_t c = next++; c < live.size(); c = next++) {
+      live[c]->OnPassEnd();
+    }
+  });
 }
 
 size_t PassScheduler::RunRound() {
@@ -97,10 +125,8 @@ size_t PassScheduler::RunRound() {
     stream_failed_ = true;
     return 0;
   }
-  for (Slot* slot : live_slots) {
-    ++slot->passes;
-    slot->consumer->OnPassEnd();
-  }
+  for (Slot* slot : live_slots) ++slot->passes;
+  RunPassEnds(live, workers);
   return live.size();
 }
 

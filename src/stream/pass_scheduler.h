@@ -23,13 +23,18 @@
 // walks the batch once, handing every set to each consumer it owns in
 // stream order, so results are bit-identical at every thread count and
 // consumers need no locks as long as OnSet() touches only their own
-// state. OnPassEnd() and all inter-round work run on the calling thread.
+// state. After the scan, the same workers run the live consumers'
+// OnPassEnd() — the paper's per-guess offline solves between passes —
+// each consumer claimed by exactly one worker; with one worker or one
+// live consumer it runs inline. Everything between rounds (driver
+// logic, winner selection) runs on the calling thread after the join.
 
 #ifndef STREAMCOVER_STREAM_PASS_SCHEDULER_H_
 #define STREAMCOVER_STREAM_PASS_SCHEDULER_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -51,9 +56,11 @@ class ScanConsumer {
   /// only their own state.
   virtual void OnSet(const SetView& set) = 0;
 
-  /// The current pass finished. Runs on the scheduling thread; this is
-  /// where inter-pass work (offline solves, sampling, phase advance)
-  /// belongs.
+  /// The current pass finished. This is where inter-pass work (offline
+  /// solves, sampling, phase advance) belongs. May run on a worker
+  /// thread, concurrently with other consumers' OnPassEnd: like OnSet,
+  /// it must touch only the consumer's own state (shared inputs such as
+  /// an OfflineSolver are read-only; the delta bus locks itself).
   virtual void OnPassEnd() = 0;
 
   /// True once the consumer needs no further passes. A done consumer is
@@ -66,8 +73,9 @@ class ScanConsumer {
 /// scheduler or at least its last RunRound.
 class PassScheduler {
  public:
-  /// `threads` <= 1 dispatches inline on the calling thread; larger
-  /// values fan consumers out over that many workers per batch. The
+  /// `threads` <= 1 runs everything inline on the calling thread;
+  /// larger values fan consumers out over that many workers, per batch
+  /// and again for the round's OnPassEnd calls. The
   /// KernelPolicy argument is ignored; it stays only because perfbench/
   /// still passes one — drop it in the next change to perfbench/.
   explicit PassScheduler(SetStream& stream, uint32_t threads = 1,
@@ -85,7 +93,9 @@ class PassScheduler {
   bool AnyLive() const;
 
   /// Runs one round: a single physical scan served to every live
-  /// consumer, then OnPassEnd on each (in registration order). Returns
+  /// consumer, then OnPassEnd on each, spread over min(threads, live)
+  /// workers (the calling thread included) and joined before return;
+  /// the order in which consumers' pass-ends run is unspecified. Returns
   /// the number of consumers served; 0 means either no live consumers
   /// (no scan performed) or a stream failure mid-scan — distinguish via
   /// stream_failed() / stream().error(). After a failure the scheduler
@@ -142,11 +152,13 @@ class PassScheduler {
   bool has_delta_listeners() const { return !delta_listeners_.empty(); }
 
   /// Hands a batch of newly covered elements to every registered
-  /// listener. Publishing consumers call this from OnPassEnd (or any
-  /// other scheduling-thread context) — never from OnSet, which may run
-  /// on worker threads. Each element must be published at most
-  /// once per publisher, matching the listener contract.
+  /// listener. Publishing consumers call this from OnPassEnd, never from
+  /// OnSet. Several consumers' pass ends may publish at once from
+  /// different workers; a mutex serializes them, so listeners are never
+  /// called concurrently. Each element must be published at most once
+  /// per publisher, matching the listener contract.
   void PublishCoverageDelta(std::span<const uint32_t> newly_covered) {
+    std::lock_guard<std::mutex> lock(publish_mu_);
     for (CoverageDeltaListener* listener : delta_listeners_) {
       listener->OnCoverageDelta(newly_covered);
     }
@@ -165,10 +177,16 @@ class PassScheduler {
                      const std::vector<ScanConsumer*>& live,
                      uint32_t workers);
 
+  /// Calls OnPassEnd once on each of `live` over `workers` threads (the
+  /// calling thread is worker 0), each worker claiming the next
+  /// unserved consumer.
+  void RunPassEnds(const std::vector<ScanConsumer*>& live, uint32_t workers);
+
   SetStream* stream_;
   uint32_t threads_;
   std::vector<Slot> slots_;
   std::vector<CoverageDeltaListener*> delta_listeners_;
+  std::mutex publish_mu_;  ///< serializes PublishCoverageDelta
   uint64_t physical_scans_ = 0;
   bool stream_failed_ = false;
 };

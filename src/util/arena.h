@@ -1,12 +1,13 @@
 // Bump allocation for the columnar hot path.
 //
 // U32Arena is a contiguous store of 32-bit words that only grows at the
-// tail and resets in O(1) between epochs (capacity is retained, so a
-// steady-state round performs zero heap allocations). Consumers stage a
-// run of words at the tail, then either commit it (keeping its offset)
-// or rewind; committed runs are addressed by (offset, length) because
-// the backing vector may reallocate while later runs are staged — spans
-// are materialized on read, when the buffer is stable.
+// tail. Consumers stage a run of words at the tail, then either commit
+// it (keeping its offset) or rewind; committed runs are addressed by
+// (offset, length) because the backing vector may reallocate while later
+// runs are staged — spans are materialized on read, when the buffer is
+// stable. ResetEpoch drops the content in O(1) and keeps the capacity;
+// TakeWords instead hands the whole buffer to its next owner (an offline
+// sub-instance), and the arena grows a fresh one for the next epoch.
 //
 // This is transient *representation* storage, not streaming "space":
 // algorithms keep charging their SpaceTracker in logical words exactly
@@ -19,6 +20,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "util/check.h"
@@ -62,6 +64,10 @@ class U32Arena {
   std::span<const uint32_t> TailFrom(size_t mark) const {
     return SpanAt(mark, words_.size() - mark);
   }
+
+  /// Moves the buffer out with its content and capacity; the arena is
+  /// left empty with no capacity. The epoch counter is unchanged.
+  std::vector<uint32_t> TakeWords() { return std::exchange(words_, {}); }
 
   /// O(1) epoch reset: drops all content, keeps capacity, bumps the
   /// epoch counter.

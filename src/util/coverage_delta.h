@@ -20,7 +20,10 @@ namespace streamcover {
 
 /// Receives batches of newly covered elements. A publisher must report
 /// each element at most once over the publisher's lifetime (elements
-/// are covered once); batches arrive on the scheduling thread.
+/// are covered once). Batches arrive from publishers' OnPassEnd, which
+/// PassScheduler may run on any of its workers, but one at a time: the
+/// scheduler serializes publication, so a listener needs no lock of
+/// its own.
 class CoverageDeltaListener {
  public:
   virtual ~CoverageDeltaListener() = default;

@@ -3,15 +3,21 @@
 // hand back exactly the words the epoch charged, and the epoch reset
 // CHECK-fails if the attribution was not settled first (the projection
 // words of one iteration can never silently leak into the next
-// iteration's watermark).
+// iteration's watermark). The in-place sub-instance hand-off is checked
+// against a SetSystem::Builder oracle.
 
 #include "util/arena.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/projection_store.h"
 #include "gtest/gtest.h"
+#include "setsystem/set_system.h"
 #include "stream/space_tracker.h"
+#include "util/rng.h"
 
 namespace streamcover {
 namespace {
@@ -97,6 +103,109 @@ TEST(ProjectionStoreTest, EpochReleaseResetsWatermarkAttribution) {
   store.ReleaseEpoch(tracker);
   store.ResetEpoch();
   EXPECT_EQ(tracker.peak_words(), 7u);
+}
+
+// The in-place hand-off must build exactly the sub-instance a
+// SetSystem::Builder builds from the reindexed projections: elements the
+// mask drops are gone, projections it empties are skipped, and the rest
+// keep their commit order and original set ids — across random sorted
+// projections interleaved with abandoned (heavy or empty) stages. The
+// epoch's words stay charged until ReleaseEpoch, and the next epoch
+// stages and commits on a fresh buffer.
+TEST(ProjectionStoreTest, TakeSubInstanceMatchesBuilderOracle) {
+  Rng rng(41);
+  uint64_t dropped_elements = 0;
+  uint64_t emptied_sets = 0;
+  uint64_t abandoned_stages = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const uint32_t n = 1 + static_cast<uint32_t>(rng.Uniform(150));
+    const uint64_t keep_per_mille = rng.Uniform(1001);
+    std::vector<uint32_t> reindex(n, UINT32_MAX);
+    uint32_t n_sub = 0;
+    for (uint32_t e = 0; e < n; ++e) {
+      if (rng.Uniform(1000) < keep_per_mille) reindex[e] = n_sub++;
+    }
+
+    ProjectionStore store;
+    SpaceTracker tracker;
+    SetSystem::Builder oracle(n_sub);
+    std::vector<uint32_t> oracle_ids;
+    const uint32_t stages = static_cast<uint32_t>(rng.Uniform(40));
+    for (uint32_t id = 0; id < stages; ++id) {
+      const uint64_t density = 1 + rng.Uniform(12);
+      std::vector<uint32_t> projection;
+      for (uint32_t e = 0; e < n; ++e) {
+        if (rng.Uniform(density) == 0) projection.push_back(e);
+      }
+      const size_t mark = store.StageMark();
+      for (uint32_t e : projection) store.StagePush(e);
+      if (projection.empty() || rng.Uniform(4) == 0) {
+        store.Abandon(mark);
+        ++abandoned_stages;
+        continue;
+      }
+      const uint32_t set_id = 7 * id + 3;
+      tracker.Charge(projection.size() + 1);
+      store.CommitLight(set_id, mark);
+      std::vector<uint32_t> mapped;
+      for (uint32_t e : projection) {
+        if (reindex[e] == UINT32_MAX) {
+          ++dropped_elements;
+        } else {
+          mapped.push_back(reindex[e]);
+        }
+      }
+      if (mapped.empty()) {
+        ++emptied_sets;
+        continue;
+      }
+      oracle.AddSet(mapped);
+      oracle_ids.push_back(set_id);
+    }
+
+    const uint64_t committed = store.words();
+    std::vector<uint32_t> ids;
+    const SetSystem sub = store.TakeSubInstance(reindex, n_sub, ids);
+    const SetSystem expect = std::move(oracle).Build();
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    ASSERT_EQ(sub.num_elements(), expect.num_elements());
+    ASSERT_EQ(sub.num_sets(), expect.num_sets());
+    EXPECT_EQ(sub.total_size(), expect.total_size());
+    for (uint32_t s = 0; s < sub.num_sets(); ++s) {
+      EXPECT_TRUE(std::ranges::equal(sub.GetSet(s), expect.GetSet(s)))
+          << "set " << s;
+    }
+    EXPECT_EQ(ids, oracle_ids);
+
+    // The store is empty but the words stay charged until released.
+    EXPECT_TRUE(store.refs().empty());
+    EXPECT_EQ(store.words(), committed);
+    EXPECT_EQ(tracker.current_words(), committed);
+    store.ReleaseEpoch(tracker);
+    EXPECT_EQ(store.words(), 0u);
+    EXPECT_EQ(tracker.current_words(), 0u);
+    store.ResetEpoch();
+
+    // The next epoch stages and commits normally.
+    const size_t mark = store.StageMark();
+    EXPECT_EQ(mark, 0u);
+    store.StagePush(2);
+    store.StagePush(5);
+    tracker.Charge(store.Staged(mark).size() + 1);
+    store.CommitLight(9, mark);
+    ASSERT_EQ(store.refs().size(), 1u);
+    EXPECT_EQ(store.refs()[0].set_id, 9u);
+    EXPECT_TRUE(std::ranges::equal(store.Elements(store.refs()[0]),
+                                   std::vector<uint32_t>{2, 5}));
+    EXPECT_EQ(store.words(), 3u);
+    store.ReleaseEpoch(tracker);
+    store.ResetEpoch();
+    EXPECT_EQ(tracker.current_words(), 0u);
+  }
+  // The random masks exercised every case the oracle encodes.
+  EXPECT_GT(dropped_elements, 0u);
+  EXPECT_GT(emptied_sets, 0u);
+  EXPECT_GT(abandoned_stages, 0u);
 }
 
 TEST(ProjectionStoreTest, ResetWithUnsettledWordsAborts) {

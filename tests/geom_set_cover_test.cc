@@ -10,6 +10,7 @@
 #include "geometry/geom_set_cover.h"
 #include "geometry/range_space.h"
 #include "offline/greedy.h"
+#include "util/cancel_token.h"
 
 namespace streamcover {
 namespace {
@@ -131,6 +132,30 @@ TEST(GeomSetCoverTest, DiagnosticsTrackResidualShrink) {
   for (const auto& diag : result.diagnostics) {
     EXPECT_LE(diag.uncovered_after, diag.uncovered_before);
   }
+}
+
+TEST(GeomSetCoverTest, CancelledStreamStopsDrivingPasses) {
+  // A fired token fails the first pass; neither entry point drives
+  // another pass (no CHECK on a half-matched pass 3, no later guess).
+  GeomInstance inst = MakeInstance(ShapeClass::kDisk, 9);
+  GeomSetCoverOptions options;
+  options.delta = 0.25;
+  CancelToken token;
+  token.Cancel();
+
+  ShapeStream all_guesses(&inst.shapes);
+  all_guesses.set_cancel(&token);
+  GeomStreamingResult result = AlgGeomSC(all_guesses, inst.points, options);
+  EXPECT_FALSE(result.success);
+  EXPECT_TRUE(all_guesses.cancelled());
+  EXPECT_EQ(all_guesses.passes(), 1u);
+
+  ShapeStream one_guess(&inst.shapes);
+  one_guess.set_cancel(&token);
+  result = AlgGeomSCSingleGuess(one_guess, inst.points, 8, options);
+  EXPECT_FALSE(result.success);
+  EXPECT_TRUE(one_guess.cancelled());
+  EXPECT_EQ(one_guess.passes(), 1u);
 }
 
 TEST(GeomSetCoverTest, SinglePointSingleShape) {

@@ -9,6 +9,8 @@
 #include "geometry/primitives.h"
 #include "geometry/range_space.h"
 #include "setsystem/cover.h"
+#include "stream/set_source.h"
+#include "util/cancel_token.h"
 
 namespace streamcover {
 namespace {
@@ -106,6 +108,27 @@ TEST(ShapeStreamTest, CountsPasses) {
   stream.ForEachShape([&](uint32_t, const Shape&) { ++visited; });
   EXPECT_EQ(visited, 2u);
   EXPECT_EQ(stream.passes(), 1u);
+}
+
+TEST(ShapeStreamTest, CancelPollsEveryStrideAndFailsStickily) {
+  // The token fires mid-pass; the stream notices at the next stride
+  // boundary, delivers nothing after it, and every later pass fails
+  // without delivering a shape.
+  std::vector<Shape> shapes(2 * kCancelStride + 50, Disk{{0, 0}, 1});
+  ShapeStream stream(&shapes);
+  CancelToken token;
+  stream.set_cancel(&token);
+  uint32_t visited = 0;
+  stream.ForEachShape([&](uint32_t id, const Shape&) {
+    ++visited;
+    if (id == kCancelStride + 10) token.Cancel();
+  });
+  EXPECT_EQ(visited, 2 * kCancelStride);
+  EXPECT_TRUE(stream.cancelled());
+  visited = 0;
+  stream.ForEachShape([&](uint32_t, const Shape&) { ++visited; });
+  EXPECT_EQ(visited, 0u);
+  EXPECT_EQ(stream.passes(), 2u);
 }
 
 class PlantedGeomTest

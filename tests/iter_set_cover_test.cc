@@ -11,6 +11,7 @@
 #include "offline/exact.h"
 #include "offline/greedy.h"
 #include "setsystem/generators.h"
+#include "stream/pass_scheduler.h"
 
 namespace streamcover {
 namespace {
@@ -95,15 +96,21 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 2, 3)));
 
 TEST(IterSetCoverTest, DeterministicPerSeed) {
+  // Same seed, same run — also when the guesses' pass ends (sub-instance
+  // builds and offline solves) run concurrently on 4 workers.
   PlantedInstance inst = MakeInstance(4);
   IterSetCoverOptions options;
   options.delta = 0.5;
   options.seed = 77;
-  SetStream s1(&inst.system), s2(&inst.system);
+  SetStream s1(&inst.system), s2(&inst.system), s3(&inst.system);
   StreamingResult a = IterSetCover(s1, options);
   StreamingResult b = IterSetCover(s2, options);
+  PassScheduler threaded(s3, 4);
+  StreamingResult c = IterSetCover(threaded, options);
   EXPECT_EQ(a.cover.set_ids, b.cover.set_ids);
   EXPECT_EQ(a.space_words_parallel, b.space_words_parallel);
+  EXPECT_EQ(a.cover.set_ids, c.cover.set_ids);
+  EXPECT_EQ(a.space_words_parallel, c.space_words_parallel);
 }
 
 TEST(IterSetCoverTest, DiagnosticsShowShrinkingResiduals) {

@@ -1,23 +1,30 @@
 // PassScheduler: one physical scan per round serves every live
 // consumer. Covers per-consumer pass attribution, thread-count
 // invariance (also the TSan target: >= 4 consumers fanned out over
-// workers), the determinism guarantee that the multiplexed iterSetCover
-// is byte-identical to the old sequential per-guess path (in-memory and
-// file-backed), the re-scan regression (source scans == physical scans,
-// not sequential scans), heterogeneous consumers (DIMV14 + threshold
-// sieves sharing scans), and the winner-preserving early-exit rule.
+// workers), pass-end work running concurrently on the workers (and
+// inline at one worker), the determinism guarantee that the multiplexed
+// iterSetCover is byte-identical to the old sequential per-guess path
+// (in-memory and file-backed), the re-scan regression (source scans ==
+// physical scans, not sequential scans), heterogeneous consumers
+// (DIMV14 + threshold sieves sharing scans), and the winner-preserving
+// early-exit rule.
 
 #include "stream/pass_scheduler.h"
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baselines/dimv14.h"
 #include "baselines/threshold_greedy.h"
 #include "core/iter_set_cover.h"
 #include "gtest/gtest.h"
+#include "offline/exact.h"
 #include "offline/greedy.h"
 #include "setsystem/generators.h"
 #include "setsystem/io.h"
@@ -59,16 +66,57 @@ class CountingConsumer final : public ScanConsumer {
   }
   void OnPassEnd() override {
     if (remaining_ > 0) --remaining_;
+    pass_end_thread_ = std::this_thread::get_id();
   }
   bool done() const override { return remaining_ == 0; }
 
   uint64_t sets_seen() const { return sets_seen_; }
   uint64_t digest() const { return digest_; }
+  /// The thread the latest OnPassEnd ran on.
+  std::thread::id pass_end_thread() const { return pass_end_thread_; }
 
  private:
   uint64_t remaining_;
   uint64_t sets_seen_ = 0;
   uint64_t digest_ = 0;
+  std::thread::id pass_end_thread_;
+};
+
+// Needs one pass; its OnPassEnd waits (bounded) until every consumer
+// sharing its Meeting has arrived, so a round can only finish with all
+// of them met if their pass ends run at the same time.
+class RendezvousConsumer final : public ScanConsumer {
+ public:
+  struct Meeting {
+    std::mutex mu;
+    std::condition_variable cv;
+    int expected = 0;
+    int arrived = 0;
+  };
+
+  explicit RendezvousConsumer(Meeting* meeting) : meeting_(meeting) {}
+
+  void OnSet(const SetView&) override {}
+  void OnPassEnd() override {
+    std::unique_lock<std::mutex> lock(meeting_->mu);
+    ++meeting_->arrived;
+    meeting_->cv.notify_all();
+    met_ = meeting_->cv.wait_for(lock, std::chrono::seconds(5), [this] {
+      return meeting_->arrived == meeting_->expected;
+    });
+    thread_ = std::this_thread::get_id();
+    done_ = true;
+  }
+  bool done() const override { return done_; }
+
+  bool met() const { return met_; }
+  std::thread::id thread() const { return thread_; }
+
+ private:
+  Meeting* meeting_;
+  bool met_ = false;
+  bool done_ = false;
+  std::thread::id thread_;
 };
 
 // The pre-scheduler execution: one guess at a time, every logical pass
@@ -194,6 +242,48 @@ TEST(PassSchedulerTest, ThreadedDispatchIsBitIdenticalToSerial) {
   EXPECT_EQ(run(1), run(7));
 }
 
+TEST(PassSchedulerTest, PassEndsRunConcurrentlyOnTheWorkers) {
+  // Two pass ends that wait for each other can only both meet if the
+  // scheduler runs them at the same time, on two workers. The wait is
+  // bounded: a serial pass end fails here instead of hanging.
+  PlantedInstance inst = MakePlanted(10, 40, 60, 4);
+  SetStream stream(&inst.system);
+  PassScheduler scheduler(stream, 2);
+  RendezvousConsumer::Meeting meeting;
+  meeting.expected = 2;
+  RendezvousConsumer first(&meeting), second(&meeting);
+  scheduler.Register(&first);
+  scheduler.Register(&second);
+  EXPECT_EQ(scheduler.RunRound(), 2u);
+  EXPECT_TRUE(first.met());
+  EXPECT_TRUE(second.met());
+  EXPECT_NE(first.thread(), second.thread());
+  EXPECT_FALSE(scheduler.AnyLive());
+}
+
+TEST(PassSchedulerTest, PassEndRunsInlineWithOneWorkerOrOneConsumer) {
+  // threads=1, or a single live consumer at any thread count, runs the
+  // pass end on the calling thread.
+  PlantedInstance inst = MakePlanted(11, 40, 60, 4);
+  for (uint32_t threads : {1u, 4u}) {
+    SetStream stream(&inst.system);
+    PassScheduler scheduler(stream, threads);
+    CountingConsumer solo(1);
+    scheduler.Register(&solo);
+    EXPECT_EQ(scheduler.RunRound(), 1u);
+    EXPECT_EQ(solo.pass_end_thread(), std::this_thread::get_id())
+        << "threads=" << threads;
+  }
+  SetStream stream(&inst.system);
+  PassScheduler scheduler(stream, 1);
+  CountingConsumer a(1), b(1);
+  scheduler.Register(&a);
+  scheduler.Register(&b);
+  EXPECT_EQ(scheduler.RunRound(), 2u);
+  EXPECT_EQ(a.pass_end_thread(), std::this_thread::get_id());
+  EXPECT_EQ(b.pass_end_thread(), std::this_thread::get_id());
+}
+
 TEST(PassSchedulerTest, MultiplexedIterMatchesSequentialPerGuessPath) {
   // The determinism contract of the redesign: multiplexing the >= 8
   // guesses onto shared scans produces the byte-identical winning cover
@@ -254,22 +344,54 @@ TEST(PassSchedulerTest, FileBackedMultiplexingMatchesAndParsesOncePerRound) {
 }
 
 TEST(PassSchedulerTest, ThreadedIterSetCoverIsBitIdentical) {
-  // Full iterSetCover (>= 8 guess consumers) fanned out over 4 workers:
-  // byte-identical to serial, and TSan-clean under the sanitizer job.
+  // Full iterSetCover (>= 8 guess consumers) fanned out over 4 workers,
+  // scans and pass ends alike: byte-identical to serial, and TSan-clean
+  // under the sanitizer job. Inputs: greedy and exact offline solves
+  // running concurrently, a partial cover (which reads each
+  // sub-instance after its solve), and the early-exit rule.
   PlantedInstance inst = MakePlanted(7);
-  IterSetCoverOptions options = SmallIterOptions();
+  ExactSolver exact(20000);
+  struct Variant {
+    const OfflineSolver* offline;
+    double coverage_fraction;
+    bool early_exit;
+  };
+  for (const Variant& variant : {Variant{nullptr, 1.0, false},
+                                 Variant{&exact, 1.0, false},
+                                 Variant{nullptr, 0.9, false},
+                                 Variant{nullptr, 1.0, true}}) {
+    IterSetCoverOptions options = SmallIterOptions();
+    options.offline = variant.offline;
+    options.coverage_fraction = variant.coverage_fraction;
+    options.early_exit = variant.early_exit;
+    SCOPED_TRACE(::testing::Message()
+                 << "exact=" << (variant.offline != nullptr)
+                 << " coverage=" << variant.coverage_fraction
+                 << " early_exit=" << variant.early_exit);
 
-  SetStream serial_stream(&inst.system);
-  PassScheduler serial(serial_stream, 1);
-  StreamingResult serial_result = IterSetCover(serial, options);
+    SetStream serial_stream(&inst.system);
+    PassScheduler serial(serial_stream, 1);
+    StreamingResult serial_result = IterSetCover(serial, options);
 
-  SetStream threaded_stream(&inst.system);
-  PassScheduler threaded(threaded_stream, 4);
-  StreamingResult threaded_result = IterSetCover(threaded, options);
+    SetStream threaded_stream(&inst.system);
+    PassScheduler threaded(threaded_stream, 4);
+    StreamingResult threaded_result = IterSetCover(threaded, options);
 
-  ASSERT_TRUE(serial_result.success);
-  ExpectSameOutcome(threaded_result, serial_result);
-  EXPECT_EQ(threaded_result.physical_scans, serial_result.physical_scans);
+    ASSERT_TRUE(serial_result.success);
+    ExpectSameOutcome(threaded_result, serial_result);
+    EXPECT_EQ(threaded_result.physical_scans, serial_result.physical_scans);
+    EXPECT_EQ(threaded_result.gain_updates, serial_result.gain_updates);
+    EXPECT_EQ(threaded_result.sets_touched, serial_result.sets_touched);
+    ASSERT_EQ(threaded_result.diagnostics.size(),
+              serial_result.diagnostics.size());
+    for (size_t i = 0; i < serial_result.diagnostics.size(); ++i) {
+      const IterSetCoverIterationDiag& a = threaded_result.diagnostics[i];
+      const IterSetCoverIterationDiag& b = serial_result.diagnostics[i];
+      EXPECT_EQ(a.offline_picked, b.offline_picked) << "iteration " << i;
+      EXPECT_EQ(a.projection_words, b.projection_words) << "iteration " << i;
+      EXPECT_EQ(a.uncovered_after, b.uncovered_after) << "iteration " << i;
+    }
+  }
 }
 
 TEST(PassSchedulerTest, HeterogeneousConsumersShareScans) {

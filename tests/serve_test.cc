@@ -15,10 +15,12 @@
 #include <future>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/instance.h"
 #include "core/solver_registry.h"
+#include "geometry/geom_generators.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "setsystem/binary_io.h"
@@ -82,21 +84,32 @@ TEST(CancelTokenTest, FutureDeadlineFiresAfterElapsing) {
 
 TEST(CancelTokenTest, FiredTokenUnwindsRunSolverWithDeadlineError) {
   // The integration the serve layer depends on: a pre-fired token makes
-  // any streaming solver return exactly kDeadlineExceededError.
+  // any streaming solver return exactly kDeadlineExceededError — also a
+  // geometric one, which polls it in its shape scans.
   Rng rng(11);
   PlantedOptions options;
   options.num_elements = 200;
   options.num_sets = 400;
   options.cover_size = 6;
-  Instance instance = Instance::FromPlanted(GeneratePlanted(options, rng),
-                                            {"cancel-test", "generated"});
+  Instance planted = Instance::FromPlanted(GeneratePlanted(options, rng),
+                                           {"cancel-test", "generated"});
+  GeomPlantedOptions geom_options;
+  geom_options.num_points = 300;
+  geom_options.num_shapes = 600;
+  geom_options.cover_size = 6;
+  Instance geometric =
+      Instance::FromGeometry(GeneratePlantedGeom(geom_options, rng),
+                             {"geom-cancel-test", "generated"});
   CancelToken token;
   token.Cancel();
   RunOptions run_options;
   run_options.cancel = &token;
-  RunResult result = RunSolver("iter", instance, run_options);
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.error, kDeadlineExceededError);
+  for (auto [solver, instance] : {std::pair{"iter", &planted},
+                                  std::pair{"geom", &geometric}}) {
+    RunResult result = RunSolver(solver, *instance, run_options);
+    EXPECT_FALSE(result.ok()) << solver;
+    EXPECT_EQ(result.error, kDeadlineExceededError) << solver;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -495,6 +508,28 @@ TEST(ServeTest, DeadlineDuringPipelinedDecodeIsDeadlineExceeded) {
   ASSERT_TRUE(stats.At("ok").AsBool());
   EXPECT_GE(stats.At("scan").At("pipelined_requests").AsUint64(), 1u);
   EXPECT_EQ(stats.At("scan").At("scan_threads_max").AsUint64(), 4u);
+
+  server.Shutdown();
+}
+
+TEST(ServeTest, DeadlineFiresMidGeometricSolve) {
+  // A geometric solve that runs for seconds unbounded comes back with
+  // the bare deadline code from the solver itself (not the queue), and
+  // the worker is free again for the next request.
+  ServerOptions options;
+  options.workers = 2;
+  CoverageServer server(options);
+  server.Start();
+
+  JsonValue cut = ParseResponse(Call(
+      server,
+      R"({"op":"solve","instance":"geom_disks:n=20000,m=20000",)"
+      R"("solver":"geom","deadline_ms":200})"));
+  EXPECT_FALSE(cut.At("ok").AsBool()) << cut.Dump(0);
+  EXPECT_EQ(ErrorCode(cut), kErrDeadlineExceeded);
+  EXPECT_EQ(cut.At("error").At("message").AsString(), kDeadlineExceededError);
+  EXPECT_TRUE(
+      ParseResponse(Call(server, R"({"op":"ping"})")).At("ok").AsBool());
 
   server.Shutdown();
 }
