@@ -6,9 +6,10 @@
 // (Lemma 4.2) collapses it to O(n). We print both counts and their
 // growth slopes.
 //
-// Part B (Theorem 4.6): algGeomSC on planted disk / rectangle /
-// fat-triangle instances: O(1) passes, near-linear space in n (slope ~1
-// even though m = 8n grows too), O(rho)-approximation.
+// Part B (Theorem 4.6): algGeomSC, streaming each planted disk /
+// rectangle / fat-triangle instance's range space: O(1) passes,
+// near-linear space in n (slope ~1 even though m = 8n grows too),
+// O(rho)-approximation.
 
 #include <cmath>
 #include <iostream>
@@ -21,6 +22,8 @@
 #include "geometry/geom_generators.h"
 #include "geometry/geom_set_cover.h"
 #include "geometry/range_space.h"
+#include "stream/pass_scheduler.h"
+#include "stream/set_stream.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -95,12 +98,15 @@ void PartB() {
         gen.cover_size = 10;
         gen.shape_class = cls;
         GeomInstance inst = GeneratePlantedGeom(gen, rng);
-        ShapeStream stream(&inst.shapes);
+        const GeomDataset geometry{inst.points, inst.shapes};
+        const SetSystem ranges = BuildRangeSpace(inst.points, inst.shapes);
+        SetStream stream(&ranges);
+        PassScheduler scheduler(stream);
         GeomSetCoverOptions options;
         options.delta = 0.25;
         options.sample_constant = 0.05;
         options.seed = seed;
-        GeomStreamingResult r = AlgGeomSC(stream, inst.points, options);
+        GeomStreamingResult r = AlgGeomSC(scheduler, geometry, options);
         if (!r.success) continue;
         ratio.Add(static_cast<double>(r.cover.size()) /
                   static_cast<double>(inst.planted_cover.size()));

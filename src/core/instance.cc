@@ -33,11 +33,11 @@ Instance Instance::FromGeometry(GeomInstance geom, InstanceInfo info) {
 
 void Instance::EnsureMaterialized() {
   if (system_ != nullptr || !geometry_.has_value()) return;
-  // Abstract solvers stream the range space — set i = trace of shape
-  // i — the same ground truth the geometric solver sees through the
-  // payload. Built on first demand: it can be quadratically larger
-  // than the payload (Figure 1.2), and geometric-only runs never
-  // touch it.
+  // Every solver streams the range space — set i = trace of shape i —
+  // and algGeomSC reads the payload's shapes beside it. Built once, on
+  // first demand, outside any solver's run: it can be quadratically
+  // larger than the payload (Figure 1.2), which is the repository's
+  // size, not a solver's space.
   owned_system_ = std::make_unique<SetSystem>(
       BuildRangeSpace(geometry_->points, geometry_->shapes));
   system_ = owned_system_.get();

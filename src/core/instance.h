@@ -5,9 +5,9 @@
 // everything a run needs about its input:
 //
 //   * a scannable repository of sets (in-memory CSR or an on-disk file
-//     re-parsed per pass),
+//     re-parsed per pass; for a geometric instance, its range space),
 //   * the optional geometric payload (points + shapes) that kGeometric
-//     solvers need and the abstract SetStream cannot carry,
+//     solvers read alongside the stream, which carries no coordinates,
 //   * metadata: name, n, m, provenance, and a planted cover when the
 //     generator knows one (the denominator of measured approximation
 //     ratios).
@@ -57,11 +57,11 @@ class Instance {
   /// Owns the generated system and remembers the planted cover.
   static Instance FromPlanted(PlantedInstance planted, InstanceInfo info);
 
-  /// Owns the geometric instance. The abstract view (for kStreaming /
-  /// kOffline solvers) is the range space — set i = trace of shape i —
-  /// materialized lazily on first abstract use, so geometric-only runs
-  /// never pay for it (on the Figure 1.2 family it is a Theta(n^2)-set
-  /// object the geometric algorithm exists to avoid).
+  /// Owns the geometric instance. Its repository, which every solver
+  /// streams (algGeomSC too), is the range space — set i = trace of
+  /// shape i — built once on first NewStream/Prepare/verification,
+  /// outside any run. algGeomSC never stores it (its SpaceTracker shows
+  /// O~(n) words); store-all solvers buffer it (Theta(n^2) on Fig. 1.2).
   static Instance FromGeometry(GeomInstance geom, InstanceInfo info);
 
   /// File-backed: the repository stays on disk (the model's read-only
@@ -104,14 +104,14 @@ class Instance {
 
   /// The in-memory system backing this instance, or nullptr when the
   /// repository is file-backed or a geometric payload whose range space
-  /// has not been needed yet. Used by verifiers; solvers must go
+  /// has not been built yet. Used by verifiers; solvers must go
   /// through NewStream().
   const SetSystem* materialized() const { return system_; }
 
   /// A fresh stream over the repository with its own pass counter.
   /// This is how every trial of a sweep gets independent pass
   /// accounting — never reset or share a stream across trials.
-  /// For geometric instances this materializes the range space.
+  /// For geometric instances this builds the range space on first use.
   SetStream NewStream();
 
   /// A fresh stream that is also safe to scan concurrently with other
@@ -146,8 +146,8 @@ class Instance {
  private:
   Instance() = default;
 
-  /// Builds the range space of a geometric payload on first abstract
-  /// use (no-op otherwise).
+  /// Builds the range space of a geometric payload on first use (no-op
+  /// otherwise): the repository every solver streams.
   void EnsureMaterialized();
 
   InstanceInfo info_;

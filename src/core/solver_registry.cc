@@ -11,7 +11,6 @@
 #include "core/instance.h"
 #include "core/iter_set_cover.h"
 #include "geometry/geom_set_cover.h"
-#include "geometry/range_space.h"
 #include "offline/exact.h"
 #include "offline/greedy.h"
 #include "shard/sharded_greedi.h"
@@ -138,8 +137,6 @@ RunResult RunGeometric(RunContext& ctx) {
         "the abstract stream carries no coordinates";
     return result;
   }
-  ShapeStream shapes(&ctx.geometry->shapes);
-  shapes.set_cancel(ctx.options.cancel);
   GeomSetCoverOptions opts;
   opts.delta = ctx.options.delta;
   opts.sample_constant = ctx.options.sample_constant;
@@ -147,21 +144,14 @@ RunResult RunGeometric(RunContext& ctx) {
   opts.seed = ctx.options.seed;
   GeomStreamingResult r =
       ctx.options.iter_guess > 0
-          ? AlgGeomSCSingleGuess(shapes, ctx.geometry->points,
+          ? AlgGeomSCSingleGuess(ctx.scheduler, *ctx.geometry,
                                  ctx.options.iter_guess, opts)
-          : AlgGeomSC(shapes, ctx.geometry->points, opts);
-  if (shapes.cancelled()) {
-    result.error = kDeadlineExceededError;
-    return result;
-  }
+          : AlgGeomSC(ctx.scheduler, *ctx.geometry, opts);
   result.cover = std::move(r.cover);
   result.success = r.success;
   result.passes = r.passes;
   result.sequential_scans = r.sequential_scans;
-  // algGeomSC's guesses still scan the shape stream sequentially; its
-  // repository is the payload, not the SetSource, so the shared-scan
-  // collapse does not apply here yet.
-  result.physical_scans = r.sequential_scans;
+  result.physical_scans = r.physical_scans;
   result.space_words = r.space_words_max_guess;
   return result;
 }
@@ -292,12 +282,6 @@ RunResult DispatchSolver(
     const RunOptions& options,
     const std::function<std::optional<SetStream>(std::string*)>&
         make_stream) {
-  // Shared by the paths that must not touch the instance's repository:
-  // unknown names (diagnose without side effects) and geometric runs
-  // (they read only the payload — never materialize the possibly
-  // quadratic range space for them).
-  static const SetSystem* const kEmptySystem = new SetSystem();
-
   const SolverRegistry::Entry* entry = SolverRegistry::Global().Find(name);
   if (entry == nullptr) {
     RunResult result;
@@ -316,24 +300,12 @@ RunResult DispatchSolver(
                    std::to_string(options.coverage_fraction);
     return result;
   }
-  if (entry->kind == SolverRegistry::Kind::kGeometric) {
-    if (!instance.has_geometry()) {
-      RunResult result;
-      result.error = "solver '" + entry->name +
-                     "' is geometric but instance '" + instance.name() +
-                     "' carries no points/shapes payload";
-      return result;
-    }
-    WallTimer timer;
-    SetStream stream(kEmptySystem);
-    PassScheduler scheduler(stream, options.threads);
-    RunContext ctx{stream, scheduler, instance.geometry(), options};
-    RunResult result = entry->run(ctx);
-    if (result.ok()) {
-      result.solver = entry->name;
-      result.instance = instance.name();
-    }
-    result.duration_ms = timer.ElapsedMillis();
+  if (entry->kind == SolverRegistry::Kind::kGeometric &&
+      !instance.has_geometry()) {
+    RunResult result;
+    result.error = "solver '" + entry->name +
+                   "' is geometric but instance '" + instance.name() +
+                   "' carries no points/shapes payload";
     return result;
   }
   std::string stream_error;
@@ -348,7 +320,7 @@ RunResult DispatchSolver(
   stream->set_cancel(options.cancel);
   stream->set_scan_threads(options.scan_threads);
   PassScheduler scheduler(*stream, options.threads);
-  RunContext ctx{*stream, scheduler, nullptr, options};
+  RunContext ctx{*stream, scheduler, instance.geometry(), options};
   RunResult result = entry->run(ctx);
   // A repository failure mid-run (file truncated or corrupted under the
   // solver) leaves the stream with a sticky error; whatever partial

@@ -10,9 +10,10 @@
 // touch individual solver call signatures.
 //
 // Runners receive a RunContext: the pass-counted stream, a PassScheduler
-// over it (pre-sized with RunOptions::threads), and — for geometric
-// solvers — the instance's points/shapes payload. Multi-branch solvers
-// (iterSetCover's guesses, DIMV14, the threshold sieve) register
+// over it (pre-sized with RunOptions::threads), and the instance's
+// points/shapes payload, if any, whose range space the stream carries.
+// Multi-branch solvers (the guesses of iterSetCover and algGeomSC,
+// DIMV14, the threshold sieve) register
 // ScanConsumers with the scheduler so one physical scan serves every
 // branch; single-branch solvers may drive the stream directly.
 //
@@ -67,7 +68,7 @@ struct RunOptions {
   uint64_t iter_guess = 0;
   /// Worker threads the shared-scan PassScheduler splits the live
   /// consumers over, per batch and again for their pass-end work (each
-  /// iterSetCover guess's offline solve); <= 1 runs everything inline.
+  /// guess's offline solve); <= 1 runs everything inline.
   /// Every worker walks each batch in stream order and each consumer's
   /// pass end touches only its own state, so results are bit-identical
   /// at every thread count.
@@ -101,8 +102,7 @@ struct RunOptions {
   /// every scan of the run's stream polls it at batch granularity and a
   /// fired token unwinds the run through the stream-failure contract,
   /// surfacing RunResult.error == kDeadlineExceededError. Must outlive
-  /// the run. nullptr (default) = uncancellable. Geometric solvers poll
-  /// it in their shape scans, every kCancelStride shapes.
+  /// the run. nullptr (default) = uncancellable.
   const CancelToken* cancel = nullptr;
 };
 
@@ -114,7 +114,8 @@ struct RunContext {
   /// Shared-scan executor over `stream`, pre-sized with
   /// RunOptions::threads. stream.passes() counts its physical scans.
   PassScheduler& scheduler;
-  /// Points/shapes payload for kGeometric solvers; nullptr otherwise.
+  /// Points/shapes payload whose range space `stream` carries (read by
+  /// kGeometric solvers); nullptr for abstract instances.
   const GeomDataset* geometry = nullptr;
   const RunOptions& options;
 };
@@ -195,7 +196,7 @@ class SolverRegistry {
   enum class Kind {
     kStreaming,  ///< reads F only through scheduler/stream passes
     kOffline,    ///< buffers the stream, then solves in memory
-    kGeometric,  ///< needs RunContext::geometry; ignores the stream
+    kGeometric,  ///< streams the range space, reading RunContext::geometry
   };
 
   using Runner = std::function<RunResult(RunContext&)>;
@@ -234,7 +235,8 @@ class SolverRegistry {
 
 /// Canonical (and only) entry point: dispatches to `name` on `instance`,
 /// which supplies the stream, a fresh per-run pass counter and
-/// scheduler, and — for geometric solvers — the points/shapes payload.
+/// scheduler, and the points/shapes payload if any (whose range space
+/// the first stream builds, outside the run's duration_ms).
 /// Unknown names and geometric solvers on instances without geometry
 /// come back with ok() == false and a diagnostic in `error`.
 RunResult RunSolver(std::string_view name, Instance& instance,
@@ -244,9 +246,9 @@ RunResult RunSolver(std::string_view name, Instance& instance,
 /// but the stream comes from Instance::NewConcurrentStream — an
 /// independent forked scanner over the shared immutable repository — so
 /// any number of RunSolverShared calls may execute simultaneously
-/// against one Instance. The instance must be Prepare()d (RunSolver and
-/// NewStream do this implicitly; a cache does it at load). Never
-/// mutates the instance.
+/// against one Instance. The instance must be Prepare()d, for geom too
+/// (RunSolver and NewStream do this implicitly; a cache does it at
+/// load), or ok() is false. Never mutates the instance.
 RunResult RunSolverShared(std::string_view name, const Instance& instance,
                           const RunOptions& options = {});
 

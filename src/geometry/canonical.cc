@@ -27,17 +27,14 @@ std::pair<uint32_t, bool> TraceStore::Insert(
   while (true) {
     auto it = by_hash_.find(h);
     if (it == by_hash_.end()) break;
-    if (it->second == trace) {
-      // Already stored; id recovery requires a second map in general,
-      // but callers only need "was it new": return a sentinel id.
-      return {UINT32_MAX, false};
-    }
+    if (traces_[it->second] == trace) return {it->second, false};
     ++h;  // collision: different trace, same key — probe next slot
   }
-  by_hash_.emplace(h, trace);
+  const auto id = static_cast<uint32_t>(traces_.size());
+  by_hash_.emplace(h, id);
   traces_.push_back(trace);
   total_words_ += trace.size();
-  return {static_cast<uint32_t>(traces_.size()) - 1, true};
+  return {id, true};
 }
 
 const std::vector<uint32_t>& TraceStore::Get(uint32_t id) const {
@@ -67,7 +64,6 @@ std::vector<std::vector<uint32_t>> RectSplitter::Decompose(
   // Rank interval [lo, hi) of points with x in [x_min, x_max]. Points
   // with equal x are contiguous in rank order, so the interval captures
   // exactly the x-eligible points.
-  auto x_of = [&](uint32_t rank) { return pts[by_rank_[rank]].x; };
   uint32_t lo = static_cast<uint32_t>(
       std::lower_bound(by_rank_.begin(), by_rank_.end(), rect.x_min,
                        [&](uint32_t id, double x) { return pts[id].x < x; }) -
@@ -76,7 +72,6 @@ std::vector<std::vector<uint32_t>> RectSplitter::Decompose(
       std::upper_bound(by_rank_.begin(), by_rank_.end(), rect.x_max,
                        [&](double x, uint32_t id) { return x < pts[id].x; }) -
       by_rank_.begin());
-  (void)x_of;
   if (lo >= hi) return {};
 
   auto collect = [&](uint32_t rank_lo, uint32_t rank_hi) {
@@ -115,33 +110,25 @@ std::vector<std::vector<uint32_t>> RectSplitter::Decompose(
   return {std::move(only)};
 }
 
-CanonicalRep CompCanonicalRep(ShapeStream& stream,
-                              const std::vector<Point>& sample_points,
-                              double w) {
-  RectSplitter splitter(sample_points);
-  TraceStore store;
-  CanonicalRep rep;
-  stream.ForEachShape([&](uint32_t /*id*/, const Shape& shape) {
-    std::vector<uint32_t> trace = TraceOf(shape, sample_points);
-    if (trace.empty()) return;
-    if (static_cast<double>(trace.size()) > w) {
-      // Lemma 4.5 says this happens with probability O(m^-c); store the
-      // whole trace so coverage is never lost, and count the event.
-      ++rep.oversize_ranges;
-      store.Insert(trace);
-      return;
+CanonicalRepBuilder::CanonicalRepBuilder(
+    const std::vector<Point>& sample_points, double w)
+    : splitter_(sample_points), w_(w) {}
+
+void CanonicalRepBuilder::Add(const Shape& shape,
+                              const std::vector<uint32_t>& trace_on_sample) {
+  if (trace_on_sample.empty()) return;
+  if (static_cast<double>(trace_on_sample.size()) > w_) {
+    ++oversize_ranges_;
+    store_.Insert(trace_on_sample);
+    return;
+  }
+  if (const Rect* rect = std::get_if<Rect>(&shape)) {
+    for (const auto& piece : splitter_.Decompose(*rect)) {
+      store_.Insert(piece);
     }
-    if (const Rect* rect = std::get_if<Rect>(&shape)) {
-      for (auto& piece : splitter.Decompose(*rect)) {
-        store.Insert(piece);
-      }
-    } else {
-      store.Insert(trace);
-    }
-  });
-  rep.sets = store.traces();
-  rep.stored_words = store.total_words();
-  return rep;
+  } else {
+    store_.Insert(trace_on_sample);
+  }
 }
 
 }  // namespace streamcover

@@ -19,18 +19,22 @@
 //
 // * Fat triangles: the paper invokes EHR12 Theorem 5.6 (nine canonical
 //   pieces, O(n w^3 log^2 n)). We substitute distinct-trace dedup (the
-//   disk recipe) and *measure* the realized family size in the bench
-//   instead of assuming it; see DESIGN.md's substitution table.
+//   disk recipe) and *measure* the realized family size
+//   (GeomIterationDiag::canonical_sets) instead of assuming it.
+//
+// `CanonicalRepBuilder` applies these rules one range at a time: the
+// body of compCanonicalRep (Figure 4.1), fed by algGeomSC's pass.
 
 #ifndef STREAMCOVER_GEOMETRY_CANONICAL_H_
 #define STREAMCOVER_GEOMETRY_CANONICAL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "geometry/primitives.h"
-#include "geometry/range_space.h"
 
 namespace streamcover {
 
@@ -38,7 +42,7 @@ namespace streamcover {
 class TraceStore {
  public:
   /// Inserts `trace` (must be sorted ascending) if unseen.
-  /// Returns {id, inserted}.
+  /// Returns {id, inserted}: the id of the stored copy either way.
   std::pair<uint32_t, bool> Insert(const std::vector<uint32_t>& trace);
 
   const std::vector<uint32_t>& Get(uint32_t id) const;
@@ -54,7 +58,8 @@ class TraceStore {
 
  private:
   std::vector<std::vector<uint32_t>> traces_;
-  std::unordered_map<uint64_t, std::vector<uint32_t>> by_hash_;
+  /// Probed hash key -> index into traces_.
+  std::unordered_map<uint64_t, uint32_t> by_hash_;
   uint64_t total_words_ = 0;
 };
 
@@ -75,25 +80,30 @@ class RectSplitter {
   std::vector<uint32_t> by_rank_;  // ids sorted by (x, y, id)
 };
 
-/// The canonical representation of the light ranges of a shape stream,
-/// projected on a sample point set — compCanonicalRep in Figure 4.1.
-struct CanonicalRep {
-  /// Deduplicated canonical traces, as indices into the sample.
-  std::vector<std::vector<uint32_t>> sets;
-  /// Stored words (sum of trace sizes) — the space the algorithm pays.
-  uint64_t stored_words = 0;
-  /// Ranges whose trace exceeded the lightness threshold `w` and were
-  /// stored wholesale (whp zero, see Lemma 4.5).
-  uint64_t oversize_ranges = 0;
-};
+/// The canonical representation of the light ranges on a sample point
+/// set (compCanonicalRep in Figure 4.1), built one range at a time.
+class CanonicalRepBuilder {
+ public:
+  /// `sample_points` must outlive the builder; `w` is the lightness
+  /// bound (traces with more than w points are oversize).
+  CanonicalRepBuilder(const std::vector<Point>& sample_points, double w);
 
-/// One pass over `stream`: for every shape, computes its trace on
-/// `sample_points`; traces of size in [1, w] are canonicalized
-/// (rect split pieces / distinct-trace dedup) and stored. Larger traces
-/// are stored wholesale and counted in `oversize_ranges`.
-CanonicalRep CompCanonicalRep(ShapeStream& stream,
-                              const std::vector<Point>& sample_points,
-                              double w);
+  /// Adds one range given its trace on the sample, TraceOf(shape,
+  /// sample_points). Empty traces are skipped; light ones canonicalized
+  /// (rect split pieces / distinct-trace dedup); oversize ones — whp
+  /// none, Lemma 4.5 — stored wholesale, so coverage is never lost.
+  void Add(const Shape& shape, const std::vector<uint32_t>& trace_on_sample);
+
+  /// Deduplicated canonical traces, as indices into the sample.
+  const TraceStore& store() const { return store_; }
+  uint64_t oversize_ranges() const { return oversize_ranges_; }
+
+ private:
+  RectSplitter splitter_;
+  TraceStore store_;
+  double w_;
+  uint64_t oversize_ranges_ = 0;
+};
 
 }  // namespace streamcover
 

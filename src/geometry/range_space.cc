@@ -1,7 +1,5 @@
 #include "geometry/range_space.h"
 
-#include "util/check.h"
-
 namespace streamcover {
 
 SetSystem BuildRangeSpace(const std::vector<Point>& points,
@@ -11,11 +9,6 @@ SetSystem BuildRangeSpace(const std::vector<Point>& points,
     builder.AddSet(TraceOf(shape, points));
   }
   return std::move(builder).Build();
-}
-
-ShapeStream::ShapeStream(const std::vector<Shape>* shapes)
-    : shapes_(shapes) {
-  SC_CHECK(shapes != nullptr);
 }
 
 }  // namespace streamcover

@@ -6,9 +6,9 @@
 // tarantool's box_timeout does: the owner arms a wall-clock deadline (or
 // fires Cancel() by hand during drain), and the solver's scan path polls
 // cancelled() at batch granularity — once per batch in every
-// SetSource::ScanBatches (stream/set_source.h), every few hundred
-// sets inside the binary decoder, and every few hundred shapes in the
-// geometric solver's ShapeStream — and unwinds through the
+// SetSource::ScanBatches (stream/set_source.h), which every solver
+// scans, the geometric one included, and every few hundred sets inside
+// the binary decoder — and unwinds through the
 // existing stream-failure contract with the sticky error
 // `kDeadlineExceededError`. Nothing is ever killed mid-write, so a
 // cancelled run leaves shared instances untouched and the worker thread

@@ -1,7 +1,7 @@
 // Tests for the canonical representation machinery (Definition 4.1,
 // Lemmas 4.2/4.4): TraceStore dedup, RectSplitter's exact-partition
 // property, the near-linear canonical family on the Figure 1.2
-// pathology, and CompCanonicalRep.
+// pathology, and compCanonicalRep's per-range CanonicalRepBuilder.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +20,7 @@ TEST(TraceStoreTest, DeduplicatesExactTraces) {
   EXPECT_TRUE(fresh1);
   auto [id2, fresh2] = store.Insert({1, 2, 3});
   EXPECT_FALSE(fresh2);
+  EXPECT_EQ(id2, id1);  // a repeat answers with the stored copy's id
   auto [id3, fresh3] = store.Insert({1, 2});
   EXPECT_TRUE(fresh3);
   EXPECT_EQ(store.size(), 2u);
@@ -122,6 +123,16 @@ TEST(Figure12CanonicalTest, QuadraticTracesCollapseToLinearFamily) {
   EXPECT_LE(store.size(), 2u * n);
 }
 
+// compCanonicalRep over a whole shape family: every range fed to the
+// builder as its trace on the sample, as algGeomSC's canonical pass
+// does one streamed range at a time.
+CanonicalRepBuilder BuildRep(const std::vector<Shape>& shapes,
+                             const std::vector<Point>& sample, double w) {
+  CanonicalRepBuilder builder(sample, w);
+  for (const Shape& shape : shapes) builder.Add(shape, TraceOf(shape, sample));
+  return builder;
+}
+
 TEST(CompCanonicalRepTest, CoversLightTracesOfAllShapeClasses) {
   Rng rng(7);
   GeomPlantedOptions options;
@@ -131,27 +142,24 @@ TEST(CompCanonicalRepTest, CoversLightTracesOfAllShapeClasses) {
   options.shape_class = ShapeClass::kDisk;
   GeomInstance inst = GeneratePlantedGeom(options, rng);
 
-  ShapeStream stream(&inst.shapes);
-  CanonicalRep rep = CompCanonicalRep(stream, inst.points, /*w=*/1e9);
-  EXPECT_EQ(stream.passes(), 1u);
-  EXPECT_EQ(rep.oversize_ranges, 0u);
+  CanonicalRepBuilder rep = BuildRep(inst.shapes, inst.points, /*w=*/1e9);
+  EXPECT_EQ(rep.oversize_ranges(), 0u);
   // Every nonempty trace appears exactly once (dedup).
   std::set<std::vector<uint32_t>> distinct;
   for (const Shape& s : inst.shapes) {
     auto t = TraceOf(s, inst.points);
     if (!t.empty()) distinct.insert(t);
   }
-  EXPECT_EQ(rep.sets.size(), distinct.size());
+  EXPECT_EQ(rep.store().size(), distinct.size());
 }
 
 TEST(CompCanonicalRepTest, OversizeRangesCountedAndKept) {
   std::vector<Point> points = {{0, 0}, {1, 0}, {2, 0}, {3, 0}};
   std::vector<Shape> shapes = {Disk{{1.5, 0}, 10}};  // covers all 4
-  ShapeStream stream(&shapes);
-  CanonicalRep rep = CompCanonicalRep(stream, points, /*w=*/2.0);
-  EXPECT_EQ(rep.oversize_ranges, 1u);
-  ASSERT_EQ(rep.sets.size(), 1u);
-  EXPECT_EQ(rep.sets[0].size(), 4u);  // stored wholesale
+  CanonicalRepBuilder rep = BuildRep(shapes, points, /*w=*/2.0);
+  EXPECT_EQ(rep.oversize_ranges(), 1u);
+  ASSERT_EQ(rep.store().size(), 1u);
+  EXPECT_EQ(rep.store().Get(0).size(), 4u);  // stored wholesale
 }
 
 TEST(CompCanonicalRepTest, RectPiecesUnionToTraces) {
@@ -165,11 +173,10 @@ TEST(CompCanonicalRepTest, RectPiecesUnionToTraces) {
     double x = rng.UniformDouble() * 45, y = rng.UniformDouble() * 45;
     shapes.push_back(Rect{x, y, x + 5, y + 5});
   }
-  ShapeStream stream(&shapes);
-  CanonicalRep rep = CompCanonicalRep(stream, points, /*w=*/1e9);
+  CanonicalRepBuilder rep = BuildRep(shapes, points, /*w=*/1e9);
   // Each shape's trace must be expressible as a union of canonical sets.
-  std::set<std::vector<uint32_t>> canonical(rep.sets.begin(),
-                                            rep.sets.end());
+  const auto& traces = rep.store().traces();
+  std::set<std::vector<uint32_t>> canonical(traces.begin(), traces.end());
   RectSplitter splitter(points);
   for (const Shape& s : shapes) {
     const Rect& rect = std::get<Rect>(s);

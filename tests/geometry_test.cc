@@ -1,5 +1,5 @@
-// Tests for geometric primitives, traces, range-space bridging, the
-// shape stream, and the geometric generators.
+// Tests for geometric primitives, traces, range-space bridging, and the
+// geometric generators.
 
 #include <gtest/gtest.h>
 
@@ -9,8 +9,6 @@
 #include "geometry/primitives.h"
 #include "geometry/range_space.h"
 #include "setsystem/cover.h"
-#include "stream/set_source.h"
-#include "util/cancel_token.h"
 
 namespace streamcover {
 namespace {
@@ -98,37 +96,6 @@ TEST(RangeSpaceTest, MatchesBruteForceTraces) {
     EXPECT_EQ(std::vector<uint32_t>(set.begin(), set.end()),
               TraceOf(inst.shapes[s], inst.points));
   }
-}
-
-TEST(ShapeStreamTest, CountsPasses) {
-  std::vector<Shape> shapes = {Disk{{0, 0}, 1}, Rect{0, 0, 1, 1}};
-  ShapeStream stream(&shapes);
-  EXPECT_EQ(stream.num_shapes(), 2u);
-  uint32_t visited = 0;
-  stream.ForEachShape([&](uint32_t, const Shape&) { ++visited; });
-  EXPECT_EQ(visited, 2u);
-  EXPECT_EQ(stream.passes(), 1u);
-}
-
-TEST(ShapeStreamTest, CancelPollsEveryStrideAndFailsStickily) {
-  // The token fires mid-pass; the stream notices at the next stride
-  // boundary, delivers nothing after it, and every later pass fails
-  // without delivering a shape.
-  std::vector<Shape> shapes(2 * kCancelStride + 50, Disk{{0, 0}, 1});
-  ShapeStream stream(&shapes);
-  CancelToken token;
-  stream.set_cancel(&token);
-  uint32_t visited = 0;
-  stream.ForEachShape([&](uint32_t id, const Shape&) {
-    ++visited;
-    if (id == kCancelStride + 10) token.Cancel();
-  });
-  EXPECT_EQ(visited, 2 * kCancelStride);
-  EXPECT_TRUE(stream.cancelled());
-  visited = 0;
-  stream.ForEachShape([&](uint32_t, const Shape&) { ++visited; });
-  EXPECT_EQ(visited, 0u);
-  EXPECT_EQ(stream.passes(), 2u);
 }
 
 class PlantedGeomTest

@@ -10,8 +10,9 @@
 //    success, peak space, and the per-iteration projection-word
 //    watermarks Lemma 2.2 charges;
 //  * thread-count invariance through the registry: `iter` on planted,
-//    zipf, and file-backed workloads at --threads 1 and 4 must agree on
-//    covers, space_words, and projection_words_peak exactly;
+//    zipf, and file-backed workloads, and `geom` on the four geometric
+//    workloads, at --threads 1 and 4 must agree on covers, space_words,
+//    and projection_words_peak exactly;
 //  * kernel-policy invariance: every registered non-geometric solver
 //    run with --kernel scalar, word, and auto (auto adds runtime SIMD
 //    dispatch for the dense kernels) must agree on covers, passes,
@@ -289,6 +290,24 @@ TEST(HotpathParityTest, ThreadedRegistryRunsAreByteIdentical) {
     SCOPED_TRACE(family);
     ExpectRunParity(a, b);
     EXPECT_GT(a.projection_words_peak, 0u);
+  }
+  // algGeomSC's guesses ride the same scheduler over the range space:
+  // one physical scan per pass at every thread count.
+  for (const char* family :
+       {"geom_disks", "geom_rects", "geom_triangles", "figure12"}) {
+    Instance instance = MakeRegistered(family, 3);
+    RunOptions serial;
+    serial.sample_constant = 0.05;
+    serial.delta = 0.25;
+    RunOptions threaded = serial;
+    threaded.threads = 4;
+    RunResult a = RunSolver("geom", instance, serial);
+    RunResult b = RunSolver("geom", instance, threaded);
+    SCOPED_TRACE(family);
+    ExpectRunParity(a, b);
+    EXPECT_TRUE(a.success);
+    EXPECT_EQ(a.physical_scans, a.passes);
+    EXPECT_EQ(b.physical_scans, b.passes);
   }
 }
 

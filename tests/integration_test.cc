@@ -108,11 +108,15 @@ TEST(IntegrationTest, GeometricPipelineMatchesAbstractPipeline) {
   GeomInstance inst = GeneratePlantedGeom(geo, rng);
   SetSystem abstract = BuildRangeSpace(inst.points, inst.shapes);
 
-  ShapeStream geom_stream(&inst.shapes);
+  // algGeomSC streams that same range space, reading the shapes beside
+  // it.
+  const GeomDataset geometry{inst.points, inst.shapes};
+  SetStream geom_stream(&abstract);
+  PassScheduler geom_scheduler(geom_stream);
   GeomSetCoverOptions geom_algo;
   geom_algo.delta = 0.25;
   GeomStreamingResult geom_result =
-      AlgGeomSC(geom_stream, inst.points, geom_algo);
+      AlgGeomSC(geom_scheduler, geometry, geom_algo);
   ASSERT_TRUE(geom_result.success);
   EXPECT_TRUE(IsFullCover(abstract, geom_result.cover));
 

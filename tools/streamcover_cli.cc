@@ -52,8 +52,11 @@
 //   generate-geom --type disk|rect|tri|figure12 --n N --m M --k K
 //            [--seed SEED] --out FILE
 //       Writes a geometric instance (geometry/geom_io.h format).
-//   solve-geom --in FILE [--delta D] [--seed SEED]
-//       Runs algGeomSC (Theorem 4.6) on a geometric instance file.
+//   solve-geom --in FILE [--delta D] [--c C] [--seed SEED]
+//       Runs algGeomSC (Theorem 4.6) on a geometric instance file, over
+//       its range space; --c is the sample-size constant (default
+//       0.05). `solve --workload geom_disks --algo geom` runs the same
+//       solver on a generated instance and also takes --threads.
 //   selftest
 //       Exercises generate -> stats -> solve -> sweep (abstract and
 //       geometric) in a temp dir (used by ctest).
@@ -202,7 +205,8 @@ int Usage() {
       "[--kernel scalar|word|auto] [--early-exit] [--json FILE]\n"
       "  streamcover_cli generate-geom --type disk|rect|tri|figure12 "
       "--n N --m M --k K [--seed SEED] --out FILE\n"
-      "  streamcover_cli solve-geom --in FILE [--delta D] [--seed SEED]\n"
+      "  streamcover_cli solve-geom --in FILE [--delta D] [--c C] "
+      "[--seed SEED]\n"
       "  streamcover_cli selftest\n");
   return 1;
 }
