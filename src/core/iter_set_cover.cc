@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "core/projection_store.h"
 #include "offline/greedy.h"
@@ -26,14 +28,20 @@ namespace {
 // results. That includes the pass-end work the scheduler runs on its
 // workers: the offline solve reads only the guess's own sub-instance,
 // built in place from its projection arena (no copy, no hash map).
+//
+// A guess may also lead a class of guesses that provably run identical
+// passes (see the header): its followers hold no scheduler slot, and it
+// writes its cross-pass state into them from its own pass ends, so the
+// only consumer touching a follower during a round is its leader.
 class GuessConsumer final : public ScanConsumer {
  public:
-  GuessConsumer(uint64_t k, uint32_t n, uint32_t m,
+  GuessConsumer(uint64_t k, uint32_t n, uint32_t m, uint32_t max_set_size,
                 const IterSetCoverOptions& options,
                 const OfflineSolver& offline)
       : k_(k),
         n_(n),
         m_(m),
+        max_set_size_(max_set_size),
         options_(&options),
         offline_(&offline),
         kernel_(options.kernel),
@@ -57,6 +65,9 @@ class GuessConsumer final : public ScanConsumer {
     }
     Advance();
   }
+  // Leaders and followers hold each other's addresses.
+  GuessConsumer(const GuessConsumer&) = delete;
+  GuessConsumer& operator=(const GuessConsumer&) = delete;
 
   void OnSet(const SetView& set) override {
     switch (phase_) {
@@ -102,6 +113,7 @@ class GuessConsumer final : public ScanConsumer {
   }
 
   void OnPassEnd() override {
+    ++passes_;
     switch (phase_) {
       case Phase::kPass1:
         FinishPass1();
@@ -128,10 +140,35 @@ class GuessConsumer final : public ScanConsumer {
   /// Monotone non-decreasing, so it lower-bounds the final cover size.
   uint64_t distinct_picks() const { return distinct_picks_; }
   uint64_t peak_words() const { return tracker_.peak_words(); }
+  /// Logical passes this guess consumed: its own OnPassEnd calls, or its
+  /// leader's while it followed.
+  uint64_t passes() const { return passes_; }
+
+  /// True iff the current iteration is collapsible (see the header):
+  /// the sample is the whole residual and no set can be heavy.
+  bool collapsible() const { return collapsible_; }
+  /// True while the guess rides a leader's passes and holds no slot.
+  bool following() const { return leader_ != nullptr; }
+
+  /// Makes `follower` — same state, collapsible, larger k — ride this
+  /// guess's passes.
+  void Lead(GuessConsumer* follower) {
+    follower->leader_ = this;
+    followers_.push_back(follower);
+  }
 
   /// Retires the guess: it provably cannot beat the current winner, so
-  /// its partial cover is abandoned (peak space already stands).
+  /// its partial cover is abandoned (peak space already stands). A
+  /// follower detaches from its leader; a leader takes its followers
+  /// down too — they hold its distinct picks with a larger k, so the
+  /// retire rule would kill each of them anyway.
   void Kill() {
+    if (leader_ != nullptr) std::erase(leader_->followers_, this);
+    leader_ = nullptr;
+    for (GuessConsumer* follower : std::exchange(followers_, {})) {
+      follower->leader_ = nullptr;
+      follower->Kill();
+    }
     killed_ = true;
     success_ = false;
     phase_ = Phase::kDone;
@@ -166,8 +203,9 @@ class GuessConsumer final : public ScanConsumer {
 
   // Inter-pass work at the top of an iteration: termination checks,
   // sampling, Size-Test threshold. Leaves the consumer waiting for a
-  // pass (or done).
+  // pass (or done), and decides whether the iteration is collapsible.
   void Advance() {
+    collapsible_ = false;
     uncovered_count_ = uncovered_.Count();
     if (uncovered_count_ <= allowed_uncovered_ || iter_ >= iterations_) {
       Finalize();
@@ -201,6 +239,8 @@ class GuessConsumer final : public ScanConsumer {
     threshold_ = options_->size_test_multiplier *
                  static_cast<double>(sample_.size()) /
                  static_cast<double>(k_);
+    collapsible_ = sample_size >= uncovered_count_ &&
+                   threshold_ > static_cast<double>(max_set_size_);
     heavy_picks_.clear();
     // Epoch reset: the previous iteration's projections died with their
     // ReleaseEpoch in FinishPass1, so the store drops to empty in O(1)
@@ -278,6 +318,7 @@ class GuessConsumer final : public ScanConsumer {
     }
     tracker_.Charge(picked_this_iter_.WordCount());
     phase_ = Phase::kPass2;
+    SyncFollowers();
   }
 
   void FinishPass2() {
@@ -285,7 +326,51 @@ class GuessConsumer final : public ScanConsumer {
     diag_.uncovered_after = uncovered_.Count();
     diagnostics_.push_back(diag_);
     ++iter_;
+    // Iteration boundary: every follower, in this guess's state, runs
+    // its own Advance. A follower whose iteration stays collapsible
+    // stays; the others leave for a slot of their own. If this guess
+    // leaves while members stay, the smallest staying k leads them.
+    // (Today's sample size grows with k and ignores the residual, so
+    // the smallest k is the last to leave; the hand-over keeps the
+    // class exact should that change.)
+    SyncFollowers();
+    std::vector<GuessConsumer*> staying;
+    for (GuessConsumer* follower : std::exchange(followers_, {})) {
+      follower->Advance();
+      if (follower->collapsible_) {
+        staying.push_back(follower);
+      } else {
+        follower->leader_ = nullptr;
+      }
+    }
     Advance();
+    if (collapsible_ || staying.empty()) {
+      followers_ = std::move(staying);
+      return;
+    }
+    GuessConsumer* next = staying.front();
+    next->leader_ = nullptr;
+    for (size_t i = 1; i < staying.size(); ++i) next->Lead(staying[i]);
+  }
+
+  // Copies the cross-pass state into every follower: everything the
+  // driver reads between rounds (distinct picks, peak space) and
+  // everything TakeResult reports. A follower's phase and Rng stay its
+  // own: it is not done while its leader is not, and a collapsible
+  // iteration never draws from the Rng.
+  void SyncFollowers() {
+    for (GuessConsumer* follower : followers_) {
+      follower->tracker_ = tracker_;
+      follower->uncovered_ = uncovered_;
+      follower->sol_ = sol_;
+      follower->picked_distinct_ = picked_distinct_;
+      follower->distinct_picks_ = distinct_picks_;
+      follower->diagnostics_ = diagnostics_;
+      follower->gain_updates_ = gain_updates_;
+      follower->sets_touched_ = sets_touched_;
+      follower->iter_ = iter_;
+      follower->passes_ = passes_;
+    }
   }
 
   void FinishFinalSweep() {
@@ -310,6 +395,7 @@ class GuessConsumer final : public ScanConsumer {
   const uint64_t k_;
   const uint32_t n_;
   const uint32_t m_;
+  const uint32_t max_set_size_;  // the stream's bound (SetSource)
   const IterSetCoverOptions* options_;
   const OfflineSolver* offline_;
   const KernelPolicy kernel_;
@@ -328,9 +414,16 @@ class GuessConsumer final : public ScanConsumer {
   uint64_t gain_updates_ = 0;
   uint64_t sets_touched_ = 0;
   uint64_t iter_ = 0;
+  uint64_t passes_ = 0;
   bool success_ = false;
   bool killed_ = false;
   Phase phase_ = Phase::kDone;
+
+  // Class membership: a follower points at its leader, a leader lists
+  // its followers (ascending k); a guess outside any class has neither.
+  GuessConsumer* leader_ = nullptr;
+  std::vector<GuessConsumer*> followers_;
+  bool collapsible_ = false;
 
   // Per-iteration state. Projections live in an arena-backed store
   // whose epoch is the iteration; accounting stays in logical words.
@@ -384,7 +477,8 @@ StreamingResult IterSetCoverSingleGuess(PassScheduler& scheduler, uint64_t k,
   const OfflineSolver& offline =
       options.offline != nullptr ? *options.offline : default_solver;
   GuessConsumer guess(k, scheduler.stream().num_elements(),
-                      scheduler.stream().num_sets(), options, offline);
+                      scheduler.stream().num_sets(),
+                      scheduler.stream().max_set_size(), options, offline);
   PassScheduler::SoloRun run = scheduler.DriveToCompletion(guess);
   StreamingResult result = guess.TakeResult(run.logical_passes);
   result.physical_scans = run.physical_scans;
@@ -406,18 +500,42 @@ StreamingResult IterSetCover(PassScheduler& scheduler,
 
   const uint32_t n = scheduler.stream().num_elements();
   const uint32_t m = scheduler.stream().num_sets();
+  const uint32_t max_set_size = scheduler.stream().max_set_size();
   const uint64_t physical_before = scheduler.physical_scans();
 
-  // Guesses k = 2^i, i in [0, log n], registered up front: pass p of
-  // every live guess rides the p-th physical scan.
+  // Guesses k = 2^i, i in [0, log n]. They all start in the same state,
+  // so those whose first iteration is collapsible form the one class,
+  // led by its smallest k; a guess that leaves never rejoins.
   std::vector<std::unique_ptr<GuessConsumer>> guesses;
-  std::vector<size_t> slots;
+  GuessConsumer* leader = nullptr;
   for (uint64_t k = 1;; k *= 2) {
-    guesses.push_back(
-        std::make_unique<GuessConsumer>(k, n, m, options, offline));
-    slots.push_back(scheduler.Register(guesses.back().get()));
+    guesses.push_back(std::make_unique<GuessConsumer>(k, n, m, max_set_size,
+                                                      options, offline));
+    GuessConsumer* guess = guesses.back().get();
+    if (guess->collapsible()) {
+      if (leader == nullptr) {
+        leader = guess;
+      } else {
+        leader->Lead(guess);
+      }
+    }
     if (k >= n) break;
   }
+
+  // Every guess that is not following holds a slot: pass p of every
+  // live slot rides the p-th physical scan. A guess that leaves the
+  // class (or comes to lead it) mid-round is registered after that
+  // round, in time for the next pass it needs.
+  constexpr size_t kNoSlot = SIZE_MAX;
+  std::vector<size_t> slots(guesses.size(), kNoSlot);
+  auto register_leavers = [&] {
+    for (size_t i = 0; i < guesses.size(); ++i) {
+      if (slots[i] == kNoSlot && !guesses[i]->following()) {
+        slots[i] = scheduler.Register(guesses[i].get());
+      }
+    }
+  };
+  register_leavers();
 
   // Drive rounds only while OUR guesses are live: foreign consumers on
   // the same scheduler ride these scans but never extend this run's
@@ -434,6 +552,7 @@ StreamingResult IterSetCover(PassScheduler& scheduler,
     // finish, so stop driving — they surface as unsuccessful results
     // and RunSolver reports the stream error.
     if (scheduler.RunRound() == 0) break;
+    register_leavers();
     if (options.early_exit) RetireHopelessGuesses(guesses);
   }
 
@@ -449,7 +568,7 @@ StreamingResult IterSetCover(PassScheduler& scheduler,
   for (size_t i = 0; i < guesses.size(); ++i) {
     const uint64_t peak = guesses[i]->peak_words();
     StreamingResult guess_result =
-        guesses[i]->TakeResult(scheduler.passes(slots[i]));
+        guesses[i]->TakeResult(guesses[i]->passes());
     passes_max = std::max(passes_max, guess_result.passes);
     scans_total += guess_result.sequential_scans;
     space_sum += peak;
@@ -458,7 +577,7 @@ StreamingResult IterSetCover(PassScheduler& scheduler,
         (!best.success || guess_result.cover.size() < best.cover.size())) {
       best = std::move(guess_result);
     }
-    scheduler.Retire(slots[i]);
+    if (slots[i] != kNoSlot) scheduler.Retire(slots[i]);
   }
   best.passes = passes_max;
   best.sequential_scans = scans_total;

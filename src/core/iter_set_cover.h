@@ -25,6 +25,30 @@
 // the repository paid; `passes` (per-guess max) and `sequential_scans`
 // (per-guess sum — what the old one-guess-at-a-time implementation
 // scanned) are the logical views.
+//
+// Guesses that provably coincide run once. An iteration is collapsible
+// when its sample is the whole residual (Lemma 2.5's size clamped, so
+// the sampler draws nothing from the guess's Rng) and its Size-Test
+// threshold exceeds the stream's set-size bound (SetStream::
+// max_set_size, so no set is heavy): such an iteration is store-all
+// greedy on the residual, whatever k is. Guesses that enter one in the
+// same state therefore run identical passes. They form one class:
+//   - the guesses whose first iteration is collapsible (all guesses
+//     start in the same state) are the class, and its smallest k leads;
+//   - only the leader holds a PassScheduler slot and runs the passes;
+//     followers receive no OnSet and no OnPassEnd;
+//   - each leader pass end copies the cross-pass state (residual,
+//     cover, SpaceTracker, diagnostics, counters, pass count) into the
+//     followers, so everything the driver reads between rounds is exact;
+//   - at each iteration boundary every follower runs its own Advance
+//     from that state; those whose iteration is no longer collapsible
+//     leave and get a slot after the round, and never rejoin (if the
+//     leader leaves, the smallest staying k leads the rest).
+// Each guess counts its own logical passes, so every reported column —
+// cover, passes, scans, space, diagnostics — equals the uncollapsed
+// run's. At the paper's multiplier (1) a source whose bound is n — the
+// text format — never collapses: |S|/k never exceeds n.
+// IterSetCoverSingleGuess runs one guess and has no class.
 
 #ifndef STREAMCOVER_CORE_ITER_SET_COVER_H_
 #define STREAMCOVER_CORE_ITER_SET_COVER_H_
@@ -85,6 +109,8 @@ struct IterSetCoverIterationDiag {
   uint64_t heavy_picked = 0;
   uint64_t offline_picked = 0;
   uint64_t projection_words = 0;  ///< peak words of stored projections
+
+  bool operator==(const IterSetCoverIterationDiag&) const = default;
 };
 
 /// Outcome of a streaming solve, with the accounting the paper's bounds

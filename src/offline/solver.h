@@ -42,7 +42,12 @@ class OfflineSolver {
   /// set are ignored (callers guarantee coverability where it matters).
   /// May be called from several threads at once (iterSetCover's guesses
   /// solve on PassScheduler's workers), so implementations keep no
-  /// mutable state or guard it themselves.
+  /// mutable state or guard it themselves. The result must depend only
+  /// on `system`: iterSetCover solves once for a whole class of
+  /// coinciding guesses (core/iter_set_cover.h) and hands every member
+  /// that one result, so a solve that varied with call order, thread or
+  /// call count would make the collapsed run differ from the
+  /// uncollapsed one.
   virtual OfflineResult Solve(const SetSystem& system) const = 0;
 
   /// The approximation factor rho as a function of the universe size.

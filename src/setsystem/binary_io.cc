@@ -105,11 +105,14 @@ bool ValidateBinaryLayout(const uint8_t* data, uint64_t size,
   if (layout->SetOffset(layout->m) != layout->footer_offset) {
     return fail("corrupt footer: last offset");
   }
+  uint64_t widest = 0;
   for (uint64_t s = 0; s < layout->m; ++s) {
-    if (layout->SetOffset(s) > layout->SetOffset(s + 1)) {
-      return fail("corrupt footer: offsets not monotone");
-    }
+    const uint64_t begin = layout->SetOffset(s);
+    const uint64_t end = layout->SetOffset(s + 1);
+    if (begin > end) return fail("corrupt footer: offsets not monotone");
+    widest = std::max(widest, end - begin);
   }
+  layout->max_set_size = std::min(layout->n, widest > 0 ? widest - 1 : 0);
   return true;
 }
 

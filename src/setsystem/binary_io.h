@@ -84,6 +84,11 @@ struct BinaryLayout {
   uint64_t footer_offset = 0;
   uint64_t checksum = 0;
   const uint8_t* footer = nullptr;  // (m+1) uint64 offsets, unaligned
+  /// Upper bound on every set's size: the widest footer span minus one,
+  /// clamped to n (a set spends >= 1 byte on its size varint and >= 1
+  /// per element). 0 when m == 0. The scan decoder rejects any set that
+  /// claims more, so no scan delivers a set above it.
+  uint64_t max_set_size = 0;
 
   /// Absolute byte offset of set s's encoding (s in [0, m]).
   uint64_t SetOffset(uint64_t s) const;
@@ -92,7 +97,8 @@ struct BinaryLayout {
 /// Checks that [data, data+size) is a well-formed binary file: magic,
 /// version, dimension bounds, file size consistent with the footer
 /// offset, end magic present, and footer offsets monotone spanning
-/// exactly the body. Decodes NO set bodies — this is the cheap Open-time
+/// exactly the body; fills the set-size bound on the same footer walk.
+/// Decodes NO set bodies — this is the cheap Open-time
 /// validation shared by the in-memory loader and MmapSetSource; the body
 /// checksum is verified separately by whoever reads the bytes.
 bool ValidateBinaryLayout(const uint8_t* data, uint64_t size,

@@ -49,7 +49,12 @@ SetSystem::SetSystem(uint32_t num_elements, std::vector<size_t> offsets,
                      std::vector<uint32_t> elements)
     : num_elements_(num_elements),
       offsets_(std::move(offsets)),
-      elements_(std::move(elements)) {}
+      elements_(std::move(elements)) {
+  for (size_t s = 0; s + 1 < offsets_.size(); ++s) {
+    max_set_size_ = std::max(
+        max_set_size_, static_cast<uint32_t>(offsets_[s + 1] - offsets_[s]));
+  }
+}
 
 std::span<const uint32_t> SetSystem::GetSet(uint32_t set_id) const {
   SC_DCHECK_LT(set_id, num_sets());

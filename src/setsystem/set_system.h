@@ -95,6 +95,10 @@ class SetSystem {
 
   size_t SetSize(uint32_t set_id) const;
 
+  /// Size of the longest set (0 when there are no sets), cached at
+  /// construction so per-request stream forks read it in O(1).
+  uint32_t max_set_size() const { return max_set_size_; }
+
   /// True if `element` is a member of set `set_id` (binary search).
   bool Contains(uint32_t set_id, uint32_t element) const;
 
@@ -106,6 +110,7 @@ class SetSystem {
   uint32_t num_elements_ = 0;
   std::vector<size_t> offsets_{0};
   std::vector<uint32_t> elements_;
+  uint32_t max_set_size_ = 0;
 };
 
 }  // namespace streamcover

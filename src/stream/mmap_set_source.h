@@ -12,9 +12,11 @@
 //
 // Open validates the whole file structure through the offsets footer
 // (a truncated or resized file is rejected up front — the failure mode
-// the text source can only discover mid-scan). Decode errors inside a
-// set body (corrupt varints, out-of-range ids) surface as graceful
-// scan failures per the SetSource error contract, never aborts.
+// the text source can only discover mid-scan), and derives the
+// set-size bound (max_set_size) from the same footer. Decode errors
+// inside a set body (corrupt varints, a size above that bound,
+// out-of-range ids) surface as graceful scan failures per the SetSource
+// error contract, never aborts.
 
 #ifndef STREAMCOVER_STREAM_MMAP_SET_SOURCE_H_
 #define STREAMCOVER_STREAM_MMAP_SET_SOURCE_H_
@@ -57,6 +59,11 @@ class MmapSetSource : public SetSource {
 
   uint32_t num_elements() const override { return num_elements_; }
   uint32_t num_sets() const override { return num_sets_; }
+  /// The footer's set-size bound, computed once per mapping at Open
+  /// (binfmt::BinaryLayout::max_set_size); forks share it.
+  uint32_t max_set_size() const override {
+    return static_cast<uint32_t>(map_->layout.max_set_size);
+  }
 
   /// One pass of the chunk decoder with scan_threads() decode threads
   /// (1 = inline on the calling thread); one batch per chunk.

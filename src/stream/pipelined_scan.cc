@@ -85,8 +85,9 @@ bool PipelinedScanner::DecodeChunk(const binfmt::ScanChunk& chunk,
     // [cursor, set_end) is an in-bounds window; only varint contents
     // still need checking.
     const uint8_t* set_end = data_ + layout_->SetOffset(s + 1);
+    // The footer bound caps every size (SetSource::max_set_size).
     auto size = binfmt::DecodeVarint(&cursor, set_end);
-    if (!size.has_value() || *size > num_elements_) {
+    if (!size.has_value() || *size > layout_->max_set_size) {
       return fail(s, "bad size varint");
     }
     uint64_t prev = 0;

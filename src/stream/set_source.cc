@@ -44,6 +44,10 @@ uint32_t InMemorySetSource::num_elements() const {
 
 uint32_t InMemorySetSource::num_sets() const { return system_->num_sets(); }
 
+uint32_t InMemorySetSource::max_set_size() const {
+  return system_->max_set_size();
+}
+
 bool InMemorySetSource::ScanBatches(const SetBatchVisitor& visit) {
   if (!BeginScan()) return false;  // sticky (a fired deadline stays fired)
   const uint32_t m = system_->num_sets();

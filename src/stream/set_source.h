@@ -84,6 +84,15 @@ class SetSource {
   virtual uint32_t num_elements() const = 0;
   virtual uint32_t num_sets() const = 0;
 
+  /// An upper bound on the size of every set a scan can deliver:
+  /// metadata, never a result. iterSetCover reads it only to prove that
+  /// guesses coincide (core/iter_set_cover.h); a loose bound costs that
+  /// proof, never a cover. Sources must never deliver a set above it.
+  /// The default, num_elements(), holds for any source; in memory it is
+  /// the longest row, a binary file derives it from its offsets footer,
+  /// and the text source keeps the default.
+  virtual uint32_t max_set_size() const { return num_elements(); }
+
   /// The one scan: a full sequential pass as contiguous batches in
   /// set-id order, polling the cancel token once per batch. Returns
   /// false if the repository failed mid-scan (file truncated or
@@ -170,6 +179,8 @@ class InMemorySetSource : public SetSource {
 
   uint32_t num_elements() const override;
   uint32_t num_sets() const override;
+  /// The longest row, exact (SetSystem::max_set_size).
+  uint32_t max_set_size() const override;
   bool ScanBatches(const SetBatchVisitor& visit) override;
 
   /// Trivially forkable: the CSR is immutable and borrowed.

@@ -43,6 +43,9 @@ class SetStream {
   /// Metadata the streaming model grants for free.
   uint32_t num_elements() const { return source_->num_elements(); }
   uint32_t num_sets() const { return source_->num_sets(); }
+  /// The source's set-size bound (SetSource::max_set_size): no set a
+  /// pass delivers is larger. Only proofs read it, never results.
+  uint32_t max_set_size() const { return source_->max_set_size(); }
 
   /// Performs one pass delivered as contiguous batches in stream order:
   /// invokes fn(std::span<const SetView>) once per batch. Counts as one

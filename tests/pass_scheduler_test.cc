@@ -6,16 +6,19 @@
 // iterSetCover is byte-identical to the old sequential per-guess path
 // (in-memory and file-backed), the re-scan regression (source scans ==
 // physical scans, not sequential scans), heterogeneous consumers
-// (DIMV14 + threshold sieves sharing scans), and the winner-preserving
-// early-exit rule.
+// (DIMV14 + threshold sieves sharing scans), the winner-preserving
+// early-exit rule, and guesses that provably coincide running once
+// (also a TSan target: a leader writes its followers from a worker).
 
 #include "stream/pass_scheduler.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,8 +29,10 @@
 #include "gtest/gtest.h"
 #include "offline/exact.h"
 #include "offline/greedy.h"
+#include "setsystem/binary_io.h"
 #include "setsystem/generators.h"
 #include "setsystem/io.h"
+#include "stream/mmap_set_source.h"
 #include "stream/set_source.h"
 #include "util/rng.h"
 
@@ -161,6 +166,34 @@ void ExpectSameOutcome(const StreamingResult& multiplexed,
   EXPECT_EQ(multiplexed.space_words_max_guess,
             sequential.space_words_max_guess);
 }
+
+// ExpectSameOutcome plus every remaining StreamingResult field.
+void ExpectSameRun(const StreamingResult& a, const StreamingResult& b) {
+  ExpectSameOutcome(a, b);
+  EXPECT_EQ(a.physical_scans, b.physical_scans);
+  EXPECT_EQ(a.gain_updates, b.gain_updates);
+  EXPECT_EQ(a.sets_touched, b.sets_touched);
+  EXPECT_TRUE(a.diagnostics == b.diagnostics);
+}
+
+// The default greedy, counting its Solve calls (atomically: pass ends
+// solve concurrently on the workers).
+class CountingOfflineSolver final : public OfflineSolver {
+ public:
+  OfflineResult Solve(const SetSystem& system) const override {
+    calls_.fetch_add(1, std::memory_order_relaxed);
+    return greedy_.Solve(system);
+  }
+  double Rho(uint32_t num_elements) const override {
+    return greedy_.Rho(num_elements);
+  }
+  std::string name() const override { return "counting"; }
+  uint64_t calls() const { return calls_.load(); }
+
+ private:
+  GreedySolver greedy_;
+  mutable std::atomic<uint64_t> calls_{0};
+};
 
 TEST(PassSchedulerTest, OnePhysicalScanServesEveryLiveConsumer) {
   PlantedInstance inst = MakePlanted(1, 50, 80, 4);
@@ -391,6 +424,113 @@ TEST(PassSchedulerTest, ThreadedIterSetCoverIsBitIdentical) {
       EXPECT_EQ(a.projection_words, b.projection_words) << "iteration " << i;
       EXPECT_EQ(a.uncovered_after, b.uncovered_after) << "iteration " << i;
     }
+  }
+}
+
+TEST(PassSchedulerTest, CoincidingGuessesRunOnce) {
+  // Guesses whose iterations sample the whole residual and can see no
+  // heavy set run as one class: the leader scans and solves, and its
+  // followers copy its state. Every StreamingResult field, diagnostics
+  // included, must equal two uncollapsed references: the same run over
+  // a text copy (its set-size bound is n, so nothing collapses) and the
+  // one-guess-at-a-time path. The planted input's class is k = 1..8;
+  // the uniform one leaves ~22% of U uncoverable, so its class runs all
+  // four iterations of delta = 1/4 and sheds members as the residual
+  // shrinks. A counting offline solver proves the collapse happened.
+  struct Input {
+    const char* name;
+    SetSystem system;
+    double delta;
+  };
+  PlantedOptions planted;
+  planted.num_elements = 600;
+  planted.num_sets = 3000;
+  planted.cover_size = 12;
+  planted.noise_max_size = 30;
+  Rng planted_rng(21);
+  Rng uniform_rng(22);
+  std::vector<Input> inputs;
+  inputs.push_back({"planted", GeneratePlanted(planted, planted_rng).system,
+                    0.5});
+  inputs.push_back(
+      {"uniform", GenerateUniformRandom(1000, 500, 0.003, uniform_rng), 0.25});
+
+  struct Variant {
+    const char* name;
+    bool early_exit = false;
+    bool final_sweep = false;
+    double coverage_fraction = 1.0;
+    double size_test_multiplier = 1.0;
+  };
+  const Variant variants[] = {{"default"},
+                              {"early_exit", true},
+                              {"final_sweep", false, true},
+                              {"coverage", false, false, 0.9},
+                              {"multiplier", false, false, 1.0, 2.0}};
+
+  for (const Input& input : inputs) {
+    const std::string stem = testing::TempDir() + "/coinciding_" +
+                             std::string(input.name);
+    ASSERT_TRUE(SaveSetSystemToFile(input.system, stem + ".txt"));
+    std::string error;
+    ASSERT_TRUE(WriteBinarySetSystem(input.system, stem + ".bin", &error))
+        << error;
+    for (const Variant& variant : variants) {
+      IterSetCoverOptions options;
+      options.delta = input.delta;
+      options.sample_constant = 0.5;
+      options.seed = 5;
+      options.early_exit = variant.early_exit;
+      options.final_sweep = variant.final_sweep;
+      options.coverage_fraction = variant.coverage_fraction;
+      options.size_test_multiplier = variant.size_test_multiplier;
+      for (uint32_t threads : {1u, 4u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << input.name << " " << variant.name
+                     << " threads=" << threads);
+        // One run over `source`; returns its Solve call count too.
+        auto run = [&](SetSource& source, uint64_t* calls) {
+          CountingOfflineSolver counting;
+          IterSetCoverOptions counted = options;
+          counted.offline = &counting;
+          source.set_scan_threads(threads);
+          SetStream stream(&source);
+          PassScheduler scheduler(stream, threads);
+          StreamingResult result = IterSetCover(scheduler, counted);
+          *calls = counting.calls();
+          return result;
+        };
+        InMemorySetSource memory(&input.system);
+        std::optional<MmapSetSource> mmap =
+            MmapSetSource::Open(stem + ".bin", &error);
+        ASSERT_TRUE(mmap.has_value()) << error;
+        std::optional<FileSetSource> text =
+            FileSetSource::Open(stem + ".txt", &error);
+        ASSERT_TRUE(text.has_value()) << error;
+
+        uint64_t memory_calls = 0, mmap_calls = 0, text_calls = 0;
+        const StreamingResult in_memory = run(memory, &memory_calls);
+        const StreamingResult mapped = run(*mmap, &mmap_calls);
+        const StreamingResult reference = run(*text, &text_calls);
+        ExpectSameRun(in_memory, reference);
+        ExpectSameRun(mapped, reference);
+        EXPECT_LT(memory_calls, text_calls);
+        EXPECT_LT(mmap_calls, text_calls);
+
+        // The retire rule has no one-guess-at-a-time counterpart.
+        if (!variant.early_exit) {
+          SetStream sequential_stream(&input.system);
+          const StreamingResult sequential =
+              SequentialPerGuessPath(sequential_stream, options);
+          ExpectSameOutcome(in_memory, sequential);
+          EXPECT_EQ(in_memory.gain_updates, sequential.gain_updates);
+          EXPECT_EQ(in_memory.sets_touched, sequential.sets_touched);
+          EXPECT_TRUE(in_memory.diagnostics == sequential.diagnostics);
+        }
+      }
+    }
+    std::remove((stem + ".txt").c_str());
+    std::remove((stem + ".bin").c_str());
   }
 }
 

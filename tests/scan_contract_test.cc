@@ -7,7 +7,10 @@
 //  * a token that has already fired fails the scan with
 //    kDeadlineExceededError and delivers no set;
 //  * a corrupt set fails the scan and delivers no set of its batch;
-//  * the error then sticks.
+//  * the error then sticks;
+//  * no set is larger than the source's max_set_size(): the longest row
+//    in memory, n for text, the footer bound for the binary file (which
+//    rejects a size varint above it as a corrupt set).
 //
 // The instance is shaped so the in-memory and text sources close one
 // batch on the word bound and one on the set bound, and the binary file
@@ -19,6 +22,7 @@
 #include <algorithm>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -35,7 +39,8 @@ namespace {
 
 constexpr uint32_t kN = 1000;
 constexpr uint32_t kM = 100000;
-constexpr uint32_t kWideSets = 27000;  // 40 elements each, then 1 each
+constexpr uint32_t kWideSets = 27000;  // kWideSize elements each, then 1
+constexpr uint32_t kWideSize = 40;     // also the longest row
 constexpr uint32_t kCorruptSet = 50000;
 
 SetSystem ContractSystem() {
@@ -44,7 +49,9 @@ SetSystem ContractSystem() {
   for (uint32_t s = 0; s < kM; ++s) {
     elems.clear();
     if (s < kWideSets) {
-      for (uint32_t j = 0; j < 40; ++j) elems.push_back((s * 7 + j * 25) % kN);
+      for (uint32_t j = 0; j < kWideSize; ++j) {
+        elems.push_back((s * 7 + j * 25) % kN);
+      }
     } else {
       elems.push_back(s % kN);
     }
@@ -298,6 +305,101 @@ TEST_F(ScanContractTest, CorruptSetDropsItsWholeBatchAndSticks) {
       EXPECT_EQ(source->error(), error);
     }
   }
+}
+
+TEST_F(ScanContractTest, SetSizeBoundHoldsOnEverySource) {
+  ForEachConfig([](Kind kind, uint32_t scan_threads) {
+    std::unique_ptr<SetSource> source = Open(kind, false, scan_threads);
+    ASSERT_NE(source, nullptr);
+    const uint32_t bound = source->max_set_size();
+    switch (kind) {
+      case Kind::kMemory:
+        EXPECT_EQ(bound, kWideSize);
+        break;
+      case Kind::kText:
+        EXPECT_EQ(bound, kN);
+        break;
+      case Kind::kMmap:
+        EXPECT_GE(bound, kWideSize);
+        EXPECT_LE(bound, kN);
+        break;
+    }
+    std::string error;
+    std::unique_ptr<SetSource> fork = source->Fork(&error);
+    ASSERT_NE(fork, nullptr) << error;
+    EXPECT_EQ(fork->max_set_size(), bound);
+    uint32_t longest = 0;
+    ASSERT_TRUE(source->ScanBatches([&](std::span<const SetView> sets) {
+      for (const SetView& set : sets) {
+        longest = std::max(longest, static_cast<uint32_t>(set.size()));
+      }
+    })) << source->error();
+    EXPECT_EQ(longest, kWideSize);
+  });
+
+  // No sets: the in-memory and binary bounds are 0.
+  const SetSystem empty = SetSystem::Builder(kN).Build();
+  EXPECT_EQ(empty.max_set_size(), 0u);
+  EXPECT_EQ(InMemorySetSource(&empty).max_set_size(), 0u);
+  const std::string path = ::testing::TempDir() + "/scan_contract_" +
+                           std::to_string(::getpid()) + "_empty.bin";
+  std::string error;
+  ASSERT_TRUE(WriteBinarySetSystem(empty, path, &error)) << error;
+  std::optional<MmapSetSource> mapped = MmapSetSource::Open(path, &error);
+  ASSERT_TRUE(mapped.has_value()) << error;
+  EXPECT_EQ(mapped->max_set_size(), 0u);
+  std::remove(path.c_str());
+}
+
+TEST_F(ScanContractTest, SizeAboveTheFooterBoundIsACorruptSet) {
+  // Rewrite a longest set's size varint to bound + 1 (still <= n): its
+  // elements would run out before the claimed size, but the decoder
+  // refuses the size itself, so no scan can deliver a set above the
+  // bound the solvers were promised.
+  std::string bytes = ReadBytes(*bin_);
+  const binfmt::BinaryLayout layout = LayoutOf(bytes);
+  const uint64_t bound = layout.max_set_size;
+  ASSERT_LT(bound + 1, 0x80u) << "needs a one-byte size varint";
+  ASSERT_LE(bound + 1, kN);
+  uint32_t target = 0;
+  for (uint32_t s = kWideSets / 2; s < kWideSets; ++s) {
+    if (layout.SetOffset(s + 1) - layout.SetOffset(s) == bound + 1) {
+      target = s;
+      break;
+    }
+  }
+  ASSERT_GT(target, 0u) << "no set spans the bound";
+  ASSERT_EQ(size_t{static_cast<uint8_t>(bytes[layout.SetOffset(target)])},
+            system_->GetSet(target).size());
+  bytes[layout.SetOffset(target)] = static_cast<char>(bound + 1);
+  const std::string path = ::testing::TempDir() + "/scan_contract_" +
+                           std::to_string(::getpid()) + "_oversize.bin";
+  std::ofstream(path, std::ios::binary)
+      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  uint32_t chunk_start = 0;
+  for (const binfmt::ScanChunk& chunk :
+       binfmt::BuildChunkPlan(layout, kDefaultScanChunkBytes)) {
+    if (chunk.first_set <= target) chunk_start = chunk.first_set;
+  }
+  ASSERT_GT(chunk_start, 0u);
+
+  for (uint32_t scan_threads : {1u, 4u}) {
+    SCOPED_TRACE(scan_threads);
+    std::string error;
+    std::optional<MmapSetSource> source = MmapSetSource::Open(path, &error);
+    ASSERT_TRUE(source.has_value()) << error;
+    EXPECT_EQ(source->max_set_size(), bound);
+    source->set_scan_threads(scan_threads);
+    uint32_t delivered = 0;
+    EXPECT_FALSE(source->ScanBatches([&](std::span<const SetView> sets) {
+      for (const SetView& set : sets) EXPECT_EQ(set.id, delivered++);
+    }));
+    EXPECT_EQ(delivered, chunk_start) << "a set of the failing batch leaked";
+    EXPECT_EQ(source->error(), path + ": corrupt set " +
+                                   std::to_string(target) +
+                                   ": bad size varint");
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -642,6 +642,16 @@ int CmdStats(const Args& args) {
                    static_cast<unsigned long long>(source->nnz()));
       return 1;
     }
+    // The bound iterSetCover uses to prove that guesses coincide; the
+    // sizes the loader decoded must respect it.
+    std::printf("  size bound   : %u (widest footer span - 1; decoded "
+                "max %zu)\n",
+                source->max_set_size(), max_size);
+    if (max_size > source->max_set_size()) {
+      std::fprintf(stderr, "decoded max set size %zu > footer bound %u\n",
+                   max_size, source->max_set_size());
+      return 1;
+    }
   } else {
     std::printf("  scan path    : text (re-parsed per pass; `convert "
                 "--format binary` unlocks the mmap + pipelined scan)\n");
