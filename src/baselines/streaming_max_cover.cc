@@ -24,6 +24,8 @@ StreamingMaxCoverResult StreamingMaxCover(SetStream& stream,
     if (threshold < 1.0) threshold = 1.0;
     stream.ForEachSet([&](const SetView& set) {
       if (result.cover.size() >= budget) return;
+      // gain <= |S|: a set below the threshold cannot be taken.
+      if (static_cast<double>(set.size()) < threshold) return;
       const size_t gain = CountUncovered(set, uncovered, kernel);
       if (gain > 0 && static_cast<double>(gain) >= threshold) {
         result.cover.set_ids.push_back(set.id);

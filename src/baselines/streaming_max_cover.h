@@ -2,7 +2,9 @@
 // budget. Pass i uses threshold n / 2^i; any streamed set whose marginal
 // coverage clears the threshold is taken until the budget is exhausted.
 // O(log n) passes, O~(n) space, constant-factor coverage (the classic
-// thresholding loss over greedy's 1 - 1/e).
+// thresholding loss over greedy's 1 - 1/e). A set's gain is at most its
+// size, so a set smaller than the pass threshold is skipped before any
+// kernel runs.
 
 #ifndef STREAMCOVER_BASELINES_STREAMING_MAX_COVER_H_
 #define STREAMCOVER_BASELINES_STREAMING_MAX_COVER_H_

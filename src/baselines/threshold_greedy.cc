@@ -13,7 +13,9 @@ namespace {
 // coverage is >= threshold, stopping acquisition once `remaining`
 // reaches `allowed_uncovered` (the epsilon-Partial stop; the scan still
 // finishes — a pass cannot be aborted — but nothing more is stored).
-// Returns the number of sets taken; `remaining` is kept in sync.
+// A set smaller than the threshold cannot clear it (gain <= |S|), so
+// it is skipped before any kernel runs. Returns the number of sets
+// taken; `remaining` is kept in sync.
 size_t ThresholdPass(SetStream& stream, LiveMask& uncovered,
                      uint64_t& remaining, uint64_t allowed_uncovered,
                      double threshold, Cover& cover, SpaceTracker& tracker,
@@ -21,6 +23,7 @@ size_t ThresholdPass(SetStream& stream, LiveMask& uncovered,
   size_t taken = 0;
   stream.ForEachSet([&](const SetView& set) {
     if (remaining <= allowed_uncovered) return;
+    if (static_cast<double>(set.size()) < threshold) return;
     const size_t gain = CountUncovered(set, uncovered, kernel);
     if (gain > 0 && static_cast<double>(gain) >= threshold) {
       cover.set_ids.push_back(set.id);
@@ -86,14 +89,18 @@ ThresholdSieveConsumer::ThresholdSieveConsumer(uint32_t n, uint32_t p,
 
 void ThresholdSieveConsumer::OnSet(const SetView& set) {
   if (done_) return;
-  // The residual intersection drives both the gain test and the backup
-  // pointers, so compute it once with the masked-filter kernel.
-  residual_scratch_.clear();
-  const size_t gain = FilterInto(set, uncovered_, residual_scratch_, kernel_);
-  for (uint32_t e : residual_scratch_) {
-    if (backup_[e] == UINT32_MAX) backup_[e] = set.id;
+  // Backups come from pass 1 alone; threshold_greedy.h says why that
+  // keeps every pointer a per-pass residual walk would.
+  if (pass_index_ == 1) {
+    for (uint32_t e : set) {
+      if (backup_[e] == UINT32_MAX) backup_[e] = set.id;
+    }
   }
   if (remaining_ <= allowed_uncovered_) return;  // partial target met
+  // gain <= |S|: a set below the threshold cannot be taken.
+  if (static_cast<double>(set.size()) < threshold_) return;
+  residual_scratch_.clear();
+  const size_t gain = FilterInto(set, uncovered_, residual_scratch_, kernel_);
   if (gain > 0 && static_cast<double>(gain) >= threshold_) {
     sol_.set_ids.push_back(set.id);
     tracker_.Charge(1);

@@ -14,6 +14,19 @@
 //   threshold skeletons, which realize the stated bounds; paper-specific
 //   charging refinements do not change the exponent (see DESIGN.md).
 //
+// Both take a set only if its residual gain clears the pass threshold,
+// and a set's gain is at most its size. So a set smaller than the
+// threshold is skipped before any kernel runs. On sparse inputs a pass
+// whose threshold exceeds every set size runs no kernel at all.
+//
+// The sieve records its backup pointers in pass 1 only, straight from
+// each set. Pass 1 sees every set, and an element is still uncovered
+// when the first set containing it arrives: only an earlier pick that
+// holds it could have cleared it. So each backup is the first set
+// containing e, the same pointer a per-pass walk of the residual would
+// keep. This relies on every pass delivering the same repository, as
+// every multi-pass solver does.
+//
 // The polynomial sieve is expressed as a ScanConsumer
 // (ThresholdSieveConsumer): its p threshold levels are a per-pass state
 // machine drivable by PassScheduler, so it can share physical scans

@@ -191,6 +191,11 @@ void RegisterBuiltins(SolverRegistry& registry) {
       "O~(n) space",
       Kind::kStreaming,
       [](RunContext& ctx) {
+        if (ctx.options.threshold_passes < 1) {
+          RunResult result;
+          result.error = "threshold_passes must be >= 1, got 0";
+          return result;
+        }
         return FromBaseline(PolynomialThresholdCover(
             ctx.scheduler, ctx.options.threshold_passes,
             ctx.options.coverage_fraction, ctx.options.kernel));

@@ -56,7 +56,8 @@ struct RunOptions {
   uint64_t seed = 1;
   /// epsilon-Partial Set Cover target; 1.0 = classic full cover.
   double coverage_fraction = 1.0;
-  /// p for PolynomialThresholdCover ([ER14] p=1, [CW16] p>=1).
+  /// p for PolynomialThresholdCover ([ER14] p=1, [CW16] p>=1); 0 fails
+  /// the run with a diagnostic.
   uint32_t threshold_passes = 2;
   /// Pick budget for streaming_max_cover; 0 means |U| (always enough
   /// for a full cover when one exists).

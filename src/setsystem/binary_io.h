@@ -34,6 +34,11 @@
 //   trailer (8 bytes)
 //     end magic "SCOVREND" — a cheap truncation tripwire.
 //
+// So at least 16 bytes (a footer of >= 8, then the trailer) follow every
+// body byte, and ValidateBinaryLayout checks the sizes that make this
+// so. The scan decoder (stream/pipelined_scan.h) relies on it: it reads
+// short varints with one 8-byte load, even from the last set's end.
+//
 // Varints are LEB128 (7 bits per byte, high bit = continuation).
 
 #ifndef STREAMCOVER_SETSYSTEM_BINARY_IO_H_

@@ -3,6 +3,8 @@
 #include <sys/mman.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <thread>
 
 #include "util/check.h"
@@ -18,6 +20,9 @@ constexpr uint32_t kSlotsPerDecodeThread = 2;
 
 /// madvise(MADV_WILLNEED) window, in chunks ahead of the claim frontier.
 constexpr uint64_t kReadaheadChunks = 8;
+
+// The varint fast path reads little-endian bytes from one native load.
+static_assert(std::endian::native == std::endian::little);
 
 }  // namespace
 
@@ -85,20 +90,41 @@ bool PipelinedScanner::DecodeChunk(const binfmt::ScanChunk& chunk,
     // [cursor, set_end) is an in-bounds window; only varint contents
     // still need checking.
     const uint8_t* set_end = data_ + layout_->SetOffset(s + 1);
-    // The footer bound caps every size (SetSource::max_set_size).
+    // The footer bound caps every size (SetSource::max_set_size), so
+    // the batch grows once per set by at most that much.
     auto size = binfmt::DecodeVarint(&cursor, set_end);
     if (!size.has_value() || *size > layout_->max_set_size) {
       return fail(s, "bad size varint");
     }
+    const size_t base = batch.elems.size();
+    batch.elems.resize(base + *size);
+    uint32_t* out = batch.elems.data() + base;
     uint64_t prev = 0;
     for (uint64_t j = 0; j < *size; ++j) {
-      auto delta = binfmt::DecodeVarint(&cursor, set_end);
-      if (!delta.has_value()) return fail(s, "truncated body");
+      // A varint of at most 3 bytes that ends inside the slot comes
+      // from one 8-byte load, which stays in the file: at least 16
+      // bytes follow every body byte, even at the last set's end.
+      // Every other varint takes DecodeVarint and its diagnostics.
+      uint64_t w = 0;
+      std::memcpy(&w, cursor, sizeof(w));
+      const int stop_bit = std::countr_zero(~w & 0x8080808080808080ULL);
+      const size_t len = static_cast<size_t>(stop_bit + 1) / 8;
+      uint64_t delta = 0;
+      if (len <= 3 && len <= static_cast<size_t>(set_end - cursor)) {
+        const uint64_t bytes = w & ((uint64_t{2} << stop_bit) - 1);
+        delta = (bytes & 0x7f) | ((bytes >> 1) & 0x3f80) |
+                ((bytes >> 2) & 0x1fc000);
+        cursor += len;
+      } else {
+        auto slow = binfmt::DecodeVarint(&cursor, set_end);
+        if (!slow.has_value()) return fail(s, "truncated body");
+        delta = *slow;
+      }
       // Delta-1 coding off a strictly increasing sequence: decoding
       // reproduces the sorted-unique invariant by construction.
-      const uint64_t e = (j == 0) ? *delta : prev + *delta + 1;
+      const uint64_t e = (j == 0) ? delta : prev + delta + 1;
       if (e >= num_elements_) return fail(s, "element id out of range");
-      batch.elems.push_back(static_cast<uint32_t>(e));
+      out[j] = static_cast<uint32_t>(e);
       prev = e;
     }
     if (cursor != set_end) return fail(s, "trailing bytes");

@@ -12,6 +12,14 @@
 // first corrupt set in stream order and delivers no set of its chunk;
 // and the CancelToken is polled at every chunk start and every
 // kCancelStride sets inside it.
+//
+// One decode loop reads every set: its size varint, then one batch
+// growth by that size, then the elements written through a pointer. An
+// element varint of at most 3 bytes (every delta below 2^21) that ends
+// inside the set's slot is decoded from one unaligned 8-byte load; the
+// load stays in the file because at least 16 bytes follow every body
+// byte (binary_io.h's layout). Every other varint goes through
+// binfmt::DecodeVarint, so a malformed varint always fails there.
 
 #ifndef STREAMCOVER_STREAM_PIPELINED_SCAN_H_
 #define STREAMCOVER_STREAM_PIPELINED_SCAN_H_

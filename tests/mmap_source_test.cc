@@ -1,13 +1,18 @@
 // Tests for MmapSetSource: Open-time structural validation through the
 // offsets footer, scan parity with the in-memory and text sources,
-// graceful sticky errors on corrupt bodies, move semantics, and the
-// OpenDiskSetSource magic-sniffing factory.
+// graceful sticky errors on corrupt bodies, move semantics, the
+// OpenDiskSetSource magic-sniffing factory, and the chunk decoder's
+// short-varint fast path against a DecodeVarint-only reference: every
+// varint length, hand-corrupted slots, and seeded byte mutations.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <memory>
+#include <optional>
+#include <set>
 #include <span>
 #include <string>
 #include <thread>
@@ -427,6 +432,313 @@ TEST(PipelinedScanTest, ConcurrentForksScanPipelinedSoak) {
   for (int f = 0; f < kForks; ++f) {
     EXPECT_TRUE(oks[f]) << "fork " << f << ": " << forks[f]->error();
     EXPECT_EQ(totals[f], expect_total) << "fork " << f;
+  }
+}
+
+// --- The decode loop's short-varint fast path ---------------------------
+
+/// What a scan of a SCOVRB01 image yields: the sets delivered, in order,
+/// and the diagnostic that stopped it ("" after a full scan), without the
+/// path prefix.
+struct Decoded {
+  std::vector<std::vector<uint32_t>> sets;
+  std::string error;
+};
+
+binfmt::BinaryLayout ImageLayout(const std::string& image) {
+  binfmt::BinaryLayout layout;
+  std::string error;
+  EXPECT_TRUE(binfmt::ValidateBinaryLayout(
+      reinterpret_cast<const uint8_t*>(image.data()), image.size(), &layout,
+      &error))
+      << error;
+  return layout;
+}
+
+/// The reference the scan decoder must agree with: the serial loop that
+/// reads every varint through DecodeVarint. It keeps every set before
+/// the first corrupt one.
+Decoded ReferenceDecode(const std::string& image) {
+  const uint8_t* data = reinterpret_cast<const uint8_t*>(image.data());
+  const binfmt::BinaryLayout layout = ImageLayout(image);
+  Decoded out;
+  for (uint64_t s = 0; s < layout.m; ++s) {
+    const uint8_t* cursor = data + layout.SetOffset(s);
+    const uint8_t* end = data + layout.SetOffset(s + 1);
+    const std::string where = "corrupt set " + std::to_string(s) + ": ";
+    auto size = binfmt::DecodeVarint(&cursor, end);
+    if (!size.has_value() || *size > layout.max_set_size) {
+      out.error = where + "bad size varint";
+      return out;
+    }
+    std::vector<uint32_t> set;
+    uint64_t prev = 0;
+    for (uint64_t j = 0; j < *size; ++j) {
+      auto delta = binfmt::DecodeVarint(&cursor, end);
+      if (!delta.has_value()) {
+        out.error = where + "truncated body";
+        return out;
+      }
+      const uint64_t e = (j == 0) ? *delta : prev + *delta + 1;
+      if (e >= layout.n) {
+        out.error = where + "element id out of range";
+        return out;
+      }
+      set.push_back(static_cast<uint32_t>(e));
+      prev = e;
+    }
+    if (cursor != end) {
+      out.error = where + "trailing bytes";
+      return out;
+    }
+    out.sets.push_back(std::move(set));
+  }
+  return out;
+}
+
+/// Scans `image` with the chunk decoder at `threads` decode threads over
+/// a `chunk_bytes` chunk plan. The buffer holds exactly the file's bytes,
+/// so an 8-byte load past its end would be an ASan finding.
+Decoded ScanImage(const std::string& image, uint32_t threads,
+                  uint64_t chunk_bytes,
+                  std::vector<binfmt::ScanChunk>* chunks_out = nullptr) {
+  const uint8_t* data = reinterpret_cast<const uint8_t*>(image.data());
+  const binfmt::BinaryLayout layout = ImageLayout(image);
+  const std::vector<binfmt::ScanChunk> chunks =
+      binfmt::BuildChunkPlan(layout, chunk_bytes);
+  if (chunks_out != nullptr) *chunks_out = chunks;
+  PipelinedScanner scanner(data, layout.n, layout,
+                           std::span<const binfmt::ScanChunk>(chunks), threads);
+  Decoded out;
+  const std::string path = "image";
+  std::string error;
+  if (!scanner.Run(
+          path,
+          [&](std::span<const SetView> views) {
+            for (const SetView& set : views) {
+              out.sets.emplace_back(set.begin(), set.end());
+            }
+          },
+          /*cancel=*/nullptr, &error)) {
+    out.error = error.substr(path.size() + 2);
+  }
+  return out;
+}
+
+void AppendU64(uint64_t value, std::string& out) {
+  for (int i = 0; i < 8; ++i) {
+    out.push_back(static_cast<char>(value >> (8 * i)));
+  }
+}
+
+/// A SCOVRB01 image over raw set slots (size varint, then element
+/// varints), so a test can place any byte pattern in a slot; only the
+/// header, footer and trailer are made for it.
+std::string RawImage(uint64_t n, const std::vector<std::string>& slots) {
+  std::string body;
+  std::vector<uint64_t> offsets{binfmt::kHeaderBytes};
+  for (const std::string& slot : slots) {
+    body += slot;
+    offsets.push_back(binfmt::kHeaderBytes + body.size());
+  }
+  std::string image(binfmt::kMagic, 8);
+  image += std::string("\x01\0\0\0", 4);  // version 1
+  image += std::string("\x40\0\0\0", 4);  // header bytes 64
+  AppendU64(n, image);
+  AppendU64(slots.size(), image);
+  AppendU64(0, image);  // nnz: the scan never reads it
+  AppendU64(offsets.back(), image);
+  AppendU64(0, image);  // checksum: likewise
+  AppendU64(0, image);
+  image += body;
+  for (uint64_t offset : offsets) AppendU64(offset, image);
+  image += std::string(binfmt::kEndMagic, 8);
+  return image;
+}
+
+/// One slot: the size varint, then each value as a varint.
+std::string Slot(uint64_t size, const std::vector<uint64_t>& varints) {
+  std::string slot;
+  binfmt::AppendVarint(size, slot);
+  for (uint64_t v : varints) binfmt::AppendVarint(v, slot);
+  return slot;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(is),
+                     std::istreambuf_iterator<char>{});
+}
+
+TEST(ChunkDecoderTest, VarintsOfOneToFiveBytesDecodeAtEveryLength) {
+  // n near 2^31, so ids and deltas reach 5-byte varints (>= 2^28). Each
+  // length sits at both of its edges (127/128, 2^14 - 1/2^14, 2^21 -
+  // 1/2^21, 2^28 - 1/2^28). The last set ends right at the footer, once
+  // on a 1-byte and once on a 3-byte varint.
+  constexpr uint32_t kN = (uint32_t{1} << 31) - 1;
+  std::vector<uint32_t> edges{0};
+  for (const uint64_t delta :
+       {uint64_t{1}, uint64_t{127}, uint64_t{128}, (uint64_t{1} << 14) - 1,
+        uint64_t{1} << 14, (uint64_t{1} << 21) - 1, uint64_t{1} << 21,
+        (uint64_t{1} << 28) - 1, uint64_t{1} << 28, uint64_t{5}}) {
+    edges.push_back(static_cast<uint32_t>(edges.back() + delta + 1));
+  }
+  for (const uint32_t tail_delta : {3u, 20000u}) {
+    SCOPED_TRACE("tail delta " + std::to_string(tail_delta));
+    const std::vector<std::vector<uint32_t>> sets = {
+        {0},
+        edges,
+        {},
+        {uint32_t{1} << 28, (uint32_t{1} << 28) + (uint32_t{1} << 28) + 6,
+         kN - 1},
+        {kN - tail_delta - 2, kN - 1},
+    };
+    const std::string path = TempPath("varint_lengths.bin");
+    std::string error;
+    {
+      std::optional<BinarySetWriter> writer =
+          BinarySetWriter::Create(path, kN, &error);
+      ASSERT_TRUE(writer.has_value()) << error;
+      for (const std::vector<uint32_t>& set : sets) {
+        ASSERT_TRUE(writer->AddSet(set)) << writer->error();
+      }
+      ASSERT_TRUE(writer->Finish(&error)) << error;
+    }
+    const std::string image = ReadFile(path);
+    const Decoded reference = ReferenceDecode(image);
+    ASSERT_EQ(reference.error, "");
+    ASSERT_EQ(reference.sets, sets);
+    for (const uint32_t threads : {1u, 4u}) {
+      SCOPED_TRACE("scan_threads=" + std::to_string(threads));
+      auto source = MmapSetSource::Open(path, &error);
+      ASSERT_TRUE(source.has_value()) << error;
+      source->set_scan_threads(threads);
+      std::vector<std::vector<uint32_t>> got;
+      ASSERT_TRUE(source->Scan([&](const SetView& set) {
+        got.emplace_back(set.begin(), set.end());
+      })) << source->error();
+      EXPECT_EQ(got, sets);
+      const Decoded chunked = ScanImage(image, threads, /*chunk_bytes=*/8);
+      EXPECT_EQ(chunked.error, "");
+      EXPECT_EQ(chunked.sets, sets);
+    }
+  }
+}
+
+TEST(ChunkDecoderTest, HandCorruptedSlotsGiveTheReferenceDiagnostic) {
+  struct Corruption {
+    std::string name;
+    std::string image;
+    std::string expect;
+  };
+  std::string runs_on = Slot(2, {5});
+  runs_on.push_back(static_cast<char>(0x81));  // continues into set 1
+  std::string runs_into_footer = Slot(2, {5});
+  runs_into_footer.push_back(static_cast<char>(0xFF));
+  const std::vector<Corruption> cases = {
+      {"continuation into the next slot",
+       RawImage(1000, {runs_on, Slot(1, {3})}),
+       "corrupt set 0: truncated body"},
+      {"continuation into the footer",
+       RawImage(1000, {Slot(1, {3}), runs_into_footer}),
+       "corrupt set 1: truncated body"},
+      // An element equal to n, as a first id and as a delta, in 1, 2 and
+      // 3 bytes.
+      {"1-byte first id n", RawImage(100, {Slot(1, {7}), Slot(1, {100})}),
+       "corrupt set 1: element id out of range"},
+      {"2-byte first id n", RawImage(200, {Slot(1, {200})}),
+       "corrupt set 0: element id out of range"},
+      {"3-byte first id n", RawImage(20000, {Slot(1, {20000})}),
+       "corrupt set 0: element id out of range"},
+      {"1-byte delta to n", RawImage(100, {Slot(2, {10, 89})}),
+       "corrupt set 0: element id out of range"},
+      {"2-byte delta to n", RawImage(300, {Slot(2, {10, 289})}),
+       "corrupt set 0: element id out of range"},
+      {"3-byte delta to n", RawImage(20000, {Slot(2, {10, 19989})}),
+       "corrupt set 0: element id out of range"},
+      {"size one short", RawImage(1000, {Slot(1, {4}), Slot(2, {1, 2, 3})}),
+       "corrupt set 1: trailing bytes"},
+  };
+  for (const Corruption& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(ReferenceDecode(c.image).error, c.expect);
+    for (const uint32_t threads : {1u, 4u}) {
+      const Decoded got = ScanImage(c.image, threads, /*chunk_bytes=*/0);
+      EXPECT_EQ(got.error, c.expect) << "scan_threads=" << threads;
+      EXPECT_TRUE(got.sets.empty()) << "a set of the failing chunk escaped";
+    }
+  }
+}
+
+TEST(ChunkDecoderTest, SeededByteMutationsMatchTheReference) {
+  // ~2,000 single-byte mutations of a small file's body; the footer
+  // stays valid, so every image opens. Ids reach 2^22, so deltas take
+  // 1- to 4-byte varints and mutations hit the fast path, its length
+  // and slot checks, and the DecodeVarint fallback. Each scan, on a
+  // plan of ~64-byte chunks, must deliver the reference's sets, or fail
+  // with the reference's diagnostic after delivering exactly the chunks
+  // before the failing set's chunk.
+  Rng rng(2026);
+  constexpr uint32_t kN = uint32_t{1} << 22;
+  SetSystem::Builder builder(kN);
+  for (int s = 0; s < 48; ++s) {
+    std::vector<uint32_t> set;
+    const uint32_t size = static_cast<uint32_t>(rng.Uniform(12));
+    const uint64_t spread = uint64_t{1} << rng.UniformInt(7, 22);
+    for (uint32_t i = 0; i < size; ++i) {
+      set.push_back(static_cast<uint32_t>(rng.Uniform(spread)));
+    }
+    builder.AddSet(set);
+  }
+  const SetSystem system = std::move(builder).Build();
+  const std::string path = TempPath("mutation_src.bin");
+  std::string error;
+  ASSERT_TRUE(WriteBinarySetSystem(system, path, &error)) << error;
+  const std::string clean = ReadFile(path);
+  const binfmt::BinaryLayout layout = ImageLayout(clean);
+  const uint64_t body_bytes = layout.footer_offset - binfmt::kHeaderBytes;
+
+  std::set<std::string> outcomes;
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string image = clean;
+    const size_t at = binfmt::kHeaderBytes + rng.Uniform(body_bytes);
+    image[at] = static_cast<char>(static_cast<uint8_t>(image[at]) ^
+                                  (1 + rng.Uniform(255)));
+    const Decoded reference = ReferenceDecode(image);
+    const std::string kind =
+        reference.error.empty()
+            ? "clean"
+            : reference.error.substr(reference.error.find(": ") + 2);
+    outcomes.insert(kind);
+    for (const uint32_t threads : {1u, 4u}) {
+      std::vector<binfmt::ScanChunk> chunks;
+      const Decoded got =
+          ScanImage(image, threads, /*chunk_bytes=*/64, &chunks);
+      ASSERT_EQ(got.error, reference.error)
+          << "trial " << trial << " byte " << at << " scan_threads=" << threads;
+      size_t expect_sets = reference.sets.size();
+      if (!reference.error.empty()) {
+        // The failing set is the one after the last clean set; only the
+        // chunks before its chunk may be delivered.
+        const uint32_t failing = static_cast<uint32_t>(reference.sets.size());
+        for (const binfmt::ScanChunk& chunk : chunks) {
+          if (failing < chunk.first_set + chunk.set_count) {
+            expect_sets = chunk.first_set;
+            break;
+          }
+        }
+      }
+      ASSERT_EQ(got.sets.size(), expect_sets)
+          << "trial " << trial << " scan_threads=" << threads;
+      ASSERT_TRUE(std::equal(got.sets.begin(), got.sets.end(),
+                             reference.sets.begin()))
+          << "trial " << trial << " scan_threads=" << threads;
+    }
+  }
+  // The mutations reach every outcome the decoder can report.
+  for (const char* kind : {"clean", "bad size varint", "truncated body",
+                           "element id out of range", "trailing bytes"}) {
+    EXPECT_EQ(outcomes.count(kind), 1u) << "no mutation gave: " << kind;
   }
 }
 

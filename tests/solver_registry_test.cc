@@ -96,6 +96,21 @@ TEST(SolverRegistryTest, GeometricSolverWithoutGeometryFailsCleanly) {
   EXPECT_EQ(r.passes, 0u);
 }
 
+TEST(SolverRegistryTest, ZeroThresholdPassesFailsCleanly) {
+  // The sieve's own SC_CHECK stays for direct callers; through the
+  // registry a zero pass count is a value, never an abort.
+  PlantedInstance inst = SharedInstance();
+  Instance instance = Instance::WrapSystem(&inst.system, {"shared", ""});
+  RunOptions options;
+  options.threshold_passes = 0;
+  RunResult r = RunSolver("threshold_greedy", instance, options);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.error, "threshold_passes must be >= 1, got 0");
+  EXPECT_FALSE(r.success);
+  EXPECT_TRUE(r.cover.set_ids.empty());
+  EXPECT_EQ(r.passes, 0u);
+}
+
 TEST(SolverRegistryTest, GeometricSolverCoversPlantedGeomInstance) {
   Rng rng(5);
   GeomPlantedOptions geom_options;

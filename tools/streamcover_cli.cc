@@ -66,6 +66,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -671,6 +672,20 @@ std::string CanonicalAlgoName(const std::string& algo) {
   return it == kAliases.end() ? algo : it->second;
 }
 
+/// Reads --p (threshold_greedy's pass count) into *passes. Prints why
+/// and returns false when it lies outside [1, 2^32 - 1]; a malformed
+/// value is left to BadFlags.
+bool ReadThresholdPasses(const Args& args, uint32_t* passes) {
+  const int64_t p = args.GetInt("p", 2);
+  if ((p < 1 || p > int64_t{UINT32_MAX}) && args.parse_errors.empty()) {
+    std::fprintf(stderr, "--p must be in [1, %u], got %lld\n", UINT32_MAX,
+                 static_cast<long long>(p));
+    return false;
+  }
+  *passes = static_cast<uint32_t>(p);
+  return true;
+}
+
 int SolveOnInstance(Instance& instance, const Args& args) {
   const std::string algo = CanonicalAlgoName(args.Get("algo", "iter"));
 
@@ -679,12 +694,12 @@ int SolveOnInstance(Instance& instance, const Args& args) {
   options.sample_constant = args.GetDouble("c", 0.05);
   options.seed = static_cast<uint64_t>(args.GetInt("seed", 1));
   options.coverage_fraction = args.GetDouble("coverage", 1.0);
-  options.threshold_passes = static_cast<uint32_t>(args.GetInt("p", 2));
   options.max_cover_budget = static_cast<uint32_t>(args.GetInt("budget", 0));
   options.threads = static_cast<uint32_t>(args.GetInt("threads", 1));
   const int64_t scan_threads = args.GetInt("scan-threads", 1);
   const int64_t shards = args.GetInt("shards", 1);
   options.early_exit = args.Has("early-exit");
+  if (!ReadThresholdPasses(args, &options.threshold_passes)) return 1;
   if (args.BadFlags()) return 1;
   if (scan_threads < 1) {
     std::fprintf(stderr, "--scan-threads must be >= 1, got %lld\n",
@@ -775,6 +790,8 @@ int CmdSweep(const Args& args) {
                  static_cast<long long>(scan_threads));
     return 1;
   }
+  uint32_t threshold_passes = 0;
+  if (!ReadThresholdPasses(args, &threshold_passes)) return 1;
 
   RunPlan plan;
   for (const std::string& solver : solvers) {
@@ -782,8 +799,7 @@ int CmdSweep(const Args& args) {
     spec.solver = CanonicalAlgoName(solver);
     spec.options.delta = args.GetDouble("delta", 0.5);
     spec.options.sample_constant = args.GetDouble("c", 0.05);
-    spec.options.threshold_passes =
-        static_cast<uint32_t>(args.GetInt("p", 2));
+    spec.options.threshold_passes = threshold_passes;
     spec.options.coverage_fraction = args.GetDouble("coverage", 1.0);
     spec.options.threads = static_cast<uint32_t>(args.GetInt("threads", 1));
     spec.options.scan_threads = static_cast<uint32_t>(scan_threads);
@@ -987,6 +1003,21 @@ int CmdSelfTest() {
     if (CmdSolve(solve) != 1) return 1;
     solve.flags = {{"in", path}, {"algo", "iter"}, {"coverage", "0"}};
     if (CmdSolve(solve) != 1) return 1;
+  }
+  {
+    // A pass count below 1 fails at the CLI boundary instead of aborting
+    // (p = 0) or wrapping to ~4.3e9 passes (p = -3). Fresh Args per
+    // case: parse errors accumulate on an Args and would mask the check.
+    for (const char* p : {"0", "-3"}) {
+      Args solve;
+      solve.flags = {{"in", path}, {"algo", "threshold_greedy"}, {"p", p}};
+      if (CmdSolve(solve) != 1) return 1;
+      Args sweep;
+      sweep.flags = {{"solvers", "threshold_greedy"},
+                     {"workloads", "sparse"},
+                     {"p", p}};
+      if (CmdSweep(sweep) != 1) return 1;
+    }
   }
   {
     // Binary pipeline: convert text -> binary, mmap-solve it, convert
