@@ -67,12 +67,14 @@ struct RunOptions {
   /// the trade-off benches (IterSetCoverSingleGuess through the
   /// registry). 0 = normal parallel-guess run.
   uint64_t iter_guess = 0;
-  /// Worker threads the shared-scan PassScheduler splits the live
-  /// consumers over, per batch and again for their pass-end work (each
-  /// guess's offline solve); <= 1 runs everything inline.
-  /// Every worker walks each batch in stream order and each consumer's
-  /// pass end touches only its own state, so results are bit-identical
-  /// at every thread count.
+  /// Threads of the shared-scan PassScheduler's worker pool, started
+  /// once per run: the live consumers are claimed over them per batch
+  /// and again for their pass-end work (each guess's offline solve),
+  /// and a pass end's greedy index build over a large store also runs
+  /// on the workers left idle; <= 1 runs everything inline. Each
+  /// consumer sees every batch in stream order and each pass end
+  /// touches only its own state, so results are bit-identical at every
+  /// thread count.
   uint32_t threads = 1;
   /// Decode threads of the binary chunk decoder
   /// (stream/pipelined_scan.h): <= 1 decodes each chunk inline on the

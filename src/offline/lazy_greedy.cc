@@ -1,32 +1,20 @@
 #include "offline/lazy_greedy.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "setsystem/transposed_index.h"
 #include "util/check.h"
+#include "util/worker_pool.h"
 
 namespace streamcover {
 namespace {
 
-/// Restores the max-heap property after heap[0] was replaced with a
-/// smaller key: one sift-down, instead of pop_heap + push_heap walking
-/// two root-to-leaf paths and a leaf-to-root path for the same effect.
-/// Layout-compatible with std::make_heap / std::pop_heap.
-void SiftDownRoot(std::vector<uint64_t>& heap) {
-  const size_t n = heap.size();
-  const uint64_t value = heap[0];
-  size_t i = 0;
-  while (true) {
-    size_t child = 2 * i + 1;
-    if (child >= n) break;
-    if (child + 1 < n && heap[child] < heap[child + 1]) ++child;
-    if (heap[child] <= value) break;
-    heap[i] = heap[child];
-    i = child;
-  }
-  heap[i] = value;
-}
+/// Store size from which BuildIndex splits its sweeps into one range
+/// per pool thread: below it, a range's work does not outweigh waking a
+/// worker.
+constexpr uint64_t kRangedBuildPairs = uint64_t{1} << 18;
 
 /// Visits every set bit of a dense row, ascending.
 template <typename Fn>
@@ -61,40 +49,62 @@ LazyGreedy LazyGreedy::OverSets(const SetSystem& system,
 void LazyGreedy::AddSparse(std::span<const uint32_t> elems) {
   SC_CHECK_LT(rows_.size(), size_t{UINT32_MAX});
   rows_.push_back({elems, {}});
+  pairs_ += elems.size();
 }
 
 void LazyGreedy::AddDense(std::span<const uint64_t> row) {
   SC_CHECK_LT(rows_.size(), size_t{UINT32_MAX});
   SC_CHECK_EQ(row.size(), (static_cast<size_t>(num_elements_) + 63) / 64);
   rows_.push_back({{}, row});
+  for (uint64_t word : row) pairs_ += std::popcount(word);
+}
+
+TransposedIndex LazyGreedy::BuildIndex() const {
+  WorkerPool* pool = WorkerPool::Current();
+  const uint32_t ranges =
+      pool != nullptr && pairs_ >= kRangedBuildPairs ? pool->threads() : 1;
+  auto each_range = [&](const auto& body) {
+    if (ranges == 1) {
+      body(0);
+    } else {
+      pool->ParallelFor(ranges, body);
+    }
+  };
+  // Range r holds candidates [m·r/R, m·(r+1)/R); visit(i, e) sees their
+  // pairs in candidate order, so every column lists its candidates
+  // ascending.
+  const uint64_t m = rows_.size();
+  auto each_pair = [&](size_t r, const auto& visit) {
+    const auto end = static_cast<uint32_t>(m * (r + 1) / ranges);
+    for (auto i = static_cast<uint32_t>(m * r / ranges); i < end; ++i) {
+      const Row& row = rows_[i];
+      if (row.dense.empty()) {
+        for (uint32_t e : row.sparse) visit(i, e);
+      } else {
+        ForEachRowBit(row.dense, [&](uint32_t e) { visit(i, e); });
+      }
+    }
+  };
+  TransposedIndex::Builder builder(num_elements_, ranges);
+  each_range([&](size_t r) {
+    const auto range = static_cast<uint32_t>(r);
+    each_pair(r, [&](uint32_t, uint32_t e) { builder.CountElement(e, range); });
+  });
+  builder.PrepareFill();
+  each_range([&](size_t r) {
+    const auto range = static_cast<uint32_t>(r);
+    each_pair(r, [&](uint32_t i, uint32_t e) {
+      builder.FillElement(i, e, range);
+    });
+  });
+  return std::move(builder).Build();
 }
 
 LazyGreedyResult LazyGreedy::Run(const DynamicBitset& targets,
                                  uint64_t required, uint64_t budget) const {
   SC_CHECK_EQ(targets.size(), num_elements_);
   const uint32_t m = static_cast<uint32_t>(rows_.size());
-
-  // Element → candidate-index columns: one count sweep + one fill sweep
-  // in candidate order (=> sorted columns).
-  TransposedIndex::Builder builder(num_elements_);
-  for (const Row& row : rows_) {
-    if (row.dense.empty()) {
-      builder.CountSet(row.sparse);
-    } else {
-      ForEachRowBit(row.dense, [&](uint32_t e) { builder.CountElement(e); });
-    }
-  }
-  builder.PrepareFill();
-  for (uint32_t i = 0; i < m; ++i) {
-    const Row& row = rows_[i];
-    if (row.dense.empty()) {
-      builder.FillSet(i, row.sparse);
-    } else {
-      ForEachRowBit(row.dense,
-                    [&](uint32_t e) { builder.FillElement(i, e); });
-    }
-  }
-  const TransposedIndex index = std::move(builder).Build();
+  const TransposedIndex index = BuildIndex();
 
   // Targets no candidate contains can never be covered: drop them.
   DynamicBitset live = targets;
@@ -105,37 +115,58 @@ LazyGreedyResult LazyGreedy::Run(const DynamicBitset& targets,
 
   GainTracker gains(&index, m);
   gains.InitFromMask(live);
-  std::vector<uint64_t> heap;
-  heap.reserve(m);
+
+  // The bucket queue (see the header). A counting sort by gain lays the
+  // initial claims out bucket after bucket, bucket g at [first[g],
+  // first[g + 1]); filling in ascending tie-key order leaves each one
+  // ascending: candidate order when the larger index wins ties, reverse
+  // order when the lower one does.
+  uint64_t level = 0;
+  for (uint32_t i = 0; i < m; ++i) level = std::max(level, gains.gain(i));
+  std::vector<size_t> first(level + 2, 0);
   for (uint32_t i = 0; i < m; ++i) {
-    const uint64_t gain = gains.gain(i);
-    if (gain > 0) heap.push_back(Pack(gain, i));
+    if (gains.gain(i) > 0) ++first[gains.gain(i) + 1];
   }
-  std::make_heap(heap.begin(), heap.end());
+  for (uint64_t g = 1; g < first.size(); ++g) first[g] += first[g - 1];
+  std::vector<uint32_t> initial(first.back());
+  std::vector<size_t> fill(first.begin(), first.end() - 1);
+  for (uint32_t k = 0; k < m; ++k) {
+    const uint32_t i = tie_mask_ == 0 ? k : m - 1 - k;
+    const uint64_t gain = gains.gain(i);
+    if (gain > 0) initial[fill[gain]++] = i ^ tie_mask_;
+  }
+  std::vector<std::vector<uint32_t>> moved(level + 1);
+  std::vector<uint32_t> top;  // the top bucket's claims, ascending
+  ++level;                    // the bucket `top` holds; none yet
 
   LazyGreedyResult result;
-  result.working_words = live.WordCount() + heap.size() +
+  result.working_words = live.WordCount() + initial.size() +
                          index.word_count() + gains.word_count();
   std::vector<uint32_t> newly;
-  while (result.covered < required && result.picks.size() < budget &&
-         !heap.empty()) {
-    const uint64_t top = heap.front();
-    const uint32_t i = Unpack(top);
+  while (result.covered < required && result.picks.size() < budget) {
+    while (top.empty() && --level > 0) {
+      // Bucket `level` reaches the top: its initial claims merged with
+      // the claims that fell to it. Nothing falls to it again while it
+      // is the top.
+      std::vector<uint32_t>& in = moved[level];
+      std::sort(in.begin(), in.end());
+      top.resize(first[level + 1] - first[level] + in.size());
+      std::merge(initial.begin() + first[level],
+                 initial.begin() + first[level + 1], in.begin(), in.end(),
+                 top.begin());
+      std::vector<uint32_t>().swap(in);
+    }
+    if (top.empty()) break;  // no candidate with positive gain left
+    const uint32_t i = top.back() ^ tie_mask_;
+    top.pop_back();
     const uint64_t gain = gains.gain(i);
     ++result.sets_touched;
-    if (gain == 0) {
-      // Dead entry: fully covered by earlier picks.
-      std::pop_heap(heap.begin(), heap.end());
-      heap.pop_back();
+    if (gain == 0) continue;  // dead claim: covered by earlier picks
+    if (gain != level) {
+      SC_DCHECK_LT(gain, level);
+      moved[gain].push_back(i ^ tie_mask_);
       continue;
     }
-    if (gain != (top >> 32)) {
-      heap.front() = Pack(gain, i);
-      SiftDownRoot(heap);
-      continue;
-    }
-    std::pop_heap(heap.begin(), heap.end());
-    heap.pop_back();
     newly.clear();
     const Row& row = rows_[i];
     if (row.dense.empty()) {
@@ -147,7 +178,7 @@ LazyGreedyResult LazyGreedy::Run(const DynamicBitset& targets,
     }
     SC_DCHECK_EQ(newly.size(), gain);
     // The pick's own column entries zero its tracked gain along with
-    // everyone else's — a popped candidate never needs tombstoning.
+    // everyone else's — a picked candidate never needs tombstoning.
     gains.OnCovered(newly);
     result.covered += gain;
     result.picks.push_back(i);

@@ -11,13 +11,23 @@
 //     in one count sweep + one fill sweep, and a GainTracker keeps every
 //     candidate's residual gain exact by decrementing along each pick's
 //     newly covered elements. Each (element, candidate) pair is touched
-//     at most once, so total maintenance is nnz(candidates).
-//   * a flat max-heap of packed (gain << 32 | tie key) entries is aged
-//     lazily. Claims are only ever stale upward, so a root whose claim
-//     equals its tracked gain majorizes every other candidate's true
-//     gain: it is the exact greedy argmax. A stale root is re-keyed in
-//     place with one sift-down (pop-and-reuse, never re-counted against
-//     the mask), and a zero-gain root is dropped.
+//     at most once, so total maintenance is nnz(candidates). Run inside
+//     a WorkerPool loop (a PassScheduler pass end) on a store of at
+//     least 2^18 pairs, both sweeps run over one candidate range per
+//     pool thread, fanned out onto the pool's idle workers; the ranged
+//     builder makes the same index.
+//   * candidates wait in a bucket queue of claims: bucket g holds the
+//     tie keys of the candidates last seen at gain g, ascending, so the
+//     top bucket's back is the largest (gain, tie key) claim. Claims
+//     are only ever stale upward, so a top claim that equals its
+//     tracked gain majorizes every other candidate's true gain: it is
+//     the exact greedy argmax. A stale claim moves to the bucket of its
+//     true gain, and a claim whose gain fell to zero is dropped. Moved
+//     claims collect per bucket and are sorted and merged in when their
+//     bucket reaches the top; a bucket never receives a claim while it
+//     is the top (claims only fall), so every inspection sees exactly
+//     the claim a max-heap of packed (gain << 32 | tie key) entries
+//     would have at its root.
 //
 // Ties among equal gains go by candidate index, in the direction the
 // caller fixes at construction: GreedySolver prefers the larger set id,
@@ -29,7 +39,7 @@
 // dropped) and stops at the first of: `required` targets covered,
 // `budget` picks made, no candidate with positive gain left.
 //
-// Counters: `sets_touched` counts heap inspections (gain evaluations),
+// Counters: `sets_touched` counts claim inspections (gain evaluations),
 // `gain_updates` the tracker's O(1) decrements — the pair the sweep
 // report and perfbench surface to make output-sensitivity observable.
 
@@ -47,14 +57,17 @@
 
 namespace streamcover {
 
+class TransposedIndex;
+
 struct LazyGreedyResult {
   std::vector<uint32_t> picks;  ///< candidate indices, in greedy order
   uint64_t covered = 0;         ///< target elements the picks cover
   bool success = false;         ///< covered reached `required`
-  uint64_t sets_touched = 0;    ///< heap inspections (gain evaluations)
+  uint64_t sets_touched = 0;    ///< claim inspections (gain evaluations)
   uint64_t gain_updates = 0;    ///< GainTracker decrements
-  /// Words of working state the run held: mask, initial heap, index,
-  /// gains (for callers that meter space).
+  /// Words of working state the run held: mask, initial claims (one
+  /// per positive-gain candidate), index, gains (for callers that
+  /// meter space).
   uint64_t working_words = 0;
 };
 
@@ -99,19 +112,18 @@ class LazyGreedy {
     std::span<const uint64_t> dense;
   };
 
-  uint64_t Pack(uint64_t gain, uint32_t index) const {
-    return (gain << 32) | (index ^ tie_mask_);
-  }
-  uint32_t Unpack(uint64_t key) const {
-    return static_cast<uint32_t>(key) ^ tie_mask_;
-  }
+  /// The element → candidate index over the store, built over one
+  /// candidate range per thread of the pool running this call when the
+  /// store is large enough (see the file comment).
+  TransposedIndex BuildIndex() const;
 
   uint32_t num_elements_;
   KernelPolicy kernel_;
-  /// XOR-ed into the key's low half: all ones reverses the index order,
-  /// so the max-heap then prefers the lowest index.
+  /// XOR-ed into a candidate index to make its tie key: all ones
+  /// reverses the index order, so the largest key is the lowest index.
   uint32_t tie_mask_;
   std::vector<Row> rows_;
+  uint64_t pairs_ = 0;  ///< (element, candidate) pairs in the store
 };
 
 }  // namespace streamcover

@@ -355,8 +355,10 @@ std::optional<SetSystem> LoadBinarySetSystemFromFile(const std::string& path,
       if (!delta.has_value()) {
         return fail("corrupt set " + std::to_string(s) + ": truncated body");
       }
+      // No delta >= n is valid, and one near 2^64 would wrap the sum
+      // below to a small id.
       uint64_t e = (i == 0) ? *delta : prev + *delta + 1;
-      if (e >= layout.n) {
+      if (*delta >= layout.n || e >= layout.n) {
         return fail("corrupt set " + std::to_string(s) +
                     ": element id out of range");
       }

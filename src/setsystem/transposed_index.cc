@@ -1,31 +1,54 @@
 #include "setsystem/transposed_index.h"
 
-#include <numeric>
 #include <utility>
 
 namespace streamcover {
 
+TransposedIndex::Builder::Builder(uint32_t num_elements, uint32_t ranges)
+    : num_elements_(num_elements),
+      ranges_(ranges),
+      // One cache line between ranges, so ranges counted on different
+      // threads never share one.
+      stride_(static_cast<size_t>(num_elements) + 8) {
+  SC_CHECK_GE(ranges, 1u);
+  slices_.assign(stride_ * ranges, 0);
+}
+
 void TransposedIndex::Builder::PrepareFill() {
   SC_CHECK(!prepared_);
   prepared_ = true;
-  // counts_[e + 1] holds |column e|; prefix-sum in place to offsets.
-  for (size_t e = 1; e < counts_.size(); ++e) {
-    counts_[e] += counts_[e - 1];
+  counts_ = slices_;
+  // One prefix pass in column order: column e starts at offsets_[e],
+  // and range r's slice of it right after ranges 0..r-1's slices.
+  offsets_.resize(static_cast<size_t>(num_elements_) + 1);
+  size_t next = 0;
+  for (uint32_t e = 0; e < num_elements_; ++e) {
+    offsets_[e] = next;
+    for (uint32_t r = 0; r < ranges_; ++r) {
+      size_t& slice = slices_[r * stride_ + e];
+      const size_t count = slice;
+      slice = next;
+      next += count;
+    }
   }
-  entries_.resize(counts_.back());
-  // Fill cursors start at each column's offset and advance per entry.
-  cursors_.assign(counts_.begin(), counts_.end() - 1);
+  offsets_[num_elements_] = next;
+  entries_.resize(next);
 }
 
 TransposedIndex TransposedIndex::Builder::Build() && {
   SC_CHECK(prepared_);
-  // Every counted pair must have been filled: each cursor must have
-  // reached the next column's offset.
+  // Every counted pair must have been filled: each range's cursor must
+  // have advanced by exactly its count, to where the next slice starts.
   for (uint32_t e = 0; e < num_elements_; ++e) {
-    SC_CHECK_EQ(cursors_[e], counts_[e + 1]);
+    size_t end = offsets_[e];
+    for (uint32_t r = 0; r < ranges_; ++r) {
+      end += counts_[r * stride_ + e];
+      SC_CHECK_EQ(slices_[r * stride_ + e], end);
+    }
+    SC_CHECK_EQ(end, offsets_[e + 1]);
   }
   TransposedIndex index;
-  index.offsets_ = std::move(counts_);
+  index.offsets_ = std::move(offsets_);
   index.entries_ = std::move(entries_);
   return index;
 }

@@ -9,8 +9,9 @@
 // element → {sets containing it}, built in one counting sweep + one
 // fill sweep over the candidates (offline/lazy_greedy.cc builds one per
 // greedy run: over each iterSetCover guess's sub-instance, the store-all
-// buffer, or the shard merge's candidates; offline/exact.cc builds one
-// for branching). When elements become covered, GainTracker walks
+// buffer, or the shard merge's candidates — over row ranges on a worker
+// pool when the store is large; offline/exact.cc builds one for
+// branching). When elements become covered, GainTracker walks
 // exactly the affected columns and decrements exact gains — each
 // (element, set) pair is touched at most ONCE over the whole run, so
 // total maintenance is nnz(F') instead of rounds × nnz(F').
@@ -51,40 +52,56 @@ class TransposedIndex {
   /// fill the same (set, element) pairs. Both sweeps accept the pairs
   /// in any order, but the fill order defines the column order — fill
   /// sets in ascending index order to get sorted columns.
+  ///
+  /// Ranged build: a builder over R row ranges counts and fills each
+  /// range through its own counters, so the R ranges can run on R
+  /// threads at once (every call naming one range must come from one
+  /// thread at a time). PrepareFill's one prefix pass gives range r
+  /// the slice of every column after ranges 0..r-1's slices, so when
+  /// the ranges split the sets into ascending index spans, each filled
+  /// in index order, the index equals the one-range build.
   class Builder {
    public:
-    explicit Builder(uint32_t num_elements)
-        : counts_(static_cast<size_t>(num_elements) + 1, 0),
-          num_elements_(num_elements) {}
+    explicit Builder(uint32_t num_elements, uint32_t ranges = 1);
 
-    void CountElement(uint32_t element) {
+    void CountElement(uint32_t element, uint32_t range = 0) {
       SC_DCHECK_LT(element, num_elements_);
-      ++counts_[static_cast<size_t>(element) + 1];
+      SC_DCHECK_LT(range, ranges_);
+      ++slices_[range * stride_ + element];
     }
-    void CountSet(std::span<const uint32_t> elems) {
-      for (uint32_t e : elems) CountElement(e);
+    void CountSet(std::span<const uint32_t> elems, uint32_t range = 0) {
+      for (uint32_t e : elems) CountElement(e, range);
     }
 
-    /// Freezes the counts into column offsets. Call exactly once,
-    /// between the counting and fill sweeps.
+    /// Freezes the counts into column offsets and each range's slice
+    /// starts. Call exactly once, between the counting and fill sweeps.
     void PrepareFill();
 
-    void FillElement(uint32_t set_index, uint32_t element) {
+    void FillElement(uint32_t set_index, uint32_t element,
+                     uint32_t range = 0) {
       SC_DCHECK(prepared_);
-      entries_[cursors_[element]++] = set_index;
+      SC_DCHECK_LT(range, ranges_);
+      entries_[slices_[range * stride_ + element]++] = set_index;
     }
-    void FillSet(uint32_t set_index, std::span<const uint32_t> elems) {
-      for (uint32_t e : elems) FillElement(set_index, e);
+    void FillSet(uint32_t set_index, std::span<const uint32_t> elems,
+                 uint32_t range = 0) {
+      for (uint32_t e : elems) FillElement(set_index, e, range);
     }
 
-    /// Finishes the index; every counted pair must have been filled.
+    /// Finishes the index; every counted pair must have been filled,
+    /// through the range that counted it.
     TransposedIndex Build() &&;
 
    private:
-    std::vector<size_t> counts_;  // then offsets after PrepareFill
-    std::vector<size_t> cursors_;
+    /// Per range, one entry per column: the range's count in that
+    /// column, then (after PrepareFill) its fill cursor.
+    std::vector<size_t> slices_;
+    std::vector<size_t> counts_;  ///< the counts, kept for Build's check
+    std::vector<size_t> offsets_;
     std::vector<uint32_t> entries_;
     uint32_t num_elements_ = 0;
+    uint32_t ranges_ = 1;
+    size_t stride_ = 0;  ///< slices_ entries per range
     bool prepared_ = false;
   };
 

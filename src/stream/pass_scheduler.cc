@@ -1,33 +1,14 @@
 #include "stream/pass_scheduler.h"
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
 
 #include "util/check.h"
 
 namespace streamcover {
-namespace {
-
-// Runs body(w) for every w in [0, workers): worker 0 on the calling
-// thread, the others on threads started here and joined before return
-// (std::jthread joins on destruction, also if body(0) throws). The one
-// place the scheduler starts threads; workers == 1 starts none.
-template <typename Body>
-void RunOnWorkers(uint32_t workers, const Body& body) {
-  std::vector<std::jthread> pool;
-  pool.reserve(workers - 1);
-  for (uint32_t w = 1; w < workers; ++w) {
-    pool.emplace_back([&body, w] { body(w); });
-  }
-  body(0);
-}
-
-}  // namespace
 
 PassScheduler::PassScheduler(SetStream& stream, uint32_t threads,
                              KernelPolicy)
-    : stream_(&stream), threads_(std::max(threads, 1u)) {}
+    : stream_(&stream), pool_(threads) {}
 
 size_t PassScheduler::Register(ScanConsumer* consumer) {
   SC_CHECK(consumer != nullptr);
@@ -65,36 +46,24 @@ uint64_t PassScheduler::total_passes() const {
 }
 
 void PassScheduler::DispatchBatch(std::span<const SetView> views,
-                                  const std::vector<ScanConsumer*>& live,
-                                  uint32_t workers) {
-  // Static partition: worker w serves consumers w, w+workers, ... Each
-  // consumer is touched by exactly one worker and receives the whole
-  // batch in stream order, so no locks and no dispatch-order
-  // nondeterminism. The walk is set-major — every owned consumer sees a
-  // set while its elements are still in cache — which is also the order
-  // a single inline worker uses.
-  RunOnWorkers(workers, [&](uint32_t worker) {
-    for (const SetView& set : views) {
-      for (size_t c = worker; c < live.size(); c += workers) {
-        live[c]->OnSet(set);
-      }
-    }
+                                  const std::vector<ScanConsumer*>& live) {
+  // One index per consumer, claimed dynamically and in registration
+  // order: guess costs are very uneven (k = 1 stores every set, k = 4096
+  // almost none), and iterSetCover registers its heaviest guess first,
+  // so it starts first. A consumer is touched by one thread per batch
+  // and sees the batch in stream order, so no locks and no
+  // dispatch-order nondeterminism.
+  pool_.ParallelFor(live.size(), [&](size_t c) {
+    for (const SetView& set : views) live[c]->OnSet(set);
   });
 }
 
-void PassScheduler::RunPassEnds(const std::vector<ScanConsumer*>& live,
-                                uint32_t workers) {
-  // Dynamic claiming: pass-end costs are very uneven (an iterSetCover
-  // guess's offline solve shrinks as k grows), so each worker takes the
-  // next unclaimed consumer instead of a fixed share. Every OnPassEnd
-  // runs exactly once, on one thread; the join orders it before
-  // anything the calling thread does next.
-  std::atomic<size_t> next{0};
-  RunOnWorkers(workers, [&](uint32_t) {
-    for (size_t c = next++; c < live.size(); c = next++) {
-      live[c]->OnPassEnd();
-    }
-  });
+void PassScheduler::RunPassEnds(const std::vector<ScanConsumer*>& live) {
+  // Pass-end costs are uneven too (an iterSetCover guess's offline
+  // solve shrinks as k grows). Every OnPassEnd runs exactly once, on
+  // one thread, and ParallelFor's return orders it before anything the
+  // calling thread does next.
+  pool_.ParallelFor(live.size(), [&](size_t c) { live[c]->OnPassEnd(); });
 }
 
 size_t PassScheduler::RunRound() {
@@ -111,12 +80,8 @@ size_t PassScheduler::RunRound() {
   if (stream_failed_) return 0;  // sticky: the repository is gone
 
   ++physical_scans_;
-  const uint32_t workers = static_cast<uint32_t>(
-      std::min<size_t>(threads_, live.size()));
   const bool scan_ok = stream_->ForEachBatch(
-      [&](std::span<const SetView> views) {
-        DispatchBatch(views, live, workers);
-      });
+      [&](std::span<const SetView> views) { DispatchBatch(views, live); });
   if (!scan_ok) {
     // The round died mid-scan: no pass attribution, no OnPassEnd — the
     // consumers saw at most the batches before the failing one, not a
@@ -126,7 +91,7 @@ size_t PassScheduler::RunRound() {
     return 0;
   }
   for (Slot* slot : live_slots) ++slot->passes;
-  RunPassEnds(live, workers);
+  RunPassEnds(live);
   return live.size();
 }
 

@@ -18,16 +18,20 @@
 // the parallel-composition space sum (Lemma 2.2's log n factor) is the
 // sum of consumer peaks.
 //
-// Dispatch: every batch goes through DispatchBatch, which splits the
-// live consumers over `threads` workers (one runs inline). Each worker
-// walks the batch once, handing every set to each consumer it owns in
-// stream order, so results are bit-identical at every thread count and
-// consumers need no locks as long as OnSet() touches only their own
-// state. After the scan, the same workers run the live consumers'
-// OnPassEnd() — the paper's per-guess offline solves between passes —
-// each consumer claimed by exactly one worker; with one worker or one
-// live consumer it runs inline. Everything between rounds (driver
-// logic, winner selection) runs on the calling thread after the join.
+// Dispatch: the scheduler owns one resident WorkerPool
+// (util/worker_pool.h) of `threads` threads, started in its constructor
+// and joined in its destructor. Every batch is one ParallelFor over the
+// live consumers: the calling thread and each idle worker claim the
+// next unserved consumer and hand it the whole batch in stream order,
+// so results are bit-identical at every thread count and consumers need
+// no locks as long as OnSet() touches only their own state. After the
+// scan, the live consumers' OnPassEnd() — the paper's per-guess offline
+// solves between passes — is a second ParallelFor on the same pool,
+// each consumer claimed by exactly one thread; a pass end may fan its
+// own work back out (LazyGreedy builds its index over row ranges), and
+// idle workers help the newest loop. One live consumer, or one thread,
+// runs inline. Everything between rounds (driver logic, winner
+// selection) runs on the calling thread after the loop returns.
 
 #ifndef STREAMCOVER_STREAM_PASS_SCHEDULER_H_
 #define STREAMCOVER_STREAM_PASS_SCHEDULER_H_
@@ -41,6 +45,7 @@
 #include "stream/set_stream.h"
 #include "util/cover_kernels.h"
 #include "util/coverage_delta.h"
+#include "util/worker_pool.h"
 
 namespace streamcover {
 
@@ -74,8 +79,8 @@ class ScanConsumer {
 class PassScheduler {
  public:
   /// `threads` <= 1 runs everything inline on the calling thread;
-  /// larger values fan consumers out over that many workers, per batch
-  /// and again for the round's OnPassEnd calls. The
+  /// larger values start `threads` - 1 resident workers here, which
+  /// every batch and every round's OnPassEnd calls then share. The
   /// KernelPolicy argument is ignored; it stays only because perfbench/
   /// still passes one — drop it in the next change to perfbench/.
   explicit PassScheduler(SetStream& stream, uint32_t threads = 1,
@@ -93,8 +98,8 @@ class PassScheduler {
   bool AnyLive() const;
 
   /// Runs one round: a single physical scan served to every live
-  /// consumer, then OnPassEnd on each, spread over min(threads, live)
-  /// workers (the calling thread included) and joined before return;
+  /// consumer, then OnPassEnd on each, spread over the pool (the
+  /// calling thread included) and finished before return;
   /// the order in which consumers' pass-ends run is unspecified. Returns
   /// the number of consumers served; 0 means either no live consumers
   /// (no scan performed) or a stream failure mid-scan — distinguish via
@@ -136,7 +141,7 @@ class PassScheduler {
   uint64_t max_passes() const;
   uint64_t total_passes() const;
 
-  uint32_t threads() const { return threads_; }
+  uint32_t threads() const { return pool_.threads(); }
   SetStream& stream() { return *stream_; }
 
   /// Registers a coverage-delta listener (setsystem/transposed_index.h's
@@ -171,19 +176,17 @@ class PassScheduler {
   };
 
   /// Hands every set of one batch to each of `live`, in stream order,
-  /// over `workers` threads (static partition of the consumers; the
-  /// calling thread is worker 0). Views must stay valid for the call.
+  /// each consumer on the pool thread that claims it. Views must stay
+  /// valid for the call.
   void DispatchBatch(std::span<const SetView> views,
-                     const std::vector<ScanConsumer*>& live,
-                     uint32_t workers);
+                     const std::vector<ScanConsumer*>& live);
 
-  /// Calls OnPassEnd once on each of `live` over `workers` threads (the
-  /// calling thread is worker 0), each worker claiming the next
-  /// unserved consumer.
-  void RunPassEnds(const std::vector<ScanConsumer*>& live, uint32_t workers);
+  /// Calls OnPassEnd once on each of `live`, each consumer on the pool
+  /// thread that claims it.
+  void RunPassEnds(const std::vector<ScanConsumer*>& live);
 
   SetStream* stream_;
-  uint32_t threads_;
+  WorkerPool pool_;
   std::vector<Slot> slots_;
   std::vector<CoverageDeltaListener*> delta_listeners_;
   std::mutex publish_mu_;  ///< serializes PublishCoverageDelta

@@ -118,6 +118,11 @@ bool PipelinedScanner::DecodeChunk(const binfmt::ScanChunk& chunk,
       } else {
         auto slow = binfmt::DecodeVarint(&cursor, set_end);
         if (!slow.has_value()) return fail(s, "truncated body");
+        // Only a long varint can hold a delta near 2^64, which would
+        // wrap prev + delta + 1 to a small id: no delta >= n is valid.
+        if (*slow >= num_elements_) {
+          return fail(s, "element id out of range");
+        }
         delta = *slow;
       }
       // Delta-1 coding off a strictly increasing sequence: decoding

@@ -40,8 +40,9 @@ using SetBatchVisitor = std::function<void(std::span<const SetView>)>;
 
 /// Batch bounds of the in-memory and text sources (the binary decoder's
 /// batches are its decode chunks): a batch closes after the set that
-/// brings it to either bound. PassScheduler starts its workers once per
-/// batch, so that is about once per scan at laptop scale.
+/// brings it to either bound. PassScheduler wakes its resident workers
+/// once per batch (one ParallelFor over the live consumers), so that is
+/// about once per scan at laptop scale.
 inline constexpr size_t kBatchMaxSets = size_t{1} << 16;
 inline constexpr size_t kBatchMaxWords = size_t{1} << 20;
 

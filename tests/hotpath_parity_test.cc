@@ -33,6 +33,7 @@
 #include "core/workload_registry.h"
 #include "gtest/gtest.h"
 #include "offline/greedy.h"
+#include "setsystem/binary_io.h"
 #include "setsystem/io.h"
 #include "stream/sampling.h"
 #include "stream/space_tracker.h"
@@ -266,9 +267,13 @@ TEST(HotpathParityTest, FileBackedArenaGuessMatchesVectorPathReference) {
   std::remove(path.c_str());
 }
 
+/// Every RunResult field but the wall-clock ones (duration_ms and the
+/// merge's duration_ms).
 void ExpectRunParity(const RunResult& a, const RunResult& b) {
   ASSERT_TRUE(a.ok()) << a.error;
   ASSERT_TRUE(b.ok()) << b.error;
+  EXPECT_EQ(a.solver, b.solver);
+  EXPECT_EQ(a.instance, b.instance);
   EXPECT_EQ(a.cover.set_ids, b.cover.set_ids);
   EXPECT_EQ(a.success, b.success);
   EXPECT_EQ(a.passes, b.passes);
@@ -276,20 +281,45 @@ void ExpectRunParity(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.physical_scans, b.physical_scans);
   EXPECT_EQ(a.space_words, b.space_words);
   EXPECT_EQ(a.projection_words_peak, b.projection_words_peak);
+  EXPECT_EQ(a.gain_updates, b.gain_updates);
+  EXPECT_EQ(a.sets_touched, b.sets_touched);
+  ASSERT_EQ(a.shard_stats.size(), b.shard_stats.size());
+  for (size_t i = 0; i < a.shard_stats.size(); ++i) {
+    const ShardStat& x = a.shard_stats[i];
+    const ShardStat& y = b.shard_stats[i];
+    EXPECT_EQ(x.shard, y.shard);
+    EXPECT_EQ(x.sets_seen, y.sets_seen);
+    EXPECT_EQ(x.candidates, y.candidates);
+    EXPECT_EQ(x.inserts, y.inserts);
+    EXPECT_EQ(x.work_items, y.work_items);
+  }
+  EXPECT_EQ(a.merge_stats.candidates, b.merge_stats.candidates);
+  EXPECT_EQ(a.merge_stats.duplicates_dropped,
+            b.merge_stats.duplicates_dropped);
+  EXPECT_EQ(a.merge_stats.picked, b.merge_stats.picked);
 }
 
 TEST(HotpathParityTest, ThreadedRegistryRunsAreByteIdentical) {
+  // Threads 2 and 3 split the consumers unevenly over the scheduler's
+  // pool; every count must land on the serial run.
   for (const char* family : {"planted", "zipf"}) {
     Instance instance = MakeRegistered(family, 3);
     RunOptions serial;
     serial.sample_constant = 0.05;
-    RunOptions threaded = serial;
-    threaded.threads = 4;
-    RunResult a = RunSolver("iter", instance, serial);
-    RunResult b = RunSolver("iter", instance, threaded);
-    SCOPED_TRACE(family);
-    ExpectRunParity(a, b);
-    EXPECT_GT(a.projection_words_peak, 0u);
+    for (const char* solver : {"iter", "dimv14"}) {
+      RunResult a = RunSolver(solver, instance, serial);
+      if (std::string(solver) == "iter") {
+        EXPECT_GT(a.projection_words_peak, 0u);
+      }
+      for (const uint32_t threads : {2u, 3u, 4u}) {
+        RunOptions threaded = serial;
+        threaded.threads = threads;
+        RunResult b = RunSolver(solver, instance, threaded);
+        SCOPED_TRACE(std::string(family) + " x " + solver +
+                     " x threads=" + std::to_string(threads));
+        ExpectRunParity(a, b);
+      }
+    }
   }
   // algGeomSC's guesses ride the same scheduler over the range space:
   // one physical scan per pass at every thread count.
@@ -299,15 +329,18 @@ TEST(HotpathParityTest, ThreadedRegistryRunsAreByteIdentical) {
     RunOptions serial;
     serial.sample_constant = 0.05;
     serial.delta = 0.25;
-    RunOptions threaded = serial;
-    threaded.threads = 4;
     RunResult a = RunSolver("geom", instance, serial);
-    RunResult b = RunSolver("geom", instance, threaded);
-    SCOPED_TRACE(family);
-    ExpectRunParity(a, b);
     EXPECT_TRUE(a.success);
     EXPECT_EQ(a.physical_scans, a.passes);
-    EXPECT_EQ(b.physical_scans, b.passes);
+    for (const uint32_t threads : {2u, 3u, 4u}) {
+      RunOptions threaded = serial;
+      threaded.threads = threads;
+      RunResult b = RunSolver("geom", instance, threaded);
+      SCOPED_TRACE(std::string(family) + " x threads=" +
+                   std::to_string(threads));
+      ExpectRunParity(a, b);
+      EXPECT_EQ(b.physical_scans, b.passes);
+    }
   }
 }
 
@@ -364,21 +397,33 @@ TEST(HotpathParityTest, KernelPoliciesAgreeOnThreadedEarlyExitRuns) {
 }
 
 TEST(HotpathParityTest, ThreadedFileBackedRunsAreByteIdentical) {
+  // A text file and a SCOVRB01 file of one instance, at every thread
+  // count from 1 to 4: each threaded run equals its own serial run.
   Instance generated = MakeRegistered("planted", 4);
-  const std::string path = testing::TempDir() + "/hotpath_parity_file.txt";
-  ASSERT_TRUE(SaveSetSystemToFile(*generated.materialized(), path));
+  const std::string text = testing::TempDir() + "/hotpath_parity_file.txt";
+  const std::string binary = testing::TempDir() + "/hotpath_parity_file.bin";
+  ASSERT_TRUE(SaveSetSystemToFile(*generated.materialized(), text));
   std::string error;
-  std::optional<Instance> instance = Instance::FromFile(path, &error);
-  ASSERT_TRUE(instance.has_value()) << error;
-
-  RunOptions serial;
-  serial.sample_constant = 0.05;
-  RunOptions threaded = serial;
-  threaded.threads = 4;
-  RunResult a = RunSolver("iter", *instance, serial);
-  RunResult b = RunSolver("iter", *instance, threaded);
-  ExpectRunParity(a, b);
-  std::remove(path.c_str());
+  ASSERT_TRUE(WriteBinarySetSystem(*generated.materialized(), binary, &error))
+      << error;
+  for (const std::string& path : {text, binary}) {
+    std::optional<Instance> instance = Instance::FromFile(path, &error);
+    ASSERT_TRUE(instance.has_value()) << error;
+    for (const char* solver : {"iter", "dimv14"}) {
+      RunOptions serial;
+      serial.sample_constant = 0.05;
+      RunResult a = RunSolver(solver, *instance, serial);
+      for (const uint32_t threads : {2u, 3u, 4u}) {
+        RunOptions threaded = serial;
+        threaded.threads = threads;
+        RunResult b = RunSolver(solver, *instance, threaded);
+        SCOPED_TRACE(path + " x " + solver + " x threads=" +
+                     std::to_string(threads));
+        ExpectRunParity(a, b);
+      }
+    }
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace

@@ -480,7 +480,7 @@ Decoded ReferenceDecode(const std::string& image) {
         return out;
       }
       const uint64_t e = (j == 0) ? *delta : prev + *delta + 1;
-      if (e >= layout.n) {
+      if (*delta >= layout.n || e >= layout.n) {
         out.error = where + "element id out of range";
         return out;
       }
@@ -740,6 +740,46 @@ TEST(ChunkDecoderTest, SeededByteMutationsMatchTheReference) {
                            "element id out of range", "trailing bytes"}) {
     EXPECT_EQ(outcomes.count(kind), 1u) << "no mutation gave: " << kind;
   }
+}
+
+TEST(ChunkDecoderTest, WrappingDeltaIsOutOfRangeOnEveryDecoder) {
+  // Size 2, first id 5, then the 10-byte delta 2^64 - 6: 5 + delta + 1
+  // wraps to id 0. Unchecked, the scan delivered the unsorted set
+  // {5, 0} while the loader's builder normalised it to {0, 5}. The body
+  // checksum is valid, so the loader reaches the set too.
+  std::string image =
+      RawImage(100, {Slot(2, {5, ~uint64_t{0} - 5}), Slot(1, {7})});
+  const uint8_t* bytes = reinterpret_cast<const uint8_t*>(image.data());
+  const binfmt::BinaryLayout layout = ImageLayout(image);
+  const uint64_t checksum =
+      binfmt::Fnv1a(bytes + binfmt::kHeaderBytes,
+                    layout.footer_offset - binfmt::kHeaderBytes,
+                    binfmt::kFnvOffset);
+  for (int i = 0; i < 8; ++i) {  // the header's checksum, bytes 48-55
+    image[48 + i] = static_cast<char>(checksum >> (8 * i));
+  }
+  const std::string path = TempPath("wrapping_delta.bin");
+  {
+    std::ofstream os(path, std::ios::binary);
+    os << image;
+  }
+  const std::string expect = "corrupt set 0: element id out of range";
+  EXPECT_EQ(ReferenceDecode(image).error, expect);
+  for (const uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE("scan_threads=" + std::to_string(threads));
+    const Decoded chunked = ScanImage(image, threads, /*chunk_bytes=*/0);
+    EXPECT_EQ(chunked.error, expect);
+    EXPECT_TRUE(chunked.sets.empty());
+    std::string error;
+    auto source = MmapSetSource::Open(path, &error);
+    ASSERT_TRUE(source.has_value()) << error;
+    source->set_scan_threads(threads);
+    EXPECT_FALSE(source->Scan([](const SetView&) {}));
+    EXPECT_EQ(source->error(), path + ": " + expect);
+  }
+  std::string error;
+  EXPECT_FALSE(LoadBinarySetSystemFromFile(path, &error).has_value());
+  EXPECT_NE(error.find(expect), std::string::npos) << error;
 }
 
 TEST(OpenDiskSetSourceTest, SurfacesBinaryValidatorErrorVerbatim) {

@@ -28,6 +28,7 @@
 #include "stream/set_stream.h"
 #include "util/cover_kernels.h"
 #include "util/rng.h"
+#include "util/worker_pool.h"
 
 namespace streamcover {
 namespace {
@@ -102,6 +103,75 @@ TEST(TransposedIndexTest, EmptyColumnsAndEmptySets) {
   EXPECT_TRUE(index.Sets(1).empty());
   ASSERT_EQ(index.Sets(0).size(), 1u);
   EXPECT_EQ(index.Sets(0)[0], 0u);
+}
+
+/// The index over `system` built through `ranges` row ranges: set s is
+/// in range r when m·r/R <= s < m·(r+1)/R. The ranges' sweeps run on
+/// `pool` when given, else one after another.
+TransposedIndex RangedIndexOf(const SetSystem& system, uint32_t ranges,
+                              WorkerPool* pool) {
+  TransposedIndex::Builder builder(system.num_elements(), ranges);
+  const uint64_t m = system.num_sets();
+  auto begin = [&](size_t r) { return static_cast<uint32_t>(m * r / ranges); };
+  auto each_range = [&](const auto& body) {
+    if (pool != nullptr) {
+      pool->ParallelFor(ranges, body);
+    } else {
+      for (uint32_t r = 0; r < ranges; ++r) body(r);
+    }
+  };
+  each_range([&](size_t r) {
+    for (uint32_t s = begin(r); s < begin(r + 1); ++s) {
+      builder.CountSet(system.GetSet(s), static_cast<uint32_t>(r));
+    }
+  });
+  builder.PrepareFill();
+  each_range([&](size_t r) {
+    for (uint32_t s = begin(r); s < begin(r + 1); ++s) {
+      builder.FillSet(s, system.GetSet(s), static_cast<uint32_t>(r));
+    }
+  });
+  return std::move(builder).Build();
+}
+
+TEST(TransposedIndexTest, RangedBuildEqualsTheOneRangeBuild) {
+  // Empty sets, sets over almost the whole universe, and elements no
+  // set contains (the top 20 ids), with fewer sets than ranges too.
+  Rng rng(27);
+  for (const uint32_t m : {3u, 40u, 200u}) {
+    SetSystem::Builder builder(300);
+    for (uint32_t s = 0; s < m; ++s) {
+      const uint32_t kind = static_cast<uint32_t>(rng.Uniform(4));
+      const uint32_t size = kind == 0   ? 0
+                            : kind == 1 ? 250 + static_cast<uint32_t>(
+                                                    rng.Uniform(30))
+                                        : static_cast<uint32_t>(
+                                              rng.Uniform(15));
+      std::vector<uint32_t> elems = rng.SampleWithoutReplacement(280, size);
+      std::sort(elems.begin(), elems.end());
+      builder.AddSet(elems);
+    }
+    const SetSystem system = std::move(builder).Build();
+    const TransposedIndex expect = IndexOf(system);
+    WorkerPool pool(4);
+    for (const uint32_t ranges : {1u, 2u, 3u, 4u, 7u}) {
+      for (WorkerPool* on : {static_cast<WorkerPool*>(nullptr), &pool}) {
+        SCOPED_TRACE("m=" + std::to_string(m) + " ranges=" +
+                     std::to_string(ranges) +
+                     (on != nullptr ? " on the pool" : " serial"));
+        const TransposedIndex got = RangedIndexOf(system, ranges, on);
+        ASSERT_EQ(got.num_elements(), expect.num_elements());
+        EXPECT_EQ(got.entry_count(), expect.entry_count());
+        EXPECT_EQ(got.word_count(), expect.word_count());
+        for (uint32_t e = 0; e < system.num_elements(); ++e) {
+          const std::span<const uint32_t> a = expect.Sets(e);
+          const std::span<const uint32_t> b = got.Sets(e);
+          ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+              << "element " << e;
+        }
+      }
+    }
+  }
 }
 
 TEST(GainTrackerTest, InitFromMaskMatchesKernelCounts) {
