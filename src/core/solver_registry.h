@@ -67,12 +67,13 @@ struct RunOptions {
   /// the trade-off benches (IterSetCoverSingleGuess through the
   /// registry). 0 = normal parallel-guess run.
   uint64_t iter_guess = 0;
-  /// Threads of the shared-scan PassScheduler's worker pool, started
-  /// once per run: the live consumers are claimed over them per batch
-  /// and again for their pass-end work (each guess's offline solve),
-  /// and a pass end's greedy index build over a large store also runs
-  /// on the workers left idle; <= 1 runs everything inline. Each
-  /// consumer sees every batch in stream order and each pass end
+  /// Threads of the shared-scan PassScheduler's worker pool, at most
+  /// one per live consumer and started once per run, on the first round
+  /// with two live consumers: the live consumers are claimed over them
+  /// per batch and again for their pass-end work (each guess's offline
+  /// solve), and a pass end's greedy index build over a large store
+  /// also runs on the workers left idle; <= 1 runs everything inline.
+  /// Each consumer sees every batch in stream order and each pass end
   /// touches only its own state, so results are bit-identical at every
   /// thread count.
   uint32_t threads = 1;

@@ -11,10 +11,16 @@
 namespace streamcover {
 namespace {
 
-/// Store size from which BuildIndex splits its sweeps into one range
-/// per pool thread: below it, a range's work does not outweigh waking a
-/// worker.
-constexpr uint64_t kRangedBuildPairs = uint64_t{1} << 18;
+/// Pairs one range of BuildIndex's sweeps must hold: kRangeElementPairs
+/// per universe element, for the range's own count row that the builder
+/// zeroes, copies, prefix-sums and checks serially (so R·n stays under a
+/// quarter of the pairs, and the slice rows never outgrow the entries
+/// array), plus kRangeBasePairs for waking a worker. Isolated builds on
+/// a 4-vCPU host, four ranges against one, n from 10³ to 2·10⁵: 2–3×
+/// faster at 2.5M–33M pairs in every run, 0.7–3.3× from run to run at
+/// 0.5M–2M pairs, and slower in most runs below 300K pairs.
+constexpr uint64_t kRangeElementPairs = 4;
+constexpr uint64_t kRangeBasePairs = uint64_t{1} << 18;
 
 /// Visits every set bit of a dense row, ascending.
 template <typename Fn>
@@ -49,53 +55,67 @@ LazyGreedy LazyGreedy::OverSets(const SetSystem& system,
 void LazyGreedy::AddSparse(std::span<const uint32_t> elems) {
   SC_CHECK_LT(rows_.size(), size_t{UINT32_MAX});
   rows_.push_back({elems, {}});
-  pairs_ += elems.size();
 }
 
 void LazyGreedy::AddDense(std::span<const uint64_t> row) {
   SC_CHECK_LT(rows_.size(), size_t{UINT32_MAX});
   SC_CHECK_EQ(row.size(), (static_cast<size_t>(num_elements_) + 63) / 64);
   rows_.push_back({{}, row});
-  for (uint64_t word : row) pairs_ += std::popcount(word);
+}
+
+uint32_t LazyGreedy::IndexRanges(const WorkerPool* pool) const {
+  if (pool == nullptr || pool->threads() == 1) return 1;
+  uint64_t pairs = 0;
+  for (const Row& row : rows_) {
+    if (row.dense.empty()) {
+      pairs += row.sparse.size();
+    } else {
+      for (uint64_t word : row.dense) pairs += std::popcount(word);
+    }
+  }
+  const uint64_t range_pairs =
+      kRangeElementPairs * num_elements_ + kRangeBasePairs;
+  return static_cast<uint32_t>(
+      std::clamp<uint64_t>(pairs / range_pairs, 1, pool->threads()));
 }
 
 TransposedIndex LazyGreedy::BuildIndex() const {
   WorkerPool* pool = WorkerPool::Current();
-  const uint32_t ranges =
-      pool != nullptr && pairs_ >= kRangedBuildPairs ? pool->threads() : 1;
-  auto each_range = [&](const auto& body) {
+  const uint32_t ranges = IndexRanges(pool);
+  // visit(i, row, range) for every candidate; range r holds candidates
+  // [m·r/R, m·(r+1)/R) in order, so every column lists its candidates
+  // ascending.
+  const uint64_t m = rows_.size();
+  auto sweep = [&](const auto& visit) {
+    auto body = [&](size_t r) {
+      const auto end = static_cast<uint32_t>(m * (r + 1) / ranges);
+      for (auto i = static_cast<uint32_t>(m * r / ranges); i < end; ++i) {
+        visit(i, rows_[i], static_cast<uint32_t>(r));
+      }
+    };
     if (ranges == 1) {
       body(0);
     } else {
       pool->ParallelFor(ranges, body);
     }
   };
-  // Range r holds candidates [m·r/R, m·(r+1)/R); visit(i, e) sees their
-  // pairs in candidate order, so every column lists its candidates
-  // ascending.
-  const uint64_t m = rows_.size();
-  auto each_pair = [&](size_t r, const auto& visit) {
-    const auto end = static_cast<uint32_t>(m * (r + 1) / ranges);
-    for (auto i = static_cast<uint32_t>(m * r / ranges); i < end; ++i) {
-      const Row& row = rows_[i];
-      if (row.dense.empty()) {
-        for (uint32_t e : row.sparse) visit(i, e);
-      } else {
-        ForEachRowBit(row.dense, [&](uint32_t e) { visit(i, e); });
-      }
-    }
-  };
   TransposedIndex::Builder builder(num_elements_, ranges);
-  each_range([&](size_t r) {
-    const auto range = static_cast<uint32_t>(r);
-    each_pair(r, [&](uint32_t, uint32_t e) { builder.CountElement(e, range); });
+  sweep([&](uint32_t, const Row& row, uint32_t range) {
+    if (row.dense.empty()) {
+      builder.CountSet(row.sparse, range);
+    } else {
+      ForEachRowBit(row.dense,
+                    [&](uint32_t e) { builder.CountElement(e, range); });
+    }
   });
   builder.PrepareFill();
-  each_range([&](size_t r) {
-    const auto range = static_cast<uint32_t>(r);
-    each_pair(r, [&](uint32_t i, uint32_t e) {
-      builder.FillElement(i, e, range);
-    });
+  sweep([&](uint32_t i, const Row& row, uint32_t range) {
+    if (row.dense.empty()) {
+      builder.FillSet(i, row.sparse, range);
+    } else {
+      ForEachRowBit(row.dense,
+                    [&](uint32_t e) { builder.FillElement(i, e, range); });
+    }
   });
   return std::move(builder).Build();
 }
@@ -129,11 +149,13 @@ LazyGreedyResult LazyGreedy::Run(const DynamicBitset& targets,
   }
   for (uint64_t g = 1; g < first.size(); ++g) first[g] += first[g - 1];
   std::vector<uint32_t> initial(first.back());
-  std::vector<size_t> fill(first.begin(), first.end() - 1);
-  for (uint32_t k = 0; k < m; ++k) {
-    const uint32_t i = tie_mask_ == 0 ? k : m - 1 - k;
-    const uint64_t gain = gains.gain(i);
-    if (gain > 0) initial[fill[gain]++] = i ^ tie_mask_;
+  {
+    std::vector<size_t> fill(first.begin(), first.end() - 1);
+    for (uint32_t k = 0; k < m; ++k) {
+      const uint32_t i = tie_mask_ == 0 ? k : m - 1 - k;
+      const uint64_t gain = gains.gain(i);
+      if (gain > 0) initial[fill[gain]++] = i ^ tie_mask_;
+    }
   }
   std::vector<std::vector<uint32_t>> moved(level + 1);
   std::vector<uint32_t> top;  // the top bucket's claims, ascending

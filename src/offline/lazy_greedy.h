@@ -12,10 +12,12 @@
 //     candidate's residual gain exact by decrementing along each pick's
 //     newly covered elements. Each (element, candidate) pair is touched
 //     at most once, so total maintenance is nnz(candidates). Run inside
-//     a WorkerPool loop (a PassScheduler pass end) on a store of at
-//     least 2^18 pairs, both sweeps run over one candidate range per
-//     pool thread, fanned out onto the pool's idle workers; the ranged
-//     builder makes the same index.
+//     a WorkerPool loop (a PassScheduler pass end), both sweeps run over
+//     up to one candidate range per pool thread, fanned out onto the
+//     pool's idle workers, when the store holds at least
+//     4·num_elements + 2^18 pairs per range: each range pays for its own
+//     n-entry count row and a wake-up. The ranged builder makes the
+//     same index.
 //   * candidates wait in a bucket queue of claims: bucket g holds the
 //     tie keys of the candidates last seen at gain g, ascending, so the
 //     top bucket's back is the largest (gain, tie key) claim. Claims
@@ -58,6 +60,7 @@
 namespace streamcover {
 
 class TransposedIndex;
+class WorkerPool;
 
 struct LazyGreedyResult {
   std::vector<uint32_t> picks;  ///< candidate indices, in greedy order
@@ -66,8 +69,13 @@ struct LazyGreedyResult {
   uint64_t sets_touched = 0;    ///< claim inspections (gain evaluations)
   uint64_t gain_updates = 0;    ///< GainTracker decrements
   /// Words of working state the run held: mask, initial claims (one
-  /// per positive-gain candidate), index, gains (for callers that
-  /// meter space).
+  /// word per positive-gain candidate), index, gains (for callers that
+  /// meter space). A claim is 32 bits, so a word covers it and its one
+  /// moved or top-bucket copy. The bucket queue's per-level arrays (a
+  /// bucket start and a moved-list head per gain level: 4 words a
+  /// level, at most 4 per universe element) are deliberately left out,
+  /// so the meter reads what the packed 64-bit heap before it held; the
+  /// index's n + 1 metered offsets bound them to a constant factor.
   uint64_t working_words = 0;
 };
 
@@ -112,9 +120,14 @@ class LazyGreedy {
     std::span<const uint64_t> dense;
   };
 
-  /// The element → candidate index over the store, built over one
-  /// candidate range per thread of the pool running this call when the
-  /// store is large enough (see the file comment).
+  /// How many candidate ranges BuildIndex sweeps: 1 off a pool (or on
+  /// a one-thread pool), else as many as the store's pairs fill at
+  /// 4·num_elements + 2^18 pairs per range, at most the pool's threads.
+  uint32_t IndexRanges(const WorkerPool* pool) const;
+
+  /// The element → candidate index over the store, built over
+  /// IndexRanges(WorkerPool::Current()) candidate ranges, the ranges
+  /// after the first on the current pool's idle workers.
   TransposedIndex BuildIndex() const;
 
   uint32_t num_elements_;
@@ -123,7 +136,6 @@ class LazyGreedy {
   /// reverses the index order, so the largest key is the lowest index.
   uint32_t tie_mask_;
   std::vector<Row> rows_;
-  uint64_t pairs_ = 0;  ///< (element, candidate) pairs in the store
 };
 
 }  // namespace streamcover

@@ -8,7 +8,9 @@ namespace streamcover {
 
 PassScheduler::PassScheduler(SetStream& stream, uint32_t threads,
                              KernelPolicy)
-    : stream_(&stream), pool_(threads) {}
+    : stream_(&stream), threads_(std::max(threads, 1u)) {
+  pool_.emplace(1);  // inline until a round has consumers to share
+}
 
 size_t PassScheduler::Register(ScanConsumer* consumer) {
   SC_CHECK(consumer != nullptr);
@@ -53,7 +55,7 @@ void PassScheduler::DispatchBatch(std::span<const SetView> views,
   // so it starts first. A consumer is touched by one thread per batch
   // and sees the batch in stream order, so no locks and no
   // dispatch-order nondeterminism.
-  pool_.ParallelFor(live.size(), [&](size_t c) {
+  pool_->ParallelFor(live.size(), [&](size_t c) {
     for (const SetView& set : views) live[c]->OnSet(set);
   });
 }
@@ -63,7 +65,7 @@ void PassScheduler::RunPassEnds(const std::vector<ScanConsumer*>& live) {
   // solve shrinks as k grows). Every OnPassEnd runs exactly once, on
   // one thread, and ParallelFor's return orders it before anything the
   // calling thread does next.
-  pool_.ParallelFor(live.size(), [&](size_t c) { live[c]->OnPassEnd(); });
+  pool_->ParallelFor(live.size(), [&](size_t c) { live[c]->OnPassEnd(); });
 }
 
 size_t PassScheduler::RunRound() {
@@ -78,6 +80,17 @@ size_t PassScheduler::RunRound() {
   }
   if (live.empty()) return 0;
   if (stream_failed_) return 0;  // sticky: the repository is gone
+
+  // One thread per live consumer, up to `threads`: the pool starts on
+  // the first round with two live consumers and is rebuilt only when a
+  // later round has more live consumers than it has threads. Between
+  // rounds no loop is running, so replacing it joins idle workers only.
+  const auto want =
+      static_cast<uint32_t>(std::min<size_t>(threads_, live.size()));
+  if (want > pool_->threads()) {
+    pool_.reset();
+    pool_.emplace(want);
+  }
 
   ++physical_scans_;
   const bool scan_ok = stream_->ForEachBatch(

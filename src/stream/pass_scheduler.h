@@ -19,8 +19,10 @@
 // sum of consumer peaks.
 //
 // Dispatch: the scheduler owns one resident WorkerPool
-// (util/worker_pool.h) of `threads` threads, started in its constructor
-// and joined in its destructor. Every batch is one ParallelFor over the
+// (util/worker_pool.h) of min(`threads`, live consumers) threads,
+// started on the first round with two live consumers (rebuilt only if a
+// later round has more) and joined in its destructor; a solo consumer or
+// `threads` = 1 starts none. Every batch is one ParallelFor over the
 // live consumers: the calling thread and each idle worker claim the
 // next unserved consumer and hand it the whole batch in stream order,
 // so results are bit-identical at every thread count and consumers need
@@ -39,6 +41,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -79,8 +82,11 @@ class ScanConsumer {
 class PassScheduler {
  public:
   /// `threads` <= 1 runs everything inline on the calling thread;
-  /// larger values start `threads` - 1 resident workers here, which
-  /// every batch and every round's OnPassEnd calls then share. The
+  /// larger values let a round run on min(`threads`, live consumers)
+  /// threads, the calling one included: the resident workers start on
+  /// the first round that has two live consumers, and every batch and
+  /// every round's OnPassEnd calls then share them. Constructing a
+  /// scheduler starts no thread. The
   /// KernelPolicy argument is ignored; it stays only because perfbench/
   /// still passes one — drop it in the next change to perfbench/.
   explicit PassScheduler(SetStream& stream, uint32_t threads = 1,
@@ -141,7 +147,7 @@ class PassScheduler {
   uint64_t max_passes() const;
   uint64_t total_passes() const;
 
-  uint32_t threads() const { return pool_.threads(); }
+  uint32_t threads() const { return threads_; }
   SetStream& stream() { return *stream_; }
 
   /// Registers a coverage-delta listener (setsystem/transposed_index.h's
@@ -186,7 +192,9 @@ class PassScheduler {
   void RunPassEnds(const std::vector<ScanConsumer*>& live);
 
   SetStream* stream_;
-  WorkerPool pool_;
+  uint32_t threads_;
+  /// Always engaged; one thread (no workers) until a round can use more.
+  std::optional<WorkerPool> pool_;
   std::vector<Slot> slots_;
   std::vector<CoverageDeltaListener*> delta_listeners_;
   std::mutex publish_mu_;  ///< serializes PublishCoverageDelta

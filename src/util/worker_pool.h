@@ -3,8 +3,8 @@
 // PassScheduler owns one pool per solve: its batch dispatch and its
 // pass ends are ParallelFor loops over the live consumers, and a pass
 // end may fan its own work (LazyGreedy's ranged index build) back out
-// onto the same pool. Threads start once, in the constructor, and are
-// joined in the destructor; a loop only wakes them.
+// onto the same pool. A pool's threads start once, in its constructor,
+// and are joined in its destructor; a loop only wakes them.
 //
 // Claiming is dynamic: the calling thread and every idle worker take
 // the next unclaimed index from one atomic counter, so uneven indices

@@ -234,16 +234,16 @@ TEST(LazyGreedyOracleTest, GreedySolverAndMergeStageMatchTheHeapLoop) {
 }
 
 TEST(LazyGreedyOracleTest, RunInsideAPoolLoopEqualsTheSerialRun) {
-  // A store above the ranged-build threshold (2^18 pairs), so a run on
-  // a pool thread builds its index over 4 row ranges, fanned out onto
-  // whichever workers are idle. Four runs at once, under both tie rules
-  // and with dense rows, must each equal the serial run and the heap
-  // loop.
+  // A store of at least 4 ranges' worth of pairs (4·n + 2^18 each, see
+  // lazy_greedy.h), so a run on a 4-thread pool builds its index over 4
+  // row ranges, fanned out onto whichever workers are idle. Four runs
+  // at once, under both tie rules and with dense rows, must each equal
+  // the serial run and the heap loop.
   Rng rng(905);
-  const Store store = RandomStore(3000, 3500, 160, 0.01, rng);
+  const Store store = RandomStore(1000, 13000, 160, 0.01, rng);
   uint64_t pairs = 0;
   for (const std::vector<uint32_t>& set : store.sets) pairs += set.size();
-  ASSERT_GE(pairs, uint64_t{1} << 18);
+  ASSERT_GE(pairs, 4 * (4 * uint64_t{store.n} + (uint64_t{1} << 18)));
   const DynamicBitset targets = RandomTargets(store.n, 0.9, rng);
   for (const Ties ties : {Ties::kHighestIndex, Ties::kLowestIndex}) {
     const LazyGreedy greedy = store.Greedy(ties);

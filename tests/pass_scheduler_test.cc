@@ -2,7 +2,8 @@
 // consumer. Covers per-consumer pass attribution, thread-count
 // invariance (also the TSan target: >= 4 consumers fanned out over
 // workers), pass-end work running concurrently on the workers (and
-// inline at one worker), the determinism guarantee that the multiplexed
+// inline at one worker), a pool of one thread per live consumer up to
+// `threads`, the determinism guarantee that the multiplexed
 // iterSetCover is byte-identical to the old sequential per-guess path
 // (in-memory and file-backed), the re-scan regression (source scans ==
 // physical scans, not sequential scans), heterogeneous consumers
@@ -315,6 +316,52 @@ TEST(PassSchedulerTest, PassEndRunsInlineWithOneWorkerOrOneConsumer) {
   EXPECT_EQ(scheduler.RunRound(), 2u);
   EXPECT_EQ(a.pass_end_thread(), std::this_thread::get_id());
   EXPECT_EQ(b.pass_end_thread(), std::this_thread::get_id());
+}
+
+TEST(PassSchedulerTest, PoolHasOneThreadPerLiveConsumerUpToThreads) {
+  // The pool a pass end runs on (WorkerPool::Current()) has
+  // min(threads, live consumers) threads, however large `threads` is —
+  // UINT32_MAX is what a wrapped `--threads -1` would ask for — and
+  // grows only when a later round has more live consumers.
+  PlantedInstance inst = MakePlanted(12, 40, 60, 4);
+  struct PoolProbe final : ScanConsumer {
+    explicit PoolProbe(uint64_t passes) : remaining(passes) {}
+    void OnSet(const SetView&) override {}
+    void OnPassEnd() override {
+      --remaining;
+      const WorkerPool* pool = WorkerPool::Current();
+      seen.push_back(pool == nullptr ? 0 : pool->threads());
+    }
+    bool done() const override { return remaining == 0; }
+    uint64_t remaining;
+    std::vector<uint32_t> seen;  ///< pool threads, per pass end
+  };
+  {
+    SetStream stream(&inst.system);
+    PassScheduler scheduler(stream, UINT32_MAX);
+    PoolProbe solo(1);
+    scheduler.DriveToCompletion(solo);
+    EXPECT_EQ(solo.seen, std::vector<uint32_t>{1});
+    std::vector<PoolProbe> three(3, PoolProbe(1));
+    for (PoolProbe& c : three) scheduler.Register(&c);
+    scheduler.RunToCompletion();
+    for (const PoolProbe& c : three) {
+      EXPECT_EQ(c.seen, std::vector<uint32_t>{3});
+    }
+  }
+  SetStream stream(&inst.system);
+  PassScheduler scheduler(stream, 4);
+  PoolProbe a(3), b(1);
+  scheduler.Register(&a);
+  scheduler.Register(&b);
+  EXPECT_EQ(scheduler.RunRound(), 2u);  // a and b: 2 threads
+  std::vector<PoolProbe> late(4, PoolProbe(1));
+  for (PoolProbe& c : late) scheduler.Register(&c);
+  EXPECT_EQ(scheduler.RunRound(), 5u);  // a and 4 late: capped at 4
+  EXPECT_EQ(scheduler.RunRound(), 1u);  // a alone keeps the pool
+  EXPECT_EQ(a.seen, (std::vector<uint32_t>{2, 4, 4}));
+  EXPECT_EQ(b.seen, std::vector<uint32_t>{2});
+  for (const PoolProbe& c : late) EXPECT_EQ(c.seen, std::vector<uint32_t>{4});
 }
 
 TEST(PassSchedulerTest, MultiplexedIterMatchesSequentialPerGuessPath) {

@@ -32,7 +32,7 @@
 //       repository on disk — text files are re-parsed once per
 //       *physical* scan (FileSetSource); binary files are mmapped and
 //       decoded in place (MmapSetSource), picked by magic sniffing;
-//       --threads N fans multiplexed consumers out
+//       --threads N (0 to 256) fans multiplexed consumers out
 //       over N workers of the shared-scan PassScheduler; --kernel
 //       selects the coverage-kernel twin (word-parallel by default;
 //       scalar is the reference loop; auto adds runtime SIMD dispatch
@@ -672,6 +672,17 @@ std::string CanonicalAlgoName(const std::string& algo) {
   return it == kAliases.end() ? algo : it->second;
 }
 
+/// --threads must lie in [0, 256], the serve protocol's range (0 and 1
+/// both run inline). Prints why and returns false otherwise.
+bool CheckThreads(int64_t threads) {
+  if (threads < 0 || threads > 256) {
+    std::fprintf(stderr, "--threads must be in [0, 256], got %lld\n",
+                 static_cast<long long>(threads));
+    return false;
+  }
+  return true;
+}
+
 /// Reads --p (threshold_greedy's pass count) into *passes. Prints why
 /// and returns false when it lies outside [1, 2^32 - 1]; a malformed
 /// value is left to BadFlags.
@@ -695,12 +706,14 @@ int SolveOnInstance(Instance& instance, const Args& args) {
   options.seed = static_cast<uint64_t>(args.GetInt("seed", 1));
   options.coverage_fraction = args.GetDouble("coverage", 1.0);
   options.max_cover_budget = static_cast<uint32_t>(args.GetInt("budget", 0));
-  options.threads = static_cast<uint32_t>(args.GetInt("threads", 1));
+  const int64_t threads = args.GetInt("threads", 1);
   const int64_t scan_threads = args.GetInt("scan-threads", 1);
   const int64_t shards = args.GetInt("shards", 1);
   options.early_exit = args.Has("early-exit");
   if (!ReadThresholdPasses(args, &options.threshold_passes)) return 1;
   if (args.BadFlags()) return 1;
+  if (!CheckThreads(threads)) return 1;
+  options.threads = static_cast<uint32_t>(threads);
   if (scan_threads < 1) {
     std::fprintf(stderr, "--scan-threads must be >= 1, got %lld\n",
                  static_cast<long long>(scan_threads));
@@ -790,6 +803,8 @@ int CmdSweep(const Args& args) {
                  static_cast<long long>(scan_threads));
     return 1;
   }
+  const int64_t threads = args.GetInt("threads", 1);
+  if (args.parse_errors.empty() && !CheckThreads(threads)) return 1;
   uint32_t threshold_passes = 0;
   if (!ReadThresholdPasses(args, &threshold_passes)) return 1;
 
@@ -801,7 +816,7 @@ int CmdSweep(const Args& args) {
     spec.options.sample_constant = args.GetDouble("c", 0.05);
     spec.options.threshold_passes = threshold_passes;
     spec.options.coverage_fraction = args.GetDouble("coverage", 1.0);
-    spec.options.threads = static_cast<uint32_t>(args.GetInt("threads", 1));
+    spec.options.threads = static_cast<uint32_t>(threads);
     spec.options.scan_threads = static_cast<uint32_t>(scan_threads);
     spec.options.shards = static_cast<uint32_t>(shards);
     spec.options.early_exit = args.Has("early-exit");
@@ -1145,6 +1160,22 @@ int CmdSelfTest() {
     Args bad;
     bad.flags = {{"solvers", "iter"}, {"workloads", "planted"},
                  {"scan-threads", "-2"}};
+    if (CmdSweep(bad) != 1) return 1;
+  }
+  {
+    // --threads is range-checked like the serve protocol's field: -1
+    // (which a cast would wrap to 2^32 - 1) and 257 exit 1 before any
+    // thread starts, in solve and in sweep; 0 runs inline.
+    Args solve;
+    solve.flags = {{"in", path}, {"algo", "iter"}, {"threads", "-1"}};
+    if (CmdSolve(solve) != 1) return 1;
+    solve.flags = {{"in", path}, {"algo", "iter"}, {"threads", "257"}};
+    if (CmdSolve(solve) != 1) return 1;
+    solve.flags = {{"in", path}, {"algo", "iter"}, {"threads", "0"}};
+    if (CmdSolve(solve) != 0) return 1;
+    Args bad;
+    bad.flags = {{"solvers", "iter"}, {"workloads", "planted"},
+                 {"threads", "-1"}};
     if (CmdSweep(bad) != 1) return 1;
   }
   {
