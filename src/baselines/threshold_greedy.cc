@@ -114,6 +114,17 @@ void ThresholdSieveConsumer::OnSet(const SetView& set) {
   }
 }
 
+ScanFilter ThresholdSieveConsumer::needs() const {
+  if (done_) return {UINT32_MAX};
+  if (pass_index_ == 1) return {};  // the backups read every set
+  if (remaining_ <= allowed_uncovered_) return {UINT32_MAX};
+  // OnSet returns on size < threshold_, i.e. size < ceil(threshold_).
+  const double min_size = std::ceil(threshold_);
+  return {min_size >= static_cast<double>(UINT32_MAX)
+              ? UINT32_MAX
+              : static_cast<uint32_t>(min_size)};
+}
+
 void ThresholdSieveConsumer::FlushPassDelta() {
   if (delta_scheduler_ == nullptr) return;
   delta_scheduler_->PublishCoverageDelta(pass_delta_);

@@ -32,6 +32,16 @@
 // machine drivable by PassScheduler, so it can share physical scans
 // with other consumers — the [ER14] sieving shape on the same seam
 // iterSetCover's guesses use.
+//
+// The same size rule is what the sieve declares to the scheduler
+// (ScanConsumer::needs): pass 1 wants every set, for the backups; a
+// later pass wants the sets of at least ceil(threshold) elements — for
+// an integer size, size >= ceil(t) exactly when size >= t, so the sets
+// it leaves out are the ones OnSet skips; once the sieve is done or its
+// partial target is met it wants none. A binary file then skips
+// decoding every other body (stream/pipelined_scan.h). OnSet keeps its
+// own size check, since in-memory sources and first scans still
+// deliver every set.
 
 #ifndef STREAMCOVER_BASELINES_THRESHOLD_GREEDY_H_
 #define STREAMCOVER_BASELINES_THRESHOLD_GREEDY_H_
@@ -69,6 +79,9 @@ class ThresholdSieveConsumer final : public ScanConsumer {
   void OnSet(const SetView& set) override;
   void OnPassEnd() override;
   bool done() const override { return done_; }
+  /// Every set in pass 1; then the sets of at least ceil(threshold)
+  /// elements; none once done or the partial target is met.
+  ScanFilter needs() const override;
 
   /// Finishes accounting; call once the consumer is done.
   BaselineResult TakeResult(uint64_t logical_passes);

@@ -131,6 +131,15 @@ class GuessConsumer final : public ScanConsumer {
 
   bool done() const override { return phase_ == Phase::kDone; }
 
+  // Pass 2 acts only on this iteration's picks, and a done guess on
+  // nothing; the other passes read every set. Followers hold no slot,
+  // so their leader's filter, which is theirs too, covers them.
+  ScanFilter needs() const override {
+    if (phase_ == Phase::kPass2) return {UINT32_MAX, &picked_this_iter_};
+    if (phase_ == Phase::kDone) return {UINT32_MAX};
+    return {};
+  }
+
   uint64_t k() const { return k_; }
   bool success() const { return success_; }
   bool killed() const { return killed_; }

@@ -49,6 +49,14 @@
 // run's. At the paper's multiplier (1) a source whose bound is n — the
 // text format — never collapses: |S|/k never exceeds n.
 // IterSetCoverSingleGuess runs one guess and has no class.
+//
+// Filtered scans: a guess in its second pass declares to the scheduler
+// (ScanConsumer::needs) only the sets it picked this iteration, since
+// its OnSet returns on every other set; a done guess declares none, and
+// the Size-Test pass and the final sweep read every set. When every
+// live guess is in its second pass, a binary file decodes only the
+// union of their picks (stream/pipelined_scan.h). Each guess still sees
+// every set it acts on, in stream order, so every column is unchanged.
 
 #ifndef STREAMCOVER_CORE_ITER_SET_COVER_H_
 #define STREAMCOVER_CORE_ITER_SET_COVER_H_

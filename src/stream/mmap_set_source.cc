@@ -13,6 +13,15 @@ MmapSetSource::Mapping::~Mapping() {
   if (data != nullptr) {
     ::munmap(const_cast<uint8_t*>(data), size);
   }
+  if (fd >= 0) ::close(fd);
+}
+
+bool MmapSetSource::Mapping::Unchanged() const {
+  struct stat st;
+  return ::fstat(fd, &st) == 0 && static_cast<uint64_t>(st.st_dev) == dev &&
+         static_cast<uint64_t>(st.st_ino) == ino &&
+         static_cast<uint64_t>(st.st_size) == size &&
+         st.st_mtim.tv_sec == mtime_s && st.st_mtim.tv_nsec == mtime_ns;
 }
 
 MmapSetSource::MmapSetSource(std::shared_ptr<const Mapping> map)
@@ -26,33 +35,30 @@ std::optional<MmapSetSource> MmapSetSource::Open(const std::string& path,
     if (error != nullptr) *error = msg;
     return std::nullopt;
   };
-  int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return fail("cannot open " + path);
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    return fail("cannot stat " + path);
-  }
-  const uint64_t size = static_cast<uint64_t>(st.st_size);
-  if (size == 0) {
-    ::close(fd);
-    return fail(path + ": empty file");
-  }
-  void* mapping = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-  // The mapping holds its own reference to the file; the descriptor is
-  // no longer needed either way.
-  ::close(fd);
-  if (mapping == MAP_FAILED) return fail("mmap failed on " + path);
-  // Physical scans walk the body front to back; tell the kernel so
-  // readahead streams the file instead of demand-faulting page by page.
-  ::madvise(mapping, size, MADV_SEQUENTIAL);
-
+  // The Mapping owns the descriptor from here on (~Mapping closes it):
+  // every scan fstat()s it to notice a file changed in place.
   auto map = std::make_shared<Mapping>();
   map->path = path;
+  map->fd = ::open(path.c_str(), O_RDONLY);
+  if (map->fd < 0) return fail("cannot open " + path);
+  struct stat st;
+  if (::fstat(map->fd, &st) != 0) return fail("cannot stat " + path);
+  map->dev = static_cast<uint64_t>(st.st_dev);
+  map->ino = static_cast<uint64_t>(st.st_ino);
+  map->size = static_cast<uint64_t>(st.st_size);
+  map->mtime_s = st.st_mtim.tv_sec;
+  map->mtime_ns = st.st_mtim.tv_nsec;
+  if (map->size == 0) return fail(path + ": empty file");
+  void* mapping =
+      ::mmap(nullptr, map->size, PROT_READ, MAP_PRIVATE, map->fd, 0);
+  if (mapping == MAP_FAILED) return fail("mmap failed on " + path);
   map->data = static_cast<const uint8_t*>(mapping);
-  map->size = size;
+  // Physical scans walk the body front to back; tell the kernel so
+  // readahead streams the file instead of demand-faulting page by page.
+  ::madvise(mapping, map->size, MADV_SEQUENTIAL);
+
   std::string layout_error;
-  if (!binfmt::ValidateBinaryLayout(map->data, size, &map->layout,
+  if (!binfmt::ValidateBinaryLayout(map->data, map->size, &map->layout,
                                     &layout_error)) {
     return fail(path + ": " + layout_error);  // ~Mapping unmaps
   }
@@ -79,8 +85,15 @@ PipelinedScanner& MmapSetSource::EnsureScanner() {
 
 bool MmapSetSource::ScanBatches(const SetBatchVisitor& visit) {
   if (!BeginScan()) return false;  // sticky: the file is already bad
+  // A page past a truncated file's end would raise SIGBUS, and a file
+  // rewritten in place would void the decoder's clean-chunk flags.
+  if (!map_->Unchanged()) {
+    error_ = map_->path + ": changed on disk since it was opened";
+    return false;
+  }
   std::string error;
-  if (!EnsureScanner().Run(map_->path, visit, cancel_token(), &error)) {
+  if (!EnsureScanner().Run(map_->path, visit, cancel_token(), &error,
+                           scan_filter())) {
     error_ = error;  // "path: corrupt set S: msg", or the deadline code
     return false;
   }

@@ -16,7 +16,10 @@
 // set-size bound (max_set_size) from the same footer. Decode errors
 // inside a set body (corrupt varints, a size above that bound,
 // out-of-range ids) surface as graceful scan failures per the SetSource
-// error contract, never aborts.
+// error contract, never aborts. So does a file changed in place after
+// Open: the source keeps the file open, and every scan first checks
+// that its device, inode, size and mtime are still the ones Open saw,
+// before it touches a page. (A change during a scan is not caught.)
 
 #ifndef STREAMCOVER_STREAM_MMAP_SET_SOURCE_H_
 #define STREAMCOVER_STREAM_MMAP_SET_SOURCE_H_
@@ -66,7 +69,11 @@ class MmapSetSource : public SetSource {
   }
 
   /// One pass of the chunk decoder with scan_threads() decode threads
-  /// (1 = inline on the calling thread); one batch per chunk.
+  /// (1 = inline on the calling thread); one batch per chunk. An armed
+  /// scan filter skips unnamed bodies in chunks this scanner already
+  /// decoded cleanly (stream/pipelined_scan.h). Fails with the sticky
+  /// error "<path>: changed on disk since it was opened" if the file's
+  /// identity, size or mtime moved since Open.
   bool ScanBatches(const SetBatchVisitor& visit) override;
 
   /// Kept for perfbench/ only (see SetSource::SupportsBatchScan).
@@ -88,11 +95,20 @@ class MmapSetSource : public SetSource {
   uint64_t repository_bytes() const { return map_->size; }
 
  private:
-  /// The refcounted immutable mapping every fork shares. munmap happens
-  /// exactly once, when the last scanner over it is destroyed.
+  /// The refcounted immutable mapping every fork shares. munmap and
+  /// close happen exactly once, when the last scanner over it is
+  /// destroyed.
   struct Mapping {
     ~Mapping();
+    /// True iff the open file still has the device, inode, size and
+    /// mtime recorded at Open.
+    bool Unchanged() const;
     std::string path;
+    int fd = -1;
+    uint64_t dev = 0;
+    uint64_t ino = 0;
+    int64_t mtime_s = 0;
+    int64_t mtime_ns = 0;
     const uint8_t* data = nullptr;
     uint64_t size = 0;
     binfmt::BinaryLayout layout;

@@ -68,6 +68,24 @@ void PassScheduler::RunPassEnds(const std::vector<ScanConsumer*>& live) {
   pool_->ParallelFor(live.size(), [&](size_t c) { live[c]->OnPassEnd(); });
 }
 
+const ScanFilter* PassScheduler::UnionFilter(
+    const std::vector<ScanConsumer*>& live) {
+  union_filter_ = ScanFilter{UINT32_MAX, nullptr};
+  for (ScanConsumer* consumer : live) {
+    const ScanFilter wants = consumer->needs();
+    if (wants.min_size == 0) return nullptr;  // every set: no filter
+    union_filter_.min_size = std::min(union_filter_.min_size, wants.min_size);
+    if (wants.ids == nullptr) continue;
+    if (union_filter_.ids == nullptr) {
+      union_ids_ = *wants.ids;
+      union_filter_.ids = &union_ids_;
+    } else {
+      union_ids_ |= *wants.ids;
+    }
+  }
+  return &union_filter_;
+}
+
 size_t PassScheduler::RunRound() {
   std::vector<ScanConsumer*> live;
   std::vector<Slot*> live_slots;
@@ -94,7 +112,10 @@ size_t PassScheduler::RunRound() {
 
   ++physical_scans_;
   const bool scan_ok = stream_->ForEachBatch(
-      [&](std::span<const SetView> views) { DispatchBatch(views, live); });
+      [&](std::span<const SetView> views) {
+        if (!views.empty()) DispatchBatch(views, live);
+      },
+      UnionFilter(live));
   if (!scan_ok) {
     // The round died mid-scan: no pass attribution, no OnPassEnd — the
     // consumers saw at most the batches before the failing one, not a

@@ -34,6 +34,17 @@
 // idle workers help the newest loop. One live consumer, or one thread,
 // runs inline. Everything between rounds (driver logic, winner
 // selection) runs on the calling thread after the loop returns.
+//
+// Filtered scans: before each round every live consumer declares, as a
+// ScanFilter (stream/set_source.h), the sets its OnSet can act on in
+// the coming pass. The round's scan carries their union — the smallest
+// `min_size` and the OR of the id masks, kept in one scheduler-owned
+// bitset — or no filter at all when some live consumer wants every
+// set. A filtered scan may deliver other sets too, and empty batches;
+// an empty batch is not dispatched. Each consumer's OnSet is a no-op on
+// every set its own filter leaves out, so every consumer sees the same
+// state transitions in stream order, and every round is still one
+// physical scan and one logical pass per live consumer.
 
 #ifndef STREAMCOVER_STREAM_PASS_SCHEDULER_H_
 #define STREAMCOVER_STREAM_PASS_SCHEDULER_H_
@@ -45,7 +56,9 @@
 #include <span>
 #include <vector>
 
+#include "stream/set_source.h"
 #include "stream/set_stream.h"
+#include "util/bitset.h"
 #include "util/cover_kernels.h"
 #include "util/coverage_delta.h"
 #include "util/worker_pool.h"
@@ -74,6 +87,12 @@ class ScanConsumer {
   /// True once the consumer needs no further passes. A done consumer is
   /// never served again.
   virtual bool done() const = 0;
+
+  /// The sets the coming pass must deliver to this consumer, asked
+  /// before each round. The contract: OnSet on any set the filter does
+  /// not name is a no-op. The default, {}, names every set. The filter
+  /// (and its id mask) must stay unchanged until the round's scan ends.
+  virtual ScanFilter needs() const { return {}; }
 };
 
 /// Executes rounds: one physical scan each, multiplexed over every live
@@ -191,11 +210,17 @@ class PassScheduler {
   /// thread that claims it.
   void RunPassEnds(const std::vector<ScanConsumer*>& live);
 
+  /// The union of `live`'s filters, its ids in union_ids_; nullptr when
+  /// some consumer wants every set.
+  const ScanFilter* UnionFilter(const std::vector<ScanConsumer*>& live);
+
   SetStream* stream_;
   uint32_t threads_;
   /// Always engaged; one thread (no workers) until a round can use more.
   std::optional<WorkerPool> pool_;
   std::vector<Slot> slots_;
+  ScanFilter union_filter_;
+  DynamicBitset union_ids_;  ///< OR of the live consumers' id masks
   std::vector<CoverageDeltaListener*> delta_listeners_;
   std::mutex publish_mu_;  ///< serializes PublishCoverageDelta
   uint64_t physical_scans_ = 0;

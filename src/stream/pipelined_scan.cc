@@ -36,7 +36,8 @@ PipelinedScanner::PipelinedScanner(const uint8_t* data,
       layout_(&layout),
       chunks_(chunks),
       decode_threads_(decode_threads),
-      depth_(kSlotsPerDecodeThread * decode_threads) {
+      depth_(kSlotsPerDecodeThread * decode_threads),
+      clean_(chunks.size(), 0) {
   SC_CHECK(decode_threads_ >= 1);
 }
 
@@ -62,8 +63,9 @@ void PipelinedScanner::Readahead(uint64_t claimed) {
             MADV_WILLNEED);
 }
 
-bool PipelinedScanner::DecodeChunk(const binfmt::ScanChunk& chunk,
-                                   SetBatch& batch, const std::string& path,
+bool PipelinedScanner::DecodeChunk(uint64_t c, SetBatch& batch,
+                                   const ScanFilter* filter,
+                                   const std::string& path,
                                    const CancelToken* cancel,
                                    std::string* error) {
   auto fail = [&](uint32_t set_id, const std::string& msg) {
@@ -71,6 +73,10 @@ bool PipelinedScanner::DecodeChunk(const binfmt::ScanChunk& chunk,
         path + ": corrupt set " + std::to_string(set_id) + ": " + msg;
     return false;
   };
+  const binfmt::ScanChunk& chunk = chunks_[c];
+  // Only a chunk that already decoded cleanly may skip bodies, so every
+  // byte of the file is validated once before any filter applies.
+  if (clean_[c] == 0) filter = nullptr;
   batch.Reset(chunk.first_set);
   batch.offsets.reserve(chunk.set_count + 1);
   const uint8_t* cursor = data_ + chunk.byte_begin;
@@ -95,6 +101,13 @@ bool PipelinedScanner::DecodeChunk(const binfmt::ScanChunk& chunk,
     auto size = binfmt::DecodeVarint(&cursor, set_end);
     if (!size.has_value() || *size > layout_->max_set_size) {
       return fail(s, "bad size varint");
+    }
+    if (filter != nullptr) {
+      if (!filter->Names(s, *size)) {
+        cursor = set_end;  // the slot decoded cleanly before
+        continue;
+      }
+      batch.ids.push_back(s);
     }
     const size_t base = batch.elems.size();
     batch.elems.resize(base + *size);
@@ -136,12 +149,14 @@ bool PipelinedScanner::DecodeChunk(const binfmt::ScanChunk& chunk,
     batch.EndSet();
   }
   batch.MakeViews();
+  clean_[c] = 1;
   return true;
 }
 
 bool PipelinedScanner::Run(const std::string& path,
                            const SetBatchVisitor& visit,
-                           const CancelToken* cancel, std::string* error) {
+                           const CancelToken* cancel, std::string* error,
+                           const ScanFilter* filter) {
   if (chunks_.empty()) return true;
   // Fresh per-run state (Run may be called repeatedly); slot batches
   // keep their capacity across runs, so steady-state multi-pass solvers
@@ -149,11 +164,13 @@ bool PipelinedScanner::Run(const std::string& path,
   slots_.resize(depth_);
   advise_frontier_ = 0;
   abort_ = false;
-  if (decode_threads_ > 1) return RunPool(path, visit, cancel, error);
+  if (decode_threads_ > 1) {
+    return RunPool(path, visit, cancel, error, filter);
+  }
   SetBatch& batch = slots_[0].batch;
   for (uint64_t c = 0; c < chunks_.size(); ++c) {
     Readahead(c);
-    if (!DecodeChunk(chunks_[c], batch, path, cancel, error)) return false;
+    if (!DecodeChunk(c, batch, filter, path, cancel, error)) return false;
     visit(batch.views);
   }
   return true;
@@ -162,7 +179,8 @@ bool PipelinedScanner::Run(const std::string& path,
 bool PipelinedScanner::RunPool(const std::string& path,
                                const SetBatchVisitor& visit,
                                const CancelToken* cancel,
-                               std::string* error) {
+                               std::string* error,
+                               const ScanFilter* filter) {
   const uint64_t num_chunks = chunks_.size();
   for (Slot& slot : slots_) {
     slot.state = Slot::State::kEmpty;
@@ -194,8 +212,8 @@ bool PipelinedScanner::RunPool(const std::string& path,
       Readahead(c);
       Slot& slot = slots_[c % depth_];
       std::string decode_error;
-      const bool ok =
-          DecodeChunk(chunks_[c], slot.batch, path, cancel, &decode_error);
+      const bool ok = DecodeChunk(c, slot.batch, filter, path, cancel,
+                                  &decode_error);
       {
         std::lock_guard<std::mutex> lock(mu_);
         slot.state = ok ? Slot::State::kReady : Slot::State::kFailed;

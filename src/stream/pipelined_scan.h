@@ -20,6 +20,18 @@
 // load stays in the file because at least 16 bytes follow every body
 // byte (binary_io.h's layout). Every other varint goes through
 // binfmt::DecodeVarint, so a malformed varint always fails there.
+//
+// A scan may carry a ScanFilter (stream/set_source.h). The scanner keeps
+// one flag per chunk, set once that chunk has decoded with no error;
+// the filter applies only inside such clean chunks. There the loop
+// still reads each set's size varint and checks it against the footer
+// bound, and a set the filter does not name (smaller than its
+// `min_size` and not in its `ids`) is skipped: the cursor jumps to the
+// set's slot end without decoding the elements. Every other set is
+// decoded as above, and its id is recorded in the batch. So the first
+// scan of a file decodes and validates every body whatever the filter,
+// and a corrupt file fails exactly as it would unfiltered. Cancel polls
+// keep their kCancelStride cadence over skipped sets too.
 
 #ifndef STREAMCOVER_STREAM_PIPELINED_SCAN_H_
 #define STREAMCOVER_STREAM_PIPELINED_SCAN_H_
@@ -63,9 +75,12 @@ class PipelinedScanner {
   /// the calling thread; views are valid only for the duration of the
   /// call. Returns false — with the diagnostic in *error — on a corrupt
   /// body or a fired cancel token (*error == kDeadlineExceededError
-  /// then). Workers are always joined before returning.
+  /// then). Workers are always joined before returning. A `filter`
+  /// skips the sets it does not name inside chunks an earlier run of
+  /// this scanner decoded cleanly; such a chunk's batch may be empty.
   bool Run(const std::string& path, const SetBatchVisitor& visit,
-           const CancelToken* cancel, std::string* error);
+           const CancelToken* cancel, std::string* error,
+           const ScanFilter* filter = nullptr);
 
  private:
   /// One ring slot: the decoded batch for one chunk. Storage is
@@ -79,10 +94,11 @@ class PipelinedScanner {
     std::string error;   // set iff kFailed
   };
 
-  /// Decodes `chunk` into `batch` and builds its views. Returns false
-  /// with *error set on corruption, a fired cancel, or an observed
-  /// abort.
-  bool DecodeChunk(const binfmt::ScanChunk& chunk, SetBatch& batch,
+  /// Decodes chunk `c` into `batch` and builds its views, under
+  /// `filter` if the chunk is clean, and marks it clean on success.
+  /// Returns false with *error set on corruption, a fired cancel, or an
+  /// observed abort.
+  bool DecodeChunk(uint64_t c, SetBatch& batch, const ScanFilter* filter,
                    const std::string& path, const CancelToken* cancel,
                    std::string* error);
 
@@ -93,7 +109,8 @@ class PipelinedScanner {
 
   /// The worker-pool run behind Run when decode_threads_ > 1.
   bool RunPool(const std::string& path, const SetBatchVisitor& visit,
-               const CancelToken* cancel, std::string* error);
+               const CancelToken* cancel, std::string* error,
+               const ScanFilter* filter);
 
   const uint8_t* data_;
   uint64_t num_elements_;
@@ -101,6 +118,11 @@ class PipelinedScanner {
   std::span<const binfmt::ScanChunk> chunks_;
   uint32_t decode_threads_;
   uint32_t depth_;
+  /// clean_[c] != 0 once chunk c decoded with no error. One byte per
+  /// chunk, not vector<bool>: decode workers write different chunks'
+  /// flags concurrently. A run reads a flag only on the thread that
+  /// decodes that chunk, after the earlier run that set it was joined.
+  std::vector<uint8_t> clean_;
 
   // Per-run pipeline state, guarded by mu_ except where noted.
   std::mutex mu_;

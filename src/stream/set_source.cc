@@ -15,7 +15,7 @@ std::span<const SetView> SetBatch::MakeViews() {
   views.reserve(num_sets());
   for (size_t i = 0; i < num_sets(); ++i) {
     views.push_back(SetView{
-        first_set + static_cast<uint32_t>(i),
+        ids.empty() ? first_set + static_cast<uint32_t>(i) : ids[i],
         std::span<const uint32_t>(elems.data() + offsets[i],
                                   offsets[i + 1] - offsets[i])});
   }

@@ -9,7 +9,9 @@
 //
 // Every source implements one scan, ScanBatches: a pass delivered as
 // batches of `SetView`s — borrowed (id, element-span) pairs over the CSR
-// itself or over a reused SetBatch arena — in set-id order.
+// itself or over a reused SetBatch arena — in set-id order. A scan may
+// be narrowed by a ScanFilter naming the sets its readers act on; only
+// the binary decoder uses it, to skip decoding the other bodies.
 
 #ifndef STREAMCOVER_STREAM_SET_SOURCE_H_
 #define STREAMCOVER_STREAM_SET_SOURCE_H_
@@ -25,6 +27,7 @@
 
 #include "setsystem/set_system.h"
 #include "setsystem/set_view.h"
+#include "util/bitset.h"
 #include "util/cancel_token.h"
 
 namespace streamcover {
@@ -55,12 +58,35 @@ inline bool BatchFull(size_t sets, size_t words) {
 /// a deadline lands within microseconds, the clock reads stay cheap.
 inline constexpr uint32_t kCancelStride = 256;
 
-/// Consecutive sets in columnar form plus their views; the text parser
-/// and the decoder's ring slots fill one, reusing its capacity.
+/// The sets a scan must deliver: every set of at least `min_size`
+/// elements, plus every id in `*ids` (when set). A `min_size` of 0 names
+/// every set; UINT32_MAX with no ids names none.
+///
+/// Contract: a scan under a filter delivers at least the named sets, in
+/// id order, each with its exact elements. It may deliver others, and
+/// its batches may then be empty. The in-memory and text sources
+/// deliver every set; the binary decoder skips the bodies of unnamed
+/// sets in chunks it has already decoded cleanly
+/// (stream/pipelined_scan.h). `ids`, when set, must outlive the scan.
+struct ScanFilter {
+  uint32_t min_size = 0;
+  const DynamicBitset* ids = nullptr;
+
+  /// True iff the filter names set `id` of `size` elements.
+  bool Names(uint32_t id, uint64_t size) const {
+    return size >= min_size || (ids != nullptr && ids->Test(id));
+  }
+};
+
+/// Sets in columnar form plus their views; the text parser and the
+/// decoder's ring slots fill one, reusing its capacity. The sets are
+/// consecutive from `first_set` unless `ids` lists them (a filtered
+/// decode skips sets).
 struct SetBatch {
   uint32_t first_set = 0;
   std::vector<uint32_t> elems;
   std::vector<size_t> offsets{0};  ///< set i is [offsets[i], offsets[i+1])
+  std::vector<uint32_t> ids;       ///< set i's id, when not consecutive
   std::vector<SetView> views;      ///< built by MakeViews
 
   /// Empties the batch; the next set appended gets id `first`.
@@ -68,6 +94,7 @@ struct SetBatch {
     first_set = first;
     elems.clear();
     offsets.assign(1, 0);
+    ids.clear();
   }
   /// Ends the current set at the current end of `elems`.
   void EndSet() { offsets.push_back(elems.size()); }
@@ -100,6 +127,8 @@ class SetSource {
   /// corrupted underneath us) or the token fired: no set of the failing
   /// batch was delivered, error() says why, and every later scan fails
   /// at once with the same error — a value, never an SC_CHECK abort.
+  /// Under an armed scan filter the pass may omit the sets it does not
+  /// name (ScanFilter); the failure rules stay the same.
   virtual bool ScanBatches(const SetBatchVisitor& visit) = 0;
 
   /// ScanBatches fanned out one set per call. Virtual only because
@@ -137,6 +166,11 @@ class SetSource {
   /// arm their own token.
   void set_cancel(const CancelToken* cancel) { cancel_ = cancel; }
 
+  /// Arms (or disarms, with nullptr) the filter of the next scans:
+  /// SetStream::ForEachBatch arms it for one scan and disarms it after.
+  /// A source that ignores it stays correct (ScanFilter's contract).
+  void set_scan_filter(const ScanFilter* filter) { filter_ = filter; }
+
   /// Empty until a scan fails; sticky afterwards.
   const std::string& error() const { return error_; }
 
@@ -164,10 +198,14 @@ class SetSource {
   /// poll it off the scanning thread (decode workers).
   const CancelToken* cancel_token() const { return cancel_; }
 
+  /// The armed scan filter; nullptr = every set.
+  const ScanFilter* scan_filter() const { return filter_; }
+
   std::string error_;
 
  private:
   const CancelToken* cancel_ = nullptr;
+  const ScanFilter* filter_ = nullptr;
   uint32_t scan_threads_ = 1;
   uint64_t scans_ = 0;
 };

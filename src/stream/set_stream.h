@@ -52,11 +52,18 @@ class SetStream {
   /// pass even if the caller stops consuming early (the scan cursor
   /// cannot be rewound mid-pass). Returns false if the underlying
   /// repository failed mid-scan (see SetSource::ScanBatches); error()
-  /// carries the diagnostic and further passes keep failing.
+  /// carries the diagnostic and further passes keep failing. A
+  /// `filter` narrows this one pass to the sets it names (ScanFilter:
+  /// at least those are delivered, possibly more, batches possibly
+  /// empty); nullptr delivers every set.
   template <typename Fn>
-  bool ForEachBatch(Fn&& fn) {
+  bool ForEachBatch(Fn&& fn, const ScanFilter* filter = nullptr) {
     ++passes_;
-    return source_->ScanBatches(SetBatchVisitor(std::forward<Fn>(fn)));
+    source_->set_scan_filter(filter);
+    const bool ok =
+        source_->ScanBatches(SetBatchVisitor(std::forward<Fn>(fn)));
+    source_->set_scan_filter(nullptr);
+    return ok;
   }
 
   /// The same pass, one set at a time: invokes fn(const SetView&) for

@@ -1,11 +1,16 @@
 // Tests for MmapSetSource: Open-time structural validation through the
 // offsets footer, scan parity with the in-memory and text sources,
 // graceful sticky errors on corrupt bodies, move semantics, the
-// OpenDiskSetSource magic-sniffing factory, and the chunk decoder's
-// short-varint fast path against a DecodeVarint-only reference: every
-// varint length, hand-corrupted slots, and seeded byte mutations.
+// OpenDiskSetSource magic-sniffing factory, the chunk decoder's
+// short-varint fast path against a DecodeVarint-only reference (every
+// varint length, hand-corrupted slots, and seeded byte mutations), and
+// a file truncated or rewritten under a live mapping failing every
+// later scan with an error instead of a signal.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -187,6 +192,58 @@ TEST(MmapSetSourceTest, IterSetCoverIdenticalFromMmapAndMemory) {
   ASSERT_TRUE(from_mmap.success);
   EXPECT_EQ(from_memory.cover.set_ids, from_mmap.cover.set_ids);
   EXPECT_EQ(from_memory.passes, from_mmap.passes);
+}
+
+TEST(MmapSetSourceTest, FileChangedOnDiskFailsEveryLaterScan) {
+  // Truncated under a live mapping, the file's tail pages would raise
+  // SIGBUS on the next scan; the scan must fail first, stay failed, and
+  // fail the same way through forks made before and after the change.
+  PlantedInstance inst = MakeInstance(14);
+  for (uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE("scan_threads=" + std::to_string(threads));
+    const std::string path = WriteBinary(inst.system, "mmap_truncated.bin");
+    std::string error;
+    auto source = MmapSetSource::Open(path, &error);
+    ASSERT_TRUE(source.has_value()) << error;
+    source->set_scan_threads(threads);
+    std::unique_ptr<SetSource> early_fork = source->Fork(&error);
+    ASSERT_NE(early_fork, nullptr) << error;
+    size_t visited = 0;
+    ASSERT_TRUE(source->Scan([&](const SetView&) { ++visited; }));
+    EXPECT_EQ(visited, inst.system.num_sets());
+
+    ASSERT_EQ(::truncate(path.c_str(),
+                         static_cast<off_t>(source->repository_bytes() / 2)),
+              0);
+    const std::string expect = path + ": changed on disk since it was opened";
+    visited = 0;
+    EXPECT_FALSE(source->Scan([&](const SetView&) { ++visited; }));
+    EXPECT_EQ(source->error(), expect);
+    EXPECT_FALSE(source->Scan([&](const SetView&) { ++visited; }));
+    EXPECT_EQ(source->error(), expect);  // sticky
+    std::unique_ptr<SetSource> late_fork = source->Fork(&error);
+    ASSERT_NE(late_fork, nullptr) << error;
+    for (SetSource* fork : {early_fork.get(), late_fork.get()}) {
+      fork->set_scan_threads(threads);
+      EXPECT_FALSE(fork->Scan([&](const SetView&) { ++visited; }));
+      EXPECT_EQ(fork->error(), expect);
+    }
+    EXPECT_EQ(visited, 0u);
+  }
+
+  // Same size, new mtime: a rewrite in place is caught too.
+  const std::string path = WriteBinary(inst.system, "mmap_touched.bin");
+  std::string error;
+  auto source = MmapSetSource::Open(path, &error);
+  ASSERT_TRUE(source.has_value()) << error;
+  ASSERT_TRUE(source->Scan([](const SetView&) {}));
+  struct stat st;
+  ASSERT_EQ(::stat(path.c_str(), &st), 0);
+  const struct timespec times[2] = {{0, UTIME_OMIT},
+                                    {st.st_mtim.tv_sec + 1, 0}};
+  ASSERT_EQ(::utimensat(AT_FDCWD, path.c_str(), times, 0), 0);
+  EXPECT_FALSE(source->Scan([](const SetView&) {}));
+  EXPECT_EQ(source->error(), path + ": changed on disk since it was opened");
 }
 
 TEST(OpenDiskSetSourceTest, SniffsMagicAndPicksTheRightBackend) {

@@ -8,8 +8,10 @@
 // (in-memory and file-backed), the re-scan regression (source scans ==
 // physical scans, not sequential scans), heterogeneous consumers
 // (DIMV14 + threshold sieves sharing scans), the winner-preserving
-// early-exit rule, and guesses that provably coincide running once
-// (also a TSan target: a leader writes its followers from a worker).
+// early-exit rule, guesses that provably coincide running once (also a
+// TSan target: a leader writes its followers from a worker), and the
+// scan filter a round hands its source: the union of the live
+// consumers' filters, or none when one of them wants every set.
 
 #include "stream/pass_scheduler.h"
 
@@ -35,6 +37,7 @@
 #include "setsystem/io.h"
 #include "stream/mmap_set_source.h"
 #include "stream/set_source.h"
+#include "util/bitset.h"
 #include "util/rng.h"
 
 namespace streamcover {
@@ -123,6 +126,56 @@ class RendezvousConsumer final : public ScanConsumer {
   bool met_ = false;
   bool done_ = false;
   std::thread::id thread_;
+};
+
+// Needs one pass and declares a fixed scan filter.
+class FilterConsumer final : public ScanConsumer {
+ public:
+  explicit FilterConsumer(ScanFilter wants) : wants_(wants) {}
+
+  void OnSet(const SetView&) override {}
+  void OnPassEnd() override { done_ = true; }
+  bool done() const override { return done_; }
+  ScanFilter needs() const override { return wants_; }
+
+ private:
+  ScanFilter wants_;
+  bool done_ = false;
+};
+
+// An in-memory source that records the filter each of its scans sees:
+// its min_size and named ids, or nothing when none was armed.
+class FilterRecordingSource final : public SetSource {
+ public:
+  struct Seen {
+    uint32_t min_size = 0;
+    std::vector<uint32_t> ids;
+  };
+
+  explicit FilterRecordingSource(const SetSystem* system) : inner_(system) {}
+
+  uint32_t num_elements() const override { return inner_.num_elements(); }
+  uint32_t num_sets() const override { return inner_.num_sets(); }
+
+  bool ScanBatches(const SetBatchVisitor& visit) override {
+    if (!BeginScan()) return false;
+    const ScanFilter* filter = scan_filter();
+    if (filter == nullptr) {
+      seen_.emplace_back();
+    } else {
+      seen_.push_back(Seen{filter->min_size, filter->ids == nullptr
+                                                 ? std::vector<uint32_t>{}
+                                                 : filter->ids->ToVector()});
+    }
+    return inner_.ScanBatches(visit);
+  }
+
+  /// One entry per scan; nullopt where no filter was armed.
+  const std::vector<std::optional<Seen>>& seen() const { return seen_; }
+
+ private:
+  InMemorySetSource inner_;
+  std::vector<std::optional<Seen>> seen_;
 };
 
 // The pre-scheduler execution: one guess at a time, every logical pass
@@ -623,6 +676,73 @@ TEST(PassSchedulerTest, HeterogeneousConsumersShareScans) {
   EXPECT_EQ(shared_sieve.cover.set_ids, solo_sieve.cover.set_ids);
   EXPECT_EQ(shared_sieve.passes, solo_sieve.passes);
   EXPECT_EQ(shared_sieve.space_words, solo_sieve.space_words);
+}
+
+TEST(PassSchedulerTest, SourceSeesTheUnionOfTheLiveConsumersFilters) {
+  PlantedInstance inst = MakePlanted(10, 50, 80, 4);
+  const uint32_t m = inst.system.num_sets();
+  DynamicBitset first(m), second(m);
+  first.Set(3);
+  first.Set(40);
+  second.Set(40);
+  second.Set(79);
+  FilterRecordingSource source(&inst.system);
+  SetStream stream(&source);
+
+  // min(min_size) and the OR of the id masks; a consumer without ids
+  // adds none, and a done consumer is not asked.
+  for (uint32_t threads : {1u, 3u}) {
+    SCOPED_TRACE(threads);
+    PassScheduler scheduler(stream, threads);
+    FilterConsumer a({12, &first}), b({7, &second}), c({30, nullptr});
+    FilterConsumer spent({1, nullptr});
+    spent.OnPassEnd();
+    for (FilterConsumer* consumer : {&a, &b, &c, &spent}) {
+      scheduler.Register(consumer);
+    }
+    ASSERT_EQ(scheduler.RunRound(), 3u);
+    ASSERT_TRUE(source.seen().back().has_value());
+    EXPECT_EQ(source.seen().back()->min_size, 7u);
+    EXPECT_EQ(source.seen().back()->ids, (std::vector<uint32_t>{3, 40, 79}));
+  }
+
+  // No ids anywhere: a size floor alone; none wanted: UINT32_MAX.
+  {
+    PassScheduler scheduler(stream);
+    FilterConsumer a({9, nullptr}), b({UINT32_MAX, nullptr});
+    scheduler.Register(&a);
+    scheduler.Register(&b);
+    scheduler.RunRound();
+    ASSERT_TRUE(source.seen().back().has_value());
+    EXPECT_EQ(source.seen().back()->min_size, 9u);
+    EXPECT_TRUE(source.seen().back()->ids.empty());
+  }
+  {
+    PassScheduler scheduler(stream);
+    FilterConsumer none({UINT32_MAX, nullptr});
+    scheduler.Register(&none);
+    scheduler.RunRound();
+    ASSERT_TRUE(source.seen().back().has_value());
+    EXPECT_EQ(source.seen().back()->min_size, UINT32_MAX);
+  }
+
+  // One consumer that wants every set (the default) lifts the filter.
+  {
+    PassScheduler scheduler(stream, 2);
+    FilterConsumer narrow({12, &first});
+    CountingConsumer everything(1);
+    scheduler.Register(&narrow);
+    scheduler.Register(&everything);
+    scheduler.RunRound();
+    EXPECT_FALSE(source.seen().back().has_value());
+    EXPECT_EQ(everything.sets_seen(), m);
+  }
+
+  // The filter is disarmed after the round: a plain pass sees none.
+  const size_t scans = source.seen().size();
+  ASSERT_TRUE(stream.ForEachSet([](const SetView&) {}));
+  ASSERT_EQ(source.seen().size(), scans + 1);
+  EXPECT_FALSE(source.seen().back().has_value());
 }
 
 TEST(PassSchedulerTest, SoloDriversIgnoreForeignConsumers) {

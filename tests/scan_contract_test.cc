@@ -10,7 +10,13 @@
 //  * the error then sticks;
 //  * no set is larger than the source's max_set_size(): the longest row
 //    in memory, n for text, the footer bound for the binary file (which
-//    rejects a size varint above it as a corrupt set).
+//    rejects a size varint above it as a corrupt set);
+//  * a scan under a ScanFilter delivers every named set, in id order,
+//    with its own elements. The binary decoder's first scan delivers
+//    every set whatever the filter, and its later scans exactly the
+//    named ones, chunk-edge sets and a filter naming nothing included;
+//    a corrupt body the filter would skip still fails the first scan
+//    with the unfiltered diagnostic.
 //
 // The instance is shaped so the in-memory and text sources close one
 // batch on the word bound and one on the set bound, and the binary file
@@ -32,6 +38,8 @@
 #include "stream/mmap_set_source.h"
 #include "stream/pipelined_scan.h"
 #include "stream/set_source.h"
+#include "stream/set_stream.h"
+#include "util/bitset.h"
 #include "util/cancel_token.h"
 
 namespace streamcover {
@@ -348,6 +356,123 @@ TEST_F(ScanContractTest, SetSizeBoundHoldsOnEverySource) {
   std::optional<MmapSetSource> mapped = MmapSetSource::Open(path, &error);
   ASSERT_TRUE(mapped.has_value()) << error;
   EXPECT_EQ(mapped->max_set_size(), 0u);
+  std::remove(path.c_str());
+}
+
+/// Scans `source` once under `filter` through a SetStream, checking
+/// that ids ascend and every delivered set carries its CSR elements;
+/// returns the delivered ids.
+std::vector<uint32_t> FilteredScan(SetSource& source, const SetSystem& system,
+                                   const ScanFilter* filter) {
+  SetStream stream(&source);
+  std::vector<uint32_t> ids;
+  EXPECT_TRUE(stream.ForEachBatch(
+      [&](std::span<const SetView> sets) {
+        for (const SetView& set : sets) {
+          EXPECT_TRUE(ids.empty() || set.id > ids.back())
+              << "out-of-order delivery";
+          EXPECT_TRUE(std::ranges::equal(set.elems, system.GetSet(set.id)))
+              << "set " << set.id;
+          ids.push_back(set.id);
+        }
+      },
+      filter))
+      << source.error();
+  return ids;
+}
+
+TEST_F(ScanContractTest, FilteredScansDeliverTheNamedSets) {
+  const std::string bytes = ReadBytes(*bin_);  // the layout points into it
+  const binfmt::BinaryLayout layout = LayoutOf(bytes);
+  const std::vector<binfmt::ScanChunk> chunks =
+      binfmt::BuildChunkPlan(layout, kDefaultScanChunkBytes);
+  ASSERT_GT(chunks.size(), 3u);
+  // Named by id: both edges of every chunk, a set of each size, and
+  // neighbours of the wide/narrow boundary.
+  DynamicBitset listed(kM);
+  for (const binfmt::ScanChunk& chunk : chunks) {
+    listed.Set(chunk.first_set);
+    listed.Set(chunk.first_set + chunk.set_count - 1);
+  }
+  for (uint32_t s : {7u, kWideSets - 1, kWideSets, kCorruptSet}) {
+    listed.Set(s);
+  }
+  const DynamicBitset none(kM);
+  const std::vector<ScanFilter> filters = {
+      {2, &listed},           // every wide set plus the listed ids
+      {UINT32_MAX, &listed},  // the listed ids alone
+      {kWideSize, nullptr},   // a size floor alone
+      {UINT32_MAX, &none},    // nothing
+      {UINT32_MAX, nullptr},  // nothing
+  };
+  std::vector<uint32_t> every(kM);
+  for (uint32_t s = 0; s < kM; ++s) every[s] = s;
+
+  ForEachConfig([&](Kind kind, uint32_t scan_threads) {
+    std::unique_ptr<SetSource> source = Open(kind, false, scan_threads);
+    ASSERT_NE(source, nullptr);
+    // A first scan delivers every set, even under a filter naming none.
+    EXPECT_EQ(FilteredScan(*source, *system_, &filters.back()), every);
+    for (const ScanFilter& filter : filters) {
+      SCOPED_TRACE("min_size=" + std::to_string(filter.min_size) +
+                   (filter.ids == &listed ? " listed ids" : ""));
+      std::vector<uint32_t> named;
+      for (uint32_t s = 0; s < kM; ++s) {
+        if (filter.Names(s, system_->GetSet(s).size())) named.push_back(s);
+      }
+      const std::vector<uint32_t> got =
+          FilteredScan(*source, *system_, &filter);
+      if (kind == Kind::kMmap) {
+        EXPECT_EQ(got, named);  // every other body skipped
+      } else {
+        EXPECT_EQ(got, every);  // these sources ignore filters
+      }
+    }
+    // The filter lasts one scan: a plain scan delivers every set again.
+    EXPECT_EQ(FilteredScan(*source, *system_, nullptr), every);
+  });
+}
+
+TEST_F(ScanContractTest, CorruptBodyTheFilterWouldSkipFailsTheFirstScan) {
+  // Set kCorruptSet has one element, so a size floor of 2 would skip
+  // it. Its size varint stays valid; its element varint runs past the
+  // slot. The chunk has never decoded cleanly, so it is decoded anyway.
+  std::string bytes = ReadBytes(*bin_);
+  const binfmt::BinaryLayout layout = LayoutOf(bytes);
+  ASSERT_EQ(system_->GetSet(kCorruptSet).size(), 1u);
+  ASSERT_EQ(layout.SetOffset(kCorruptSet + 1) - layout.SetOffset(kCorruptSet),
+            2u);
+  bytes[layout.SetOffset(kCorruptSet) + 1] = static_cast<char>(0x80);
+  const std::string path = ::testing::TempDir() + "/scan_contract_" +
+                           std::to_string(::getpid()) + "_bad_body.bin";
+  std::ofstream(path, std::ios::binary)
+      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  uint32_t chunk_start = 0;
+  for (const binfmt::ScanChunk& chunk :
+       binfmt::BuildChunkPlan(layout, kDefaultScanChunkBytes)) {
+    if (chunk.first_set <= kCorruptSet) chunk_start = chunk.first_set;
+  }
+  const ScanFilter filter{2, nullptr};
+  for (uint32_t scan_threads : {1u, 4u}) {
+    SCOPED_TRACE(scan_threads);
+    std::string error;
+    std::unique_ptr<SetSource> source = OpenDiskSetSource(path, &error);
+    ASSERT_NE(source, nullptr) << error;
+    source->set_scan_threads(scan_threads);
+    SetStream stream(source.get());
+    uint32_t delivered = 0;
+    auto count = [&](std::span<const SetView> sets) {
+      for (const SetView& set : sets) EXPECT_EQ(set.id, delivered++);
+    };
+    EXPECT_FALSE(stream.ForEachBatch(count, &filter));
+    EXPECT_EQ(delivered, chunk_start);
+    EXPECT_EQ(source->error(), path + ": corrupt set " +
+                                   std::to_string(kCorruptSet) +
+                                   ": truncated body");
+    delivered = 0;
+    EXPECT_FALSE(stream.ForEachBatch(count, &filter));
+    EXPECT_EQ(delivered, 0u);
+  }
   std::remove(path.c_str());
 }
 
