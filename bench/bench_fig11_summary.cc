@@ -14,7 +14,7 @@
 //  * iterSetCover: 2/delta passes, intermediate space, log-factor cover.
 //
 // `--json out.json` additionally writes the raw RunReport (schema
-// streamcover.run_report.v4) for the perf trajectory. The "seq scans"
+// streamcover.run_report.v5) for the perf trajectory. The "seq scans"
 // vs "phys scans" columns show the shared-scan scheduler collapsing
 // iterSetCover's guesses × passes sequential blow-up to one physical
 // scan per round.
@@ -125,19 +125,19 @@ int Run(const std::string& json_path) {
       table.AddRow({spec.name, spec.paper_bound, "-", "-", "-", "-", "-"});
       continue;
     }
-    double space = cell->space_words.mean();
+    double space = cell->Stat("space_words").mean();
     if (spec.single_guess_space) {
       const RunCell* probe = report.FindCell("probe:" + spec.name,
                                              "planted");
       if (probe != nullptr && probe->runs > 0) {
-        space = probe->space_words.mean();
+        space = probe->Stat("space_words").mean();
       }
     }
     table.AddRow({spec.name, spec.paper_bound,
                   Table::Fmt(cell->ratio.mean(), 2),
-                  Table::Fmt(cell->passes.mean(), 1),
-                  Table::Fmt(cell->sequential_scans.mean(), 1),
-                  Table::Fmt(cell->physical_scans.mean(), 1),
+                  Table::Fmt(cell->Stat("passes").mean(), 1),
+                  Table::Fmt(cell->Stat("sequential_scans").mean(), 1),
+                  Table::Fmt(cell->Stat("physical_scans").mean(), 1),
                   Table::Fmt(static_cast<uint64_t>(space))});
   }
   table.Print(std::cout);

@@ -88,13 +88,14 @@ void DeltaSweep() {
     const RunCell* dimv = report.FindCell("dimv14 d=" + suffix,
                                           "planted-4096");
     table.AddRow(
-        {suffix, Table::Fmt(iter->passes.mean(), 1),
-         Table::Fmt(iter->sequential_scans.mean(), 1),
-         Table::Fmt(iter->physical_scans.mean(), 1),
-         Table::Fmt(dimv->passes.mean(), 1),
+        {suffix, Table::Fmt(iter->Stat("passes").mean(), 1),
+         Table::Fmt(iter->Stat("sequential_scans").mean(), 1),
+         Table::Fmt(iter->Stat("physical_scans").mean(), 1),
+         Table::Fmt(dimv->Stat("passes").mean(), 1),
          Table::Fmt(iter->ratio.mean(), 2),
-         Table::Fmt(static_cast<uint64_t>(probe->projection_words.mean())),
-         Table::Fmt(static_cast<uint64_t>(iter->space_words.mean()))});
+         Table::Fmt(static_cast<uint64_t>(
+             probe->Stat("projection_words_peak").mean())),
+         Table::Fmt(static_cast<uint64_t>(iter->Stat("space_words").mean()))});
   }
   table.Print(std::cout);
   benchutil::Note(
@@ -124,7 +125,7 @@ void NSweep() {
     for (uint32_t n : ns) {
       const RunCell* cell =
           report.FindCell("probe", "planted-" + Table::Fmt(n));
-      const double proj = cell->projection_words.mean();
+      const double proj = cell->Stat("projection_words_peak").mean();
       xs.push_back(static_cast<double>(n));
       // Normalize by m = 2n to isolate the n^delta factor of
       // O~(m n^delta) from the trivial m factor.

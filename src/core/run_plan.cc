@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "core/instance.h"
+#include "core/run_record.h"
 
 namespace streamcover {
 namespace {
@@ -14,6 +15,22 @@ void RecordError(RunCell& cell, const std::string& error) {
   if (std::find(cell.errors.begin(), cell.errors.end(), error) ==
       cell.errors.end()) {
     cell.errors.push_back(error);
+  }
+}
+
+/// Adds every top-level number of `record` to the cell's stats under
+/// its key.
+void AddRecord(RunCell& cell, const JsonValue& record) {
+  for (const auto& [key, value] : record.members()) {
+    if (!value.is_number()) continue;
+    auto it = std::find_if(cell.stats.begin(), cell.stats.end(),
+                           [&key](const auto& stat) {
+                             return stat.first == key;
+                           });
+    if (it == cell.stats.end()) {
+      it = cell.stats.emplace(cell.stats.end(), key, RunningStats());
+    }
+    it->second.Add(value.AsDouble());
   }
 }
 
@@ -112,7 +129,6 @@ RunReport ExecutePlan(const RunPlan& plan, const CancelToken* cancel) {
           }
           ++cell.runs;
           if (r.success) ++cell.successes;
-          cell.cover.Add(static_cast<double>(r.cover.size()));
           // Ratio only over successful runs: a failed trial's partial
           // cover is small for the wrong reason and would understate
           // the approximation cost.
@@ -120,18 +136,7 @@ RunReport ExecutePlan(const RunPlan& plan, const CancelToken* cancel) {
             cell.ratio.Add(static_cast<double>(r.cover.size()) /
                            static_cast<double>(instance->opt_bound()));
           }
-          cell.passes.Add(static_cast<double>(r.passes));
-          cell.sequential_scans.Add(
-              static_cast<double>(r.sequential_scans));
-          cell.physical_scans.Add(static_cast<double>(r.physical_scans));
-          cell.space_words.Add(static_cast<double>(r.space_words));
-          if (r.projection_words_peak > 0) {
-            cell.projection_words.Add(
-                static_cast<double>(r.projection_words_peak));
-          }
-          cell.duration_ms.Add(r.duration_ms);
-          cell.gain_updates.Add(static_cast<double>(r.gain_updates));
-          cell.sets_touched.Add(static_cast<double>(r.sets_touched));
+          AddRecord(cell, RunResultJson(r, /*include_cover=*/false));
         }
       }
     }
@@ -149,9 +154,17 @@ const RunCell* RunReport::FindCell(std::string_view solver_label,
   return nullptr;
 }
 
+const RunningStats& RunCell::Stat(std::string_view key) const {
+  static const RunningStats kEmpty;
+  for (const auto& [name, stat] : stats) {
+    if (name == key) return stat;
+  }
+  return kEmpty;
+}
+
 JsonValue RunReport::ToJson() const {
   JsonValue out = JsonValue::Object();
-  out.Set("schema", "streamcover.run_report.v4");
+  out.Set("schema", "streamcover.run_report.v5");
 
   JsonValue solvers = JsonValue::Array();
   for (const SolverSpec& spec : plan.solvers) {
@@ -186,16 +199,8 @@ JsonValue RunReport::ToJson() const {
     c.Set("runs", static_cast<uint64_t>(cell.runs));
     c.Set("failures", static_cast<uint64_t>(cell.failures));
     c.Set("successes", static_cast<uint64_t>(cell.successes));
-    c.Set("cover", StatsJson(cell.cover));
     c.Set("ratio", StatsJson(cell.ratio));
-    c.Set("passes", StatsJson(cell.passes));
-    c.Set("sequential_scans", StatsJson(cell.sequential_scans));
-    c.Set("physical_scans", StatsJson(cell.physical_scans));
-    c.Set("space_words", StatsJson(cell.space_words));
-    c.Set("projection_words", StatsJson(cell.projection_words));
-    c.Set("duration_ms", StatsJson(cell.duration_ms));
-    c.Set("gain_updates", StatsJson(cell.gain_updates));
-    c.Set("sets_touched", StatsJson(cell.sets_touched));
+    for (const auto& [key, stat] : cell.stats) c.Set(key, StatsJson(stat));
     if (!cell.errors.empty()) {
       JsonValue errors = JsonValue::Array();
       for (const std::string& error : cell.errors) errors.Append(error);
@@ -227,13 +232,14 @@ Table RunReport::SummaryTable() const {
   Table table({"workload", "solver", "cover", "cover/OPT", "passes",
                "seq scans", "phys scans", "space (words)", "ok"});
   for (const RunCell& cell : cells) {
+    const RunningStats& space = cell.Stat("space_words");
     table.AddRow(
-        {cell.workload, cell.solver, FmtMean(cell.cover, 1),
-         FmtMean(cell.ratio, 2), FmtMean(cell.passes, 1),
-         FmtMean(cell.sequential_scans, 1),
-         FmtMean(cell.physical_scans, 1),
-         cell.space_words.count() > 0
-             ? Table::Fmt(static_cast<uint64_t>(cell.space_words.mean()))
+        {cell.workload, cell.solver, FmtMean(cell.Stat("cover_size"), 1),
+         FmtMean(cell.ratio, 2), FmtMean(cell.Stat("passes"), 1),
+         FmtMean(cell.Stat("sequential_scans"), 1),
+         FmtMean(cell.Stat("physical_scans"), 1),
+         space.count() > 0
+             ? Table::Fmt(static_cast<uint64_t>(space.mean()))
              : std::string("-"),
          std::to_string(cell.successes) + "/" + std::to_string(cell.runs)});
   }

@@ -6,12 +6,12 @@
 // (WorkloadSpec = registry name + WorkloadParams), plus the seeds and
 // per-seed trial count. ExecutePlan crosses the axes, draws a fresh
 // pass-counted stream per trial from the Instance (no shared or
-// manually reset counters), and aggregates mean/min/max of cover size,
-// cover/OPT ratio (when the workload plants a bound), passes,
-// sequential_scans, physical_scans, space words, and wall-clock
-// duration_ms into a RunReport that serializes to JSON (util/json.h,
-// schema streamcover.run_report.v4) for the perf trajectory and
-// external tooling.
+// manually reset counters), and aggregates mean/min/max of every number
+// in each run's record (core/run_record.h: cover_size, passes, scans,
+// space, gain counters, duration_ms) plus the cover/OPT ratio (when the
+// workload plants a bound) into a RunReport that serializes to JSON
+// (util/json.h, schema streamcover.run_report.v5) for the perf
+// trajectory and external tooling.
 //
 // Determinism: instances are generated once per (workload, seed) with
 // the plan seed; trial t of plan seed s runs the solver with seed
@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/solver_registry.h"
@@ -78,30 +79,18 @@ struct RunCell {
   uint32_t runs = 0;       ///< dispatched runs that returned ok()
   uint32_t failures = 0;   ///< dispatch failures (error set)
   uint32_t successes = 0;  ///< ok() runs that reported a full cover
-  RunningStats cover;
   /// cover / planted bound over SUCCESSFUL runs; only populated when
   /// the workload knows OPT.
   RunningStats ratio;
-  RunningStats passes;
-  RunningStats sequential_scans;
-  /// Physical scans of the repository — the shared-scan scheduler's
-  /// column; ≈ passes for multiplexed solvers, far below
-  /// sequential_scans.
-  RunningStats physical_scans;
-  RunningStats space_words;
-  /// Peak stored-projection words (iterSetCover-family solvers only).
-  RunningStats projection_words;
-  /// Wall-clock run time (RunResult::duration_ms) — the same field the
-  /// serve histograms and bench_serve consume.
-  RunningStats duration_ms;
-  /// Gain-maintenance counters (RunResult::gain_updates /
-  /// ::sets_touched), recorded for every ok() run — zero-valued for
-  /// solvers without a gain loop, so the v4 JSON fields are always
-  /// present.
-  RunningStats gain_updates;
-  RunningStats sets_touched;
+  /// One entry per top-level number of the ok() runs' records
+  /// (RunResultJson), keyed and ordered as in the record.
+  std::vector<std::pair<std::string, RunningStats>> stats;
   /// Distinct error strings seen (dispatch failures, build failures).
   std::vector<std::string> errors;
+
+  /// The stats of record key `key` ("passes", "space_words", ...);
+  /// empty (count 0) when no ok() run reported it.
+  const RunningStats& Stat(std::string_view key) const;
 };
 
 /// The executed grid. Cells are workload-major: for workload j and
@@ -115,8 +104,9 @@ struct RunReport {
                           std::string_view workload_label) const;
 
   /// Full report as a JSON document (schema
-  /// "streamcover.run_report.v4": v3 + per-cell "gain_updates" /
-  /// "sets_touched" stats).
+  /// "streamcover.run_report.v5": each cell carries runs, failures,
+  /// successes, ratio, and a {mean, min, max, count} object per key of
+  /// RunCell::stats).
   JsonValue ToJson() const;
 
   /// Pretty-printed ToJson().

@@ -1,7 +1,6 @@
 #include "core/solver_registry.h"
 
 #include <algorithm>
-#include <type_traits>
 #include <utility>
 
 #include "baselines/dimv14.h"
@@ -98,8 +97,7 @@ RunResult RunStreamingMaxCover(RunContext& ctx) {
 
 /// Store-all wrapper turning any OfflineSolver into a one-pass
 /// streaming run: buffer F (Θ(total_size) words), solve in memory.
-template <typename Solver>
-RunResult RunOffline(RunContext& ctx) {
+RunResult RunOffline(RunContext& ctx, const OfflineSolver& solver) {
   SpaceTracker tracker;
   SetStream& stream = ctx.stream;
   const uint64_t passes_before = stream.passes();
@@ -109,12 +107,7 @@ RunResult RunOffline(RunContext& ctx) {
     builder.AddSet(set.elems);
   });
   SetSystem buffered = std::move(builder).Build();
-  OfflineResult offline;
-  if constexpr (std::is_constructible_v<Solver, KernelPolicy>) {
-    offline = Solver(ctx.options.kernel).Solve(buffered);
-  } else {
-    offline = Solver().Solve(buffered);
-  }
+  OfflineResult offline = solver.Solve(buffered);
   tracker.Charge(offline.cover.size());
 
   RunResult result;
@@ -127,6 +120,10 @@ RunResult RunOffline(RunContext& ctx) {
   result.gain_updates = offline.gain_updates;
   result.sets_touched = offline.sets_touched;
   return result;
+}
+
+RunResult RunStoreAllGreedy(RunContext& ctx) {
+  return RunOffline(ctx, GreedySolver(ctx.options.kernel));
 }
 
 RunResult RunGeometric(RunContext& ctx) {
@@ -171,7 +168,7 @@ void RegisterBuiltins(SolverRegistry& registry) {
   // name: the same runner, kept because reports and specs use both.
   add("store_all_greedy",
       "greedy, store-all: 1 pass, O(mn) space, ln n approx",
-      Kind::kStreaming, RunOffline<GreedySolver>);
+      Kind::kStreaming, RunStoreAllGreedy);
   add("iterative_greedy",
       "greedy, pass-per-pick: n passes, O(n) space, ln n approx",
       Kind::kStreaming,
@@ -217,11 +214,17 @@ void RegisterBuiltins(SolverRegistry& registry) {
       Kind::kStreaming, RunShardedGreedi);
   add("offline_greedy",
       "offline greedy via store-all buffering: rho = ln n",
-      Kind::kOffline, RunOffline<GreedySolver>);
+      Kind::kOffline, RunStoreAllGreedy);
   add("offline_exact",
       "offline branch-and-bound via store-all buffering: rho = 1 "
       "within node budget",
-      Kind::kOffline, RunOffline<ExactSolver>);
+      Kind::kOffline,
+      [](RunContext& ctx) {
+        // The search polls the run's deadline; a fired token stops it
+        // and the dispatcher answers deadline_exceeded.
+        return RunOffline(ctx, ExactSolver(ExactSolver::kDefaultMaxNodes,
+                                           ctx.options.cancel));
+      });
   add("geom",
       "algGeomSC (Thm 4.6): O(1) passes, O~(n) space for "
       "disks/rects/fat triangles; needs an instance with geometry",
@@ -331,12 +334,17 @@ RunResult DispatchSolver(
   // solver) leaves the stream with a sticky error; whatever partial
   // result the solver produced is meaningless, so report the fault. A
   // fired deadline takes the same unwind path but keeps its bare error
-  // code — dispatchers and serve clients match on it.
-  if (!stream->error().empty()) {
+  // code — dispatchers and serve clients match on it. A token that
+  // fired after the last scan (during pass-end or in-memory work) fails
+  // the run the same way: the caller's budget is spent either way.
+  const bool cancelled =
+      options.cancel != nullptr && options.cancel->cancelled();
+  if (!stream->error().empty() || cancelled) {
     RunResult failed;
     failed.solver = entry->name;
     failed.instance = instance.name();
-    failed.error = stream->error() == kDeadlineExceededError
+    failed.error = stream->error().empty() ||
+                           stream->error() == kDeadlineExceededError
                        ? std::string(kDeadlineExceededError)
                        : "stream failed during solve: " + stream->error();
     failed.duration_ms = timer.ElapsedMillis();

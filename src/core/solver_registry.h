@@ -105,8 +105,10 @@ struct RunOptions {
   /// Cooperative cancellation for deadline-bounded serving: when set,
   /// every scan of the run's stream polls it at batch granularity and a
   /// fired token unwinds the run through the stream-failure contract,
-  /// surfacing RunResult.error == kDeadlineExceededError. Must outlive
-  /// the run. nullptr (default) = uncancellable.
+  /// surfacing RunResult.error == kDeadlineExceededError. A token found
+  /// fired when the runner returns (it fired after the last scan) fails
+  /// the run the same way, and offline_exact's search polls it too.
+  /// Must outlive the run. nullptr (default) = uncancellable.
   const CancelToken* cancel = nullptr;
 };
 

@@ -17,6 +17,7 @@ struct SearchContext {
   const SetSystem* system;
   const TransposedIndex* index;  // element -> sets, ascending ids
   uint64_t max_nodes;
+  const CancelToken* cancel;  // polled every 64 nodes; may be null
   uint64_t nodes = 0;
   bool budget_exhausted = false;
   std::vector<uint32_t> best;       // incumbent cover (set ids)
@@ -75,7 +76,9 @@ void UntakeSet(SearchContext& ctx, DynamicBitset& uncovered,
 
 void Search(SearchContext& ctx, DynamicBitset& uncovered) {
   if (ctx.budget_exhausted) return;
-  if (++ctx.nodes > ctx.max_nodes) {
+  if (++ctx.nodes > ctx.max_nodes ||
+      (ctx.cancel != nullptr && ctx.nodes % 64 == 0 &&
+       ctx.cancel->cancelled())) {
     ctx.budget_exhausted = true;
     return;
   }
@@ -149,7 +152,8 @@ void Search(SearchContext& ctx, DynamicBitset& uncovered) {
 
 }  // namespace
 
-ExactSolver::ExactSolver(uint64_t max_nodes) : max_nodes_(max_nodes) {}
+ExactSolver::ExactSolver(uint64_t max_nodes, const CancelToken* cancel)
+    : max_nodes_(max_nodes), cancel_(cancel) {}
 
 OfflineResult ExactSolver::Solve(const SetSystem& system) const {
   // Greedy incumbent; also handles uncoverable elements by ignoring them.
@@ -174,6 +178,7 @@ OfflineResult ExactSolver::Solve(const SetSystem& system) const {
   ctx.system = &system;
   ctx.index = &index;
   ctx.max_nodes = max_nodes_;
+  ctx.cancel = cancel_;
   ctx.best = greedy.cover.set_ids;
   if (ctx.best.empty() && uncovered.Any()) {
     // Greedy failed to cover anything coverable — cannot happen, but keep

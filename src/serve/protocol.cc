@@ -3,6 +3,8 @@
 #include <cmath>
 #include <utility>
 
+#include "core/run_record.h"
+
 namespace streamcover {
 namespace {
 
@@ -167,45 +169,9 @@ JsonValue ErrorResponse(const std::string& id, const std::string& code,
 
 JsonValue SolveResponse(const ServeRequest& request,
                         const RunResult& result) {
-  JsonValue response = JsonValue::Object();
-  if (!request.id.empty()) response.Set("id", request.id);
-  response.Set("ok", true);
-  response.Set("solver", result.solver);
-  response.Set("instance", result.instance);
-  response.Set("cover_size", static_cast<uint64_t>(result.cover.size()));
-  response.Set("success", result.success);
-  response.Set("passes", result.passes);
-  response.Set("sequential_scans", result.sequential_scans);
-  response.Set("physical_scans", result.physical_scans);
-  response.Set("space_words", result.space_words);
-  response.Set("projection_words_peak", result.projection_words_peak);
-  response.Set("duration_ms", result.duration_ms);
-  if (!result.shard_stats.empty()) {
-    JsonValue shards = JsonValue::Array();
-    for (const ShardStat& stat : result.shard_stats) {
-      JsonValue row = JsonValue::Object();
-      row.Set("shard", static_cast<uint64_t>(stat.shard));
-      row.Set("sets_seen", stat.sets_seen);
-      row.Set("candidates", stat.candidates);
-      row.Set("inserts", stat.inserts);
-      row.Set("work_items", stat.work_items);
-      shards.Append(std::move(row));
-    }
-    response.Set("shards", std::move(shards));
-    JsonValue merge = JsonValue::Object();
-    merge.Set("candidates", result.merge_stats.candidates);
-    merge.Set("duplicates_dropped", result.merge_stats.duplicates_dropped);
-    merge.Set("picked", result.merge_stats.picked);
-    merge.Set("duration_ms", result.merge_stats.duration_ms);
-    response.Set("merge", std::move(merge));
-  }
-  if (request.include_cover) {
-    JsonValue ids = JsonValue::Array();
-    for (uint32_t id : result.cover.set_ids) {
-      ids.Append(static_cast<uint64_t>(id));
-    }
-    response.Set("cover", std::move(ids));
-  }
+  JsonValue response = OkResponse(request.id);
+  const JsonValue record = RunResultJson(result, request.include_cover);
+  for (const auto& [key, value] : record.members()) response.Set(key, value);
   return response;
 }
 

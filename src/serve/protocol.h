@@ -5,7 +5,8 @@
 //
 // Requests:
 //   {"op":"solve","instance":"planted:n=2000","solver":"iter",
-//    "deadline_ms":250,"id":"r1",...}          -> run_report-style line
+//    "deadline_ms":250,"id":"r1",...}          -> the run's record
+//       (core/run_record.h) inside the id/ok envelope
 //   {"op":"sleep","sleep_ms":100,"deadline_ms":50}  -> deterministic
 //       latency for queue/deadline tests; honors cancellation
 //   {"op":"stats"}   -> counters + latency percentiles (never queued)
@@ -77,7 +78,8 @@ bool ParseServeRequest(const std::string& line, ServeRequest* request,
 JsonValue ErrorResponse(const std::string& id, const std::string& code,
                         const std::string& message);
 
-/// Successful solve: run_report-style cells plus ok/id envelope.
+/// Successful solve: the id/ok envelope plus RunResultJson's record
+/// (core/run_record.h), with the cover's ids if the request asked.
 JsonValue SolveResponse(const ServeRequest& request, const RunResult& result);
 
 /// {"id":...,"ok":true} for ping / sleep completions.

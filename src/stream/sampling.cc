@@ -1,7 +1,6 @@
 #include "stream/sampling.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/check.h"
 
@@ -35,35 +34,6 @@ void ReservoirSampler::Push(uint32_t item) {
   }
   uint64_t j = rng_->Uniform(seen_);
   if (j < capacity_) sample_[j] = item;
-}
-
-bool IsRelativeApproxForRange(const DynamicBitset& universe,
-                              const DynamicBitset& sample,
-                              const DynamicBitset& range, double p,
-                              double eps) {
-  SC_CHECK_EQ(universe.size(), sample.size());
-  SC_CHECK_EQ(universe.size(), range.size());
-  const double universe_count = static_cast<double>(universe.Count());
-  const double sample_count = static_cast<double>(sample.Count());
-  SC_CHECK_GT(universe_count, 0.0);
-  SC_CHECK_GT(sample_count, 0.0);
-
-  DynamicBitset r = range;
-  r &= universe;
-  const double range_frac = static_cast<double>(r.Count()) / universe_count;
-
-  DynamicBitset rs = range;
-  rs &= sample;
-  const double sample_frac = static_cast<double>(rs.Count()) / sample_count;
-
-  // Small slack guards against floating-point edge equality.
-  constexpr double kTie = 1e-12;
-  if (range_frac >= p) {
-    return sample_frac >= (1.0 - eps) * range_frac - kTie &&
-           sample_frac <= (1.0 + eps) * range_frac + kTie;
-  }
-  return sample_frac >= range_frac - eps * p - kTie &&
-         sample_frac <= range_frac + eps * p + kTie;
 }
 
 }  // namespace streamcover

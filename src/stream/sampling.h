@@ -4,8 +4,7 @@
 // current residual ground set; Lemma 2.5 (Har-Peled & Sharir) dictates
 // its size so that it forms a relative (p,eps)-approximation
 // (Definition 2.4) of the family of possible residual sets. This header
-// provides the sampler, a streaming reservoir sampler, and a direct
-// checker for Definition 2.4 used by property tests.
+// provides the sampler and a streaming reservoir sampler.
 
 #ifndef STREAMCOVER_STREAM_SAMPLING_H_
 #define STREAMCOVER_STREAM_SAMPLING_H_
@@ -45,14 +44,6 @@ class ReservoirSampler {
   Rng* rng_;
   std::vector<uint32_t> sample_;
 };
-
-/// Directly checks Definition 2.4: is `sample` (a subset of `universe`)
-/// a relative (p, eps)-approximation for range `range`? Both sets are
-/// given as bitsets over the same ground set.
-bool IsRelativeApproxForRange(const DynamicBitset& universe,
-                              const DynamicBitset& sample,
-                              const DynamicBitset& range, double p,
-                              double eps);
 
 }  // namespace streamcover
 

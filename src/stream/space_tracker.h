@@ -58,22 +58,6 @@ class SpaceTracker {
   uint64_t peak_ = 0;
 };
 
-/// RAII charge: charges at construction, releases at destruction.
-class ScopedCharge {
- public:
-  ScopedCharge(SpaceTracker* tracker, uint64_t words)
-      : tracker_(tracker), words_(words) {
-    tracker_->Charge(words_);
-  }
-  ~ScopedCharge() { tracker_->Release(words_); }
-  ScopedCharge(const ScopedCharge&) = delete;
-  ScopedCharge& operator=(const ScopedCharge&) = delete;
-
- private:
-  SpaceTracker* tracker_;
-  uint64_t words_;
-};
-
 }  // namespace streamcover
 
 #endif  // STREAMCOVER_STREAM_SPACE_TRACKER_H_

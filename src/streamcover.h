@@ -23,6 +23,7 @@
 #include "core/iter_set_cover.h"              // IWYU pragma: export
 #include "core/projection_store.h"            // IWYU pragma: export
 #include "core/run_plan.h"                    // IWYU pragma: export
+#include "core/run_record.h"                  // IWYU pragma: export
 #include "core/solver_registry.h"             // IWYU pragma: export
 #include "core/workload_registry.h"           // IWYU pragma: export
 #include "geometry/canonical.h"               // IWYU pragma: export
@@ -35,7 +36,6 @@
 #include "offline/greedy.h"                   // IWYU pragma: export
 #include "offline/lazy_greedy.h"              // IWYU pragma: export
 #include "offline/max_cover.h"                // IWYU pragma: export
-#include "offline/weighted_greedy.h"          // IWYU pragma: export
 #include "setsystem/binary_io.h"              // IWYU pragma: export
 #include "setsystem/cover.h"                  // IWYU pragma: export
 #include "setsystem/generators.h"             // IWYU pragma: export

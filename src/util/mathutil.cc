@@ -29,15 +29,6 @@ double Log2Clamped(uint64_t x) {
 
 double PowDouble(double x, double delta) { return std::pow(x, delta); }
 
-uint64_t RelativeApproxSampleSize(double p, double eps, double log_ranges,
-                                  double log_inv_q, double c_prime) {
-  SC_CHECK(p > 0.0 && p <= 1.0);
-  SC_CHECK(eps > 0.0);
-  double size = (c_prime / (eps * eps * p)) *
-                (log_ranges * std::log2(1.0 / p) + log_inv_q);
-  return static_cast<uint64_t>(std::ceil(std::max(size, 1.0)));
-}
-
 namespace {
 
 uint64_t ClampSample(double raw, uint64_t universe_size) {

@@ -1,6 +1,5 @@
 // Integer/float math helpers shared across modules, including the
-// sample-size formulas from the paper (Lemma 2.5 and the sizes used by
-// iterSetCover / algGeomSC).
+// sample sizes iterSetCover and algGeomSC draw (Figures 1.3 and 4.1).
 
 #ifndef STREAMCOVER_UTIL_MATHUTIL_H_
 #define STREAMCOVER_UTIL_MATHUTIL_H_
@@ -24,13 +23,6 @@ double Log2Clamped(uint64_t x);
 
 /// x^delta for x >= 0.
 double PowDouble(double x, double delta);
-
-/// Sample size from Lemma 2.5: a uniform sample of size
-///   (c' / (eps^2 p)) * (log |H| * log(1/p) + log(1/q))
-/// is a relative (p,eps)-approximation for the range family H with
-/// probability >= 1 - q. `log_ranges` is log2 |H|.
-uint64_t RelativeApproxSampleSize(double p, double eps, double log_ranges,
-                                  double log_inv_q, double c_prime);
 
 /// The iterSetCover per-iteration sample size (Figure 1.3):
 ///   ceil(c * rho * k * n^delta * log m * log n),

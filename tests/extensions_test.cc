@@ -1,6 +1,6 @@
 // Tests for the extension features: epsilon-Partial Set Cover
-// (the [ER14]/[CW16] generalization), Max k-Cover ([SG09]'s origin
-// problem), and weighted greedy cover.
+// (the [ER14]/[CW16] generalization) and Max k-Cover ([SG09]'s origin
+// problem).
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "core/iter_set_cover.h"
 #include "offline/greedy.h"
 #include "offline/max_cover.h"
-#include "offline/weighted_greedy.h"
 #include "setsystem/generators.h"
 
 namespace streamcover {
@@ -192,56 +191,6 @@ TEST(StreamingMaxCoverTest, SingleBudgetTakesABigSet) {
   // The thresholding guarantees at least n/2^passes coverage; with a
   // planted block structure the first qualifying set is large.
   EXPECT_GE(r.covered, inst.system.num_elements() / 64);
-}
-
-// ----- Weighted greedy -----------------------------------------------
-
-TEST(WeightedGreedyTest, UnitWeightsMatchUnweightedBehaviour) {
-  PlantedInstance inst = MakeInstance(8, /*n=*/200, /*m=*/150, /*k=*/6);
-  std::vector<double> unit(inst.system.num_sets(), 1.0);
-  WeightedCoverResult r = WeightedGreedyCover(inst.system, unit);
-  EXPECT_TRUE(IsFullCover(inst.system, r.cover));
-  EXPECT_DOUBLE_EQ(r.total_weight, static_cast<double>(r.cover.size()));
-}
-
-TEST(WeightedGreedyTest, PrefersCheapSets) {
-  // Two ways to cover {0,1}: one expensive set, or two cheap singletons.
-  SetSystem::Builder b(2);
-  b.AddSet({0, 1});  // weight 10
-  b.AddSet({0});     // weight 1
-  b.AddSet({1});     // weight 1
-  SetSystem system = std::move(b).Build();
-  WeightedCoverResult r =
-      WeightedGreedyCover(system, {10.0, 1.0, 1.0});
-  EXPECT_TRUE(IsFullCover(system, r.cover));
-  EXPECT_DOUBLE_EQ(r.total_weight, 2.0);
-}
-
-TEST(WeightedGreedyTest, WithinHarmonicFactorOfBruteForce) {
-  for (uint64_t seed = 1; seed <= 10; ++seed) {
-    Rng rng(seed);
-    SetSystem system = GenerateUniformRandom(16, 10, 0.3, rng);
-    if (!IsCoverable(system)) continue;
-    std::vector<double> weights;
-    for (uint32_t s = 0; s < system.num_sets(); ++s) {
-      weights.push_back(0.5 + rng.UniformDouble() * 4.0);
-    }
-    WeightedCoverResult greedy = WeightedGreedyCover(system, weights);
-    WeightedCoverResult opt = BruteForceWeightedCover(system, weights);
-    double h_n = std::log(16.0) + 1.0;
-    EXPECT_LE(greedy.total_weight, h_n * opt.total_weight + 1e-9)
-        << "seed " << seed;
-    EXPECT_GE(greedy.total_weight, opt.total_weight - 1e-9);
-  }
-}
-
-TEST(WeightedGreedyTest, IgnoresUncoverableElements) {
-  SetSystem::Builder b(3);
-  b.AddSet({0});
-  SetSystem system = std::move(b).Build();
-  WeightedCoverResult r = WeightedGreedyCover(system, {2.0});
-  EXPECT_EQ(r.cover.set_ids, (std::vector<uint32_t>{0}));
-  EXPECT_DOUBLE_EQ(r.total_weight, 2.0);
 }
 
 }  // namespace

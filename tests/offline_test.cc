@@ -167,6 +167,21 @@ TEST(ExactSolverTest, NodeBudgetReportsNonOptimal) {
   EXPECT_TRUE(IsFullCover(inst.system, r.cover));
 }
 
+TEST(ExactSolverTest, FiredTokenStopsTheSearchLikeTheNodeBudget) {
+  // A sparse instance whose search runs for minutes at the default node
+  // cap. With a token fired before Solve, the search stops at its first
+  // poll (node 64) and returns the greedy incumbent, unproven.
+  Rng rng(1);
+  PlantedInstance inst = GenerateSparse(400, 900, 12, rng);
+  CancelToken token;
+  token.Cancel();
+  OfflineResult r =
+      ExactSolver(ExactSolver::kDefaultMaxNodes, &token).Solve(inst.system);
+  EXPECT_FALSE(r.proven_optimal);
+  EXPECT_EQ(r.work, 64u);
+  EXPECT_TRUE(IsFullCover(inst.system, r.cover));
+}
+
 class ExactVsBruteForceTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ExactVsBruteForceTest, MatchesBruteForceOptimum) {

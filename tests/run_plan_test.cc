@@ -49,20 +49,23 @@ TEST(RunPlanTest, GridShapeAndRunCounts) {
     EXPECT_EQ(cell.runs, 4u) << cell.solver << " x " << cell.workload;
     EXPECT_EQ(cell.failures, 0u);
     EXPECT_EQ(cell.successes, 4u);
-    EXPECT_EQ(cell.cover.count(), 4u);
-    EXPECT_GT(cell.cover.mean(), 0.0);
+    EXPECT_EQ(cell.Stat("cover_size").count(), 4u);
+    EXPECT_GT(cell.Stat("cover_size").mean(), 0.0);
     EXPECT_GE(cell.ratio.mean(), 1.0)
         << "cover can never beat the planted bound's role as OPT proxy "
            "by being zero";
-    EXPECT_GT(cell.passes.mean(), 0.0);
-    EXPECT_GE(cell.sequential_scans.mean(), cell.passes.mean());
+    const double passes = cell.Stat("passes").mean();
+    const double sequential = cell.Stat("sequential_scans").mean();
+    const double physical = cell.Stat("physical_scans").mean();
+    EXPECT_GT(passes, 0.0);
+    EXPECT_GE(sequential, passes);
     // Shared-scan collapse: the repository pays at most the sequential
     // total and at least the per-guess max — and for the multiplexed
     // solvers exactly the max.
-    EXPECT_GT(cell.physical_scans.mean(), 0.0);
-    EXPECT_LE(cell.physical_scans.mean(), cell.sequential_scans.mean());
-    EXPECT_DOUBLE_EQ(cell.physical_scans.mean(), cell.passes.mean());
-    EXPECT_GT(cell.space_words.mean(), 0.0);
+    EXPECT_GT(physical, 0.0);
+    EXPECT_LE(physical, sequential);
+    EXPECT_DOUBLE_EQ(physical, passes);
+    EXPECT_GT(cell.Stat("space_words").mean(), 0.0);
   }
 }
 
@@ -98,8 +101,9 @@ TEST(RunPlanTest, SeedDeterminism) {
   EXPECT_EQ(without_timing(first), without_timing(second));
   // Timing was measured on every run even though it is excluded from
   // the determinism contract.
-  EXPECT_EQ(first.cells[0].duration_ms.count(), first.cells[0].runs);
-  EXPECT_GT(first.cells[0].duration_ms.mean(), 0.0);
+  EXPECT_EQ(first.cells[0].Stat("duration_ms").count(),
+            first.cells[0].runs);
+  EXPECT_GT(first.cells[0].Stat("duration_ms").mean(), 0.0);
 
   // A different seed axis changes at least the randomized solver cells.
   plan.seeds = {3, 4};
@@ -157,7 +161,7 @@ TEST(RunPlanTest, JsonRoundTrip) {
   std::string error;
   std::optional<JsonValue> parsed = JsonValue::Parse(text, &error);
   ASSERT_TRUE(parsed.has_value()) << error;
-  EXPECT_EQ(parsed->At("schema").AsString(), "streamcover.run_report.v4");
+  EXPECT_EQ(parsed->At("schema").AsString(), "streamcover.run_report.v5");
   EXPECT_EQ(parsed->At("solvers").size(), 2u);
   EXPECT_EQ(parsed->At("workloads").size(), 3u);
   EXPECT_EQ(parsed->At("seeds").size(), 2u);
@@ -169,23 +173,24 @@ TEST(RunPlanTest, JsonRoundTrip) {
   const JsonValue& cell0 = parsed->At("cells")[0];
   EXPECT_EQ(cell0.At("solver").AsString(), report.cells[0].solver);
   EXPECT_EQ(cell0.At("workload").AsString(), report.cells[0].workload);
-  EXPECT_DOUBLE_EQ(cell0.At("cover").At("mean").AsDouble(),
-                   report.cells[0].cover.mean());
+  EXPECT_DOUBLE_EQ(cell0.At("cover_size").At("mean").AsDouble(),
+                   report.cells[0].Stat("cover_size").mean());
   EXPECT_DOUBLE_EQ(cell0.At("physical_scans").At("mean").AsDouble(),
-                   report.cells[0].physical_scans.mean());
+                   report.cells[0].Stat("physical_scans").mean());
   EXPECT_DOUBLE_EQ(cell0.At("space_words").At("max").AsDouble(),
-                   report.cells[0].space_words.max());
+                   report.cells[0].Stat("space_words").max());
   EXPECT_EQ(cell0.At("runs").AsDouble(), 4.0);
 
-  // v4: the gain-maintenance stats are present on every cell (recorded
-  // for every ok() run — zero-valued for gainless solvers, never
-  // omitted).
+  // v5: every number of the run record is aggregated on every cell,
+  // for every ok() run — zero-valued counters (projection words of a
+  // store-all run) included, never omitted.
   for (size_t i = 0; i < parsed->At("cells").size(); ++i) {
     const JsonValue& cell = parsed->At("cells")[i];
-    ASSERT_TRUE(cell.At("gain_updates").is_object()) << i;
-    ASSERT_TRUE(cell.At("sets_touched").is_object()) << i;
-    EXPECT_EQ(cell.At("gain_updates").At("count").AsDouble(), 4.0);
-    EXPECT_EQ(cell.At("sets_touched").At("count").AsDouble(), 4.0);
+    for (const char* key : {"gain_updates", "sets_touched",
+                            "projection_words_peak", "duration_ms"}) {
+      ASSERT_TRUE(cell.At(key).is_object()) << i << " " << key;
+      EXPECT_EQ(cell.At(key).At("count").AsDouble(), 4.0) << key;
+    }
   }
   // The greedy family reports real maintenance work, not zeros: both
   // solvers of SmallPlan end in an exact-greedy loop over the
@@ -223,7 +228,7 @@ TEST(RunPlanTest, ProjectionProbeThroughRegistry) {
   RunReport report = ExecutePlan(plan);
   ASSERT_EQ(report.cells.size(), 1u);
   EXPECT_EQ(report.cells[0].failures, 0u);
-  EXPECT_GT(report.cells[0].projection_words.mean(), 0.0);
+  EXPECT_GT(report.cells[0].Stat("projection_words_peak").mean(), 0.0);
 }
 
 }  // namespace

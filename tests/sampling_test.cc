@@ -6,6 +6,7 @@
 
 #include <set>
 
+#include "relative_approx_oracle.h"
 #include "stream/sampling.h"
 #include "util/mathutil.h"
 

@@ -13,12 +13,15 @@
 #include "baselines/dimv14.h"
 #include "core/instance.h"
 #include "core/iter_set_cover.h"
+#include "core/workload_registry.h"
 #include "geometry/geom_set_cover.h"
 #include "geometry/range_space.h"
 #include "gtest/gtest.h"
 #include "setsystem/cover.h"
 #include "setsystem/generators.h"
+#include "util/cancel_token.h"
 #include "util/rng.h"
+#include "util/timer.h"
 
 namespace streamcover {
 namespace {
@@ -201,6 +204,30 @@ TEST(SolverRegistryTest, MultiGuessRunCollapsesPhysicalScans) {
   ASSERT_TRUE(r.ok()) << r.error;
   EXPECT_EQ(r.physical_scans, r.passes);
   EXPECT_GT(r.sequential_scans, r.physical_scans);
+}
+
+TEST(SolverRegistryTest, OfflineExactAnswersItsDeadline) {
+  // At the default node cap this instance's branch-and-bound runs for
+  // minutes, all of it after the run's one scan. The search polls the
+  // run's token, and a token that fired after the last scan fails the
+  // run with the deadline code instead of answering late with a cover.
+  WorkloadParams params;
+  params.n = 400;
+  params.m = 900;
+  params.max_set_size = 12;
+  params.seed = 1;
+  std::optional<Instance> instance = MakeWorkload("sparse", params);
+  ASSERT_TRUE(instance.has_value());
+  CancelToken token = CancelToken::AfterMillis(100);
+  RunOptions options;
+  options.cancel = &token;
+  WallTimer timer;
+  RunResult r = RunSolver("offline_exact", *instance, options);
+  EXPECT_LT(timer.ElapsedMillis(), 2000.0);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.error, kDeadlineExceededError);
+  EXPECT_EQ(r.solver, "offline_exact");
+  EXPECT_TRUE(r.cover.set_ids.empty());
 }
 
 TEST(SolverRegistryTest, RegisterRejectsDuplicatesAndEmptyEntries) {

@@ -88,16 +88,6 @@ TEST(SpaceTrackerTest, ParallelComposition) {
   EXPECT_EQ(t.peak_words(), 110u);
 }
 
-TEST(ScopedChargeTest, ReleasesOnDestruction) {
-  SpaceTracker t;
-  {
-    ScopedCharge charge(&t, 64);
-    EXPECT_EQ(t.current_words(), 64u);
-  }
-  EXPECT_EQ(t.current_words(), 0u);
-  EXPECT_EQ(t.peak_words(), 64u);
-}
-
 TEST(SpaceTrackerDeathTest, OverReleaseAborts) {
   SpaceTracker t;
   t.Charge(5);

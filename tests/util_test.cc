@@ -7,6 +7,7 @@
 #include <set>
 #include <sstream>
 
+#include "relative_approx_oracle.h"
 #include "util/bitset.h"
 #include "util/mathutil.h"
 #include "util/rng.h"

@@ -37,6 +37,9 @@
 //       selects the coverage-kernel twin (word-parallel by default;
 //       scalar is the reference loop; auto adds runtime SIMD dispatch
 //       for the dense kernels — results are identical either way).
+//       --c is the sample-size constant (default RunOptions' 0.5, the
+//       same as serve). Prints the run's record (core/run_record.h) as
+//       one key=value line, then covered=C/N.
 //   list-solvers  (also: --list_solvers)
 //       Prints every registered solver with its kind and bounds.
 //   list-workloads
@@ -48,15 +51,17 @@
 //       Executes the (solvers × workloads × seeds × trials) grid
 //       through WorkloadRegistry/RunPlan, prints the summary table
 //       (passes vs sequential vs physical scans), and optionally
-//       writes the RunReport JSON (schema streamcover.run_report.v4).
+//       writes the RunReport JSON (schema streamcover.run_report.v5).
 //   generate-geom --type disk|rect|tri|figure12 --n N --m M --k K
 //            [--seed SEED] --out FILE
 //       Writes a geometric instance (geometry/geom_io.h format).
 //   solve-geom --in FILE [--delta D] [--c C] [--seed SEED]
 //       Runs algGeomSC (Theorem 4.6) on a geometric instance file, over
 //       its range space; --c is the sample-size constant (default
-//       0.05). `solve --workload geom_disks --algo geom` runs the same
-//       solver on a generated instance and also takes --threads.
+//       0.5). Prints the record line as solve does, then
+//       feasible=yes|no. `solve --workload geom_disks --algo geom` runs
+//       the same solver on a generated instance and also takes
+//       --threads.
 //   selftest
 //       Exercises generate -> stats -> solve -> sweep (abstract and
 //       geometric) in a temp dir (used by ctest).
@@ -297,7 +302,7 @@ int CmdSolveGeom(const Args& args) {
 
   RunOptions options;
   options.delta = args.GetDouble("delta", 0.25);
-  options.sample_constant = args.GetDouble("c", 0.05);
+  options.sample_constant = args.GetDouble("c", options.sample_constant);
   options.seed = static_cast<uint64_t>(args.GetInt("seed", 1));
   if (args.BadFlags()) return 1;
   RunResult r = RunSolver("geom", instance, options);
@@ -306,12 +311,9 @@ int CmdSolveGeom(const Args& args) {
     return 1;
   }
   const bool feasible = instance.VerifyCover(r.cover);
-  std::printf("algGeomSC success=%s cover=%zu feasible=%s passes=%llu "
-              "space_words=%llu\n",
-              r.success ? "yes" : "no", r.cover.size(),
-              feasible ? "yes" : "no",
-              static_cast<unsigned long long>(r.passes),
-              static_cast<unsigned long long>(r.space_words));
+  std::printf("%s feasible=%s\n",
+              RunRecordLine(RunResultJson(r, false)).c_str(),
+              feasible ? "yes" : "no");
   return (r.success && feasible) ? 0 : 1;
 }
 
@@ -702,7 +704,7 @@ int SolveOnInstance(Instance& instance, const Args& args) {
 
   RunOptions options;
   options.delta = args.GetDouble("delta", 0.5);
-  options.sample_constant = args.GetDouble("c", 0.05);
+  options.sample_constant = args.GetDouble("c", options.sample_constant);
   options.seed = static_cast<uint64_t>(args.GetInt("seed", 1));
   options.coverage_fraction = args.GetDouble("coverage", 1.0);
   options.max_cover_budget = static_cast<uint32_t>(args.GetInt("budget", 0));
@@ -740,15 +742,9 @@ int SolveOnInstance(Instance& instance, const Args& args) {
     return 1;
   }
 
-  const size_t covered = instance.CountCovered(r.cover);
-  std::printf("algo=%s success=%s cover=%zu covered=%zu/%u passes=%llu "
-              "seq_scans=%llu phys_scans=%llu space_words=%llu\n",
-              r.solver.c_str(), r.success ? "yes" : "no", r.cover.size(),
-              covered, instance.num_elements(),
-              static_cast<unsigned long long>(r.passes),
-              static_cast<unsigned long long>(r.sequential_scans),
-              static_cast<unsigned long long>(r.physical_scans),
-              static_cast<unsigned long long>(r.space_words));
+  std::printf("%s covered=%zu/%u\n",
+              RunRecordLine(RunResultJson(r, false)).c_str(),
+              instance.CountCovered(r.cover), instance.num_elements());
   return r.success ? 0 : 1;
 }
 
@@ -813,7 +809,8 @@ int CmdSweep(const Args& args) {
     SolverSpec spec;
     spec.solver = CanonicalAlgoName(solver);
     spec.options.delta = args.GetDouble("delta", 0.5);
-    spec.options.sample_constant = args.GetDouble("c", 0.05);
+    spec.options.sample_constant =
+        args.GetDouble("c", spec.options.sample_constant);
     spec.options.threshold_passes = threshold_passes;
     spec.options.coverage_fraction = args.GetDouble("coverage", 1.0);
     spec.options.threads = static_cast<uint32_t>(threads);
@@ -1080,11 +1077,11 @@ int CmdSelfTest() {
   if (CmdListWorkloads() != 0) return 1;
   {
     // A tiny sweep through WorkloadRegistry/RunPlan — multiplexed over
-    // 4 scheduler threads on the scalar reference kernel; its v4 JSON
+    // 4 scheduler threads on the scalar reference kernel; its v5 JSON
     // must parse back with the physical-scans column populated, the
-    // kernel policy recorded in the solver options, and the v4
-    // gain-maintenance stats (gain_updates / sets_touched) present on
-    // every cell.
+    // kernel policy recorded in the solver options, and every number of
+    // the run record (gain counters and projection_words_peak included)
+    // aggregated on every cell.
     const std::string json_path = dir + "/streamcover_cli_selftest.json";
     Args sweep;
     sweep.flags = {{"solvers", "iter,store_all_greedy,progressive_greedy"},
@@ -1103,7 +1100,7 @@ int CmdSelfTest() {
     std::string error;
     auto parsed = JsonValue::Parse(buffer.str(), &error);
     if (!parsed.has_value() || !parsed->is_object() ||
-        parsed->At("schema").AsString() != "streamcover.run_report.v4" ||
+        parsed->At("schema").AsString() != "streamcover.run_report.v5" ||
         parsed->At("cells").size() != 9 ||
         !parsed->At("cells")[0].At("physical_scans").is_object() ||
         parsed->At("solvers")[0].At("options").At("kernel").AsString() !=
@@ -1113,11 +1110,13 @@ int CmdSelfTest() {
       return 1;
     }
     for (size_t cell = 0; cell < parsed->At("cells").size(); ++cell) {
-      if (!parsed->At("cells")[cell].At("gain_updates").is_object() ||
-          !parsed->At("cells")[cell].At("sets_touched").is_object()) {
-        std::fprintf(stderr,
-                     "selftest: cell %zu missing v4 gain stats\n", cell);
-        return 1;
+      for (const char* key : {"cover_size", "gain_updates", "sets_touched",
+                              "projection_words_peak"}) {
+        if (!parsed->At("cells")[cell].At(key).is_object()) {
+          std::fprintf(stderr, "selftest: cell %zu missing v5 stat %s\n",
+                       cell, key);
+          return 1;
+        }
       }
     }
     // An unknown kernel spelling must fail cleanly, not abort.
