@@ -19,7 +19,7 @@
 //       count, and the SIMD tier `--kernel auto` would dispatch to on
 //       this host. Accepts both formats.
 //   solve    (--in FILE | --workload NAME) --algo ALGO [--n N --m M
-//            --k K] [--delta D] [--p P] [--seed SEED] [--coverage F]
+//            --k K] [--delta D] [--c C] [--p P] [--seed SEED] [--coverage F]
 //            [--budget B] [--threads N] [--kernel scalar|word|auto]
 //            [--early-exit] [--from-disk]
 //       ALGO: any name from `list-solvers` (plus the legacy aliases
@@ -200,7 +200,8 @@ int Usage() {
       "  streamcover_cli stats --in FILE\n"
       "  streamcover_cli solve (--in FILE | --workload NAME) --algo NAME "
       "(see list-solvers / list-workloads) [--n N --m M --k K] [--delta D] "
-      "[--p P] [--seed SEED] [--coverage F] [--budget B] [--threads N] "
+      "[--c C] [--p P] [--seed SEED] [--coverage F] [--budget B] "
+      "[--threads N] "
       "[--scan-threads N] [--shards S] [--kernel scalar|word|auto] "
       "[--early-exit] [--from-disk]\n"
       "  streamcover_cli list-solvers\n"
