@@ -14,7 +14,7 @@
 //  * iterSetCover: 2/delta passes, intermediate space, log-factor cover.
 //
 // `--json out.json` additionally writes the raw RunReport (schema
-// streamcover.run_report.v5) for the perf trajectory. The "seq scans"
+// streamcover.run_report.v6) for the perf trajectory. The "seq scans"
 // vs "phys scans" columns show the shared-scan scheduler collapsing
 // iterSetCover's guesses × passes sequential blow-up to one physical
 // scan per round.

@@ -13,10 +13,10 @@
 //
 // A second A/B stage measures the coverage kernels themselves
 // (util/cover_kernels.h): the masked-filter, masked-popcount, and
-// masked-mark twins (scalar reference vs word-parallel path) stream
-// every set of the instance against the live mask, checksum-verified
-// to do identical work, reported as elements/sec and a word-vs-scalar
-// speedup.
+// masked-mark kernels and their per-element reference loops
+// (tests/reference_kernels.h) stream every set of the instance against
+// the live mask, checksum-verified to do identical work, reported as
+// elements/sec and a word-vs-scalar speedup.
 //
 // A third stage measures the disk path end to end: a sparse instance
 // (--scan-m sets, default 200k; the acceptance run uses 10^7) is
@@ -31,7 +31,7 @@
 // A fourth stage A/Bs the dense representation: the dense-eligible sets
 // of a zipf instance generated at max_set_size = n/2 run the sparse
 // word kernels over their spans vs the fused dense kernels
-// (count/mark) over their BitsetCSR rows under `auto` ISA dispatch,
+// (count/mark) over their BitsetCSR rows at the detected ISA tier,
 // checksum-verified to do identical work. The CI release gate holds
 // the dense fused count path at >= 1.5x the sparse word path.
 //
@@ -56,6 +56,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "reference_kernels.h"
 #include "core/instance.h"
 #include "core/solver_registry.h"
 #include "core/workload_registry.h"
@@ -165,8 +166,8 @@ DispatchStats RunDispatch(Instance& instance, const DynamicBitset& live,
 }
 
 // --- Kernel A/B stage: the masked-filter / masked-popcount /
-// masked-mark twins on the same instance and live mask the dispatch
-// stage uses. ----------------------------------------------------------
+// masked-mark kernels and their reference loops on the same instance
+// and live mask the dispatch stage uses. --------------------------------
 
 struct KernelStats {
   double seconds = 0;
@@ -174,17 +175,25 @@ struct KernelStats {
   uint64_t kept = 0;          ///< elements that survived the mask
 };
 
-/// Streams every set through FilterInto against `live`, `rounds` times,
+/// The span kernels under A/B: the production kernels and the
+/// reference loops, both with the signatures of util/cover_kernels.h.
+using FilterKernel = size_t (*)(std::span<const uint32_t>,
+                                const DynamicBitset&, U32Arena&);
+using CountKernel = size_t (*)(std::span<const uint32_t>,
+                               const DynamicBitset&);
+using MarkKernel = size_t (*)(std::span<const uint32_t>, DynamicBitset&);
+
+/// Streams every set through `filter` against `live`, `rounds` times,
 /// with an O(1) arena epoch reset per round — the Size-Test inner loop
 /// in isolation.
 KernelStats RunFilterStage(const SetSystem& system, const LiveMask& live,
-                           uint64_t rounds, KernelPolicy policy) {
+                           uint64_t rounds, FilterKernel filter) {
   U32Arena arena;
   KernelStats stats;
   WallTimer timer;
   for (uint64_t r = 0; r < rounds; ++r) {
     for (uint32_t s = 0; s < system.num_sets(); ++s) {
-      stats.kept += FilterInto(system.GetSet(s), live.bits(), arena, policy);
+      stats.kept += filter(system.GetSet(s), live.bits(), arena);
     }
     arena.ResetEpoch();
   }
@@ -197,12 +206,12 @@ KernelStats RunFilterStage(const SetSystem& system, const LiveMask& live,
 /// Same shape for CountUncovered — the gain test every threshold
 /// algorithm runs per set.
 KernelStats RunCountStage(const SetSystem& system, const LiveMask& live,
-                          uint64_t rounds, KernelPolicy policy) {
+                          uint64_t rounds, CountKernel count) {
   KernelStats stats;
   WallTimer timer;
   for (uint64_t r = 0; r < rounds; ++r) {
     for (uint32_t s = 0; s < system.num_sets(); ++s) {
-      stats.kept += CountUncovered(system.GetSet(s), live.bits(), policy);
+      stats.kept += count(system.GetSet(s), live.bits());
     }
   }
   stats.seconds = timer.ElapsedSeconds();
@@ -216,13 +225,13 @@ KernelStats RunCountStage(const SetSystem& system, const LiveMask& live,
 /// restore from the pristine mask (covered bits are a subset, so the
 /// union is an exact reset).
 KernelStats RunMarkStage(const SetSystem& system, const LiveMask& live,
-                         uint64_t rounds, KernelPolicy policy) {
+                         uint64_t rounds, MarkKernel mark) {
   DynamicBitset working = live.bits();
   KernelStats stats;
   WallTimer timer;
   for (uint64_t r = 0; r < rounds; ++r) {
     for (uint32_t s = 0; s < system.num_sets(); ++s) {
-      stats.kept += MarkCovered(system.GetSet(s), working, policy);
+      stats.kept += mark(system.GetSet(s), working);
     }
     live.bits().OrInto(working);
   }
@@ -232,17 +241,16 @@ KernelStats RunMarkStage(const SetSystem& system, const LiveMask& live,
   return stats;
 }
 
-/// One untimed pass proving the twins produce identical sequences, not
-/// just identical totals.
+/// One untimed pass proving the kernel and its reference produce
+/// identical sequences, not just identical totals.
 bool VerifyKernelTwins(const SetSystem& system, const LiveMask& live) {
   std::vector<uint32_t> scalar_out;
   std::vector<uint32_t> word_out;
   for (uint32_t s = 0; s < system.num_sets(); ++s) {
     scalar_out.clear();
     word_out.clear();
-    FilterInto(system.GetSet(s), live.bits(), scalar_out,
-               KernelPolicy::kScalar);
-    FilterInto(system.GetSet(s), live.bits(), word_out, KernelPolicy::kWord);
+    reference::FilterInto(system.GetSet(s), live.bits(), scalar_out);
+    FilterInto(system.GetSet(s), live.bits(), word_out);
     if (scalar_out != word_out) return false;
   }
   return true;
@@ -559,9 +567,7 @@ bool RunDenseStage(uint64_t rounds, uint64_t seed, JsonValue* dense_json) {
     WallTimer timer;
     for (uint64_t r = 0; r < rounds; ++r) {
       for (uint32_t id : dense_ids) {
-        count_word.checksum +=
-            CountUncovered(system.GetSet(id), live,
-                           KernelPolicy::kWord);
+        count_word.checksum += CountUncovered(system.GetSet(id), live);
       }
     }
     count_word.seconds = timer.ElapsedSeconds();
@@ -571,8 +577,7 @@ bool RunDenseStage(uint64_t rounds, uint64_t seed, JsonValue* dense_json) {
     WallTimer timer;
     for (uint64_t r = 0; r < rounds; ++r) {
       for (uint32_t row = 0; row < csr.rows(); ++row) {
-        count_dense.checksum +=
-            CountUncoveredDense(csr.Row(row), live, KernelPolicy::kAuto);
+        count_dense.checksum += CountUncoveredDense(csr.Row(row), live);
       }
     }
     count_dense.seconds = timer.ElapsedSeconds();
@@ -588,8 +593,7 @@ bool RunDenseStage(uint64_t rounds, uint64_t seed, JsonValue* dense_json) {
     WallTimer timer;
     for (uint64_t r = 0; r < rounds; ++r) {
       for (uint32_t id : dense_ids) {
-        mark_word.checksum += MarkCovered(system.GetSet(id), working,
-                                          KernelPolicy::kWord);
+        mark_word.checksum += MarkCovered(system.GetSet(id), working);
       }
       live.OrInto(working);
     }
@@ -601,8 +605,7 @@ bool RunDenseStage(uint64_t rounds, uint64_t seed, JsonValue* dense_json) {
     WallTimer timer;
     for (uint64_t r = 0; r < rounds; ++r) {
       for (uint32_t row = 0; row < csr.rows(); ++row) {
-        mark_dense.checksum +=
-            MarkCoveredDense(csr.Row(row), working, KernelPolicy::kAuto);
+        mark_dense.checksum += MarkCoveredDense(csr.Row(row), working);
       }
       live.OrInto(working);
     }
@@ -623,12 +626,12 @@ bool RunDenseStage(uint64_t rounds, uint64_t seed, JsonValue* dense_json) {
   }
 
   benchutil::Banner(
-      "Dense representation — fused bitset-row kernels (auto ISA: " +
+      "Dense representation — fused bitset-row kernels (ISA: " +
       std::string(KernelIsaName(DetectKernelIsa())) +
       ") vs sparse word kernels on the zipf dense sets (n=" +
       std::to_string(n) + ", " + std::to_string(dense_ids.size()) +
       "/" + std::to_string(m) + " sets dense-eligible)");
-  Table table({"kernel", "word Melem/s", "dense-auto Melem/s", "speedup"});
+  Table table({"kernel", "word Melem/s", "dense Melem/s", "speedup"});
   table.AddRow({"fused count", Table::Fmt(count_word.melems_per_sec, 1),
                 Table::Fmt(count_dense.melems_per_sec, 1),
                 Table::Fmt(count_dense.melems_per_sec /
@@ -717,7 +720,7 @@ int Run(const std::string& json_path, uint32_t consumers, uint64_t rounds,
                 Table::Fmt(view_stats.stored)});
   table.Print(std::cout);
 
-  // --- Kernel A/B: scalar reference vs word-parallel twins. ---
+  // --- Kernel A/B: reference loops vs the word-parallel kernels. ---
   const SetSystem* system = instance->materialized();
   if (system == nullptr) {
     std::fprintf(stderr, "planted workload unexpectedly not in memory\n");
@@ -733,21 +736,19 @@ int Run(const std::string& json_path, uint32_t consumers, uint64_t rounds,
   // them enough rounds to time stably.
   const uint64_t kernel_rounds = rounds * 10;
   // Untimed warmup, then scalar/word under identical conditions.
-  RunFilterStage(*system, kernel_live, 2, KernelPolicy::kWord);
-  const KernelStats filter_scalar =
-      RunFilterStage(*system, kernel_live, kernel_rounds,
-                     KernelPolicy::kScalar);
-  const KernelStats filter_word = RunFilterStage(
-      *system, kernel_live, kernel_rounds, KernelPolicy::kWord);
-  const KernelStats count_scalar =
-      RunCountStage(*system, kernel_live, kernel_rounds,
-                    KernelPolicy::kScalar);
-  const KernelStats count_word = RunCountStage(
-      *system, kernel_live, kernel_rounds, KernelPolicy::kWord);
+  RunFilterStage(*system, kernel_live, 2, FilterInto);
+  const KernelStats filter_scalar = RunFilterStage(
+      *system, kernel_live, kernel_rounds, reference::FilterInto);
+  const KernelStats filter_word =
+      RunFilterStage(*system, kernel_live, kernel_rounds, FilterInto);
+  const KernelStats count_scalar = RunCountStage(
+      *system, kernel_live, kernel_rounds, reference::CountUncovered);
+  const KernelStats count_word =
+      RunCountStage(*system, kernel_live, kernel_rounds, CountUncovered);
   const KernelStats mark_scalar = RunMarkStage(
-      *system, kernel_live, kernel_rounds, KernelPolicy::kScalar);
-  const KernelStats mark_word = RunMarkStage(
-      *system, kernel_live, kernel_rounds, KernelPolicy::kWord);
+      *system, kernel_live, kernel_rounds, reference::MarkCovered);
+  const KernelStats mark_word =
+      RunMarkStage(*system, kernel_live, kernel_rounds, MarkCovered);
   if (filter_scalar.kept != filter_word.kept ||
       count_scalar.kept != count_word.kept ||
       mark_scalar.kept != mark_word.kept) {
@@ -809,7 +810,7 @@ int Run(const std::string& json_path, uint32_t consumers, uint64_t rounds,
   if (!json_path.empty()) {
     JsonValue doc = JsonValue::Object();
     doc.Set("schema", "streamcover.bench_hotpath.v6");
-    // What the auto dense kernels dispatch to on this host — keeps the
+    // What the dense kernels dispatch to on this host — keeps the
     // trajectory's absolute numbers interpretable across runners.
     JsonValue cpu = JsonValue::Object();
     cpu.Set("isa", KernelIsaName(DetectKernelIsa()));

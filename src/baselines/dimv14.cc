@@ -15,7 +15,7 @@ Dimv14Consumer::Dimv14Consumer(uint32_t n, uint32_t m,
                                const Dimv14Options& options,
                                const OfflineSolver& offline)
     : n_(n), m_(m), options_(&options), offline_(&offline),
-      kernel_(options.kernel), rng_(options.seed), reindex_(n, UINT32_MAX) {
+      rng_(options.seed), reindex_(n, UINT32_MAX) {
   // Base case: |V| such that m * |V| = O~(m n^delta) — i.e.
   // |V| <= c * n^delta * log m * log n (no k factor; see header).
   base_size_ = static_cast<uint64_t>(std::ceil(
@@ -131,7 +131,7 @@ void Dimv14Consumer::OnSet(const SetView& set) {
       // survivors are all target elements by construction, so each has
       // a reindex entry.
       proj_scratch_.clear();
-      FilterInto(set, *base_targets_, proj_scratch_, kernel_);
+      FilterInto(set, *base_targets_, proj_scratch_);
       if (proj_scratch_.empty()) return;
       for (uint32_t& e : proj_scratch_) {
         SC_DCHECK(reindex_[e] != UINT32_MAX);
@@ -145,7 +145,7 @@ void Dimv14Consumer::OnSet(const SetView& set) {
     }
     case Phase::kUpdatePass: {
       if (!picked_.Test(set.id)) return;
-      MarkCovered(set, *update_targets_, kernel_);
+      MarkCovered(set, *update_targets_);
       return;
     }
     case Phase::kDone:
@@ -201,7 +201,7 @@ BaselineResult Dimv14Consumer::TakeResult(uint64_t logical_passes) {
 BaselineResult Dimv14Cover(PassScheduler& scheduler,
                            const Dimv14Options& options) {
   SC_CHECK(options.delta > 0.0 && options.delta <= 1.0);
-  GreedySolver default_solver(options.kernel);
+  GreedySolver default_solver;
   const OfflineSolver& offline =
       options.offline != nullptr ? *options.offline : default_solver;
 

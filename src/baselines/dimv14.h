@@ -46,8 +46,6 @@ struct Dimv14Options {
   const OfflineSolver* offline = nullptr;  ///< defaults to greedy
   uint64_t seed = 1;
   uint32_t max_depth = 64;        ///< recursion safety valve
-  /// Coverage-kernel twin for the base-pass filter and update pass.
-  KernelPolicy kernel = KernelPolicy::kWord;
 };
 
 /// The DIMV14 recursion as a pass-driven state machine: each frame of
@@ -88,7 +86,6 @@ class Dimv14Consumer final : public ScanConsumer {
   const uint32_t m_;
   const Dimv14Options* options_;
   const OfflineSolver* offline_;
-  const KernelPolicy kernel_;
   uint64_t base_size_ = 1;
 
   Rng rng_;

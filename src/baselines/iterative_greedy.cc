@@ -8,7 +8,7 @@
 
 namespace streamcover {
 
-BaselineResult IterativeGreedy(SetStream& stream, KernelPolicy kernel) {
+BaselineResult IterativeGreedy(SetStream& stream) {
   SpaceTracker tracker;
   const uint64_t passes_before = stream.passes();
   const uint32_t n = stream.num_elements();
@@ -26,12 +26,12 @@ BaselineResult IterativeGreedy(SetStream& stream, KernelPolicy kernel) {
     size_t best_gain = 0;
     std::vector<uint32_t> best_elems;  // residual elements of best set
     stream.ForEachSet([&](const SetView& set) {
-      const size_t gain = CountUncovered(set, uncovered, kernel);
+      const size_t gain = CountUncovered(set, uncovered);
       if (gain > best_gain) {
         best_gain = gain;
         best_id = set.id;
         best_elems.clear();
-        FilterInto(set, uncovered, best_elems, kernel);
+        FilterInto(set, uncovered, best_elems);
       }
     });
     // Peak charge for the retained best-candidate buffer this pass.

@@ -10,13 +10,11 @@
 
 #include "baselines/baseline_result.h"
 #include "stream/set_stream.h"
-#include "util/cover_kernels.h"
 
 namespace streamcover {
 
 /// Greedy with one pass per picked set; O(n) working memory.
-BaselineResult IterativeGreedy(SetStream& stream,
-                               KernelPolicy kernel = KernelPolicy::kWord);
+BaselineResult IterativeGreedy(SetStream& stream);
 
 }  // namespace streamcover
 

@@ -8,8 +8,7 @@
 namespace streamcover {
 
 StreamingMaxCoverResult StreamingMaxCover(SetStream& stream,
-                                          uint32_t budget,
-                                          KernelPolicy kernel) {
+                                          uint32_t budget) {
   SC_CHECK_GE(budget, 1u);
   SpaceTracker tracker;
   const uint64_t passes_before = stream.passes();
@@ -26,12 +25,12 @@ StreamingMaxCoverResult StreamingMaxCover(SetStream& stream,
       if (result.cover.size() >= budget) return;
       // gain <= |S|: a set below the threshold cannot be taken.
       if (static_cast<double>(set.size()) < threshold) return;
-      const size_t gain = CountUncovered(set, uncovered, kernel);
+      const size_t gain = CountUncovered(set, uncovered);
       if (gain > 0 && static_cast<double>(gain) >= threshold) {
         result.cover.set_ids.push_back(set.id);
         tracker.Charge(1);
         result.covered += gain;
-        MarkCovered(set, uncovered, kernel);
+        MarkCovered(set, uncovered);
       }
     });
     if (result.cover.size() >= budget) break;

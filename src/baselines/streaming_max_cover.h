@@ -13,7 +13,6 @@
 
 #include "baselines/baseline_result.h"
 #include "stream/set_stream.h"
-#include "util/cover_kernels.h"
 
 namespace streamcover {
 
@@ -27,9 +26,8 @@ struct StreamingMaxCoverResult {
 
 /// Runs at most `budget` picks over halving thresholds; stops when the
 /// budget is used, coverage is complete, or the threshold reaches 1.
-StreamingMaxCoverResult StreamingMaxCover(
-    SetStream& stream, uint32_t budget,
-    KernelPolicy kernel = KernelPolicy::kWord);
+StreamingMaxCoverResult StreamingMaxCover(SetStream& stream,
+                                          uint32_t budget);
 
 }  // namespace streamcover
 

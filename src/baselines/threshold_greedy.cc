@@ -18,17 +18,16 @@ namespace {
 // taken; `remaining` is kept in sync.
 size_t ThresholdPass(SetStream& stream, LiveMask& uncovered,
                      uint64_t& remaining, uint64_t allowed_uncovered,
-                     double threshold, Cover& cover, SpaceTracker& tracker,
-                     KernelPolicy kernel) {
+                     double threshold, Cover& cover, SpaceTracker& tracker) {
   size_t taken = 0;
   stream.ForEachSet([&](const SetView& set) {
     if (remaining <= allowed_uncovered) return;
     if (static_cast<double>(set.size()) < threshold) return;
-    const size_t gain = CountUncovered(set, uncovered, kernel);
+    const size_t gain = CountUncovered(set, uncovered);
     if (gain > 0 && static_cast<double>(gain) >= threshold) {
       cover.set_ids.push_back(set.id);
       tracker.Charge(1);
-      MarkCovered(set, uncovered, kernel);
+      MarkCovered(set, uncovered);
       remaining -= gain;
       ++taken;
     }
@@ -38,8 +37,7 @@ size_t ThresholdPass(SetStream& stream, LiveMask& uncovered,
 
 }  // namespace
 
-BaselineResult ProgressiveGreedy(SetStream& stream, double coverage_fraction,
-                                 KernelPolicy kernel) {
+BaselineResult ProgressiveGreedy(SetStream& stream, double coverage_fraction) {
   SC_CHECK(coverage_fraction > 0.0 && coverage_fraction <= 1.0);
   SpaceTracker tracker;
   const uint64_t passes_before = stream.passes();
@@ -57,7 +55,7 @@ BaselineResult ProgressiveGreedy(SetStream& stream, double coverage_fraction,
        threshold /= 2.0) {
     if (threshold < 1.0) threshold = 1.0;
     ThresholdPass(stream, uncovered, remaining, allowed_uncovered,
-                  threshold, result.cover, tracker, kernel);
+                  threshold, result.cover, tracker);
     if (remaining <= allowed_uncovered) break;
     if (threshold == 1.0) break;  // leftovers are uncoverable
   }
@@ -70,11 +68,9 @@ BaselineResult ProgressiveGreedy(SetStream& stream, double coverage_fraction,
 }
 
 ThresholdSieveConsumer::ThresholdSieveConsumer(uint32_t n, uint32_t p,
-                                               double coverage_fraction,
-                                               KernelPolicy kernel)
+                                               double coverage_fraction)
     : p_(p),
       dn_(static_cast<double>(std::max(n, 2u))),
-      kernel_(kernel),
       uncovered_(n, true),
       backup_(n, UINT32_MAX),
       remaining_(n) {
@@ -100,7 +96,7 @@ void ThresholdSieveConsumer::OnSet(const SetView& set) {
   // gain <= |S|: a set below the threshold cannot be taken.
   if (static_cast<double>(set.size()) < threshold_) return;
   residual_scratch_.clear();
-  const size_t gain = FilterInto(set, uncovered_, residual_scratch_, kernel_);
+  const size_t gain = FilterInto(set, uncovered_, residual_scratch_);
   if (gain > 0 && static_cast<double>(gain) >= threshold_) {
     sol_.set_ids.push_back(set.id);
     tracker_.Charge(1);
@@ -181,10 +177,9 @@ BaselineResult ThresholdSieveConsumer::TakeResult(uint64_t logical_passes) {
 }
 
 BaselineResult PolynomialThresholdCover(PassScheduler& scheduler, uint32_t p,
-                                        double coverage_fraction,
-                                        KernelPolicy kernel) {
+                                        double coverage_fraction) {
   ThresholdSieveConsumer consumer(scheduler.stream().num_elements(), p,
-                                  coverage_fraction, kernel);
+                                  coverage_fraction);
   // Registered GainTrackers (scheduler delta bus) see every element the
   // sieve covers, batched per pass.
   consumer.PublishDeltasTo(&scheduler);
@@ -195,10 +190,9 @@ BaselineResult PolynomialThresholdCover(PassScheduler& scheduler, uint32_t p,
 }
 
 BaselineResult PolynomialThresholdCover(SetStream& stream, uint32_t p,
-                                        double coverage_fraction,
-                                        KernelPolicy kernel) {
+                                        double coverage_fraction) {
   PassScheduler scheduler(stream);
-  return PolynomialThresholdCover(scheduler, p, coverage_fraction, kernel);
+  return PolynomialThresholdCover(scheduler, p, coverage_fraction);
 }
 
 }  // namespace streamcover

@@ -63,8 +63,7 @@ namespace streamcover {
 /// (both [ER14] and [CW16] state their results for it): the algorithm
 /// stops as soon as that fraction of U is covered.
 BaselineResult ProgressiveGreedy(SetStream& stream,
-                                 double coverage_fraction = 1.0,
-                                 KernelPolicy kernel = KernelPolicy::kWord);
+                                 double coverage_fraction = 1.0);
 
 /// The [ER14]/[CW16] polynomial threshold sieve as a pass-driven state
 /// machine: pass i applies threshold n^{(p+1-i)/(p+1)}; after pass p
@@ -73,8 +72,7 @@ BaselineResult ProgressiveGreedy(SetStream& stream,
 class ThresholdSieveConsumer final : public ScanConsumer {
  public:
   ThresholdSieveConsumer(uint32_t n, uint32_t p,
-                         double coverage_fraction = 1.0,
-                         KernelPolicy kernel = KernelPolicy::kWord);
+                         double coverage_fraction = 1.0);
 
   void OnSet(const SetView& set) override;
   void OnPassEnd() override;
@@ -100,7 +98,6 @@ class ThresholdSieveConsumer final : public ScanConsumer {
 
   const uint32_t p_;
   const double dn_;
-  const KernelPolicy kernel_;
   uint64_t allowed_uncovered_ = 0;
 
   SpaceTracker tracker_;
@@ -123,13 +120,11 @@ class ThresholdSieveConsumer final : public ScanConsumer {
 /// [ER14] (p=1) / [CW16] (p>=1): p threshold passes + pointer finish.
 /// `coverage_fraction` < 1 gives the epsilon-Partial variant.
 BaselineResult PolynomialThresholdCover(PassScheduler& scheduler, uint32_t p,
-                                        double coverage_fraction = 1.0,
-                                        KernelPolicy kernel = KernelPolicy::kWord);
+                                        double coverage_fraction = 1.0);
 
 /// Convenience: single-threaded scheduler over `stream`.
 BaselineResult PolynomialThresholdCover(SetStream& stream, uint32_t p,
-                                        double coverage_fraction = 1.0,
-                                        KernelPolicy kernel = KernelPolicy::kWord);
+                                        double coverage_fraction = 1.0);
 
 }  // namespace streamcover
 

@@ -44,7 +44,6 @@ class GuessConsumer final : public ScanConsumer {
         max_set_size_(max_set_size),
         options_(&options),
         offline_(&offline),
-        kernel_(options.kernel),
         rho_(offline.Rho(n)),
         iterations_(static_cast<uint64_t>(
             std::ceil(1.0 / options.delta) + 1e-9)),
@@ -78,13 +77,13 @@ class GuessConsumer final : public ScanConsumer {
         // rewound if heavy or empty — so the hot path performs no
         // per-set heap allocation and no per-element branch.
         const size_t mark = projections_.StageMark();
-        FilterInto(set, live_, projections_.staging_arena(), kernel_);
+        FilterInto(set, live_, projections_.staging_arena());
         const std::span<const uint32_t> staged = projections_.Staged(mark);
         if (staged.empty()) return;
         if (static_cast<double>(staged.size()) >= threshold_) {
           heavy_picks_.push_back(set.id);
           tracker_.Charge(1);
-          MarkCovered(staged, live_.bits(), kernel_);
+          MarkCovered(staged, live_.bits());
           projections_.Abandon(mark);
         } else {
           tracker_.Charge(staged.size() + 1);  // elements + set id
@@ -95,15 +94,15 @@ class GuessConsumer final : public ScanConsumer {
       case Phase::kPass2: {
         // Only the sets picked this iteration can newly cover anything.
         if (!picked_this_iter_.Test(set.id)) return;
-        MarkCovered(set, uncovered_, kernel_);
+        MarkCovered(set, uncovered_);
         return;
       }
       case Phase::kFinalSweep: {
         if (uncovered_.None()) return;
-        if (Intersects(set, uncovered_, kernel_)) {
+        if (Intersects(set, uncovered_)) {
           sweep_picks_.push_back(set.id);
           tracker_.Charge(1);
-          MarkCovered(set, uncovered_, kernel_);
+          MarkCovered(set, uncovered_);
         }
         return;
       }
@@ -407,7 +406,6 @@ class GuessConsumer final : public ScanConsumer {
   const uint32_t max_set_size_;  // the stream's bound (SetSource)
   const IterSetCoverOptions* options_;
   const OfflineSolver* offline_;
-  const KernelPolicy kernel_;
   const double rho_;
   const uint64_t iterations_;
   uint64_t allowed_uncovered_ = 0;
@@ -482,7 +480,7 @@ void RetireHopelessGuesses(
 StreamingResult IterSetCoverSingleGuess(PassScheduler& scheduler, uint64_t k,
                                         const IterSetCoverOptions& options) {
   SC_CHECK(options.delta > 0.0 && options.delta <= 1.0);
-  GreedySolver default_solver(options.kernel);
+  GreedySolver default_solver;
   const OfflineSolver& offline =
       options.offline != nullptr ? *options.offline : default_solver;
   GuessConsumer guess(k, scheduler.stream().num_elements(),
@@ -503,7 +501,7 @@ StreamingResult IterSetCoverSingleGuess(SetStream& stream, uint64_t k,
 StreamingResult IterSetCover(PassScheduler& scheduler,
                              const IterSetCoverOptions& options) {
   SC_CHECK(options.delta > 0.0 && options.delta <= 1.0);
-  GreedySolver default_solver(options.kernel);
+  GreedySolver default_solver;
   const OfflineSolver& offline =
       options.offline != nullptr ? *options.offline : default_solver;
 

@@ -69,7 +69,6 @@
 #include "stream/pass_scheduler.h"
 #include "stream/set_stream.h"
 #include "stream/space_tracker.h"
-#include "util/cover_kernels.h"
 
 namespace streamcover {
 
@@ -103,9 +102,6 @@ struct IterSetCoverOptions {
   /// consumed. Off by default so pass accounting matches Lemma 2.1's
   /// run-to-completion reading exactly.
   bool early_exit = false;
-  /// Which coverage-kernel twin runs the inner loops (Size-Test filter,
-  /// residual recompute). Results are identical either way.
-  KernelPolicy kernel = KernelPolicy::kWord;
 };
 
 /// Per-iteration trace of the winning guess (benches & tests).

@@ -56,7 +56,6 @@ JsonValue OptionsJson(const RunOptions& options) {
   out.Set("threads", static_cast<uint64_t>(options.threads));
   out.Set("scan_threads", static_cast<uint64_t>(options.scan_threads));
   out.Set("shards", static_cast<uint64_t>(options.shards));
-  out.Set("kernel", KernelPolicyName(options.kernel));
   if (options.iter_guess > 0) out.Set("iter_guess", options.iter_guess);
   if (options.early_exit) out.Set("early_exit", true);
   return out;
@@ -164,7 +163,7 @@ const RunningStats& RunCell::Stat(std::string_view key) const {
 
 JsonValue RunReport::ToJson() const {
   JsonValue out = JsonValue::Object();
-  out.Set("schema", "streamcover.run_report.v5");
+  out.Set("schema", "streamcover.run_report.v6");
 
   JsonValue solvers = JsonValue::Array();
   for (const SolverSpec& spec : plan.solvers) {

@@ -10,7 +10,7 @@
 // in each run's record (core/run_record.h: cover_size, passes, scans,
 // space, gain counters, duration_ms) plus the cover/OPT ratio (when the
 // workload plants a bound) into a RunReport that serializes to JSON
-// (util/json.h, schema streamcover.run_report.v5) for the perf
+// (util/json.h, schema streamcover.run_report.v6) for the perf
 // trajectory and external tooling.
 //
 // Determinism: instances are generated once per (workload, seed) with
@@ -104,7 +104,7 @@ struct RunReport {
                           std::string_view workload_label) const;
 
   /// Full report as a JSON document (schema
-  /// "streamcover.run_report.v5": each cell carries runs, failures,
+  /// "streamcover.run_report.v6": each cell carries runs, failures,
   /// successes, ratio, and a {mean, min, max, count} object per key of
   /// RunCell::stats).
   JsonValue ToJson() const;

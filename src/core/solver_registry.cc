@@ -1,6 +1,8 @@
 #include "core/solver_registry.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <utility>
 
 #include "baselines/dimv14.h"
@@ -50,7 +52,6 @@ RunResult RunIterSetCover(RunContext& ctx) {
   opts.seed = ctx.options.seed;
   opts.coverage_fraction = ctx.options.coverage_fraction;
   opts.early_exit = ctx.options.early_exit;
-  opts.kernel = ctx.options.kernel;
   StreamingResult r =
       ctx.options.iter_guess > 0
           ? IterSetCoverSingleGuess(ctx.scheduler, ctx.options.iter_guess,
@@ -75,7 +76,6 @@ RunResult RunDimv14(RunContext& ctx) {
   opts.sample_constant = ctx.options.sample_constant;
   opts.offline = ctx.options.offline;
   opts.seed = ctx.options.seed;
-  opts.kernel = ctx.options.kernel;
   return FromBaseline(Dimv14Cover(ctx.scheduler, opts));
 }
 
@@ -83,8 +83,7 @@ RunResult RunStreamingMaxCover(RunContext& ctx) {
   const uint32_t budget = ctx.options.max_cover_budget > 0
                               ? ctx.options.max_cover_budget
                               : ctx.stream.num_elements();
-  StreamingMaxCoverResult r =
-      StreamingMaxCover(ctx.stream, budget, ctx.options.kernel);
+  StreamingMaxCoverResult r = StreamingMaxCover(ctx.stream, budget);
   RunResult result;
   result.cover = std::move(r.cover);
   result.success = r.covered >= ctx.stream.num_elements();
@@ -123,7 +122,7 @@ RunResult RunOffline(RunContext& ctx, const OfflineSolver& solver) {
 }
 
 RunResult RunStoreAllGreedy(RunContext& ctx) {
-  return RunOffline(ctx, GreedySolver(ctx.options.kernel));
+  return RunOffline(ctx, GreedySolver());
 }
 
 RunResult RunGeometric(RunContext& ctx) {
@@ -173,15 +172,14 @@ void RegisterBuiltins(SolverRegistry& registry) {
       "greedy, pass-per-pick: n passes, O(n) space, ln n approx",
       Kind::kStreaming,
       [](RunContext& ctx) {
-        return FromBaseline(
-            IterativeGreedy(ctx.stream, ctx.options.kernel));
+        return FromBaseline(IterativeGreedy(ctx.stream));
       });
   add("progressive_greedy",
       "[SG09] halving thresholds: O(log n) passes, O~(n) space",
       Kind::kStreaming,
       [](RunContext& ctx) {
-        return FromBaseline(ProgressiveGreedy(
-            ctx.stream, ctx.options.coverage_fraction, ctx.options.kernel));
+        return FromBaseline(
+            ProgressiveGreedy(ctx.stream, ctx.options.coverage_fraction));
       });
   add("threshold_greedy",
       "[ER14]/[CW16] p-pass thresholds: (p+1) n^{1/(p+1)} approx, "
@@ -195,7 +193,7 @@ void RegisterBuiltins(SolverRegistry& registry) {
         }
         return FromBaseline(PolynomialThresholdCover(
             ctx.scheduler, ctx.options.threshold_passes,
-            ctx.options.coverage_fraction, ctx.options.kernel));
+            ctx.options.coverage_fraction));
       });
   add("dimv14",
       "[DIMV14] recursive sampling: O(4^{1/delta}) passes, "
@@ -306,6 +304,19 @@ RunResult DispatchSolver(
     RunResult result;
     result.error = "coverage_fraction must be in (0, 1], got " +
                    std::to_string(options.coverage_fraction);
+    return result;
+  }
+  // Likewise delta: iter, dimv14 and geom CHECK it is in (0, 1] and
+  // cast ceil(1/delta) to their 64-bit iteration counter, which a tiny
+  // delta overflows.
+  if (!(options.delta > 0.0 && options.delta <= 1.0) ||
+      !(std::ceil(1.0 / options.delta) < 0x1p64)) {
+    char got[32];
+    std::snprintf(got, sizeof(got), "%g", options.delta);
+    RunResult result;
+    result.error = std::string("delta must be in (0, 1] with ceil(1/delta) "
+                               "< 2^64, got ") +
+                   got;
     return result;
   }
   if (entry->kind == SolverRegistry::Kind::kGeometric &&

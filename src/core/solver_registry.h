@@ -93,11 +93,9 @@ struct RunOptions {
   /// solvers ignore it. Must be >= 1; shards == 1 is byte-identical to
   /// the unsharded `greedi` reference.
   uint32_t shards = 1;
-  /// Coverage-kernel twin for every solver's inner loop
-  /// (util/cover_kernels.h). `word` is the 64-elements-per-mask-word
-  /// path; `scalar` is the per-element reference loop. Covers, passes,
-  /// and space are identical either way — only throughput changes.
-  KernelPolicy kernel = KernelPolicy::kWord;
+  /// Kept only because perfbench/ compiles against it (ROADMAP item 3):
+  /// readable, not settable, and no solver reads it.
+  static constexpr KernelPolicy kernel = KernelPolicy::kWord;
   /// Offline solver (algOfflineSC) for the sampling algorithms;
   /// null => greedy. With threads > 1 its Solve runs concurrently for
   /// different guesses, so it must be safe to call from several threads.

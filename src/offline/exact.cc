@@ -34,8 +34,8 @@ size_t CoverageLowerBound(const SetSystem& system,
   size_t max_gain = 0;
   for (uint32_t s = 0; s < system.num_sets(); ++s) {
     if (!alive[s]) continue;
-    max_gain = std::max(max_gain, CountUncovered(system.GetSet(s), uncovered,
-                                                 KernelPolicy::kWord));
+    max_gain =
+        std::max(max_gain, CountUncovered(system.GetSet(s), uncovered));
   }
   if (max_gain == 0) return residual;  // infeasible residual; forces prune
   return (residual + max_gain - 1) / max_gain;
@@ -63,9 +63,8 @@ size_t PackingLowerBound(const SetSystem& system, const TransposedIndex& index,
 void TakeSet(SearchContext& ctx, uint32_t set_id, DynamicBitset& uncovered,
              std::vector<uint32_t>& newly_covered) {
   ctx.current.push_back(set_id);
-  FilterInto(ctx.system->GetSet(set_id), uncovered, newly_covered,
-             KernelPolicy::kWord);
-  MarkCovered(newly_covered, uncovered, KernelPolicy::kWord);
+  FilterInto(ctx.system->GetSet(set_id), uncovered, newly_covered);
+  MarkCovered(newly_covered, uncovered);
 }
 
 void UntakeSet(SearchContext& ctx, DynamicBitset& uncovered,
@@ -130,9 +129,8 @@ void Search(SearchContext& ctx, DynamicBitset& uncovered) {
   std::vector<std::pair<size_t, uint32_t>> candidates;
   for (uint32_t s : ctx.index->Sets(branch_element)) {
     if (!ctx.alive[s]) continue;
-    candidates.push_back({CountUncovered(ctx.system->GetSet(s), uncovered,
-                                        KernelPolicy::kWord),
-                          s});
+    candidates.push_back(
+        {CountUncovered(ctx.system->GetSet(s), uncovered), s});
   }
   std::sort(candidates.rbegin(), candidates.rend());
   // Exclusion refinement: after exploring candidate i, forbid it in the

@@ -10,7 +10,7 @@
 namespace streamcover {
 
 OfflineResult GreedySolver::Solve(const SetSystem& system) const {
-  LazyGreedyResult run = LazyGreedy::OverSets(system, kernel_).Run(
+  LazyGreedyResult run = LazyGreedy::OverSets(system).Run(
       DynamicBitset(system.num_elements(), true));
   OfflineResult result;
   result.cover.set_ids = std::move(run.picks);

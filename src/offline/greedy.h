@@ -19,18 +19,15 @@ namespace streamcover {
 class GreedySolver : public OfflineSolver {
  public:
   GreedySolver() = default;
-  /// Selects the coverage-kernel twin for the picks; results are
-  /// identical either way.
-  explicit GreedySolver(KernelPolicy kernel) : kernel_(kernel) {}
+  /// Kept only because perfbench/ compiles against it (ROADMAP item 3):
+  /// the argument is ignored.
+  explicit GreedySolver(KernelPolicy) {}
 
   OfflineResult Solve(const SetSystem& system) const override;
 
   double Rho(uint32_t num_elements) const override;
 
   std::string name() const override { return "greedy"; }
-
- private:
-  KernelPolicy kernel_ = KernelPolicy::kWord;
 };
 
 }  // namespace streamcover

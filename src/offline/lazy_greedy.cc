@@ -6,6 +6,7 @@
 
 #include "setsystem/transposed_index.h"
 #include "util/check.h"
+#include "util/cover_kernels.h"
 #include "util/worker_pool.h"
 
 namespace streamcover {
@@ -37,14 +38,12 @@ void ForEachRowBit(std::span<const uint64_t> row, Fn&& fn) {
 
 }  // namespace
 
-LazyGreedy::LazyGreedy(uint32_t num_elements, Ties ties, KernelPolicy kernel)
+LazyGreedy::LazyGreedy(uint32_t num_elements, Ties ties)
     : num_elements_(num_elements),
-      kernel_(kernel),
       tie_mask_(ties == Ties::kLowestIndex ? ~uint32_t{0} : 0) {}
 
-LazyGreedy LazyGreedy::OverSets(const SetSystem& system,
-                                KernelPolicy kernel) {
-  LazyGreedy greedy(system.num_elements(), Ties::kHighestIndex, kernel);
+LazyGreedy LazyGreedy::OverSets(const SetSystem& system) {
+  LazyGreedy greedy(system.num_elements(), Ties::kHighestIndex);
   greedy.rows_.reserve(system.num_sets());
   for (uint32_t s = 0; s < system.num_sets(); ++s) {
     greedy.AddSparse(system.GetSet(s));
@@ -121,7 +120,7 @@ TransposedIndex LazyGreedy::BuildIndex() const {
 }
 
 LazyGreedyResult LazyGreedy::Run(const DynamicBitset& targets,
-                                 uint64_t required, uint64_t budget) const {
+                                 uint64_t required) const {
   SC_CHECK_EQ(targets.size(), num_elements_);
   const uint32_t m = static_cast<uint32_t>(rows_.size());
   const TransposedIndex index = BuildIndex();
@@ -165,7 +164,7 @@ LazyGreedyResult LazyGreedy::Run(const DynamicBitset& targets,
   result.working_words = live.WordCount() + initial.size() +
                          index.word_count() + gains.word_count();
   std::vector<uint32_t> newly;
-  while (result.covered < required && result.picks.size() < budget) {
+  while (result.covered < required) {
     while (top.empty() && --level > 0) {
       // Bucket `level` reaches the top: its initial claims merged with
       // the claims that fell to it. Nothing falls to it again while it
@@ -192,11 +191,11 @@ LazyGreedyResult LazyGreedy::Run(const DynamicBitset& targets,
     newly.clear();
     const Row& row = rows_[i];
     if (row.dense.empty()) {
-      FilterInto(row.sparse, live, newly, kernel_);
-      MarkCovered(newly, live, kernel_);
+      FilterInto(row.sparse, live, newly);
+      MarkCovered(newly, live);
     } else {
-      FilterIntoDense(row.dense, live, newly, kernel_);
-      MarkCoveredDense(row.dense, live, kernel_);
+      FilterIntoDense(row.dense, live, newly);
+      MarkCoveredDense(row.dense, live);
     }
     SC_DCHECK_EQ(newly.size(), gain);
     // The pick's own column entries zero its tracked gain along with

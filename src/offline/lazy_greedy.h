@@ -1,9 +1,8 @@
 // LazyGreedy — the one greedy loop behind every offline greedy step.
 //
 // algOfflineSC with rho = ln n (GreedySolver: iterSetCover's solve on
-// each sampled sub-instance, and the store-all rows), the sharded merge
-// (MergeStage), and [SG09] Max k-Cover (GreedyMaxCover) all run this
-// class. It holds a candidate store — borrowed sparse rows (sorted
+// each sampled sub-instance, and the store-all rows) and the sharded
+// merge (MergeStage) both run this class. It holds a candidate store — borrowed sparse rows (sorted
 // unique spans into the caller's CSR) and borrowed dense rows
 // (mask-shaped BitsetCSR rows) — and runs exact greedy over it:
 //
@@ -35,11 +34,11 @@
 // caller fixes at construction: GreedySolver prefers the larger set id,
 // MergeStage the earliest-inserted candidate. All keys are distinct, so
 // the pick sequence is a pure function of the store, the target mask and
-// the tie rule — identical across kernel policies.
+// the tie rule — identical at every kernel tier.
 //
 // A run starts from a target mask (targets no candidate contains are
-// dropped) and stops at the first of: `required` targets covered,
-// `budget` picks made, no candidate with positive gain left.
+// dropped) and stops at the first of: `required` targets covered, no
+// candidate with positive gain left.
 //
 // Counters: `sets_touched` counts claim inspections (gain evaluations),
 // `gain_updates` the tracker's O(1) decrements — the pair the sweep
@@ -55,7 +54,6 @@
 
 #include "setsystem/set_system.h"
 #include "util/bitset.h"
-#include "util/cover_kernels.h"
 
 namespace streamcover {
 
@@ -90,13 +88,12 @@ class LazyGreedy {
   /// `required` meaning "every target some candidate contains".
   static constexpr uint64_t kAllCoverable =
       std::numeric_limits<uint64_t>::max();
-  static constexpr uint64_t kNoBudget = std::numeric_limits<uint64_t>::max();
 
-  LazyGreedy(uint32_t num_elements, Ties ties, KernelPolicy kernel);
+  LazyGreedy(uint32_t num_elements, Ties ties);
 
   /// Every set of `system` as a sparse candidate, candidate index = set
   /// id, the larger id winning ties — the offline solvers' store.
-  static LazyGreedy OverSets(const SetSystem& system, KernelPolicy kernel);
+  static LazyGreedy OverSets(const SetSystem& system);
 
   /// Appends a candidate given as a sorted, duplicate-free span of
   /// elements < num_elements. Borrowed: it must outlive Run().
@@ -107,11 +104,10 @@ class LazyGreedy {
   void AddDense(std::span<const uint64_t> row);
 
   /// Exact greedy from `targets` (a mask over num_elements). Stops once
-  /// `required` targets are covered, `budget` picks are made, or no
-  /// candidate covers a remaining target.
+  /// `required` targets are covered or no candidate covers a remaining
+  /// target.
   LazyGreedyResult Run(const DynamicBitset& targets,
-                       uint64_t required = kAllCoverable,
-                       uint64_t budget = kNoBudget) const;
+                       uint64_t required = kAllCoverable) const;
 
  private:
   /// A candidate: sparse (`dense` empty) or dense.
@@ -131,7 +127,6 @@ class LazyGreedy {
   TransposedIndex BuildIndex() const;
 
   uint32_t num_elements_;
-  KernelPolicy kernel_;
   /// XOR-ed into a candidate index to make its tie key: all ones
   /// reverses the index order, so the largest key is the lowest index.
   uint32_t tie_mask_;

@@ -110,17 +110,6 @@ bool ParseServeRequest(const std::string& line, ServeRequest* request,
     return false;
   }
   req.shards = static_cast<uint32_t>(shards);
-  std::string kernel_name;
-  if (!ReadString(*doc, "kernel", &kernel_name, error)) return false;
-  if (!kernel_name.empty()) {
-    std::optional<KernelPolicy> kernel = ParseKernelPolicy(kernel_name);
-    if (!kernel.has_value()) {
-      *error = "unknown kernel '" + kernel_name +
-               "'; available: scalar, word, auto";
-      return false;
-    }
-    req.kernel = *kernel;
-  }
   if (const JsonValue* v = doc->Find("deadline_ms")) {
     if (!v->is_number() || v->AsDouble() != std::floor(v->AsDouble())) {
       *error = "field 'deadline_ms' must be an integer";

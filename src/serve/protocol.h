@@ -29,7 +29,6 @@
 #include <string>
 
 #include "core/solver_registry.h"
-#include "util/cover_kernels.h"
 #include "util/json.h"
 
 namespace streamcover {
@@ -63,10 +62,6 @@ struct ServeRequest {
   uint32_t scan_threads = 1;
   /// Shard count for the sharded_greedi family (range [1, 1024]).
   uint32_t shards = 1;
-  /// Coverage-kernel twin ("scalar" | "word" | "auto"); an unknown
-  /// spelling is a bad_request, never a silent default — the ISA tier
-  /// itself is runtime-detected, not request-pinned.
-  KernelPolicy kernel = KernelPolicy::kWord;
 };
 
 /// Parses one request line. On failure returns false and fills *error

@@ -265,7 +265,6 @@ void CoverageServer::RunSolve(Job& job) {
   options.threads = job.request.threads;
   options.scan_threads = job.request.scan_threads;
   options.shards = job.request.shards;
-  options.kernel = job.request.kernel;
   options.cancel = job.cancel.get();
   if (job.request.scan_threads > 1) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -375,8 +374,8 @@ JsonValue CoverageServer::StatsJson() const {
   cache.Set("resident_bytes", cache_stats.resident_bytes);
   cache.Set("resident_count", cache_stats.resident_count);
   stats.Set("cache", std::move(cache));
-  // What `"kernel":"auto"` dispatches to on this host — lets operators
-  // confirm the SIMD tier from the stats endpoint alone.
+  // The SIMD tier the dense coverage kernels run on this host — lets
+  // operators confirm it from the stats endpoint alone.
   stats.Set("kernel_isa", KernelIsaName(DetectKernelIsa()));
   return stats;
 }

@@ -37,8 +37,7 @@ void MergeStage::AddCandidate(uint32_t id,
 }
 
 MergeOutcome MergeStage::Merge() {
-  LazyGreedy greedy(num_elements_, LazyGreedy::Ties::kLowestIndex,
-                    options_.kernel);
+  LazyGreedy greedy(num_elements_, LazyGreedy::Ties::kLowestIndex);
   for (size_t i = 0; i < ids_.size(); ++i) {
     if (dense_row_[i] != kSparse) {
       greedy.AddDense(dense_.Row(dense_row_[i]));

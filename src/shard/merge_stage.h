@@ -11,15 +11,15 @@
 //
 // Representation: candidates above the dense-storage threshold
 // (ShouldStoreDense) live as bitset rows in a BitsetCSR and run the
-// fused dense kernels; the rest stay in a sparse CSR on the PR-5 word
-// kernels. Either way the stored footprint and the per-query work are
-// the smaller of the two forms.
+// fused dense kernels at the detected SIMD tier; the rest stay in a
+// sparse CSR on the word kernels. Either way the stored footprint and
+// the per-query work are the smaller of the two forms.
 //
 // Merge() runs LazyGreedy (offline/lazy_greedy.h) over both stores,
 // numbering candidates in insertion order with the earliest-inserted
 // candidate winning gain ties, so the merged cover is a pure function of
-// the candidate sequence — identical across kernels, shard sources, and
-// thread counts. counters() carries LazyGreedy's work counters.
+// the candidate sequence — identical across kernel tiers, shard
+// sources, and thread counts. counters() carries LazyGreedy's work counters.
 
 #ifndef STREAMCOVER_SHARD_MERGE_STAGE_H_
 #define STREAMCOVER_SHARD_MERGE_STAGE_H_
@@ -37,7 +37,6 @@
 namespace streamcover {
 
 struct MergeStageOptions {
-  KernelPolicy kernel = KernelPolicy::kWord;
   /// epsilon-Partial target, same semantics as RunOptions: the merge
   /// stops once 1 - coverage_fraction of U may stay uncovered.
   double coverage_fraction = 1.0;

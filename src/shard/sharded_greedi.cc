@@ -32,14 +32,12 @@ RunResult RunShardFamily(RunContext& ctx, bool partitioned) {
   std::optional<StreamPartitioner> partitioner;
   if (partitioned) partitioner.emplace(ctx.options.seed, shards);
 
-  ThresholdBucketOptions engine_options;
-  engine_options.kernel = ctx.options.kernel;
-
   std::vector<std::unique_ptr<ThresholdBucketEngine>> engines;
   engines.reserve(shards);
   for (uint32_t s = 0; s < shards; ++s) {
     engines.push_back(std::make_unique<ThresholdBucketEngine>(
-        n, partitioner ? &*partitioner : nullptr, s, engine_options));
+        n, partitioner ? &*partitioner : nullptr, s,
+        ThresholdBucketOptions{}));
   }
 
   std::vector<size_t> slots;
@@ -79,7 +77,6 @@ RunResult RunShardFamily(RunContext& ctx, bool partitioned) {
 
   WallTimer merge_timer;
   MergeStageOptions merge_options;
-  merge_options.kernel = ctx.options.kernel;
   merge_options.coverage_fraction = ctx.options.coverage_fraction;
   MergeStage merge(n, m, merge_options);
   for (const auto& engine : engines) {

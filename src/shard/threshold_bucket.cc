@@ -13,7 +13,6 @@ ThresholdBucketEngine::ThresholdBucketEngine(
     : num_elements_(num_elements),
       partitioner_(partitioner),
       shard_(shard),
-      kernel_(options.kernel),
       skip_union_(num_elements, true) {
   SC_CHECK_GT(options.epsilon, 0.0);
   if (partitioner_ != nullptr) SC_CHECK_LT(shard, partitioner_->shards());
@@ -68,16 +67,16 @@ void ThresholdBucketEngine::OnSet(const SetView& set) {
   }
   if (skip_active_) {
     counters_.work_items += set.size();
-    if (!Intersects(set, skip_union_, kernel_)) return;
+    if (!Intersects(set, skip_union_)) return;
   }
   bool stored = false;
   bool any_died = false;
   for (Bucket& bucket : buckets_) {
     if (!bucket.live) continue;
     counters_.work_items += set.size();
-    const uint64_t gain = CountUncovered(set, bucket.uncovered, kernel_);
+    const uint64_t gain = CountUncovered(set, bucket.uncovered);
     if (gain < bucket.tau) continue;
-    MarkCovered(set, bucket.uncovered, kernel_);
+    MarkCovered(set, bucket.uncovered);
     bucket.remaining -= gain;
     cleared_since_refresh_ += gain;
     ++counters_.inserts;

@@ -44,7 +44,6 @@ struct ThresholdBucketOptions {
   /// ceil((1+epsilon)^b) up to n. Smaller epsilon = more buckets =
   /// better candidates and more per-set work.
   double epsilon = 0.25;
-  KernelPolicy kernel = KernelPolicy::kWord;
 };
 
 /// Counters the bench and the serve stats endpoint surface per shard.
@@ -99,7 +98,6 @@ class ThresholdBucketEngine final : public ScanConsumer {
   const uint32_t num_elements_;
   const StreamPartitioner* partitioner_;
   const uint32_t shard_;
-  const KernelPolicy kernel_;
 
   std::vector<Bucket> buckets_;  // ascending tau
   size_t live_buckets_ = 0;

@@ -6,6 +6,8 @@
 
 namespace streamcover {
 
+// The KernelPolicy parameter is kept only because perfbench/ compiles
+// against it (ROADMAP item 3).
 PassScheduler::PassScheduler(SetStream& stream, uint32_t threads,
                              KernelPolicy)
     : stream_(&stream), threads_(std::max(threads, 1u)) {

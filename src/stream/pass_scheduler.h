@@ -105,9 +105,8 @@ class PassScheduler {
   /// threads, the calling one included: the resident workers start on
   /// the first round that has two live consumers, and every batch and
   /// every round's OnPassEnd calls then share them. Constructing a
-  /// scheduler starts no thread. The
-  /// KernelPolicy argument is ignored; it stays only because perfbench/
-  /// still passes one — drop it in the next change to perfbench/.
+  /// scheduler starts no thread. The KernelPolicy parameter is ignored,
+  /// kept only because perfbench/ compiles against it (ROADMAP item 3).
   explicit PassScheduler(SetStream& stream, uint32_t threads = 1,
                          KernelPolicy = KernelPolicy::kWord);
 

@@ -35,7 +35,6 @@
 #include "offline/exact.h"                    // IWYU pragma: export
 #include "offline/greedy.h"                   // IWYU pragma: export
 #include "offline/lazy_greedy.h"              // IWYU pragma: export
-#include "offline/max_cover.h"                // IWYU pragma: export
 #include "setsystem/binary_io.h"              // IWYU pragma: export
 #include "setsystem/cover.h"                  // IWYU pragma: export
 #include "setsystem/generators.h"             // IWYU pragma: export

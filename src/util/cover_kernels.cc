@@ -11,14 +11,14 @@
 namespace streamcover {
 namespace {
 
-// The word paths read the mask's backing words directly: one aligned
-// 64-bit load answers an element's membership with a shift/AND, and the
-// data-dependent branch of the scalar twin (taken ~p of the time at
-// mask density p — the misprediction tax the kernels exist to remove)
-// becomes straight-line arithmetic. The loops are deliberately simple
-// enough for the compiler to unroll and, where profitable, vectorize
-// (gather + compress on wide ISAs); the -O3 CI leg pins them
-// warnings-clean.
+// The sparse kernels read the mask's backing words directly: one
+// aligned 64-bit load answers an element's membership with a shift/AND,
+// and the data-dependent branch of a per-element Test() loop (taken ~p
+// of the time at mask density p — the misprediction tax the kernels
+// exist to remove) becomes straight-line arithmetic. The loops are
+// deliberately simple enough for the compiler to unroll and, where
+// profitable, vectorize (gather + compress on wide ISAs); the -O3 CI
+// leg pins them warnings-clean.
 
 inline uint64_t Bit(std::span<const uint64_t> words, uint32_t e) {
   SC_DCHECK_LT(static_cast<size_t>(e) >> 6, words.size());
@@ -40,7 +40,7 @@ inline size_t CompactInto(std::span<const uint32_t> elems,
 
 // --- Dense kernel variants ----------------------------------------------
 
-// Portable word-loop twins. Four accumulators for the popcount, same
+// Portable word loops. Four accumulators for the popcount, same
 // rationale as the sparse CountUncovered.
 size_t CountDenseWord(std::span<const uint64_t> row,
                       std::span<const uint64_t> mask) {
@@ -223,44 +223,7 @@ KernelIsa ProbeKernelIsa() {
   return KernelIsa::kWord;
 }
 
-// Scalar dense twins: walk the row's set bits and consult the mask one
-// element at a time — the reference the word/SIMD paths are fuzzed
-// against.
-size_t CountDenseScalar(std::span<const uint64_t> row,
-                        const DynamicBitset& mask) {
-  size_t count = 0;
-  for (size_t w = 0; w < row.size(); ++w) {
-    uint64_t bits = row[w];
-    while (bits != 0) {
-      const uint32_t e = static_cast<uint32_t>(
-          w * 64 + static_cast<size_t>(__builtin_ctzll(bits)));
-      if (mask.Test(e)) ++count;
-      bits &= bits - 1;
-    }
-  }
-  return count;
-}
-
 }  // namespace
-
-const char* KernelPolicyName(KernelPolicy policy) {
-  switch (policy) {
-    case KernelPolicy::kScalar:
-      return "scalar";
-    case KernelPolicy::kWord:
-      return "word";
-    case KernelPolicy::kAuto:
-      return "auto";
-  }
-  return "word";
-}
-
-std::optional<KernelPolicy> ParseKernelPolicy(std::string_view name) {
-  if (name == "scalar") return KernelPolicy::kScalar;
-  if (name == "word") return KernelPolicy::kWord;
-  if (name == "auto") return KernelPolicy::kAuto;
-  return std::nullopt;
-}
 
 const char* KernelIsaName(KernelIsa isa) {
   switch (isa) {
@@ -287,14 +250,7 @@ std::vector<KernelIsa> SupportedKernelIsas() {
 }
 
 size_t CountUncovered(std::span<const uint32_t> elems,
-                      const DynamicBitset& mask, KernelPolicy policy) {
-  if (policy == KernelPolicy::kScalar) {
-    size_t count = 0;
-    for (uint32_t e : elems) {
-      if (mask.Test(e)) ++count;
-    }
-    return count;
-  }
+                      const DynamicBitset& mask) {
   // Four independent accumulators keep the adds off the critical path;
   // the remainder tail is at most 3 elements.
   const std::span<const uint64_t> words = mask.Words();
@@ -312,17 +268,7 @@ size_t CountUncovered(std::span<const uint32_t> elems,
 }
 
 size_t FilterInto(std::span<const uint32_t> elems, const DynamicBitset& mask,
-                  U32Arena& arena, KernelPolicy policy) {
-  if (policy == KernelPolicy::kScalar) {
-    size_t kept = 0;
-    for (uint32_t e : elems) {
-      if (mask.Test(e)) {
-        arena.Push(e);
-        ++kept;
-      }
-    }
-    return kept;
-  }
+                  U32Arena& arena) {
   const size_t mark = arena.size();
   const size_t kept = CompactInto(elems, mask.Words(), arena.Extend(elems.size()));
   arena.RewindTo(mark + kept);
@@ -330,17 +276,7 @@ size_t FilterInto(std::span<const uint32_t> elems, const DynamicBitset& mask,
 }
 
 size_t FilterInto(std::span<const uint32_t> elems, const DynamicBitset& mask,
-                  std::vector<uint32_t>& out, KernelPolicy policy) {
-  if (policy == KernelPolicy::kScalar) {
-    size_t kept = 0;
-    for (uint32_t e : elems) {
-      if (mask.Test(e)) {
-        out.push_back(e);
-        ++kept;
-      }
-    }
-    return kept;
-  }
+                  std::vector<uint32_t>& out) {
   const size_t mark = out.size();
   out.resize(mark + elems.size());
   const size_t kept = CompactInto(elems, mask.Words(), out.data() + mark);
@@ -348,18 +284,7 @@ size_t FilterInto(std::span<const uint32_t> elems, const DynamicBitset& mask,
   return kept;
 }
 
-size_t MarkCovered(std::span<const uint32_t> elems, DynamicBitset& mask,
-                   KernelPolicy policy) {
-  if (policy == KernelPolicy::kScalar) {
-    size_t cleared = 0;
-    for (uint32_t e : elems) {
-      if (mask.Test(e)) {
-        mask.Reset(e);
-        ++cleared;
-      }
-    }
-    return cleared;
-  }
+size_t MarkCovered(std::span<const uint32_t> elems, DynamicBitset& mask) {
   // Unconditional read-modify-write: clearing an already-clear bit is
   // a no-op, so the store needs no guard.
   std::span<uint64_t> words = mask.MutableWords();
@@ -374,14 +299,7 @@ size_t MarkCovered(std::span<const uint32_t> elems, DynamicBitset& mask,
   return cleared;
 }
 
-bool Intersects(std::span<const uint32_t> elems, const DynamicBitset& mask,
-                KernelPolicy policy) {
-  if (policy == KernelPolicy::kScalar) {
-    for (uint32_t e : elems) {
-      if (mask.Test(e)) return true;
-    }
-    return false;
-  }
+bool Intersects(std::span<const uint32_t> elems, const DynamicBitset& mask) {
   // Branch once per block of 16 instead of once per element; the OR
   // accumulation inside a block is branch-free, and the early exit
   // still fires within 16 elements of the first hit.
@@ -446,41 +364,16 @@ size_t MarkCoveredDenseIsa(std::span<const uint64_t> row,
 }
 
 size_t CountUncoveredDense(std::span<const uint64_t> row,
-                           const DynamicBitset& mask, KernelPolicy policy) {
-  SC_DCHECK_EQ(row.size(), mask.WordCount());
-  switch (policy) {
-    case KernelPolicy::kScalar:
-      return CountDenseScalar(row, mask);
-    case KernelPolicy::kWord:
-      return CountDenseWord(row, mask.Words());
-    case KernelPolicy::kAuto:
-      return CountUncoveredDenseIsa(row, mask.Words(), DetectKernelIsa());
-  }
-  return CountDenseWord(row, mask.Words());
+                           const DynamicBitset& mask) {
+  return CountUncoveredDenseIsa(row, mask.Words(), DetectKernelIsa());
 }
 
 size_t FilterIntoDense(std::span<const uint64_t> row,
-                       const DynamicBitset& mask, std::vector<uint32_t>& out,
-                       KernelPolicy policy) {
+                       const DynamicBitset& mask,
+                       std::vector<uint32_t>& out) {
   SC_DCHECK_EQ(row.size(), mask.WordCount());
-  if (policy == KernelPolicy::kScalar) {
-    size_t kept = 0;
-    for (size_t w = 0; w < row.size(); ++w) {
-      uint64_t bits = row[w];
-      while (bits != 0) {
-        const uint32_t e = static_cast<uint32_t>(
-            w * 64 + static_cast<size_t>(__builtin_ctzll(bits)));
-        if (mask.Test(e)) {
-          out.push_back(e);
-          ++kept;
-        }
-        bits &= bits - 1;
-      }
-    }
-    return kept;
-  }
-  // The extraction is inherently a bit-scan, so kWord and kAuto share
-  // one path: AND per word, then ctz-walk only the surviving bits.
+  // The extraction is inherently a bit-scan, so it has no SIMD tier:
+  // AND per word, then ctz-walk only the surviving bits.
   const std::span<const uint64_t> words = mask.Words();
   size_t kept = 0;
   for (size_t w = 0; w < row.size(); ++w) {
@@ -495,54 +388,8 @@ size_t FilterIntoDense(std::span<const uint64_t> row,
   return kept;
 }
 
-size_t MarkCoveredDense(std::span<const uint64_t> row, DynamicBitset& mask,
-                        KernelPolicy policy) {
-  SC_DCHECK_EQ(row.size(), mask.WordCount());
-  switch (policy) {
-    case KernelPolicy::kScalar: {
-      size_t cleared = 0;
-      for (size_t w = 0; w < row.size(); ++w) {
-        uint64_t bits = row[w];
-        while (bits != 0) {
-          const uint32_t e = static_cast<uint32_t>(
-              w * 64 + static_cast<size_t>(__builtin_ctzll(bits)));
-          if (mask.Test(e)) {
-            mask.Reset(e);
-            ++cleared;
-          }
-          bits &= bits - 1;
-        }
-      }
-      return cleared;
-    }
-    case KernelPolicy::kWord:
-      return MarkDenseWord(row, mask.MutableWords());
-    case KernelPolicy::kAuto:
-      return MarkCoveredDenseIsa(row, mask.MutableWords(), DetectKernelIsa());
-  }
-  return MarkDenseWord(row, mask.MutableWords());
-}
-
-bool IntersectsDense(std::span<const uint64_t> row, const DynamicBitset& mask,
-                     KernelPolicy policy) {
-  SC_DCHECK_EQ(row.size(), mask.WordCount());
-  if (policy == KernelPolicy::kScalar) {
-    for (size_t w = 0; w < row.size(); ++w) {
-      uint64_t bits = row[w];
-      while (bits != 0) {
-        const uint32_t e = static_cast<uint32_t>(
-            w * 64 + static_cast<size_t>(__builtin_ctzll(bits)));
-        if (mask.Test(e)) return true;
-        bits &= bits - 1;
-      }
-    }
-    return false;
-  }
-  const std::span<const uint64_t> words = mask.Words();
-  for (size_t w = 0; w < row.size(); ++w) {
-    if ((row[w] & words[w]) != 0) return true;
-  }
-  return false;
+size_t MarkCoveredDense(std::span<const uint64_t> row, DynamicBitset& mask) {
+  return MarkCoveredDenseIsa(row, mask.MutableWords(), DetectKernelIsa());
 }
 
 }  // namespace streamcover

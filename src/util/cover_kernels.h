@@ -22,40 +22,30 @@
 //     the 1/8 storage threshold the dense row is both smaller (n/64
 //     words vs >= n/16) and touches 4x+ fewer words per query.
 //
-// Each kernel has twins selected by `KernelPolicy`:
+// Each kernel has one body. The sparse kernels run branch-free over the
+// mask's raw 64-bit words: membership is one aligned word load +
+// shift/AND, filtering is masked compaction, marking is an
+// unconditional read-modify-write. The dense count and mark kernels
+// dispatch at run time to the widest tier the CPU supports
+// (DetectKernelIsa(): AVX-512 VPOPCNTDQ > AVX2 > portable word loop);
+// STREAMCOVER_FORCE_SCALAR_ISA=1 in the environment pins them to the
+// portable word loop — the CI leg that proves the fallback on wide-ISA
+// build hosts. Every tier returns bit-identical results.
 //
-//   * kScalar — the reference loop: one DynamicBitset::Test per element
-//     (or per set bit of a dense row) with a data-dependent branch.
-//     This is byte-for-byte the pre-kernel code shape; it exists as the
-//     differential-testing oracle and the A/B baseline.
-//   * kWord — the branch-free path over the mask's raw 64-bit words:
-//     membership is one aligned word load + shift/AND, filtering is
-//     masked compaction, marking is an unconditional read-modify-write.
-//     The dense twins are pure AND+popcount word loops.
-//   * kAuto — kWord for the sparse kernels; for the dense count/mark
-//     kernels, runtime dispatch to the widest SIMD variant the CPU
-//     supports (DetectKernelIsa(): AVX-512 VPOPCNTDQ > AVX2 > portable
-//     word loop). Setting STREAMCOVER_FORCE_SCALAR_ISA=1 in the
-//     environment pins kAuto to the portable word loop — the CI leg
-//     that proves the fallback path on wide-ISA build hosts.
-//
-// All twins produce bit-identical results element for element — same
-// counts, same output sequences, same final masks — for any span or
-// row. The stream layer additionally guarantees spans are sorted
-// ascending and duplicate-free (SetSystem::Builder::AddSet enforces it
-// for CSR, FileSetSource normalizes on parse), so downstream consumers
-// may keep relying on that invariant. tests/cover_kernels_test.cc
-// fuzzes the twins (including every compiled SIMD variant) against each
-// other across word-boundary sizes and dense-threshold densities.
+// The stream layer guarantees spans are sorted ascending and
+// duplicate-free (SetSystem::Builder::AddSet enforces it for CSR,
+// FileSetSource normalizes on parse), so downstream consumers may rely
+// on that invariant. tests/cover_kernels_test.cc checks every kernel,
+// at every compiled tier, against the per-element reference loops of
+// tests/reference_kernels.h across word-boundary sizes and
+// dense-threshold densities.
 
 #ifndef STREAMCOVER_UTIL_COVER_KERNELS_H_
 #define STREAMCOVER_UTIL_COVER_KERNELS_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -65,23 +55,11 @@
 
 namespace streamcover {
 
-/// Selects the kernel twin. Carried on RunOptions (and from there on
-/// every solver's options) so a whole sweep can be flipped to the
-/// scalar reference with `--kernel scalar`; results are identical
-/// either way, only the inner loop changes.
-enum class KernelPolicy : uint8_t {
-  kScalar,  ///< per-element Test() reference loop
-  kWord,    ///< 64-elements-per-mask-word popcount path (default)
-  kAuto,    ///< kWord + runtime SIMD dispatch for the dense kernels
-};
+/// Kept only because perfbench/ compiles against it (ROADMAP item 3):
+/// no kernel reads it.
+enum class KernelPolicy : uint8_t { kWord };
 
-/// "scalar" / "word" / "auto".
-const char* KernelPolicyName(KernelPolicy policy);
-
-/// Inverse of KernelPolicyName; nullopt for unknown spellings.
-std::optional<KernelPolicy> ParseKernelPolicy(std::string_view name);
-
-/// The instruction-set tier the dense kAuto kernels dispatch to.
+/// The instruction-set tier the dense count/mark kernels dispatch to.
 enum class KernelIsa : uint8_t {
   kWord,    ///< portable uint64 loop (the fallback on any CPU)
   kAvx2,    ///< 256-bit AND + vpshufb nibble-LUT popcount
@@ -99,7 +77,7 @@ KernelIsa DetectKernelIsa();
 
 /// Every tier this binary can actually execute here (always includes
 /// kWord), ignoring the environment override. Differential tests run
-/// each against the scalar oracle.
+/// each against the reference loops.
 std::vector<KernelIsa> SupportedKernelIsas();
 
 /// The still-uncovered elements a consumer filters against: a
@@ -135,26 +113,24 @@ class LiveMask {
 /// Number of elements of `elems` whose mask bit is set (the set's
 /// residual gain). Elements must be < mask.size().
 size_t CountUncovered(std::span<const uint32_t> elems,
-                      const DynamicBitset& mask, KernelPolicy policy);
+                      const DynamicBitset& mask);
 
 /// Appends the elements of `elems` whose mask bit is set to `arena` /
 /// `out`, in span order, and returns how many were appended. The vector
 /// overload appends (it does not clear).
 size_t FilterInto(std::span<const uint32_t> elems, const DynamicBitset& mask,
-                  U32Arena& arena, KernelPolicy policy);
+                  U32Arena& arena);
 size_t FilterInto(std::span<const uint32_t> elems, const DynamicBitset& mask,
-                  std::vector<uint32_t>& out, KernelPolicy policy);
+                  std::vector<uint32_t>& out);
 
 /// Clears the mask bit of every element of `elems`; returns how many
 /// bits were set before the call (the gain the clear realized).
-size_t MarkCovered(std::span<const uint32_t> elems, DynamicBitset& mask,
-                   KernelPolicy policy);
+size_t MarkCovered(std::span<const uint32_t> elems, DynamicBitset& mask);
 
 /// True iff any element of `elems` has its mask bit set. Early-exits on
 /// the first hit — the cheap pre-test a consumer runs before any
 /// per-set work.
-bool Intersects(std::span<const uint32_t> elems, const DynamicBitset& mask,
-                KernelPolicy policy);
+bool Intersects(std::span<const uint32_t> elems, const DynamicBitset& mask);
 
 // --- Dense representation -------------------------------------------------
 
@@ -208,23 +184,17 @@ class BitsetCSR {
 /// popcount(row & mask) — the residual gain of a dense set. Fused: one
 /// AND+popcount pass, no intersection materialized.
 size_t CountUncoveredDense(std::span<const uint64_t> row,
-                           const DynamicBitset& mask, KernelPolicy policy);
+                           const DynamicBitset& mask);
 
 /// Appends the elements of row & mask to `out`, ascending, and returns
 /// how many were appended — the fused count+filter kernel (the count is
 /// the return value; no second pass).
 size_t FilterIntoDense(std::span<const uint64_t> row,
-                       const DynamicBitset& mask, std::vector<uint32_t>& out,
-                       KernelPolicy policy);
+                       const DynamicBitset& mask, std::vector<uint32_t>& out);
 
 /// mask &= ~row, returning popcount(row & mask) before the clear — the
 /// fused count+mark kernel.
-size_t MarkCoveredDense(std::span<const uint64_t> row, DynamicBitset& mask,
-                        KernelPolicy policy);
-
-/// True iff (row & mask) has any bit set; early-exits per word.
-bool IntersectsDense(std::span<const uint64_t> row, const DynamicBitset& mask,
-                     KernelPolicy policy);
+size_t MarkCoveredDense(std::span<const uint64_t> row, DynamicBitset& mask);
 
 /// Tier-pinned variants of the dispatchable dense kernels, for the
 /// differential tests that must exercise every compiled SIMD path
@@ -237,25 +207,22 @@ size_t MarkCoveredDenseIsa(std::span<const uint64_t> row,
                            std::span<uint64_t> mask, KernelIsa isa);
 
 // SetView / LiveMask conveniences: the spellings the consumers use.
-inline size_t CountUncovered(const SetView& set, const LiveMask& mask,
-                             KernelPolicy policy) {
-  return CountUncovered(set.elems, mask.bits(), policy);
+inline size_t CountUncovered(const SetView& set, const LiveMask& mask) {
+  return CountUncovered(set.elems, mask.bits());
 }
 inline size_t FilterInto(const SetView& set, const LiveMask& mask,
-                         U32Arena& arena, KernelPolicy policy) {
-  return FilterInto(set.elems, mask.bits(), arena, policy);
+                         U32Arena& arena) {
+  return FilterInto(set.elems, mask.bits(), arena);
 }
 inline size_t FilterInto(const SetView& set, const LiveMask& mask,
-                         std::vector<uint32_t>& out, KernelPolicy policy) {
-  return FilterInto(set.elems, mask.bits(), out, policy);
+                         std::vector<uint32_t>& out) {
+  return FilterInto(set.elems, mask.bits(), out);
 }
-inline size_t MarkCovered(const SetView& set, LiveMask& mask,
-                          KernelPolicy policy) {
-  return MarkCovered(set.elems, mask.bits(), policy);
+inline size_t MarkCovered(const SetView& set, LiveMask& mask) {
+  return MarkCovered(set.elems, mask.bits());
 }
-inline bool Intersects(const SetView& set, const LiveMask& mask,
-                       KernelPolicy policy) {
-  return Intersects(set.elems, mask.bits(), policy);
+inline bool Intersects(const SetView& set, const LiveMask& mask) {
+  return Intersects(set.elems, mask.bits());
 }
 
 }  // namespace streamcover

@@ -1,10 +1,12 @@
-// Differential tests for the word-parallel coverage kernels: the word
-// twin of every kernel must agree with the scalar reference bit for bit
-// — same counts, same output sequences, same final masks — across
-// word-boundary universe sizes (0, 63, 64, 65, 127), mask densities
-// from empty to full, and random sorted set spans. The scalar twin IS
-// the pre-kernel code shape, so agreement here is what lets every
-// consumer switch paths with byte-identical covers/passes/space.
+// Differential tests for the word-parallel coverage kernels: every
+// production kernel, and every compiled SIMD tier of the dense ones,
+// must agree with the per-element reference loops of
+// reference_kernels.h bit for bit — same counts, same output sequences,
+// same final masks — across word-boundary universe sizes (0, 63, 64,
+// 65, 127), mask densities from empty to full, and random sorted set
+// spans. The reference loops ARE the pre-kernel code shape, so
+// agreement here is what keeps every consumer's covers/passes/space
+// byte-identical to it.
 
 #include <algorithm>
 #include <cstdint>
@@ -12,6 +14,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "reference_kernels.h"
 #include "util/arena.h"
 #include "util/bitset.h"
 #include "util/cover_kernels.h"
@@ -34,19 +37,6 @@ DynamicBitset RandomMask(uint32_t n, double density, Rng& rng) {
     if (rng.Bernoulli(density)) mask.Set(e);
   }
   return mask;
-}
-
-TEST(KernelPolicyTest, NamesRoundTrip) {
-  EXPECT_STREQ(KernelPolicyName(KernelPolicy::kScalar), "scalar");
-  EXPECT_STREQ(KernelPolicyName(KernelPolicy::kWord), "word");
-  EXPECT_STREQ(KernelPolicyName(KernelPolicy::kAuto), "auto");
-  EXPECT_EQ(ParseKernelPolicy("scalar"), KernelPolicy::kScalar);
-  EXPECT_EQ(ParseKernelPolicy("word"), KernelPolicy::kWord);
-  EXPECT_EQ(ParseKernelPolicy("auto"), KernelPolicy::kAuto);
-  EXPECT_FALSE(ParseKernelPolicy("simd").has_value());
-  EXPECT_FALSE(ParseKernelPolicy("avx512").has_value());
-  EXPECT_FALSE(ParseKernelPolicy("").has_value());
-  EXPECT_FALSE(ParseKernelPolicy("WORD").has_value());
 }
 
 TEST(KernelIsaTest, DetectedTierIsSupportedAndNamed) {
@@ -121,20 +111,19 @@ TEST(LiveMaskTest, ForwardsToBitset) {
   EXPECT_EQ(full.bits().Count(), 65u);
 }
 
-// One (universe, mask, set) case run through every kernel, both twins.
+// One (universe, mask, set) case run through every sparse kernel and
+// its reference loop.
 void ExpectTwinsAgree(const DynamicBitset& mask,
                       const std::vector<uint32_t>& elems) {
   const std::span<const uint32_t> span(elems);
 
-  EXPECT_EQ(CountUncovered(span, mask, KernelPolicy::kScalar),
-            CountUncovered(span, mask, KernelPolicy::kWord));
+  EXPECT_EQ(reference::CountUncovered(span, mask),
+            CountUncovered(span, mask));
 
   std::vector<uint32_t> scalar_vec{0xDEAD};  // non-empty: appends only
   std::vector<uint32_t> word_vec{0xDEAD};
-  const size_t scalar_kept =
-      FilterInto(span, mask, scalar_vec, KernelPolicy::kScalar);
-  const size_t word_kept =
-      FilterInto(span, mask, word_vec, KernelPolicy::kWord);
+  const size_t scalar_kept = reference::FilterInto(span, mask, scalar_vec);
+  const size_t word_kept = FilterInto(span, mask, word_vec);
   EXPECT_EQ(scalar_kept, word_kept);
   EXPECT_EQ(scalar_vec, word_vec);
   EXPECT_EQ(scalar_vec.size(), 1 + scalar_kept);
@@ -143,26 +132,23 @@ void ExpectTwinsAgree(const DynamicBitset& mask,
   scalar_arena.Push(7);  // staged content before the filter must survive
   U32Arena word_arena;
   word_arena.Push(7);
-  EXPECT_EQ(FilterInto(span, mask, scalar_arena, KernelPolicy::kScalar),
-            scalar_kept);
-  EXPECT_EQ(FilterInto(span, mask, word_arena, KernelPolicy::kWord),
-            word_kept);
+  EXPECT_EQ(reference::FilterInto(span, mask, scalar_arena), scalar_kept);
+  EXPECT_EQ(FilterInto(span, mask, word_arena), word_kept);
   EXPECT_EQ(scalar_arena.size(), word_arena.size());
   const auto scalar_tail = scalar_arena.TailFrom(0);
   const auto word_tail = word_arena.TailFrom(0);
   EXPECT_TRUE(std::equal(scalar_tail.begin(), scalar_tail.end(),
                          word_tail.begin(), word_tail.end()));
 
-  EXPECT_EQ(Intersects(span, mask, KernelPolicy::kScalar),
-            Intersects(span, mask, KernelPolicy::kWord));
+  EXPECT_EQ(reference::Intersects(span, mask), Intersects(span, mask));
 
   DynamicBitset scalar_mask = mask;
   DynamicBitset word_mask = mask;
-  EXPECT_EQ(MarkCovered(span, scalar_mask, KernelPolicy::kScalar),
-            MarkCovered(span, word_mask, KernelPolicy::kWord));
+  EXPECT_EQ(reference::MarkCovered(span, scalar_mask),
+            MarkCovered(span, word_mask));
   EXPECT_TRUE(scalar_mask == word_mask);
   // The mark count equals the pre-clear gain.
-  EXPECT_EQ(MarkCovered(span, scalar_mask, KernelPolicy::kScalar), 0u);
+  EXPECT_EQ(MarkCovered(span, word_mask), 0u);
 }
 
 TEST(CoverKernelsTest, TwinsAgreeOnWordBoundarySizes) {
@@ -204,13 +190,12 @@ TEST(CoverKernelsTest, FuzzTwinsAgree) {
 }
 
 TEST(CoverKernelsTest, FilterPreservesSpanOrder) {
-  // The word twin must emit survivors in span order, exactly like the
-  // scalar loop — downstream projection stores depend on it.
+  // The kernel must emit survivors in span order, exactly like the
+  // reference loop — downstream projection stores depend on it.
   DynamicBitset mask(200, true);
   const std::vector<uint32_t> elems{3, 64, 65, 127, 128, 199};
   std::vector<uint32_t> out;
-  FilterInto(std::span<const uint32_t>(elems), mask, out,
-             KernelPolicy::kWord);
+  FilterInto(std::span<const uint32_t>(elems), mask, out);
   EXPECT_EQ(out, elems);
 }
 
@@ -220,12 +205,9 @@ TEST(CoverKernelsTest, MarkCoveredReturnsPreClearGain) {
   mask.Set(63);
   mask.Set(64);
   const std::vector<uint32_t> elems{10, 11, 63, 64, 127};
-  for (KernelPolicy policy : {KernelPolicy::kScalar, KernelPolicy::kWord}) {
-    DynamicBitset scratch = mask;
-    EXPECT_EQ(MarkCovered(std::span<const uint32_t>(elems), scratch, policy),
-              3u);
-    EXPECT_TRUE(scratch.None());
-  }
+  DynamicBitset scratch = mask;
+  EXPECT_EQ(MarkCovered(std::span<const uint32_t>(elems), scratch), 3u);
+  EXPECT_TRUE(scratch.None());
 }
 
 TEST(CoverKernelsTest, SetViewAndLiveMaskWrappersMatchSpanKernels) {
@@ -234,26 +216,26 @@ TEST(CoverKernelsTest, SetViewAndLiveMaskWrappersMatchSpanKernels) {
   const std::vector<uint32_t> elems = RandomSortedSet(150, 60, rng);
   const SetView view{5, std::span<const uint32_t>(elems)};
 
-  EXPECT_EQ(CountUncovered(view, live, KernelPolicy::kWord),
-            CountUncovered(view.elems, live.bits(), KernelPolicy::kScalar));
-  EXPECT_EQ(Intersects(view, live, KernelPolicy::kWord),
-            Intersects(view.elems, live.bits(), KernelPolicy::kScalar));
+  EXPECT_EQ(CountUncovered(view, live),
+            reference::CountUncovered(view.elems, live.bits()));
+  EXPECT_EQ(Intersects(view, live),
+            reference::Intersects(view.elems, live.bits()));
 
   std::vector<uint32_t> via_view;
-  FilterInto(view, live, via_view, KernelPolicy::kWord);
+  FilterInto(view, live, via_view);
   std::vector<uint32_t> via_span;
-  FilterInto(view.elems, live.bits(), via_span, KernelPolicy::kScalar);
+  reference::FilterInto(view.elems, live.bits(), via_span);
   EXPECT_EQ(via_view, via_span);
 
   LiveMask marked = live;
-  const size_t gain = MarkCovered(view, marked, KernelPolicy::kWord);
+  const size_t gain = MarkCovered(view, marked);
   EXPECT_EQ(gain, via_view.size());
   EXPECT_EQ(marked.Count() + gain, live.Count());
 }
 
 // One (universe, mask, set) case through every dense kernel and every
-// compiled SIMD tier, checked against the sparse scalar oracle over the
-// same elements.
+// compiled SIMD tier, checked against the dense reference loops and the
+// sparse reference over the same elements.
 void ExpectDenseTwinsAgree(const DynamicBitset& mask,
                            const std::vector<uint32_t>& elems) {
   const uint32_t n = static_cast<uint32_t>(mask.size());
@@ -262,27 +244,32 @@ void ExpectDenseTwinsAgree(const DynamicBitset& mask,
   const std::span<const uint64_t> row = csr.Row(row_id);
   const std::span<const uint32_t> span(elems);
 
-  const size_t oracle_count =
-      CountUncovered(span, mask, KernelPolicy::kScalar);
-  for (KernelPolicy policy : {KernelPolicy::kScalar, KernelPolicy::kWord,
-                              KernelPolicy::kAuto}) {
-    EXPECT_EQ(CountUncoveredDense(row, mask, policy), oracle_count);
-    EXPECT_EQ(IntersectsDense(row, mask, policy),
-              Intersects(span, mask, KernelPolicy::kScalar));
-
-    std::vector<uint32_t> dense_out{0xDEAD};  // appends only
-    EXPECT_EQ(FilterIntoDense(row, mask, dense_out, policy), oracle_count);
-    std::vector<uint32_t> sparse_out{0xDEAD};
-    FilterInto(span, mask, sparse_out, KernelPolicy::kScalar);
-    EXPECT_EQ(dense_out, sparse_out);
-
-    DynamicBitset dense_mask = mask;
-    DynamicBitset sparse_mask = mask;
-    EXPECT_EQ(MarkCoveredDense(row, dense_mask, policy),
-              MarkCovered(span, sparse_mask, KernelPolicy::kScalar));
-    EXPECT_TRUE(dense_mask == sparse_mask);
-    EXPECT_EQ(MarkCoveredDense(row, dense_mask, policy), 0u);
+  const size_t oracle_count = reference::CountUncovered(span, mask);
+  EXPECT_EQ(reference::CountUncoveredDense(row, mask), oracle_count);
+  std::vector<uint32_t> sparse_out{0xDEAD};  // appends only
+  reference::FilterInto(span, mask, sparse_out);
+  DynamicBitset oracle_mask = mask;
+  EXPECT_EQ(reference::MarkCovered(span, oracle_mask), oracle_count);
+  {
+    std::vector<uint32_t> reference_out{0xDEAD};
+    EXPECT_EQ(reference::FilterIntoDense(row, mask, reference_out),
+              oracle_count);
+    EXPECT_EQ(reference_out, sparse_out);
+    DynamicBitset reference_mask = mask;
+    EXPECT_EQ(reference::MarkCoveredDense(row, reference_mask),
+              oracle_count);
+    EXPECT_TRUE(reference_mask == oracle_mask);
   }
+
+  // The dispatching kernels, at whatever tier DetectKernelIsa() picks.
+  EXPECT_EQ(CountUncoveredDense(row, mask), oracle_count);
+  std::vector<uint32_t> dense_out{0xDEAD};
+  EXPECT_EQ(FilterIntoDense(row, mask, dense_out), oracle_count);
+  EXPECT_EQ(dense_out, sparse_out);
+  DynamicBitset dense_mask = mask;
+  EXPECT_EQ(MarkCoveredDense(row, dense_mask), oracle_count);
+  EXPECT_TRUE(dense_mask == oracle_mask);
+  EXPECT_EQ(MarkCoveredDense(row, dense_mask), 0u);
 
   // Tier-pinned variants: every SIMD path this binary compiled in must
   // match the oracle too, regardless of what DetectKernelIsa() picks.
@@ -290,10 +277,9 @@ void ExpectDenseTwinsAgree(const DynamicBitset& mask,
     SCOPED_TRACE(std::string("isa=") + KernelIsaName(isa));
     EXPECT_EQ(CountUncoveredDenseIsa(row, mask.Words(), isa), oracle_count);
     DynamicBitset isa_mask = mask;
-    DynamicBitset sparse_mask = mask;
     EXPECT_EQ(MarkCoveredDenseIsa(row, isa_mask.MutableWords(), isa),
-              MarkCovered(span, sparse_mask, KernelPolicy::kScalar));
-    EXPECT_TRUE(isa_mask == sparse_mask);
+              oracle_count);
+    EXPECT_TRUE(isa_mask == oracle_mask);
   }
 }
 

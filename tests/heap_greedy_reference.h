@@ -18,9 +18,9 @@
 #include <vector>
 
 #include "offline/lazy_greedy.h"
+#include "reference_kernels.h"
 #include "setsystem/transposed_index.h"
 #include "util/bitset.h"
-#include "util/cover_kernels.h"
 
 namespace streamcover {
 
@@ -66,8 +66,7 @@ void ForEachRowBit(std::span<const uint64_t> row, Fn&& fn) {
 inline LazyGreedyResult HeapGreedyReference(
     uint32_t num_elements, LazyGreedy::Ties ties,
     const std::vector<ReferenceRow>& rows, const DynamicBitset& targets,
-    uint64_t required = LazyGreedy::kAllCoverable,
-    uint64_t budget = LazyGreedy::kNoBudget) {
+    uint64_t required = LazyGreedy::kAllCoverable) {
   using reference_detail::ForEachRowBit;
   const uint32_t tie_mask =
       ties == LazyGreedy::Ties::kLowestIndex ? ~uint32_t{0} : 0;
@@ -112,8 +111,7 @@ inline LazyGreedyResult HeapGreedyReference(
   result.working_words = live.WordCount() + heap.size() +
                          index.word_count() + gains.word_count();
   std::vector<uint32_t> newly;
-  while (result.covered < required && result.picks.size() < budget &&
-         !heap.empty()) {
+  while (result.covered < required && !heap.empty()) {
     const uint64_t top = heap.front();
     const uint32_t i = static_cast<uint32_t>(top) ^ tie_mask;
     const uint64_t gain = gains.gain(i);
@@ -132,11 +130,11 @@ inline LazyGreedyResult HeapGreedyReference(
     heap.pop_back();
     newly.clear();
     if (rows[i].dense.empty()) {
-      FilterInto(rows[i].sparse, live, newly, KernelPolicy::kScalar);
-      MarkCovered(newly, live, KernelPolicy::kScalar);
+      reference::FilterInto(rows[i].sparse, live, newly);
+      reference::MarkCovered(newly, live);
     } else {
-      FilterIntoDense(rows[i].dense, live, newly, KernelPolicy::kScalar);
-      MarkCoveredDense(rows[i].dense, live, KernelPolicy::kScalar);
+      reference::FilterIntoDense(rows[i].dense, live, newly);
+      reference::MarkCoveredDense(rows[i].dense, live);
     }
     gains.OnCovered(newly);
     result.covered += gain;

@@ -13,11 +13,11 @@
 //    zipf, and file-backed workloads, and `geom` on the four geometric
 //    workloads, at --threads 1 and 4 must agree on covers, space_words,
 //    and projection_words_peak exactly;
-//  * kernel-policy invariance: every registered non-geometric solver
-//    run with --kernel scalar, word, and auto (auto adds runtime SIMD
-//    dispatch for the dense kernels) must agree on covers, passes,
-//    scans, and space exactly, at --threads 1 and 4 (the threaded path
-//    splits the consumers over the scheduler's workers).
+//  * every registered non-geometric solver at --threads 4 (the
+//    threaded path splits the consumers over the scheduler's workers)
+//    must agree with its serial run on covers, passes, scans, and space
+//    exactly. The kernels themselves are pinned against their
+//    reference loops in cover_kernels_test.
 
 #include <cmath>
 #include <cstdio>
@@ -344,56 +344,39 @@ TEST(HotpathParityTest, ThreadedRegistryRunsAreByteIdentical) {
   }
 }
 
-TEST(HotpathParityTest, KernelPoliciesAreByteIdenticalAcrossSolvers) {
-  // Every registered non-geometric solver, scalar/word/auto x threads
-  // 1 and 4, all against the scalar serial reference. kAuto engages
-  // whatever SIMD tier this host detects for the dense kernels, so this
-  // is also the dispatch-correctness gate.
+TEST(HotpathParityTest, ThreadedRunsAreByteIdenticalAcrossSolvers) {
+  // Every registered non-geometric solver at threads 4 against its
+  // serial run. The dense kernels run at whatever SIMD tier this host
+  // detects, on both sides.
   for (const char* family : {"planted", "zipf"}) {
     Instance instance = MakeRegistered(family, 6);
     for (const SolverRegistry::Entry* entry :
          SolverRegistry::Global().Entries()) {
       if (entry->kind == SolverRegistry::Kind::kGeometric) continue;
-      RunOptions reference_options;
-      reference_options.sample_constant = 0.05;
-      reference_options.kernel = KernelPolicy::kScalar;
-      RunResult reference = RunSolver(entry->name, instance,
-                                      reference_options);
-      for (KernelPolicy kernel : {KernelPolicy::kScalar, KernelPolicy::kWord,
-                                  KernelPolicy::kAuto}) {
-        for (uint32_t threads : {1u, 4u}) {
-          if (kernel == KernelPolicy::kScalar && threads == 1) continue;
-          RunOptions options = reference_options;
-          options.kernel = kernel;
-          options.threads = threads;
-          RunResult run = RunSolver(entry->name, instance, options);
-          SCOPED_TRACE(std::string(family) + " x " + entry->name + " x " +
-                       KernelPolicyName(kernel) + " x threads=" +
-                       std::to_string(threads));
-          ExpectRunParity(reference, run);
-        }
-      }
+      RunOptions serial;
+      serial.sample_constant = 0.05;
+      RunResult reference = RunSolver(entry->name, instance, serial);
+      RunOptions threaded = serial;
+      threaded.threads = 4;
+      RunResult run = RunSolver(entry->name, instance, threaded);
+      SCOPED_TRACE(std::string(family) + " x " + entry->name);
+      ExpectRunParity(reference, run);
     }
   }
 }
 
-TEST(HotpathParityTest, KernelPoliciesAgreeOnThreadedEarlyExitRuns) {
+TEST(HotpathParityTest, ThreadedEarlyExitRunsAreByteIdentical) {
   // threads=4 splits the guess consumers over the scheduler's workers
-  // while early_exit retires guesses between rounds; both kernels must
-  // land on the serial run's result.
+  // while early_exit retires guesses between rounds; the threaded run
+  // must land on the serial run's result.
   Instance instance = MakeRegistered("planted", 8);
   RunOptions base;
   base.sample_constant = 0.05;
   base.early_exit = true;
   RunResult serial = RunSolver("iter", instance, base);
-  for (KernelPolicy kernel : {KernelPolicy::kScalar, KernelPolicy::kWord}) {
-    RunOptions threaded = base;
-    threaded.threads = 4;
-    threaded.kernel = kernel;
-    RunResult run = RunSolver("iter", instance, threaded);
-    SCOPED_TRACE(KernelPolicyName(kernel));
-    ExpectRunParity(serial, run);
-  }
+  RunOptions threaded = base;
+  threaded.threads = 4;
+  ExpectRunParity(serial, RunSolver("iter", instance, threaded));
 }
 
 TEST(HotpathParityTest, ThreadedFileBackedRunsAreByteIdentical) {

@@ -5,8 +5,7 @@
 // picks (in order), covered, success, sets_touched, gain_updates and
 // working_words all match the reference — under both tie rules
 // (GreedySolver's larger id, MergeStage's earliest candidate), with
-// budgets, `required` counts, dense rows, and targets no candidate
-// contains. A run inside a 4-thread WorkerPool loop builds its index
+// `required` counts, dense rows, and targets no candidate contains. A run inside a 4-thread WorkerPool loop builds its index
 // over row ranges and must equal the serial run. CI runs this suite
 // under TSan.
 
@@ -65,7 +64,7 @@ struct Store {
   }
 
   LazyGreedy Greedy(Ties ties) const {
-    LazyGreedy greedy(n, ties, KernelPolicy::kWord);
+    LazyGreedy greedy(n, ties);
     for (size_t i = 0; i < sets.size(); ++i) {
       if (dense_row[i] >= 0) {
         greedy.AddDense(dense.Row(static_cast<uint32_t>(dense_row[i])));
@@ -143,19 +142,13 @@ TEST(LazyGreedyOracleTest, MatchesTheHeapLoopUnderBudgetsAndRequiredCounts) {
     for (const Ties ties : {Ties::kHighestIndex, Ties::kLowestIndex}) {
       const LazyGreedy greedy = store.Greedy(ties);
       const uint64_t all = HeapGreedyReference(n, ties, rows, targets).covered;
-      for (const uint64_t budget : {uint64_t{0}, uint64_t{1}, uint64_t{3},
-                                    uint64_t{10}, LazyGreedy::kNoBudget}) {
-        // Below, at and above the coverable count (above never succeeds).
-        for (const uint64_t required :
-             {uint64_t{0}, all / 2, all, all + 1,
-              LazyGreedy::kAllCoverable}) {
-          SCOPED_TRACE("trial " + std::to_string(trial) + " budget " +
-                       std::to_string(budget) + " required " +
-                       std::to_string(required));
-          ExpectSameRun(
-              HeapGreedyReference(n, ties, rows, targets, required, budget),
-              greedy.Run(targets, required, budget));
-        }
+      // Below, at and above the coverable count (above never succeeds).
+      for (const uint64_t required :
+           {uint64_t{0}, all / 2, all, all + 1, LazyGreedy::kAllCoverable}) {
+        SCOPED_TRACE("trial " + std::to_string(trial) + " required " +
+                     std::to_string(required));
+        ExpectSameRun(HeapGreedyReference(n, ties, rows, targets, required),
+                      greedy.Run(targets, required));
       }
     }
   }

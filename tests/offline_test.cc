@@ -67,8 +67,7 @@ TEST(LazyGreedyTest, TargetMaskRestrictsCover) {
   SetSystem s = std::move(b).Build();
   DynamicBitset targets(6);
   targets.Set(3);
-  LazyGreedyResult r =
-      LazyGreedy::OverSets(s, KernelPolicy::kWord).Run(targets);
+  LazyGreedyResult r = LazyGreedy::OverSets(s).Run(targets);
   EXPECT_EQ(r.picks, (std::vector<uint32_t>{1}));
   EXPECT_EQ(r.covered, 1u);
   EXPECT_TRUE(r.success);
@@ -84,20 +83,10 @@ SetSystem Staircase() {
   return std::move(b).Build();
 }
 
-TEST(LazyGreedyTest, StopsWhenBudgetReached) {
-  const SetSystem s = Staircase();
-  LazyGreedyResult r = LazyGreedy::OverSets(s, KernelPolicy::kWord)
-                           .Run(DynamicBitset(6, true),
-                                LazyGreedy::kAllCoverable, /*budget=*/2);
-  EXPECT_EQ(r.picks, (std::vector<uint32_t>{0, 1}));
-  EXPECT_EQ(r.covered, 5u);
-  EXPECT_FALSE(r.success);
-}
-
 TEST(LazyGreedyTest, StopsWhenCoverageTargetReached) {
   const SetSystem s = Staircase();
-  LazyGreedyResult r = LazyGreedy::OverSets(s, KernelPolicy::kWord)
-                           .Run(DynamicBitset(6, true), /*required=*/4);
+  LazyGreedyResult r =
+      LazyGreedy::OverSets(s).Run(DynamicBitset(6, true), /*required=*/4);
   EXPECT_EQ(r.picks, (std::vector<uint32_t>{0, 1}));
   EXPECT_EQ(r.covered, 5u);
   EXPECT_TRUE(r.success);
@@ -111,8 +100,8 @@ TEST(LazyGreedyTest, HeapExhaustedBeforeTargetFails) {
   b.AddSet({3, 4});
   b.AddSet({5});
   const SetSystem s = std::move(b).Build();
-  LazyGreedyResult r = LazyGreedy::OverSets(s, KernelPolicy::kWord)
-                           .Run(DynamicBitset(8, true), /*required=*/8);
+  LazyGreedyResult r =
+      LazyGreedy::OverSets(s).Run(DynamicBitset(8, true), /*required=*/8);
   EXPECT_EQ(r.picks, (std::vector<uint32_t>{0, 1, 2}));
   EXPECT_EQ(r.covered, 6u);
   EXPECT_FALSE(r.success);

@@ -161,8 +161,10 @@ TEST(RunPlanTest, JsonRoundTrip) {
   std::string error;
   std::optional<JsonValue> parsed = JsonValue::Parse(text, &error);
   ASSERT_TRUE(parsed.has_value()) << error;
-  EXPECT_EQ(parsed->At("schema").AsString(), "streamcover.run_report.v5");
+  EXPECT_EQ(parsed->At("schema").AsString(), "streamcover.run_report.v6");
   EXPECT_EQ(parsed->At("solvers").size(), 2u);
+  // v6: the solver options carry no kernel policy.
+  EXPECT_EQ(parsed->At("solvers")[0].At("options").Find("kernel"), nullptr);
   EXPECT_EQ(parsed->At("workloads").size(), 3u);
   EXPECT_EQ(parsed->At("seeds").size(), 2u);
   EXPECT_EQ(parsed->At("trials").AsDouble(), 2.0);
@@ -181,7 +183,7 @@ TEST(RunPlanTest, JsonRoundTrip) {
                    report.cells[0].Stat("space_words").max());
   EXPECT_EQ(cell0.At("runs").AsDouble(), 4.0);
 
-  // v5: every number of the run record is aggregated on every cell,
+  // Since v5: every number of the run record is aggregated on every cell,
   // for every ok() run — zero-valued counters (projection words of a
   // store-all run) included, never omitted.
   for (size_t i = 0; i < parsed->At("cells").size(); ++i) {

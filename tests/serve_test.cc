@@ -282,32 +282,47 @@ TEST(ServeProtocolTest, ScanThreadsFieldIsStrictlyTyped) {
   EXPECT_NE(error.find("scan_threads"), std::string::npos) << error;
 }
 
-TEST(ServeProtocolTest, KernelFieldIsStrictlyTyped) {
-  ServeRequest request;
-  std::string error;
-  // All three policy spellings parse.
-  ASSERT_TRUE(ParseServeRequest(
-      R"({"op":"solve","instance":"x","solver":"iter","kernel":"scalar"})",
-      &request, &error))
-      << error;
-  EXPECT_EQ(request.kernel, KernelPolicy::kScalar);
-  ASSERT_TRUE(ParseServeRequest(
-      R"({"op":"solve","instance":"x","solver":"iter","kernel":"auto"})",
-      &request, &error));
-  EXPECT_EQ(request.kernel, KernelPolicy::kAuto);
-  // Absent: keeps the word default.
-  ASSERT_TRUE(ParseServeRequest(
-      R"({"op":"solve","instance":"x","solver":"iter"})", &request, &error));
-  EXPECT_EQ(request.kernel, KernelPolicy::kWord);
-  // Unknown spellings (ISA names are runtime-detected, never
-  // request-pinned) and wrong types are hard errors.
-  EXPECT_FALSE(ParseServeRequest(
-      R"({"op":"solve","instance":"x","solver":"iter","kernel":"avx512"})",
-      &request, &error));
-  EXPECT_NE(error.find("kernel"), std::string::npos);
-  EXPECT_FALSE(ParseServeRequest(
-      R"({"op":"solve","instance":"x","solver":"iter","kernel":7})",
-      &request, &error));
+TEST(ServeProtocolTest, StaleKernelFieldIsIgnored) {
+  // A "kernel" field, of any spelling or type, is ignored like any
+  // unknown key: the request parses as it would without it.
+  for (const char* kernel : {R"("scalar")", R"("word")", R"("auto")",
+                             R"("avx512")", "7"}) {
+    SCOPED_TRACE(kernel);
+    ServeRequest request;
+    std::string error;
+    ASSERT_TRUE(ParseServeRequest(
+        std::string(R"({"op":"solve","instance":"x","solver":"iter",)") +
+            R"("delta":0.25,"kernel":)" + kernel + "}",
+        &request, &error))
+        << error;
+    EXPECT_EQ(request.op, "solve");
+    EXPECT_EQ(request.solver, "iter");
+    EXPECT_EQ(request.delta, 0.25);
+  }
+}
+
+TEST(ServeTest, OutOfRangeDeltaAnswersSolveFailedAndKeepsServing) {
+  // A delta outside (0, 1], or one whose ceil(1/delta) overflows the
+  // solvers' iteration counter, is a solve_failed answer, and the
+  // server keeps answering.
+  ServerOptions options;
+  options.workers = 1;
+  CoverageServer server(options);
+  server.Start();
+  for (const char* delta : {"0", "-1", "2", "1e-300"}) {
+    SCOPED_TRACE(delta);
+    JsonValue solve = ParseResponse(Call(
+        server, std::string(R"({"op":"solve","instance":)") +
+                    R"("planted:n=200,m=400,k=5,seed=1","solver":"iter",)" +
+                    R"("delta":)" + delta + "}"));
+    EXPECT_FALSE(solve.At("ok").AsBool()) << solve.Dump(0);
+    EXPECT_EQ(ErrorCode(solve), kErrSolveFailed);
+    EXPECT_NE(solve.At("error").At("message").AsString().find("delta"),
+              std::string::npos);
+    JsonValue ping = ParseResponse(Call(server, R"({"op":"ping"})"));
+    EXPECT_TRUE(ping.At("ok").AsBool());
+  }
+  server.Shutdown();
 }
 
 TEST(ServeTest, StatsReportsDetectedKernelIsa) {

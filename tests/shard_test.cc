@@ -348,20 +348,6 @@ TEST(ShardedGreediTest, SameSeedSameShardsReproducesExactly) {
   }
 }
 
-TEST(ShardedGreediTest, ScalarAndWordKernelsAgree) {
-  Sources sources = MakeSources(/*seed=*/55);
-  RunOptions options;
-  options.seed = 2;
-  options.shards = 4;
-  options.kernel = KernelPolicy::kWord;
-  RunResult word = SolveFromMemory(sources, "sharded_greedi", options);
-  options.kernel = KernelPolicy::kScalar;
-  RunResult scalar = SolveFromMemory(sources, "sharded_greedi", options);
-  ASSERT_TRUE(word.ok()) << word.error;
-  ASSERT_TRUE(scalar.ok()) << scalar.error;
-  EXPECT_EQ(word.cover.set_ids, scalar.cover.set_ids);
-}
-
 TEST(ShardedGreediTest, ZeroShardsFailsDispatch) {
   Sources sources = MakeSources(/*seed=*/56);
   RunOptions options;

@@ -114,6 +114,33 @@ TEST(SolverRegistryTest, ZeroThresholdPassesFailsCleanly) {
   EXPECT_EQ(r.passes, 0u);
 }
 
+TEST(SolverRegistryTest, OutOfRangeDeltaFailsCleanly) {
+  // iter, dimv14 and geom CHECK delta in (0, 1] and cast ceil(1/delta)
+  // to a 64-bit iteration counter; through the registry each bad value
+  // is an error value, never an abort or an out-of-range cast.
+  PlantedInstance inst = SharedInstance();
+  Instance abstract = Instance::WrapSystem(&inst.system, {"shared", ""});
+  WorkloadParams params;
+  params.n = 100;
+  params.m = 200;
+  std::optional<Instance> disks = MakeWorkload("geom_disks", params);
+  ASSERT_TRUE(disks.has_value());
+  for (const char* solver : {"iter", "dimv14", "geom"}) {
+    Instance& instance = std::string(solver) == "geom" ? *disks : abstract;
+    for (const double delta : {0.0, -1.0, 2.0, 1e-300}) {
+      SCOPED_TRACE(std::string(solver) + " delta=" + std::to_string(delta));
+      RunOptions options;
+      options.delta = delta;
+      RunResult r = RunSolver(solver, instance, options);
+      EXPECT_FALSE(r.ok());
+      EXPECT_NE(r.error.find("delta must be in (0, 1]"), std::string::npos)
+          << r.error;
+      EXPECT_TRUE(r.cover.set_ids.empty());
+      EXPECT_EQ(r.passes, 0u);
+    }
+  }
+}
+
 TEST(SolverRegistryTest, GeometricSolverCoversPlantedGeomInstance) {
   Rng rng(5);
   GeomPlantedOptions geom_options;

@@ -25,6 +25,7 @@
 #include "core/instance.h"
 #include "core/solver_registry.h"
 #include "core/workload_registry.h"
+#include "reference_kernels.h"
 #include "setsystem/binary_io.h"
 #include "setsystem/transposed_index.h"
 #include "stream/mmap_set_source.h"
@@ -61,7 +62,7 @@ class ReferenceSieve final : public ScanConsumer {
     if (done_) return;
     residual_.clear();
     const size_t gain =
-        FilterInto(set, uncovered_, residual_, KernelPolicy::kScalar);
+        reference::FilterInto(set.elems, uncovered_.bits(), residual_);
     for (uint32_t e : residual_) {
       if (backup_[e] == UINT32_MAX) backup_[e] = set.id;
     }
@@ -160,11 +161,12 @@ RunResult ReferenceProgressive(const SetSystem& system,
     if (threshold < 1.0) threshold = 1.0;
     stream.ForEachSet([&](const SetView& set) {
       if (remaining <= allowed_uncovered) return;
-      const size_t gain = CountUncovered(set, uncovered, KernelPolicy::kScalar);
+      const size_t gain =
+          reference::CountUncovered(set.elems, uncovered.bits());
       if (gain > 0 && static_cast<double>(gain) >= threshold) {
         result.cover.set_ids.push_back(set.id);
         tracker.Charge(1);
-        MarkCovered(set, uncovered, KernelPolicy::kScalar);
+        reference::MarkCovered(set.elems, uncovered.bits());
         remaining -= gain;
       }
     });
@@ -193,12 +195,13 @@ RunResult ReferenceMaxCover(const SetSystem& system, uint32_t budget) {
     if (threshold < 1.0) threshold = 1.0;
     stream.ForEachSet([&](const SetView& set) {
       if (result.cover.size() >= budget) return;
-      const size_t gain = CountUncovered(set, uncovered, KernelPolicy::kScalar);
+      const size_t gain =
+          reference::CountUncovered(set.elems, uncovered.bits());
       if (gain > 0 && static_cast<double>(gain) >= threshold) {
         result.cover.set_ids.push_back(set.id);
         tracker.Charge(1);
         covered += gain;
-        MarkCovered(set, uncovered, KernelPolicy::kScalar);
+        reference::MarkCovered(set.elems, uncovered.bits());
       }
     });
     if (result.cover.size() >= budget) break;

@@ -21,6 +21,7 @@
 #include "baselines/threshold_greedy.h"
 #include "gtest/gtest.h"
 #include "offline/greedy.h"
+#include "reference_kernels.h"
 #include "setsystem/generators.h"
 #include "setsystem/set_system.h"
 #include "shard/merge_stage.h"
@@ -187,7 +188,7 @@ TEST(GainTrackerTest, InitFromMaskMatchesKernelCounts) {
   tracker.InitFromMask(mask);
   for (uint32_t s = 0; s < system.num_sets(); ++s) {
     EXPECT_EQ(tracker.gain(s),
-              CountUncovered(system.GetSet(s), mask, KernelPolicy::kScalar))
+              reference::CountUncovered(system.GetSet(s), mask))
         << "set " << s;
   }
   // Init is a rebuild, not maintenance: no decrements counted.
@@ -215,8 +216,8 @@ TEST(GainTrackerTest, DecrementalFuzzMatchesRecompute) {
       for (uint32_t e : batch) uncovered.Reset(e);
       tracker.OnCovered(batch);
       for (uint32_t s = 0; s < system.num_sets(); ++s) {
-        ASSERT_EQ(tracker.gain(s), CountUncovered(system.GetSet(s), uncovered,
-                                                  KernelPolicy::kScalar))
+        ASSERT_EQ(tracker.gain(s),
+                  reference::CountUncovered(system.GetSet(s), uncovered))
             << "trial " << trial << " set " << s;
       }
     }
@@ -306,7 +307,7 @@ TEST(OfflineGreedyTest, MatchesBruteForceExactGreedy) {
       uint32_t best_set = 0;
       for (uint32_t s = 0; s < system.num_sets(); ++s) {
         const uint64_t gain =
-            CountUncovered(system.GetSet(s), uncovered, KernelPolicy::kScalar);
+            reference::CountUncovered(system.GetSet(s), uncovered);
         if (gain > best_gain || (gain == best_gain && gain > 0 &&
                                  s > best_set)) {
           best_gain = gain;
@@ -315,7 +316,7 @@ TEST(OfflineGreedyTest, MatchesBruteForceExactGreedy) {
       }
       if (best_gain == 0) break;
       expect.push_back(best_set);
-      MarkCovered(system.GetSet(best_set), uncovered, KernelPolicy::kScalar);
+      reference::MarkCovered(system.GetSet(best_set), uncovered);
     }
     EXPECT_EQ(result.cover.set_ids, expect) << "trial " << trial;
     EXPECT_GT(result.gain_updates, 0u);
@@ -361,8 +362,7 @@ std::vector<uint32_t> ArgmaxMerge(
     uint64_t best_gain = 0;
     uint32_t best = 0;
     for (uint32_t i = 0; i < sets.size(); ++i) {
-      const uint64_t gain =
-          CountUncovered(sets[i], uncovered, KernelPolicy::kScalar);
+      const uint64_t gain = reference::CountUncovered(sets[i], uncovered);
       if (gain > best_gain) {
         best_gain = gain;
         best = i;
@@ -370,13 +370,17 @@ std::vector<uint32_t> ArgmaxMerge(
     }
     if (best_gain == 0) return picks;
     picks.push_back(best);
-    MarkCovered(sets[best], uncovered, KernelPolicy::kScalar);
+    reference::MarkCovered(sets[best], uncovered);
   }
 }
 
+// Every kernel the merge runs — the sparse word kernels and the dense
+// ones at the detected tier (the portable word loop under
+// STREAMCOVER_FORCE_SCALAR_ISA=1) — against the reference argmax.
 TEST(MergeStageTest, MatchesArgmaxOracleForEveryKernel) {
   Rng rng(26);
   for (int trial = 0; trial < 6; ++trial) {
+    SCOPED_TRACE("trial=" + std::to_string(trial));
     const uint32_t n = 150 + static_cast<uint32_t>(rng.Uniform(200));
     const std::vector<std::vector<uint32_t>> sets =
         RandomCandidates(n, 40, rng);
@@ -384,33 +388,27 @@ TEST(MergeStageTest, MatchesArgmaxOracleForEveryKernel) {
     uint64_t total_size = 0;
     for (const std::vector<uint32_t>& set : sets) total_size += set.size();
 
-    for (KernelPolicy kernel : {KernelPolicy::kScalar, KernelPolicy::kWord,
-                                KernelPolicy::kAuto}) {
-      SCOPED_TRACE(std::string("kernel=") + KernelPolicyName(kernel) +
-                   " trial=" + std::to_string(trial));
-      MergeStageOptions options;
-      options.kernel = kernel;
-      MergeStage stage(n, static_cast<uint32_t>(sets.size()), options);
-      // Candidate i keeps set id i, so the oracle's indices are ids.
-      for (uint32_t i = 0; i < sets.size(); ++i) {
-        stage.AddCandidate(i, sets[i]);
-      }
-      const MergeOutcome outcome = stage.Merge();
-      // The candidate mix crosses the dense-storage threshold.
-      EXPECT_GT(stage.dense_candidates(), 0u);
-      ASSERT_TRUE(outcome.success);
-      EXPECT_EQ(outcome.covered, n);
-      EXPECT_EQ(outcome.cover.set_ids, expect);
-
-      // Output sensitivity: each (element, candidate) pair is decremented
-      // at most once, and heap inspections stay below the rounds x
-      // candidates recomputes the oracle performs.
-      const MergeCounters& counters = stage.counters();
-      ASSERT_GT(counters.rounds, 1u);
-      EXPECT_GT(counters.gain_updates, 0u);
-      EXPECT_LE(counters.gain_updates, total_size);
-      EXPECT_LT(counters.sets_touched, counters.rounds * sets.size());
+    MergeStage stage(n, static_cast<uint32_t>(sets.size()),
+                     MergeStageOptions{});
+    // Candidate i keeps set id i, so the oracle's indices are ids.
+    for (uint32_t i = 0; i < sets.size(); ++i) {
+      stage.AddCandidate(i, sets[i]);
     }
+    const MergeOutcome outcome = stage.Merge();
+    // The candidate mix crosses the dense-storage threshold.
+    EXPECT_GT(stage.dense_candidates(), 0u);
+    ASSERT_TRUE(outcome.success);
+    EXPECT_EQ(outcome.covered, n);
+    EXPECT_EQ(outcome.cover.set_ids, expect);
+
+    // Output sensitivity: each (element, candidate) pair is decremented
+    // at most once, and heap inspections stay below the rounds x
+    // candidates recomputes the oracle performs.
+    const MergeCounters& counters = stage.counters();
+    ASSERT_GT(counters.rounds, 1u);
+    EXPECT_GT(counters.gain_updates, 0u);
+    EXPECT_LE(counters.gain_updates, total_size);
+    EXPECT_LT(counters.sets_touched, counters.rounds * sets.size());
   }
 }
 

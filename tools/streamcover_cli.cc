@@ -16,12 +16,11 @@
 //       into the other format in one pass without materializing it.
 //   stats    --in FILE
 //       Prints n, m, nnz, set-size distribution, the dense-eligible set
-//       count, and the SIMD tier `--kernel auto` would dispatch to on
-//       this host. Accepts both formats.
+//       count, and the SIMD tier the dense kernels run on this host.
+//       Accepts both formats.
 //   solve    (--in FILE | --workload NAME) --algo ALGO [--n N --m M
 //            --k K] [--delta D] [--c C] [--p P] [--seed SEED] [--coverage F]
-//            [--budget B] [--threads N] [--kernel scalar|word|auto]
-//            [--early-exit] [--from-disk]
+//            [--budget B] [--threads N] [--early-exit] [--from-disk]
 //       ALGO: any name from `list-solvers` (plus the legacy aliases
 //       store-all / iterative / progressive / threshold); --workload
 //       takes any name from `list-workloads` and generates the
@@ -33,10 +32,7 @@
 //       *physical* scan (FileSetSource); binary files are mmapped and
 //       decoded in place (MmapSetSource), picked by magic sniffing;
 //       --threads N (0 to 256) fans multiplexed consumers out
-//       over N workers of the shared-scan PassScheduler; --kernel
-//       selects the coverage-kernel twin (word-parallel by default;
-//       scalar is the reference loop; auto adds runtime SIMD dispatch
-//       for the dense kernels — results are identical either way).
+//       over N workers of the shared-scan PassScheduler.
 //       --c is the sample-size constant (default RunOptions' 0.5, the
 //       same as serve). Prints the run's record (core/run_record.h) as
 //       one key=value line, then covered=C/N.
@@ -46,12 +42,11 @@
 //       Prints every registered workload family with its kind.
 //   sweep    [--solvers a,b,c] [--workloads x,y,z] [--seeds S]
 //            [--trials T] [--n N --m M --k K] [--delta D] [--c C]
-//            [--threads N] [--kernel scalar|word|auto] [--early-exit]
-//            [--json FILE]
+//            [--threads N] [--early-exit] [--json FILE]
 //       Executes the (solvers × workloads × seeds × trials) grid
 //       through WorkloadRegistry/RunPlan, prints the summary table
 //       (passes vs sequential vs physical scans), and optionally
-//       writes the RunReport JSON (schema streamcover.run_report.v5).
+//       writes the RunReport JSON (schema streamcover.run_report.v6).
 //   generate-geom --type disk|rect|tri|figure12 --n N --m M --k K
 //            [--seed SEED] --out FILE
 //       Writes a geometric instance (geometry/geom_io.h format).
@@ -202,14 +197,13 @@ int Usage() {
       "(see list-solvers / list-workloads) [--n N --m M --k K] [--delta D] "
       "[--c C] [--p P] [--seed SEED] [--coverage F] [--budget B] "
       "[--threads N] "
-      "[--scan-threads N] [--shards S] [--kernel scalar|word|auto] "
-      "[--early-exit] [--from-disk]\n"
+      "[--scan-threads N] [--shards S] [--early-exit] [--from-disk]\n"
       "  streamcover_cli list-solvers\n"
       "  streamcover_cli list-workloads\n"
       "  streamcover_cli sweep [--solvers a,b,c] [--workloads x,y,z] "
       "[--seeds S] [--trials T] [--n N --m M --k K] [--delta D] [--c C] "
-      "[--threads N] [--scan-threads N] [--shards S] "
-      "[--kernel scalar|word|auto] [--early-exit] [--json FILE]\n"
+      "[--threads N] [--scan-threads N] [--shards S] [--early-exit] "
+      "[--json FILE]\n"
       "  streamcover_cli generate-geom --type disk|rect|tri|figure12 "
       "--n N --m M --k K [--seed SEED] --out FILE\n"
       "  streamcover_cli solve-geom --in FILE [--delta D] [--c C] "
@@ -226,20 +220,6 @@ std::vector<std::string> SplitCommaList(const std::string& list) {
     if (!token.empty()) out.push_back(token);
   }
   return out;
-}
-
-/// Resolves --kernel; unknown spellings fail with the alternatives.
-bool ResolveKernel(const Args& args, KernelPolicy* kernel) {
-  const std::string name = args.Get("kernel", "word");
-  std::optional<KernelPolicy> parsed = ParseKernelPolicy(name);
-  if (!parsed.has_value()) {
-    std::fprintf(stderr,
-                 "unknown --kernel '%s'; available: scalar, word, auto\n",
-                 name.c_str());
-    return false;
-  }
-  *kernel = *parsed;
-  return true;
 }
 
 int CmdGenerateGeom(const Args& args) {
@@ -597,7 +577,7 @@ int CmdStats(const Args& args) {
   std::printf("  dense sets   : %u (>= n/%u elements; stored as bitset "
               "rows)\n",
               dense_eligible, kDenseStorageRatio);
-  std::printf("  kernel isa   : %s (what --kernel auto dispatches to "
+  std::printf("  kernel isa   : %s (the tier the dense kernels run on "
               "here)\n",
               KernelIsaName(DetectKernelIsa()));
   std::printf("  coverable    : %s\n",
@@ -735,7 +715,6 @@ int SolveOnInstance(Instance& instance, const Args& args) {
                  options.coverage_fraction);
     return 1;
   }
-  if (!ResolveKernel(args, &options.kernel)) return 1;
 
   RunResult r = RunSolver(algo, instance, options);
   if (!r.ok()) {
@@ -786,8 +765,6 @@ int CmdSweep(const Args& args) {
     return Usage();
   }
 
-  KernelPolicy kernel = KernelPolicy::kWord;
-  if (!ResolveKernel(args, &kernel)) return 1;
   const int64_t shards = args.GetInt("shards", 1);
   if (shards < 1 && args.parse_errors.empty()) {
     std::fprintf(stderr, "--shards must be >= 1, got %lld\n",
@@ -818,7 +795,6 @@ int CmdSweep(const Args& args) {
     spec.options.scan_threads = static_cast<uint32_t>(scan_threads);
     spec.options.shards = static_cast<uint32_t>(shards);
     spec.options.early_exit = args.Has("early-exit");
-    spec.options.kernel = kernel;
     plan.solvers.push_back(std::move(spec));
   }
   for (const std::string& workload : workloads) {
@@ -975,19 +951,9 @@ int CmdSelfTest() {
     if (CmdSolve(solve) != 1) return 1;
   }
   {
-    // Kernel policy: all three twins dispatch; unknown spellings
-    // (including ISA names — the tier is runtime-detected, never
-    // user-pinned) fail cleanly with the alternatives on stderr.
+    // A delta outside (0, 1] fails with exit code 1, not an abort.
     Args solve;
-    solve.flags = {{"in", path}, {"algo", "iter"}, {"kernel", "scalar"}};
-    if (CmdSolve(solve) != 0) return 1;
-    solve.flags = {{"in", path}, {"algo", "iter"}, {"kernel", "word"}};
-    if (CmdSolve(solve) != 0) return 1;
-    solve.flags = {{"in", path}, {"algo", "iter"}, {"kernel", "auto"}};
-    if (CmdSolve(solve) != 0) return 1;
-    solve.flags = {{"in", path}, {"algo", "iter"}, {"kernel", "simd"}};
-    if (CmdSolve(solve) != 1) return 1;
-    solve.flags = {{"in", path}, {"algo", "iter"}, {"kernel", "avx512"}};
+    solve.flags = {{"in", path}, {"algo", "iter"}, {"delta", "0"}};
     if (CmdSolve(solve) != 1) return 1;
   }
   {
@@ -1078,10 +1044,9 @@ int CmdSelfTest() {
   if (CmdListWorkloads() != 0) return 1;
   {
     // A tiny sweep through WorkloadRegistry/RunPlan — multiplexed over
-    // 4 scheduler threads on the scalar reference kernel; its v5 JSON
-    // must parse back with the physical-scans column populated, the
-    // kernel policy recorded in the solver options, and every number of
-    // the run record (gain counters and projection_words_peak included)
+    // 4 scheduler threads; its v6 JSON must parse back with the
+    // physical-scans column populated and every number of the run
+    // record (gain counters and projection_words_peak included)
     // aggregated on every cell.
     const std::string json_path = dir + "/streamcover_cli_selftest.json";
     Args sweep;
@@ -1092,7 +1057,6 @@ int CmdSelfTest() {
                    {"m", "400"},
                    {"k", "5"},
                    {"threads", "4"},
-                   {"kernel", "scalar"},
                    {"json", json_path}};
     if (CmdSweep(sweep) != 0) return 1;
     std::ifstream is(json_path);
@@ -1101,11 +1065,9 @@ int CmdSelfTest() {
     std::string error;
     auto parsed = JsonValue::Parse(buffer.str(), &error);
     if (!parsed.has_value() || !parsed->is_object() ||
-        parsed->At("schema").AsString() != "streamcover.run_report.v5" ||
+        parsed->At("schema").AsString() != "streamcover.run_report.v6" ||
         parsed->At("cells").size() != 9 ||
-        !parsed->At("cells")[0].At("physical_scans").is_object() ||
-        parsed->At("solvers")[0].At("options").At("kernel").AsString() !=
-            "scalar") {
+        !parsed->At("cells")[0].At("physical_scans").is_object()) {
       std::fprintf(stderr, "selftest: sweep JSON invalid: %s\n",
                    error.c_str());
       return 1;
@@ -1114,17 +1076,12 @@ int CmdSelfTest() {
       for (const char* key : {"cover_size", "gain_updates", "sets_touched",
                               "projection_words_peak"}) {
         if (!parsed->At("cells")[cell].At(key).is_object()) {
-          std::fprintf(stderr, "selftest: cell %zu missing v5 stat %s\n",
+          std::fprintf(stderr, "selftest: cell %zu missing v6 stat %s\n",
                        cell, key);
           return 1;
         }
       }
     }
-    // An unknown kernel spelling must fail cleanly, not abort.
-    Args bad;
-    bad.flags = {{"solvers", "iter"}, {"workloads", "planted"},
-                 {"kernel", "avx512"}};
-    if (CmdSweep(bad) != 1) return 1;
   }
   {
     // Sharded solve family: the unsharded reference and the sharded
