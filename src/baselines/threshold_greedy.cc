@@ -73,6 +73,7 @@ ThresholdSieveConsumer::ThresholdSieveConsumer(uint32_t n, uint32_t p,
       dn_(static_cast<double>(std::max(n, 2u))),
       uncovered_(n, true),
       backup_(n, UINT32_MAX),
+      missing_backups_(n),
       remaining_(n) {
   SC_CHECK_GE(p, 1u);
   SC_CHECK(coverage_fraction > 0.0 && coverage_fraction <= 1.0);
@@ -87,9 +88,12 @@ void ThresholdSieveConsumer::OnSet(const SetView& set) {
   if (done_) return;
   // Backups come from pass 1 alone; threshold_greedy.h says why that
   // keeps every pointer a per-pass residual walk would.
-  if (pass_index_ == 1) {
+  if (pass_index_ == 1 && missing_backups_ > 0) {
     for (uint32_t e : set) {
-      if (backup_[e] == UINT32_MAX) backup_[e] = set.id;
+      if (backup_[e] == UINT32_MAX) {
+        backup_[e] = set.id;
+        --missing_backups_;
+      }
     }
   }
   if (remaining_ <= allowed_uncovered_) return;  // partial target met

@@ -103,6 +103,9 @@ class ThresholdSieveConsumer final : public ScanConsumer {
   SpaceTracker tracker_;
   LiveMask uncovered_;
   std::vector<uint32_t> backup_;  ///< some set containing e; UINT32_MAX = none
+  /// Elements whose backup_ is still UINT32_MAX; pass 1 stops walking
+  /// sets for backups once it reaches 0.
+  uint32_t missing_backups_ = 0;
   std::vector<uint32_t> residual_scratch_;  ///< per-set transient, not charged
   /// Elements covered during the current pass, published (and cleared)
   /// at OnPassEnd when a delta bus is attached. Filled only from this

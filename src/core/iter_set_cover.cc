@@ -215,7 +215,8 @@ class GuessConsumer final : public ScanConsumer {
   void Advance() {
     collapsible_ = false;
     uncovered_count_ = uncovered_.Count();
-    if (uncovered_count_ <= allowed_uncovered_ || iter_ >= iterations_) {
+    if (uncovered_count_ <= allowed_uncovered_ || iter_ >= iterations_ ||
+        Stalled()) {
       Finalize();
       return;
     }
@@ -255,6 +256,29 @@ class GuessConsumer final : public ScanConsumer {
     // with the word watermark provably at zero.
     projections_.ResetEpoch();
     phase_ = Phase::kPass1;
+  }
+
+  // True when no later iteration can cover anything, so the guess ends
+  // now with the cover, success and peak space it would end with
+  // anyway; only its passes would grow. That holds once the last
+  // iteration sampled the whole residual and either
+  //  - kept its whole offline cover, as a full-cover target always does
+  //    (only a partial target trims it): by OfflineSolver's contract that
+  //    cover took every coverable sampled element, and pass 2 covered
+  //    the heavy picks, so what is left lies in no set. Later samples
+  //    then project to nothing, and each later iteration charges no more
+  //    than this one did; or
+  //  - covered nothing: the residual is unchanged, so every later
+  //    iteration draws the same sample (with no Rng draw), keeps the
+  //    same projections and gets the same offline cover.
+  // Read from diagnostics_, which followers copy from their leader, so a
+  // class stops together.
+  bool Stalled() const {
+    if (diagnostics_.empty()) return false;
+    const IterSetCoverIterationDiag& last = diagnostics_.back();
+    if (last.sample_size != last.uncovered_before) return false;
+    return allowed_uncovered_ == 0 ||
+           last.uncovered_after == last.uncovered_before;
   }
 
   void FinishPass1() {

@@ -50,6 +50,14 @@
 // text format — never collapses: |S|/k never exceeds n.
 // IterSetCoverSingleGuess runs one guess and has no class.
 //
+// Early stop: once an iteration has sampled the whole residual, a
+// full-cover guess has covered every element that lies in some set (the
+// offline solver covers all coverable sampled elements), and a partial
+// one that covered nothing would repeat itself. No later iteration can
+// cover anything, so the guess ends there: an input with an element in
+// no set returns after its first such iteration, not after 2/delta
+// passes, with the same cover, success and space.
+//
 // Filtered scans: a guess in its second pass declares to the scheduler
 // (ScanConsumer::needs) only the sets it picked this iteration, since
 // its OnSet returns on every other set; a done guess declares none, and

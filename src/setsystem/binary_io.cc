@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <utility>
 
 #include "setsystem/io.h"
@@ -35,6 +36,17 @@ uint64_t GetU64(const uint8_t* in) {
   uint64_t v;
   std::memcpy(&v, in, 8);
   return v;
+}
+
+/// Writes the LEB128 encoding of `value` (at most 10 bytes) at `out`;
+/// returns its end.
+uint8_t* PutVarint(uint64_t value, uint8_t* out) {
+  while (value >= 0x80) {
+    *out++ = static_cast<uint8_t>(value | 0x80);
+    value >>= 7;
+  }
+  *out++ = static_cast<uint8_t>(value);
+  return out;
 }
 
 }  // namespace
@@ -117,11 +129,9 @@ bool ValidateBinaryLayout(const uint8_t* data, uint64_t size,
 }
 
 void AppendVarint(uint64_t value, std::string& out) {
-  while (value >= 0x80) {
-    out.push_back(static_cast<char>((value & 0x7f) | 0x80));
-    value >>= 7;
-  }
-  out.push_back(static_cast<char>(value));
+  uint8_t bytes[10];
+  const uint8_t* end = PutVarint(value, bytes);
+  out.append(reinterpret_cast<const char*>(bytes), end - bytes);
 }
 
 std::optional<uint64_t> DecodeVarint(const uint8_t** cursor,
@@ -148,6 +158,9 @@ std::optional<uint64_t> DecodeVarint(const uint8_t** cursor,
 namespace {
 
 using binfmt::kHeaderBytes;
+
+/// Body bytes the writer encodes before one fwrite.
+constexpr size_t kWriteBufferBytes = size_t{1} << 20;
 
 void EncodeHeader(uint64_t n, uint64_t m, uint64_t nnz,
                   uint64_t footer_offset, uint64_t checksum,
@@ -198,6 +211,7 @@ std::optional<BinarySetWriter> BinarySetWriter::Create(
   writer.path_ = path;
   writer.num_elements_ = num_elements;
   writer.offsets_.push_back(kHeaderBytes);
+  writer.buffer_.resize(kWriteBufferBytes);
   return writer;
 }
 
@@ -215,7 +229,8 @@ BinarySetWriter& BinarySetWriter::operator=(BinarySetWriter&& other) noexcept {
   checksum_ = other.checksum_;
   offsets_ = std::move(other.offsets_);
   scratch_ = std::move(other.scratch_);
-  encode_buf_ = std::move(other.encode_buf_);
+  buffer_ = std::move(other.buffer_);
+  buffered_ = std::exchange(other.buffered_, 0);
   error_ = std::move(other.error_);
   finished_ = other.finished_;
   return *this;
@@ -228,35 +243,50 @@ BinarySetWriter::~BinarySetWriter() {
 bool BinarySetWriter::AddSet(std::span<const uint32_t> elements) {
   if (!error_.empty()) return false;
   SC_CHECK(!finished_);  // AddSet after Finish is a programming error
-  scratch_.assign(elements.begin(), elements.end());
-  std::sort(scratch_.begin(), scratch_.end());
-  scratch_.erase(std::unique(scratch_.begin(), scratch_.end()),
-                 scratch_.end());
-  if (!scratch_.empty() && scratch_.back() >= num_elements_) {
-    error_ = "element id " + std::to_string(scratch_.back()) +
+  // Generated and decoded sets arrive strictly increasing; only other
+  // input pays for the normalizing copy.
+  if (std::adjacent_find(elements.begin(), elements.end(),
+                         std::greater_equal<uint32_t>()) != elements.end()) {
+    scratch_.assign(elements.begin(), elements.end());
+    std::sort(scratch_.begin(), scratch_.end());
+    scratch_.erase(std::unique(scratch_.begin(), scratch_.end()),
+                   scratch_.end());
+    elements = scratch_;
+  }
+  if (!elements.empty() && elements.back() >= num_elements_) {
+    error_ = "element id " + std::to_string(elements.back()) +
              " out of range in set " + std::to_string(num_sets());
     return false;
   }
-  encode_buf_.clear();
-  binfmt::AppendVarint(scratch_.size(), encode_buf_);
+  // A size varint takes at most 10 bytes and an element delta 5.
+  const size_t worst = 10 + 5 * elements.size();
+  if (buffer_.size() - buffered_ < worst) {
+    if (!FlushBuffer()) return false;
+    if (buffer_.size() < worst) buffer_.resize(worst);
+  }
+  uint8_t* const begin = buffer_.data() + buffered_;
+  uint8_t* out = binfmt::PutVarint(elements.size(), begin);
   uint32_t prev = 0;
-  for (size_t i = 0; i < scratch_.size(); ++i) {
-    // Strictly increasing after dedup, so the -1 never wraps.
-    uint64_t delta = (i == 0) ? scratch_[0] : scratch_[i] - prev - 1;
-    binfmt::AppendVarint(delta, encode_buf_);
-    prev = scratch_[i];
+  for (size_t i = 0; i < elements.size(); ++i) {
+    // Strictly increasing, so the -1 never wraps.
+    out = binfmt::PutVarint(i == 0 ? elements[0] : elements[i] - prev - 1,
+                            out);
+    prev = elements[i];
   }
-  if (std::fwrite(encode_buf_.data(), 1, encode_buf_.size(), file_) !=
-      encode_buf_.size()) {
-    error_ = "write failed on " + path_;
-    return false;
-  }
-  checksum_ = binfmt::Fnv1a(
-      reinterpret_cast<const uint8_t*>(encode_buf_.data()),
-      encode_buf_.size(), checksum_);
-  nnz_ += scratch_.size();
-  offsets_.push_back(offsets_.back() + encode_buf_.size());
+  const size_t bytes = static_cast<size_t>(out - begin);
+  buffered_ += bytes;
+  nnz_ += elements.size();
+  offsets_.push_back(offsets_.back() + bytes);
   return true;
+}
+
+bool BinarySetWriter::FlushBuffer() {
+  if (buffered_ == 0) return true;
+  checksum_ = binfmt::Fnv1a(buffer_.data(), buffered_, checksum_);
+  const bool ok = std::fwrite(buffer_.data(), 1, buffered_, file_) == buffered_;
+  buffered_ = 0;
+  if (!ok) error_ = "write failed on " + path_;
+  return ok;
 }
 
 bool BinarySetWriter::Finish(std::string* error) {
@@ -272,6 +302,7 @@ bool BinarySetWriter::Finish(std::string* error) {
     return false;
   }
   if (num_sets() > binfmt::kMaxDimension) return fail("too many sets");
+  if (!FlushBuffer()) return fail(error_);
   const uint64_t footer_offset = offsets_.back();
   // The vector's uint64s are already little-endian in memory on every
   // supported target; write them in one shot.

@@ -136,8 +136,8 @@ std::vector<ScanChunk> BuildChunkPlan(const BinaryLayout& layout,
 bool IsBinarySetSystemFile(const std::string& path);
 
 /// Streaming writer: sets go straight from the caller to disk, so
-/// multi-GB repositories are written in O(n + m) memory (one scratch
-/// set + the offsets footer), never O(nnz).
+/// multi-GB repositories are written in O(n + m) memory (the offsets
+/// footer, a 1 MiB encode buffer and one scratch set), never O(nnz).
 class BinarySetWriter {
  public:
   /// Creates/truncates `path` and reserves the header. Returns
@@ -154,9 +154,13 @@ class BinarySetWriter {
   ~BinarySetWriter();
 
   /// Appends one set. Elements are normalized to sorted-unique before
-  /// encoding (same contract as SetSystem::Builder::AddSet). Returns
-  /// false — with the diagnostic in error() — on an out-of-range
-  /// element or an IO failure.
+  /// encoding (same contract as SetSystem::Builder::AddSet); a strictly
+  /// increasing set — what the stream generators and every scan hand
+  /// over — is encoded straight from the span, with no copy or sort.
+  /// Encoded bytes collect in a 1 MiB buffer that is written out when
+  /// full and by Finish. Returns false — with the diagnostic in
+  /// error() — on an out-of-range element or an IO failure (which may
+  /// surface on a later AddSet or in Finish).
   bool AddSet(std::span<const uint32_t> elements);
 
   /// Writes the footer + trailer and patches the header. The writer is
@@ -171,6 +175,9 @@ class BinarySetWriter {
  private:
   BinarySetWriter() = default;
 
+  /// Folds the buffered bytes into the checksum and writes them.
+  bool FlushBuffer();
+
   std::FILE* file_ = nullptr;
   std::string path_;
   uint64_t num_elements_ = 0;
@@ -178,7 +185,8 @@ class BinarySetWriter {
   uint64_t checksum_ = binfmt::kFnvOffset;
   std::vector<uint64_t> offsets_;   // absolute; starts at kHeaderBytes
   std::vector<uint32_t> scratch_;   // normalization buffer
-  std::string encode_buf_;          // per-set varint staging
+  std::vector<uint8_t> buffer_;     // encoded body bytes not yet written
+  size_t buffered_ = 0;             // bytes of buffer_ in use
   std::string error_;
   bool finished_ = false;
 };

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <thread>
 
 #include "util/check.h"
 #include "util/rng.h"
+#include "util/worker_pool.h"
 
 namespace streamcover {
 namespace {
@@ -18,33 +20,92 @@ Rng SetRng(uint64_t seed, uint32_t staged_id) {
                      (static_cast<uint64_t>(staged_id) + 1)));
 }
 
-// Shared driver: emits staged sets 0..m-1 in `order`, asking `fill` for
-// the content of each. Returns nullopt if the sink aborts.
+// A worker fills about this many elements per block: enough that a
+// block's work dwarfs claiming it, few enough that a stream of a few
+// large sets still gives every thread blocks.
+constexpr uint64_t kBlockElements = uint64_t{1} << 14;
+// Blocks per thread in one wave, so uneven blocks balance within it.
+constexpr size_t kWaveBlocksPerThread = 4;
+
+// Consecutive stream positions filled by one worker: each set sorted
+// and duplicate-free, back to back.
+struct Block {
+  std::vector<uint32_t> elements;
+  std::vector<size_t> ends;  // end of each set in `elements`
+  uint64_t drawn = 0;        // elements before dedup (StreamGenResult::nnz)
+};
+
+// Shared emit loop: emits staged sets order[0..m) in stream order, asking
+// `fill` to append the content of each. `fill` may run on several
+// threads at once; the sink runs on the calling thread only. Waves of
+// blocks are filled on a WorkerPool, then handed to the sink in
+// order. `max_set_size` bounds what `fill` appends per set; it sizes
+// the blocks, which are reserved here on the calling thread, so workers
+// grow no buffer that their allocator arenas would keep after the call.
+// Returns nullopt if the sink aborts.
 template <typename Fill>
 std::optional<StreamGenResult> EmitAll(const std::vector<uint32_t>& order,
-                                       uint32_t planted_count, Fill&& fill,
-                                       const SetSink& sink,
+                                       uint32_t planted_count,
+                                       uint32_t max_set_size,
+                                       const Fill& fill, const SetSink& sink,
                                        std::string* error) {
+  const size_t m = order.size();
+  const size_t block_sets = static_cast<size_t>(
+      std::max<uint64_t>(1, kBlockElements / std::max(max_set_size, 1u)));
+  const size_t blocks = (m + block_sets - 1) / block_sets;
+  const size_t threads = std::clamp<size_t>(
+      std::thread::hardware_concurrency(), 1, std::max<size_t>(blocks, 1));
+  WorkerPool pool(static_cast<uint32_t>(threads));
+  std::vector<Block> wave(std::min(blocks, threads * kWaveBlocksPerThread));
+  for (Block& block : wave) {
+    block.elements.reserve(block_sets * max_set_size);
+    block.ends.reserve(block_sets);
+  }
+
   StreamGenResult result;
-  std::vector<uint32_t> scratch;
-  for (uint32_t pos = 0; pos < order.size(); ++pos) {
-    const uint32_t staged_id = order[pos];
-    scratch.clear();
-    fill(staged_id, scratch);
-    if (!sink(std::span<const uint32_t>(scratch))) {
-      if (error != nullptr && error->empty()) {
-        *error = "sink aborted at set " + std::to_string(pos);
+  for (size_t first = 0; first < m; first += wave.size() * block_sets) {
+    const size_t wave_blocks =
+        std::min(wave.size(), (m - first + block_sets - 1) / block_sets);
+    pool.ParallelFor(wave_blocks, [&](size_t b) {
+      Block& block = wave[b];
+      block.elements.clear();
+      block.ends.clear();
+      block.drawn = 0;
+      const size_t begin = first + b * block_sets;
+      const size_t end = std::min(m, begin + block_sets);
+      for (size_t pos = begin; pos < end; ++pos) {
+        const size_t set_begin = block.elements.size();
+        fill(order[pos], block.elements);
+        block.drawn += block.elements.size() - set_begin;
+        const auto set = block.elements.begin() + set_begin;
+        std::sort(set, block.elements.end());
+        block.elements.erase(std::unique(set, block.elements.end()),
+                             block.elements.end());
+        block.ends.push_back(block.elements.size());
       }
-      return std::nullopt;
-    }
-    ++result.num_sets;
-    result.nnz += scratch.size();
-    if (staged_id < planted_count) {
-      result.planted_positions.push_back(pos);
+    });
+    size_t pos = first;
+    for (size_t b = 0; b < wave_blocks; ++b) {
+      const Block& block = wave[b];
+      size_t set_begin = 0;
+      for (const size_t set_end : block.ends) {
+        if (!sink(std::span<const uint32_t>(block.elements.data() + set_begin,
+                                            set_end - set_begin))) {
+          if (error != nullptr && error->empty()) {
+            *error = "sink aborted at set " + std::to_string(pos);
+          }
+          return std::nullopt;
+        }
+        if (order[pos] < planted_count) {
+          result.planted_positions.push_back(static_cast<uint32_t>(pos));
+        }
+        set_begin = set_end;
+        ++pos;
+      }
+      result.nnz += block.drawn;
     }
   }
-  std::sort(result.planted_positions.begin(),
-            result.planted_positions.end());
+  result.num_sets = m;
   return result;
 }
 
@@ -80,7 +141,7 @@ std::optional<StreamGenResult> StreamPlanted(const PlantedOptions& options,
           static_cast<uint32_t>((static_cast<uint64_t>(sid) * n) / k);
       const uint32_t hi =
           static_cast<uint32_t>((static_cast<uint64_t>(sid + 1) * n) / k);
-      out.assign(perm.begin() + lo, perm.begin() + hi);
+      out.insert(out.end(), perm.begin() + lo, perm.begin() + hi);
       const uint32_t extra = static_cast<uint32_t>(
           options.planted_overlap * static_cast<double>(hi - lo));
       for (uint32_t i = 0; i < extra; ++i) {
@@ -94,7 +155,13 @@ std::optional<StreamGenResult> StreamPlanted(const PlantedOptions& options,
       sub.SampleWithoutReplacementInto(n, size, out);
     }
   };
-  return EmitAll(order, k, fill, sink, error);
+  // Block sets span at most ceil(n/k) elements plus their overlap.
+  const uint32_t widest_block = (n - 1) / k + 1;
+  const uint32_t max_set_size = std::max(
+      widest_block + static_cast<uint32_t>(options.planted_overlap *
+                                           static_cast<double>(widest_block)),
+      std::min(n, std::max(options.noise_min_size, options.noise_max_size)));
+  return EmitAll(order, k, max_set_size, fill, sink, error);
 }
 
 std::optional<StreamGenResult> StreamSparse(uint32_t num_elements,
@@ -117,7 +184,7 @@ std::optional<StreamGenResult> StreamSparse(uint32_t num_elements,
     if (sid < blocks) {
       const uint32_t lo = sid * max_set_size;
       const uint32_t hi = std::min(n, lo + max_set_size);
-      out.assign(perm.begin() + lo, perm.begin() + hi);
+      out.insert(out.end(), perm.begin() + lo, perm.begin() + hi);
     } else {
       Rng sub = SetRng(seed, sid);
       const uint32_t size =
@@ -125,7 +192,8 @@ std::optional<StreamGenResult> StreamSparse(uint32_t num_elements,
       sub.SampleWithoutReplacementInto(n, std::min(size, n), out);
     }
   };
-  return EmitAll(order, blocks, fill, sink, error);
+  return EmitAll(order, blocks, std::min(n, max_set_size), fill, sink,
+                 error);
 }
 
 std::optional<StreamGenResult> StreamZipf(uint32_t num_elements,
@@ -163,7 +231,7 @@ std::optional<StreamGenResult> StreamZipf(uint32_t num_elements,
     if (sid < blocks) {
       const uint32_t lo = sid * max_set_size;
       const uint32_t hi = std::min(n, lo + max_set_size);
-      out.assign(perm.begin() + lo, perm.begin() + hi);
+      out.insert(out.end(), perm.begin() + lo, perm.begin() + hi);
     } else {
       Rng sub = SetRng(seed, sid);
       const double u = sub.UniformDouble();
@@ -173,7 +241,7 @@ std::optional<StreamGenResult> StreamZipf(uint32_t num_elements,
       for (uint32_t i = 0; i < size; ++i) out.push_back(draw_element(sub));
     }
   };
-  return EmitAll(order, blocks, fill, sink, error);
+  return EmitAll(order, blocks, max_set_size, fill, sink, error);
 }
 
 }  // namespace streamcover

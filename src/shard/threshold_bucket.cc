@@ -72,6 +72,9 @@ void ThresholdBucketEngine::OnSet(const SetView& set) {
   bool stored = false;
   bool any_died = false;
   for (Bucket& bucket : buckets_) {
+    // A gain is at most |S| and the ladder ascends in tau, so neither
+    // this bucket nor any after it can take the set.
+    if (bucket.tau > set.size()) break;
     if (!bucket.live) continue;
     counters_.work_items += set.size();
     const uint64_t gain = CountUncovered(set, bucket.uncovered);

@@ -1,11 +1,17 @@
 #include "util/rng.h"
 
-#include <unordered_set>
+#include <algorithm>
+#include <bit>
 
 #include "util/check.h"
 
 namespace streamcover {
 namespace {
+
+// Samples of at most this many values test membership by a scan.
+constexpr uint32_t kScanSampleLimit = 32;
+// Table slots kept on the stack (16 KiB); larger samples allocate.
+constexpr uint64_t kStackTableSlots = 4096;
 
 inline uint64_t SplitMix64(uint64_t& x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -80,17 +86,57 @@ std::vector<uint32_t> Rng::SampleWithoutReplacement(uint32_t n, uint32_t k) {
 void Rng::SampleWithoutReplacementInto(uint32_t n, uint32_t k,
                                        std::vector<uint32_t>& out) {
   SC_CHECK_LE(k, n);
-  // Robert Floyd's algorithm: k iterations, expected O(k) hash ops.
-  std::unordered_set<uint32_t> chosen;
-  chosen.reserve(k * 2);
-  for (uint32_t j = n - k; j < n; ++j) {
-    uint32_t t = static_cast<uint32_t>(Uniform(j + 1));
-    if (chosen.insert(t).second) {
-      out.push_back(t);
-    } else {
-      chosen.insert(j);
-      out.push_back(j);
+  // Robert Floyd's algorithm: for j = n-k .. n-1 draw t from [0, j] and
+  // keep t, or j if t was kept before. Every value kept earlier is < j,
+  // so j itself is always new and only t needs a membership test.
+  const size_t base = out.size();
+  out.resize(base + k);
+  uint32_t* const kept = out.data() + base;
+  if (k <= kScanSampleLimit) {
+    // Few values: scanning the ones kept so far beats any table.
+    for (uint32_t i = 0; i < k; ++i) {
+      const uint32_t j = n - k + i;
+      const uint32_t t = static_cast<uint32_t>(Uniform(j + 1));
+      bool seen = false;
+      for (uint32_t p = 0; p < i; ++p) seen |= kept[p] == t;
+      kept[i] = seen ? j : t;
     }
+    return;
+  }
+  // Open addressing with linear probing, at most half full. Values are
+  // < n <= UINT32_MAX, so UINT32_MAX marks an empty slot.
+  constexpr uint32_t kEmpty = UINT32_MAX;
+  const int bits = std::bit_width(2 * uint64_t{k} - 1);
+  const uint64_t mask = (uint64_t{1} << bits) - 1;
+  // Only the first mask + 1 slots are used, and the fill below sets
+  // them all; filling the whole array would cost small samples 16 KiB.
+  uint32_t stack_table[kStackTableSlots];
+  std::vector<uint32_t> heap_table;
+  uint32_t* table = stack_table;
+  if (mask >= kStackTableSlots) {
+    heap_table.resize(mask + 1);
+    table = heap_table.data();
+  }
+  std::fill(table, table + mask + 1, kEmpty);
+  // Fibonacci hashing: the top `bits` bits of t times 2^64/phi.
+  auto slot_of = [&](uint32_t v) {
+    uint64_t slot = (v * 0x9e3779b97f4a7c15ULL) >> (64 - bits);
+    while (table[slot] != kEmpty && table[slot] != v) {
+      slot = (slot + 1) & mask;
+    }
+    return slot;
+  };
+  for (uint32_t i = 0; i < k; ++i) {
+    const uint32_t j = n - k + i;
+    const uint32_t t = static_cast<uint32_t>(Uniform(j + 1));
+    uint64_t slot = slot_of(t);
+    if (table[slot] == t) {
+      kept[i] = j;
+      slot = slot_of(j);
+    } else {
+      kept[i] = t;
+    }
+    table[slot] = kept[i];
   }
 }
 

@@ -39,11 +39,16 @@ class Rng {
   bool Bernoulli(double p);
 
   /// Samples `k` distinct values from [0, n) using Robert Floyd's
-  /// algorithm; output is in no particular order. Requires k <= n.
+  /// algorithm: k draws Uniform(j + 1) for j = n-k .. n-1, keeping the
+  /// draw or, if it was kept before, j. The output is in draw order,
+  /// not sorted. Requires k <= n.
   std::vector<uint32_t> SampleWithoutReplacement(uint32_t n, uint32_t k);
 
-  /// Same draw sequence, appended to `out` — the allocation-free path
-  /// generators use to stage sets into a shared CSR buffer.
+  /// Same draws and order, appended to `out` — the path generators use
+  /// to stage sets into a shared CSR buffer. Membership is tested by a
+  /// scan of the values kept so far for k <= 32 and by a flat
+  /// open-addressing table otherwise (on the stack up to k = 2048), so
+  /// no call allocates per element.
   void SampleWithoutReplacementInto(uint32_t n, uint32_t k,
                                     std::vector<uint32_t>& out);
 

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -155,6 +157,45 @@ TEST(BinaryIoTest, WriterNormalizesUnsortedDuplicatedSets) {
   EXPECT_EQ(std::vector<uint32_t>(got.begin(), got.end()),
             (std::vector<uint32_t>{0, 3, 65}));
   EXPECT_EQ(loaded->SetSize(1), 0u);
+}
+
+TEST(BinaryIoTest, WriterBuffersSetsLargerThanItsBufferAcrossFlushes) {
+  // Sets whose worst-case encoding exceeds the 1 MiB encode buffer, and
+  // a body several buffers long, interleaved with small sorted and
+  // unsorted sets: every set, nnz and the body checksum must survive
+  // the buffer's growth and its flushes.
+  Rng rng(29);
+  const uint32_t n = uint32_t{1} << 30;
+  std::vector<std::vector<uint32_t>> sets;
+  for (int i = 0; i < 3; ++i) {
+    sets.push_back(rng.SampleWithoutReplacement(n, 300000));
+    sets.push_back({7, 3, 7});
+    sets.push_back({});
+    sets.push_back({1, 2, n - 1});
+  }
+  const std::string path = TempPath("large_sets.bin");
+  std::string error;
+  auto writer = BinarySetWriter::Create(path, n, &error);
+  ASSERT_TRUE(writer.has_value()) << error;
+  uint64_t nnz = 0;
+  for (std::vector<uint32_t>& set : sets) {
+    ASSERT_TRUE(writer->AddSet(set)) << writer->error();
+    std::sort(set.begin(), set.end());
+    set.erase(std::unique(set.begin(), set.end()), set.end());
+    nnz += set.size();
+  }
+  ASSERT_TRUE(writer->Finish(&error)) << error;
+  EXPECT_EQ(writer->nnz(), nnz);
+  EXPECT_GT(ReadFileBytes(path).size(), size_t{1} << 20);
+
+  auto loaded = LoadBinarySetSystemFromFile(path, &error);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  ASSERT_EQ(loaded->num_sets(), sets.size());
+  for (uint32_t s = 0; s < loaded->num_sets(); ++s) {
+    auto got = loaded->GetSet(s);
+    EXPECT_EQ(std::vector<uint32_t>(got.begin(), got.end()), sets[s]) << s;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(BinaryIoTest, WriterRejectsOutOfRangeElements) {

@@ -141,6 +141,38 @@ TEST(SolverRegistryTest, OutOfRangeDeltaFailsCleanly) {
   }
 }
 
+TEST(SolverRegistryTest, IterStopsOnceNoIterationCanCover) {
+  // Element 2 is in no set. Once an iteration has sampled the whole
+  // residual, whatever it left uncovered is in no set, so the guess
+  // stops instead of running all 2*ceil(1/delta) passes. At delta =
+  // 0.001 the first sample of guess k = 1 holds 2 of the 3 elements, so
+  // that guess stops after its second iteration. No guess succeeds
+  // either way; the cover, success and space are what the full runs
+  // gave (4 passes at delta = 0.5, 2,000 at delta = 0.001).
+  SetSystem::Builder builder(3);
+  builder.AddSet(std::vector<uint32_t>{0, 1});
+  builder.AddSet(std::vector<uint32_t>{1});
+  SetSystem system = std::move(builder).Build();
+  Instance instance = Instance::WrapSystem(&system, {"uncoverable", ""});
+  struct Case {
+    double delta;
+    uint64_t passes;
+    uint64_t space_words;
+  };
+  for (const Case& c : {Case{0.5, 2, 11}, Case{0.001, 4, 6}}) {
+    SCOPED_TRACE("delta=" + std::to_string(c.delta));
+    RunOptions options;
+    options.delta = c.delta;
+    RunResult r = RunSolver("iter", instance, options);
+    ASSERT_TRUE(r.ok()) << r.error;
+    EXPECT_FALSE(r.success);
+    EXPECT_TRUE(r.cover.set_ids.empty());
+    EXPECT_EQ(r.passes, c.passes);
+    EXPECT_EQ(r.physical_scans, c.passes);
+    EXPECT_EQ(r.space_words, c.space_words);
+  }
+}
+
 TEST(SolverRegistryTest, GeometricSolverCoversPlantedGeomInstance) {
   Rng rng(5);
   GeomPlantedOptions geom_options;

@@ -61,19 +61,24 @@
 //       Exercises generate -> stats -> solve -> sweep (abstract and
 //       geometric) in a temp dir (used by ctest).
 //
-// Exit code 0 on success; 1 on usage or runtime errors.
+// Exit code 0 on success; 1 on usage or runtime errors. A flag the
+// command does not read (`--dleta`, a stale `--kernel`) or a stray
+// positional argument is a usage error, reported before anything runs.
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <iostream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -115,17 +120,27 @@ struct Args {
   std::map<std::string, std::string> flags;
   /// Malformed numeric flag values, collected as the command reads its
   /// flags (atoll/atof used to swallow these silently: `--n abc` became
-  /// 0 and `--n 20q0` became 20). Commands check BadFlags() after
-  /// reading and before acting.
+  /// 0 and `--n 20q0` became 20), and stray positional arguments.
+  /// Commands check BadFlags() after reading every flag they take and
+  /// before acting.
   mutable std::vector<std::string> parse_errors;
+  /// Every key the command asked about, present or not. BadFlags()
+  /// reports the flags outside it: a misspelled `--dleta` or a stale
+  /// `--kernel` must not run the command without it.
+  mutable std::set<std::string> read;
 
-  bool Has(const std::string& key) const { return flags.count(key) > 0; }
+  bool Has(const std::string& key) const {
+    read.insert(key);
+    return flags.count(key) > 0;
+  }
   std::string Get(const std::string& key,
                   const std::string& fallback = "") const {
+    read.insert(key);
     auto it = flags.find(key);
     return it == flags.end() ? fallback : it->second;
   }
   int64_t GetInt(const std::string& key, int64_t fallback) const {
+    read.insert(key);
     auto it = flags.find(key);
     if (it == flags.end()) return fallback;
     errno = 0;
@@ -142,6 +157,7 @@ struct Args {
     return v;
   }
   double GetDouble(const std::string& key, double fallback) const {
+    read.insert(key);
     auto it = flags.find(key);
     if (it == flags.end()) return fallback;
     errno = 0;
@@ -156,12 +172,20 @@ struct Args {
     return v;
   }
 
-  /// Prints every malformed flag seen so far to stderr; true if any.
+  /// Prints every malformed flag seen so far and every flag the command
+  /// has not read to stderr; true if any.
   bool BadFlags() const {
+    bool bad = !parse_errors.empty();
     for (const std::string& e : parse_errors) {
       std::fprintf(stderr, "%s\n", e.c_str());
     }
-    return !parse_errors.empty();
+    for (const auto& [key, value] : flags) {
+      if (read.count(key) == 0) {
+        std::fprintf(stderr, "unknown flag --%s\n", key.c_str());
+        bad = true;
+      }
+    }
+    return bad;
   }
 };
 
@@ -176,6 +200,8 @@ Args ParseArgs(int argc, char** argv, int first) {
       } else {
         args.flags[key] = "1";  // boolean flag
       }
+    } else {
+      args.parse_errors.push_back("unexpected argument '" + token + "'");
     }
   }
   return args;
@@ -268,6 +294,11 @@ int CmdGenerateGeom(const Args& args) {
 
 int CmdSolveGeom(const Args& args) {
   const std::string in = args.Get("in");
+  RunOptions options;
+  options.delta = args.GetDouble("delta", 0.25);
+  options.sample_constant = args.GetDouble("c", options.sample_constant);
+  options.seed = static_cast<uint64_t>(args.GetInt("seed", 1));
+  if (args.BadFlags()) return 1;
   if (in.empty()) return Usage();
   std::string error;
   auto dataset = LoadGeomDatasetFromFile(in, &error);
@@ -280,12 +311,6 @@ int CmdSolveGeom(const Args& args) {
   geom.shapes = std::move(dataset->shapes);
   Instance instance =
       Instance::FromGeometry(std::move(geom), {in, "file:" + in});
-
-  RunOptions options;
-  options.delta = args.GetDouble("delta", 0.25);
-  options.sample_constant = args.GetDouble("c", options.sample_constant);
-  options.seed = static_cast<uint64_t>(args.GetInt("seed", 1));
-  if (args.BadFlags()) return 1;
   RunResult r = RunSolver("geom", instance, options);
   if (!r.ok()) {
     std::fprintf(stderr, "%s\n", r.error.c_str());
@@ -350,7 +375,8 @@ int CmdGenerate(const Args& args) {
 }
 
 /// Streams one set to a text-format file. Normalizes exactly like
-/// BinarySetWriter so the two formats carry identical logical instances.
+/// BinarySetWriter so the two formats carry identical logical instances,
+/// and like it skips the normalizing copy for a strictly increasing set.
 class TextSetSink {
  public:
   TextSetSink(const std::string& path, uint32_t num_elements,
@@ -360,14 +386,28 @@ class TextSetSink {
   }
 
   bool Add(std::span<const uint32_t> elements) {
-    scratch_.assign(elements.begin(), elements.end());
-    std::sort(scratch_.begin(), scratch_.end());
-    scratch_.erase(std::unique(scratch_.begin(), scratch_.end()),
-                   scratch_.end());
-    os_ << scratch_.size();
-    for (uint32_t e : scratch_) os_ << " " << e;
-    os_ << "\n";
-    nnz_ += scratch_.size();
+    if (std::adjacent_find(elements.begin(), elements.end(),
+                           std::greater_equal<uint32_t>()) !=
+        elements.end()) {
+      scratch_.assign(elements.begin(), elements.end());
+      std::sort(scratch_.begin(), scratch_.end());
+      scratch_.erase(std::unique(scratch_.begin(), scratch_.end()),
+                     scratch_.end());
+      elements = scratch_;
+    }
+    // One line per set: the size, then " id" per element; a decimal
+    // uint64 takes at most 20 characters.
+    const size_t worst = 21 * (elements.size() + 1) + 1;
+    if (line_.size() < worst) line_.resize(worst);
+    char* out = line_.data();
+    out = std::to_chars(out, out + 20, elements.size()).ptr;
+    for (uint32_t e : elements) {
+      *out++ = ' ';
+      out = std::to_chars(out, out + 10, e).ptr;
+    }
+    *out++ = '\n';
+    os_.write(line_.data(), out - line_.data());
+    nnz_ += elements.size();
     return os_.good();
   }
 
@@ -377,6 +417,7 @@ class TextSetSink {
  private:
   std::ofstream os_;
   std::vector<uint32_t> scratch_;
+  std::vector<char> line_;
   uint64_t nnz_ = 0;
 };
 
@@ -547,6 +588,7 @@ int CmdGenerateDisk(const Args& args) {
 
 int CmdStats(const Args& args) {
   const std::string in = args.Get("in");
+  if (args.BadFlags()) return 1;
   if (in.empty()) return Usage();
   std::string error;
   auto system = LoadAnySetSystemFromFile(in, &error);
@@ -680,42 +722,49 @@ bool ReadThresholdPasses(const Args& args, uint32_t* passes) {
   return true;
 }
 
-int SolveOnInstance(Instance& instance, const Args& args) {
-  const std::string algo = CanonicalAlgoName(args.Get("algo", "iter"));
-
-  RunOptions options;
-  options.delta = args.GetDouble("delta", 0.5);
-  options.sample_constant = args.GetDouble("c", options.sample_constant);
-  options.seed = static_cast<uint64_t>(args.GetInt("seed", 1));
-  options.coverage_fraction = args.GetDouble("coverage", 1.0);
-  options.max_cover_budget = static_cast<uint32_t>(args.GetInt("budget", 0));
+/// Reads solve's run flags into *algo and *options, after the flags
+/// CmdSolve read itself, and checks them all. Prints why and returns
+/// false on a malformed, unknown or out-of-range flag.
+bool ReadSolveOptions(const Args& args, std::string* algo,
+                      RunOptions* options) {
+  *algo = CanonicalAlgoName(args.Get("algo", "iter"));
+  options->delta = args.GetDouble("delta", 0.5);
+  options->sample_constant = args.GetDouble("c", options->sample_constant);
+  options->seed = static_cast<uint64_t>(args.GetInt("seed", 1));
+  options->coverage_fraction = args.GetDouble("coverage", 1.0);
+  options->max_cover_budget =
+      static_cast<uint32_t>(args.GetInt("budget", 0));
   const int64_t threads = args.GetInt("threads", 1);
   const int64_t scan_threads = args.GetInt("scan-threads", 1);
   const int64_t shards = args.GetInt("shards", 1);
-  options.early_exit = args.Has("early-exit");
-  if (!ReadThresholdPasses(args, &options.threshold_passes)) return 1;
-  if (args.BadFlags()) return 1;
-  if (!CheckThreads(threads)) return 1;
-  options.threads = static_cast<uint32_t>(threads);
+  options->early_exit = args.Has("early-exit");
+  if (!ReadThresholdPasses(args, &options->threshold_passes)) return false;
+  if (args.BadFlags()) return false;
+  if (!CheckThreads(threads)) return false;
+  options->threads = static_cast<uint32_t>(threads);
   if (scan_threads < 1) {
     std::fprintf(stderr, "--scan-threads must be >= 1, got %lld\n",
                  static_cast<long long>(scan_threads));
-    return 1;
+    return false;
   }
-  options.scan_threads = static_cast<uint32_t>(scan_threads);
+  options->scan_threads = static_cast<uint32_t>(scan_threads);
   if (shards < 1) {
     std::fprintf(stderr, "--shards must be >= 1, got %lld\n",
                  static_cast<long long>(shards));
-    return 1;
+    return false;
   }
-  options.shards = static_cast<uint32_t>(shards);
-  if (!(options.coverage_fraction > 0.0 &&
-        options.coverage_fraction <= 1.0)) {
+  options->shards = static_cast<uint32_t>(shards);
+  if (!(options->coverage_fraction > 0.0 &&
+        options->coverage_fraction <= 1.0)) {
     std::fprintf(stderr, "--coverage must be in (0, 1], got %g\n",
-                 options.coverage_fraction);
-    return 1;
+                 options->coverage_fraction);
+    return false;
   }
+  return true;
+}
 
+int SolveOnInstance(Instance& instance, const std::string& algo,
+                    const RunOptions& options) {
   RunResult r = RunSolver(algo, instance, options);
   if (!r.ok()) {
     std::fprintf(stderr, "%s\n", r.error.c_str());
@@ -813,6 +862,7 @@ int CmdSweep(const Args& args) {
     plan.seeds.push_back(static_cast<uint64_t>(seed));
   }
   plan.trials = static_cast<uint32_t>(num_trials);
+  const std::string json_path = args.Get("json");
   if (args.BadFlags()) return 1;
 
   // SIGINT/SIGTERM stop the grid at the next run boundary: the partial
@@ -840,7 +890,6 @@ int CmdSweep(const Args& args) {
     }
   }
 
-  const std::string json_path = args.Get("json");
   if (!json_path.empty()) {
     std::string error;
     if (!report.WriteJsonFile(json_path, &error)) {
@@ -855,23 +904,28 @@ int CmdSweep(const Args& args) {
 int CmdSolve(const Args& args) {
   const std::string in = args.Get("in");
   const std::string workload = args.Get("workload");
-  if (!workload.empty() && (!in.empty() || args.Has("from-disk"))) {
+  const bool from_disk = args.Has("from-disk");
+  if (!workload.empty() && (!in.empty() || from_disk)) {
     std::fprintf(stderr,
                  "--workload conflicts with --in/--from-disk; pick one "
                  "input source\n");
     return 1;
   }
+  WorkloadParams params;
   if (!workload.empty()) {
-    // Solve directly on a registered workload family — no file needed.
-    // Unknown names fail with the full list of registered workloads.
-    WorkloadParams params;
     params.n = static_cast<uint32_t>(args.GetInt("n", 1000));
     params.m = static_cast<uint32_t>(args.GetInt("m", 2000));
     params.k = static_cast<uint32_t>(args.GetInt("k", 10));
     params.max_set_size = static_cast<uint32_t>(args.GetInt("s", 32));
     params.seed = static_cast<uint64_t>(args.GetInt("seed", 1));
     params.path = args.Get("path");
-    if (args.BadFlags()) return 1;
+  }
+  std::string algo;
+  RunOptions options;
+  if (!ReadSolveOptions(args, &algo, &options)) return 1;
+  if (!workload.empty()) {
+    // Solve directly on a registered workload family — no file needed.
+    // Unknown names fail with the full list of registered workloads.
     std::string error;
     std::optional<Instance> instance =
         MakeWorkload(workload, params, &error);
@@ -879,11 +933,11 @@ int CmdSolve(const Args& args) {
       std::fprintf(stderr, "%s\n", error.c_str());
       return 1;
     }
-    return SolveOnInstance(*instance, args);
+    return SolveOnInstance(*instance, algo, options);
   }
   if (in.empty()) return Usage();
   std::string error;
-  if (args.Has("from-disk")) {
+  if (from_disk) {
     // Keep the repository on disk, re-parsed on every pass — the
     // model's "read-only repository", literally.
     std::optional<Instance> instance = Instance::FromFile(in, &error);
@@ -891,7 +945,7 @@ int CmdSolve(const Args& args) {
       std::fprintf(stderr, "open failed: %s\n", error.c_str());
       return 1;
     }
-    return SolveOnInstance(*instance, args);
+    return SolveOnInstance(*instance, algo, options);
   }
   auto system = LoadAnySetSystemFromFile(in, &error);
   if (!system) {
@@ -900,7 +954,7 @@ int CmdSolve(const Args& args) {
   }
   Instance instance = Instance::FromSystem(std::move(*system),
                                            {in, "file:" + in});
-  return SolveOnInstance(instance, args);
+  return SolveOnInstance(instance, algo, options);
 }
 
 int CmdSelfTest() {
@@ -982,6 +1036,29 @@ int CmdSelfTest() {
     if (CmdSolve(solve) != 1) return 1;
     solve.flags = {{"in", path}, {"algo", "iter"}, {"coverage", "0"}};
     if (CmdSolve(solve) != 1) return 1;
+  }
+  {
+    // A flag no command reads is an error, not a silent default: the
+    // misspelled --dleta and --thread, and the stale --kernel, exit 1
+    // before anything runs or is written. Fresh Args per case.
+    for (const char* flag : {"dleta", "thread", "kernel"}) {
+      Args solve;
+      solve.flags = {{"in", path}, {"algo", "iter"}, {flag, "1"}};
+      if (CmdSolve(solve) != 1) return 1;
+    }
+    const std::string unwritten = dir + "/streamcover_cli_selftest_bad.bin";
+    std::remove(unwritten.c_str());
+    Args gen;
+    gen.flags = {{"type", "sparse"}, {"seeed", "3"}, {"out", unwritten}};
+    if (CmdGenerateDisk(gen) != 1) return 1;
+    if (std::ifstream(unwritten).good()) return 1;
+    Args sweep;
+    sweep.flags = {{"solvers", "iter"}, {"workloads", "planted"},
+                   {"jsn", unwritten}};
+    if (CmdSweep(sweep) != 1) return 1;
+    Args stats;
+    stats.flags = {{"in", path}, {"verbose", "1"}};
+    if (CmdStats(stats) != 1) return 1;
   }
   {
     // A pass count below 1 fails at the CLI boundary instead of aborting
@@ -1194,10 +1271,10 @@ int main(int argc, char** argv) {
   Args args = ParseArgs(argc, argv, 2);
   if (cmd == "list-solvers" || cmd == "--list_solvers" ||
       cmd == "--list-solvers") {
-    return CmdListSolvers();
+    return args.BadFlags() ? 1 : CmdListSolvers();
   }
   if (cmd == "list-workloads" || cmd == "--list-workloads") {
-    return CmdListWorkloads();
+    return args.BadFlags() ? 1 : CmdListWorkloads();
   }
   if (cmd == "sweep") return CmdSweep(args);
   if (cmd == "generate") return CmdGenerate(args);
@@ -1207,6 +1284,6 @@ int main(int argc, char** argv) {
   if (cmd == "stats") return CmdStats(args);
   if (cmd == "solve") return CmdSolve(args);
   if (cmd == "solve-geom") return CmdSolveGeom(args);
-  if (cmd == "selftest") return CmdSelfTest();
+  if (cmd == "selftest") return args.BadFlags() ? 1 : CmdSelfTest();
   return Usage();
 }
