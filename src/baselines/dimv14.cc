@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "offline/greedy.h"
+#include "setsystem/cover.h"
 #include "stream/sampling.h"
 #include "util/check.h"
 #include "util/mathutil.h"
@@ -55,7 +56,7 @@ void Dimv14Consumer::Advance() {
     Frame& frame = stack_.back();
     switch (frame.stage) {
       case Stage::kEnter: {
-        if (frame.depth > options_->max_depth) {
+        if (frame.depth > kMaxDepth) {
           failed_ = true;
           break;
         }
@@ -159,6 +160,7 @@ void Dimv14Consumer::OnPassEnd() {
       SetSystem sub = std::move(*sub_builder_).Build();
       sub_builder_.reset();
       OfflineResult offline_result = offline_->Solve(sub);
+      if (!IsFullCover(sub, offline_result.cover)) left_uncovered_ = true;
       for (uint32_t sub_id : offline_result.cover.set_ids) {
         sol_.set_ids.push_back(original_ids_[sub_id]);
         tracker_.Charge(1);
@@ -167,8 +169,8 @@ void Dimv14Consumer::OnPassEnd() {
       tracker_.Release(2 * base_target_elems_.size());
       for (uint32_t e : base_target_elems_) reindex_[e] = UINT32_MAX;
       // The base case always finishes its frame: covered elements are
-      // covered, uncoverable leftovers are dropped — both die with the
-      // popped frame's residual bitset.
+      // covered, uncoverable leftovers are dropped (and fail the run) —
+      // both die with the popped frame's residual bitset.
       base_targets_ = nullptr;
       stack_.pop_back();
       Advance();
@@ -189,9 +191,7 @@ BaselineResult Dimv14Consumer::TakeResult(uint64_t logical_passes) {
   BaselineResult result;
   sol_.Deduplicate();
   result.cover = std::move(sol_);
-  // The base case clears uncoverable elements, so success means
-  // "covered all coverable elements".
-  result.success = !failed_;
+  result.success = !failed_ && !left_uncovered_;
   result.passes = logical_passes;
   result.physical_scans = logical_passes;
   result.space_words = tracker_.peak_words();

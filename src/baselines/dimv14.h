@@ -45,7 +45,6 @@ struct Dimv14Options {
   double sample_constant = 0.5;   ///< c in the base-case size formula
   const OfflineSolver* offline = nullptr;  ///< defaults to greedy
   uint64_t seed = 1;
-  uint32_t max_depth = 64;        ///< recursion safety valve
 };
 
 /// The DIMV14 recursion as a pass-driven state machine: each frame of
@@ -62,8 +61,12 @@ class Dimv14Consumer final : public ScanConsumer {
   void OnPassEnd() override;
   bool done() const override { return phase_ == Phase::kDone; }
 
-  /// Finishes accounting; call once the consumer is done.
+  /// Finishes accounting; call once the consumer is done. Success means
+  /// no frame passed kMaxDepth and every base case covered its targets.
   BaselineResult TakeResult(uint64_t logical_passes);
+
+  /// Recursion safety valve: a frame deeper than this fails the run.
+  static constexpr uint32_t kMaxDepth = 64;
 
  private:
   enum class Phase { kBasePass, kUpdatePass, kDone };
@@ -93,6 +96,7 @@ class Dimv14Consumer final : public ScanConsumer {
   std::vector<Frame> stack_;
   Cover sol_;
   bool failed_ = false;
+  bool left_uncovered_ = false;  ///< some base case missed a target
   Phase phase_ = Phase::kDone;
 
   // Base-pass scratch (one base pass active at a time). The masked

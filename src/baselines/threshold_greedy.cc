@@ -105,11 +105,6 @@ void ThresholdSieveConsumer::OnSet(const SetView& set) {
     sol_.set_ids.push_back(set.id);
     tracker_.Charge(1);
     for (uint32_t e : residual_scratch_) uncovered_.Reset(e);
-    if (delta_scheduler_ != nullptr &&
-        delta_scheduler_->has_delta_listeners()) {
-      pass_delta_.insert(pass_delta_.end(), residual_scratch_.begin(),
-                         residual_scratch_.end());
-    }
     remaining_ -= gain;
   }
 }
@@ -125,12 +120,6 @@ ScanFilter ThresholdSieveConsumer::needs() const {
               : static_cast<uint32_t>(min_size)};
 }
 
-void ThresholdSieveConsumer::FlushPassDelta() {
-  if (delta_scheduler_ == nullptr) return;
-  delta_scheduler_->PublishCoverageDelta(pass_delta_);
-  pass_delta_.clear();
-}
-
 void ThresholdSieveConsumer::FinishFromBackups() {
   // Finish from the per-element backups — no extra pass. For the
   // epsilon-Partial variant, stop as soon as the allowance is met.
@@ -142,10 +131,6 @@ void ThresholdSieveConsumer::FinishFromBackups() {
     sol_.set_ids.push_back(backup_[e]);
     tracker_.Charge(1);
     uncovered_.Reset(e);
-    if (delta_scheduler_ != nullptr &&
-        delta_scheduler_->has_delta_listeners()) {
-      pass_delta_.push_back(e);
-    }
     --remaining_;
   }
   sol_.Deduplicate();
@@ -162,11 +147,9 @@ void ThresholdSieveConsumer::OnPassEnd() {
     const double exponent = static_cast<double>(p_ + 1 - pass_index_) /
                             static_cast<double>(p_ + 1);
     threshold_ = std::pow(dn_, exponent);
-    FlushPassDelta();  // pass end: hand this pass's coverage on
     return;
   }
   FinishFromBackups();
-  FlushPassDelta();
   done_ = true;
 }
 
@@ -184,9 +167,6 @@ BaselineResult PolynomialThresholdCover(PassScheduler& scheduler, uint32_t p,
                                         double coverage_fraction) {
   ThresholdSieveConsumer consumer(scheduler.stream().num_elements(), p,
                                   coverage_fraction);
-  // Registered GainTrackers (scheduler delta bus) see every element the
-  // sieve covers, batched per pass.
-  consumer.PublishDeltasTo(&scheduler);
   PassScheduler::SoloRun run = scheduler.DriveToCompletion(consumer);
   BaselineResult result = consumer.TakeResult(run.logical_passes);
   result.physical_scans = run.physical_scans;

@@ -84,17 +84,8 @@ class ThresholdSieveConsumer final : public ScanConsumer {
   /// Finishes accounting; call once the consumer is done.
   BaselineResult TakeResult(uint64_t logical_passes);
 
-  /// Wires the sieve to `scheduler`'s coverage-delta bus: the elements
-  /// each pass (and the backup finish) newly covers are published at
-  /// OnPassEnd, so registered GainTrackers stay exact without a rescan.
-  /// Must outlive the consumer's last pass.
-  void PublishDeltasTo(PassScheduler* scheduler) {
-    delta_scheduler_ = scheduler;
-  }
-
  private:
   void FinishFromBackups();
-  void FlushPassDelta();
 
   const uint32_t p_;
   const double dn_;
@@ -107,11 +98,6 @@ class ThresholdSieveConsumer final : public ScanConsumer {
   /// sets for backups once it reaches 0.
   uint32_t missing_backups_ = 0;
   std::vector<uint32_t> residual_scratch_;  ///< per-set transient, not charged
-  /// Elements covered during the current pass, published (and cleared)
-  /// at OnPassEnd when a delta bus is attached. Filled only from this
-  /// consumer's own dispatches, so the worker-thread rule holds.
-  std::vector<uint32_t> pass_delta_;
-  PassScheduler* delta_scheduler_ = nullptr;
   uint64_t remaining_ = 0;
   uint32_t pass_index_ = 1;
   double threshold_ = 0.0;

@@ -21,11 +21,10 @@ namespace {
 
 // One guess of the optimal cover size, expressed as a ScanConsumer:
 // the 1/delta iterations of Figure 1.3 become a state machine whose
-// passes (Size-Test pass, recompute pass, optional final sweep) are fed
-// by whatever physical scan the PassScheduler is running. All mutable
-// state is owned by the consumer, so any number of guesses can share
-// one scan — serially or on worker threads — with bit-identical
-// results. That includes the pass-end work the scheduler runs on its
+// passes (Size-Test pass, recompute pass) are fed by whatever physical
+// scan the PassScheduler is running. All mutable state is owned by the
+// consumer, so any number of guesses can share one scan — serially or
+// on worker threads — with bit-identical results. That includes the pass-end work the scheduler runs on its
 // workers: the offline solve reads only the guess's own sub-instance,
 // built in place from its projection arena (no copy, no hash map).
 //
@@ -97,15 +96,6 @@ class GuessConsumer final : public ScanConsumer {
         MarkCovered(set, uncovered_);
         return;
       }
-      case Phase::kFinalSweep: {
-        if (uncovered_.None()) return;
-        if (Intersects(set, uncovered_)) {
-          sweep_picks_.push_back(set.id);
-          tracker_.Charge(1);
-          MarkCovered(set, uncovered_);
-        }
-        return;
-      }
       case Phase::kDone:
         return;
     }
@@ -119,9 +109,6 @@ class GuessConsumer final : public ScanConsumer {
         return;
       case Phase::kPass2:
         FinishPass2();
-        return;
-      case Phase::kFinalSweep:
-        FinishFinalSweep();
         return;
       case Phase::kDone:
         return;
@@ -199,7 +186,7 @@ class GuessConsumer final : public ScanConsumer {
   }
 
  private:
-  enum class Phase { kPass1, kPass2, kFinalSweep, kDone };
+  enum class Phase { kPass1, kPass2, kDone };
 
   void TakeSet(uint32_t id) {
     sol_.set_ids.push_back(id);
@@ -223,14 +210,6 @@ class GuessConsumer final : public ScanConsumer {
     diag_ = IterSetCoverIterationDiag{};
     diag_.iteration = static_cast<uint32_t>(iter_ + 1);
     diag_.uncovered_before = uncovered_count_;
-
-    // Section 4.2 refinement: when <= k stragglers remain, one sweep
-    // taking any covering set per straggler finishes the job.
-    if (options_->final_sweep && uncovered_count_ <= k_) {
-      sweep_picks_.clear();
-      phase_ = Phase::kFinalSweep;
-      return;
-    }
 
     // --- Sample S from the residual (Lemma 2.5 size). ---
     const uint64_t sample_size = IterSetCoverSampleSize(
@@ -405,14 +384,6 @@ class GuessConsumer final : public ScanConsumer {
     }
   }
 
-  void FinishFinalSweep() {
-    for (uint32_t id : sweep_picks_) TakeSet(id);
-    diag_.heavy_picked = sweep_picks_.size();
-    diag_.uncovered_after = uncovered_.Count();
-    diagnostics_.push_back(diag_);
-    Finalize();
-  }
-
   void Finalize() {
     success_ = uncovered_.Count() <= allowed_uncovered_;
     tracker_.Release(uncovered_.WordCount());
@@ -466,7 +437,6 @@ class GuessConsumer final : public ScanConsumer {
   std::vector<uint32_t> heavy_picks_;
   ProjectionStore projections_;
   DynamicBitset picked_this_iter_;
-  std::vector<uint32_t> sweep_picks_;
 };
 
 // The winner rule of the sequential implementation — ascending k, a

@@ -61,10 +61,10 @@
 // Filtered scans: a guess in its second pass declares to the scheduler
 // (ScanConsumer::needs) only the sets it picked this iteration, since
 // its OnSet returns on every other set; a done guess declares none, and
-// the Size-Test pass and the final sweep read every set. When every
-// live guess is in its second pass, a binary file decodes only the
-// union of their picks (stream/pipelined_scan.h). Each guess still sees
-// every set it acts on, in stream order, so every column is unchanged.
+// the Size-Test pass reads every set. When every live guess is in its
+// second pass, a binary file decodes only the union of their picks
+// (stream/pipelined_scan.h). Each guess still sees every set it acts
+// on, in stream order, so every column is unchanged.
 
 #ifndef STREAMCOVER_CORE_ITER_SET_COVER_H_
 #define STREAMCOVER_CORE_ITER_SET_COVER_H_
@@ -94,10 +94,6 @@ struct IterSetCoverOptions {
   /// Multiplies the Size-Test threshold |S|/k (1.0 = paper). Ablation
   /// knob for Lemma 2.3.
   double size_test_multiplier = 1.0;
-  /// Section 4.2 refinement: once <= k elements remain uncovered, spend
-  /// one final pass taking an arbitrary covering set per element instead
-  /// of more sampling iterations.
-  bool final_sweep = false;
   /// epsilon-Partial Set Cover ([ER14]/[CW16] generalization, §1): stop
   /// once at least this fraction of U is covered; `success` then means
   /// the fraction was reached. 1.0 = classic full cover.

@@ -42,6 +42,13 @@ namespace streamcover {
 
 class Instance;
 
+/// The largest RunOptions::threads, scan_threads and shards that an
+/// entry point accepts: serve refuses a request field above its cap and
+/// the CLI a flag.
+inline constexpr uint32_t kMaxThreads = 256;
+inline constexpr uint32_t kMaxScanThreads = 256;
+inline constexpr uint32_t kMaxShards = 1024;
+
 /// Uniform tuning knobs. Each solver reads the subset it understands and
 /// ignores the rest, so one options struct can drive a whole sweep.
 struct RunOptions {

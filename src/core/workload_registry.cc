@@ -1,7 +1,6 @@
 #include "core/workload_registry.h"
 
 #include <algorithm>
-#include <initializer_list>
 #include <utility>
 
 #include "geometry/geom_generators.h"
@@ -22,51 +21,9 @@ InstanceInfo GeneratedInfo(const char* family, const WorkloadParams& params) {
   return info;
 }
 
-/// One generator precondition, named the way an error message shows it.
-struct Bound {
-  bool holds;
-  std::string text;
-};
-
-// The generators SC_CHECK their preconditions. Each factory checks them
-// first, so an out-of-range spec comes back as std::nullopt with a
-// message naming the first violated bound instead of aborting.
-bool Fits(const char* family, const WorkloadParams& params,
-          std::initializer_list<Bound> bounds, std::string* error) {
-  for (const Bound& bound : bounds) {
-    if (bound.holds) continue;
-    if (error != nullptr) {
-      *error = std::string("workload '") + family + "' (" +
-               params.Describe() + ") out of range: needs " + bound.text;
-    }
-    return false;
-  }
-  return true;
-}
-
-/// The hidden partition of U into blocks of max_set_size that sparse
-/// and zipf plant, one set per block.
-bool PartitionFits(const char* family, const WorkloadParams& params,
-                   std::string* error) {
-  const uint64_t size = params.max_set_size;
-  const uint64_t blocks = size == 0 ? 0 : (params.n + size - 1) / size;
-  return Fits(family, params,
-              {{params.n >= 1, "n >= 1"},
-               {size >= 1, "max_set_size >= 1"},
-               {params.m >= blocks, "m >= ceil(n / max_set_size) = " +
-                                        std::to_string(blocks)}},
-              error);
-}
-
 std::optional<Instance> MakePlanted(const WorkloadParams& params,
                                     std::string* error) {
-  if (!Fits("planted", params,
-            {{params.k >= 1, "k >= 1"},
-             {params.n >= params.k, "n >= k"},
-             {params.m >= params.k, "m >= k"}},
-            error)) {
-    return std::nullopt;
-  }
+  if (!WorkloadParamsFit("planted", params, error)) return std::nullopt;
   Rng rng(params.seed);
   PlantedOptions options;
   options.num_elements = params.n;
@@ -79,7 +36,7 @@ std::optional<Instance> MakePlanted(const WorkloadParams& params,
 
 std::optional<Instance> MakeSparse(const WorkloadParams& params,
                                    std::string* error) {
-  if (!PartitionFits("sparse", params, error)) return std::nullopt;
+  if (!WorkloadParamsFit("sparse", params, error)) return std::nullopt;
   Rng rng(params.seed);
   return Instance::FromPlanted(
       GenerateSparse(params.n, params.m, params.max_set_size, rng),
@@ -88,7 +45,7 @@ std::optional<Instance> MakeSparse(const WorkloadParams& params,
 
 std::optional<Instance> MakeZipf(const WorkloadParams& params,
                                  std::string* error) {
-  if (!PartitionFits("zipf", params, error)) return std::nullopt;
+  if (!WorkloadParamsFit("zipf", params, error)) return std::nullopt;
   Rng rng(params.seed);
   return Instance::FromPlanted(
       GenerateZipf(params.n, params.m, params.alpha, params.max_set_size,
@@ -98,23 +55,14 @@ std::optional<Instance> MakeZipf(const WorkloadParams& params,
 
 std::optional<Instance> MakeAdversarial(const WorkloadParams& params,
                                         std::string* error) {
-  // n = 2^(levels+1) - 2 must stay within the 2^31 element ids the file
-  // formats carry.
-  if (!Fits("adversarial", params,
-            {{params.levels >= 1 && params.levels <= 30,
-              "levels in [1, 30], got " + std::to_string(params.levels)}},
-            error)) {
-    return std::nullopt;
-  }
+  if (!WorkloadParamsFit("adversarial", params, error)) return std::nullopt;
   return Instance::FromPlanted(GenerateGreedyAdversarial(params.levels),
                                GeneratedInfo("adversarial", params));
 }
 
 std::optional<Instance> MakeDisjointBlocks(const WorkloadParams& params,
                                            std::string* error) {
-  if (!Fits("disjoint_blocks", params,
-            {{params.k >= 1, "k >= 1"}, {params.n >= params.k, "n >= k"}},
-            error)) {
+  if (!WorkloadParamsFit("disjoint_blocks", params, error)) {
     return std::nullopt;
   }
   Rng rng(params.seed);
@@ -128,11 +76,7 @@ std::optional<Instance> MakeDisjointBlocks(const WorkloadParams& params,
 std::optional<Instance> MakeGeom(ShapeClass cls, const char* family,
                                  const WorkloadParams& params,
                                  std::string* error) {
-  if (!Fits(family, params,
-            {{params.k >= 1, "k >= 1"}, {params.m >= params.k, "m >= k"}},
-            error)) {
-    return std::nullopt;
-  }
+  if (!WorkloadParamsFit(family, params, error)) return std::nullopt;
   Rng rng(params.seed);
   GeomPlantedOptions options;
   options.num_points = params.n;
@@ -144,9 +88,9 @@ std::optional<Instance> MakeGeom(ShapeClass cls, const char* family,
 }
 
 std::optional<Instance> MakeFigure12(const WorkloadParams& params,
-                                     std::string* /*error*/) {
-  const uint32_t n = std::max(4u, params.n % 2 == 0 ? params.n
-                                                    : params.n + 1);
+                                     std::string* error) {
+  if (!WorkloadParamsFit("figure12", params, error)) return std::nullopt;
+  const uint32_t n = params.n % 2 == 0 ? params.n : params.n + 1;
   return Instance::FromGeometry(GenerateFigure12(n),
                                 GeneratedInfo("figure12", params));
 }
@@ -218,6 +162,53 @@ void RegisterBuiltins(WorkloadRegistry& registry) {
 }
 
 }  // namespace
+
+bool WorkloadParamsFit(std::string_view name, const WorkloadParams& params,
+                       std::string* error) {
+  // One generator precondition, named the way an error message shows it.
+  struct Bound {
+    bool holds;
+    std::string text;
+  };
+  const uint64_t n = params.n, m = params.m, k = params.k;
+  const uint64_t size = params.max_set_size;
+  std::vector<Bound> bounds;
+  if (name == "planted") {
+    bounds = {{k >= 1, "k >= 1"}, {n >= k, "n >= k"}, {m >= k, "m >= k"}};
+  } else if (name == "sparse" || name == "zipf") {
+    // The hidden partition of U into blocks of max_set_size that both
+    // plant, one set per block.
+    const uint64_t blocks = size == 0 ? 0 : (n + size - 1) / size;
+    bounds = {{n >= 1, "n >= 1"},
+              {size >= 1, "max_set_size >= 1"},
+              {m >= blocks, "m >= ceil(n / max_set_size) = " +
+                                std::to_string(blocks)}};
+  } else if (name == "adversarial") {
+    // n = 2^(levels+1) - 2 must stay within the 2^31 element ids the
+    // file formats carry.
+    bounds = {{params.levels >= 1 && params.levels <= 30,
+               "levels in [1, 30], got " + std::to_string(params.levels)}};
+  } else if (name == "disjoint_blocks") {
+    bounds = {{k >= 1, "k >= 1"}, {n >= k, "n >= k"}};
+  } else if (name == "geom_disks" || name == "geom_rects" ||
+             name == "geom_triangles") {
+    bounds = {{k >= 1, "k >= 1"}, {m >= k, "m >= k"}};
+  } else if (name == "figure12") {
+    // Odd n rounds up to even, and the (n/2)^2 + 2 rectangles must fit
+    // 32-bit set ids.
+    bounds = {{n >= 4 && n <= 131070,
+               "n in [4, 131070], got " + std::to_string(n)}};
+  }
+  for (const Bound& bound : bounds) {
+    if (bound.holds) continue;
+    if (error != nullptr) {
+      *error = "workload '" + std::string(name) + "' (" +
+               params.Describe() + ") out of range: needs " + bound.text;
+    }
+    return false;
+  }
+  return true;
+}
 
 std::string WorkloadParams::Describe() const {
   std::string out = "n=" + std::to_string(n) + ",m=" + std::to_string(m) +

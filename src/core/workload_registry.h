@@ -12,7 +12,9 @@
 // Unknown names fail cleanly: MakeWorkload returns std::nullopt with a
 // diagnostic naming the alternatives. So do params outside a
 // generator's preconditions: the factory names the violated bound
-// instead of reaching the generator's SC_CHECK.
+// instead of reaching the generator's SC_CHECK. WorkloadParamsFit is
+// that check on its own, for callers that drive a generator directly
+// (the CLI's generate-disk streams to a file).
 
 #ifndef STREAMCOVER_CORE_WORKLOAD_REGISTRY_H_
 #define STREAMCOVER_CORE_WORKLOAD_REGISTRY_H_
@@ -92,6 +94,13 @@ class WorkloadRegistry {
  private:
   std::map<std::string, Entry, std::less<>> entries_;
 };
+
+/// Checks `params` against the preconditions of the generator behind
+/// the built-in workload `name`; every built-in factory calls it before
+/// it generates. Returns false with a message naming the first violated
+/// bound in *error. A name with no preconditions always fits.
+bool WorkloadParamsFit(std::string_view name, const WorkloadParams& params,
+                       std::string* error = nullptr);
 
 /// Builds the named workload from the global registry. Unknown names and
 /// factory failures (bad params, missing file) return std::nullopt with

@@ -91,22 +91,25 @@ bool ParseServeRequest(const std::string& line, ServeRequest* request,
   req.seed = static_cast<uint64_t>(seed);
   int64_t threads = req.threads;
   if (!ReadInt64(*doc, "threads", &threads, error)) return false;
-  if (threads < 0 || threads > 256) {
-    *error = "field 'threads' out of range [0, 256]";
+  if (threads < 0 || threads > kMaxThreads) {
+    *error = "field 'threads' out of range [0, " +
+             std::to_string(kMaxThreads) + "]";
     return false;
   }
   req.threads = static_cast<uint32_t>(threads);
   int64_t scan_threads = req.scan_threads;
   if (!ReadInt64(*doc, "scan_threads", &scan_threads, error)) return false;
-  if (scan_threads <= 0 || scan_threads > 256) {
-    *error = "field 'scan_threads' out of range [1, 256]";
+  if (scan_threads <= 0 || scan_threads > kMaxScanThreads) {
+    *error = "field 'scan_threads' out of range [1, " +
+             std::to_string(kMaxScanThreads) + "]";
     return false;
   }
   req.scan_threads = static_cast<uint32_t>(scan_threads);
   int64_t shards = req.shards;
   if (!ReadInt64(*doc, "shards", &shards, error)) return false;
-  if (shards <= 0 || shards > 1024) {
-    *error = "field 'shards' out of range [1, 1024]";
+  if (shards <= 0 || shards > kMaxShards) {
+    *error = "field 'shards' out of range [1, " +
+             std::to_string(kMaxShards) + "]";
     return false;
   }
   req.shards = static_cast<uint32_t>(shards);

@@ -57,10 +57,11 @@ struct ServeRequest {
   uint64_t seed = 1;
   double coverage_fraction = 1.0;
   uint32_t threads = 1;
-  /// Decode threads of the binary chunk decoder (range [1, 256]);
-  /// 1 = inline decode, byte-identical results either way.
+  /// Decode threads of the binary chunk decoder (range
+  /// [1, kMaxScanThreads]); 1 = inline decode, byte-identical results
+  /// either way.
   uint32_t scan_threads = 1;
-  /// Shard count for the sharded_greedi family (range [1, 1024]).
+  /// Shard count for the sharded_greedi family (range [1, kMaxShards]).
   uint32_t shards = 1;
 };
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/check.h"
-
 namespace streamcover {
 
 void Cover::Deduplicate() {
@@ -27,50 +25,12 @@ bool IsFullCover(const SetSystem& system, const Cover& cover) {
   return CoveredCount(system, cover) == system.num_elements();
 }
 
-bool CoversTargets(const SetSystem& system, const Cover& cover,
-                   const DynamicBitset& targets) {
-  SC_CHECK_EQ(targets.size(), system.num_elements());
-  return targets.AndNotCountWords(CoverageMask(system, cover)) == 0;
-}
-
 bool IsCoverable(const SetSystem& system) {
   DynamicBitset mask(system.num_elements());
   for (uint32_t s = 0; s < system.num_sets(); ++s) {
     for (uint32_t e : system.GetSet(s)) mask.Set(e);
   }
   return mask.Count() == system.num_elements();
-}
-
-size_t PruneRedundant(const SetSystem& system, Cover& cover) {
-  // Count, per element, how many chosen sets cover it; a set is redundant
-  // iff every one of its elements has multiplicity >= 2.
-  std::vector<uint32_t> multiplicity(system.num_elements(), 0);
-  for (uint32_t s : cover.set_ids) {
-    for (uint32_t e : system.GetSet(s)) ++multiplicity[e];
-  }
-  size_t removed = 0;
-  std::vector<uint32_t> kept;
-  kept.reserve(cover.set_ids.size());
-  // Reverse pick order: later picks are the most likely to be redundant.
-  for (auto it = cover.set_ids.rbegin(); it != cover.set_ids.rend(); ++it) {
-    uint32_t s = *it;
-    bool redundant = true;
-    for (uint32_t e : system.GetSet(s)) {
-      if (multiplicity[e] < 2) {
-        redundant = false;
-        break;
-      }
-    }
-    if (redundant) {
-      for (uint32_t e : system.GetSet(s)) --multiplicity[e];
-      ++removed;
-    } else {
-      kept.push_back(s);
-    }
-  }
-  std::reverse(kept.begin(), kept.end());
-  cover.set_ids = std::move(kept);
-  return removed;
 }
 
 }  // namespace streamcover

@@ -32,18 +32,9 @@ size_t CoveredCount(const SetSystem& system, const Cover& cover);
 /// True iff `cover` covers every element of U.
 bool IsFullCover(const SetSystem& system, const Cover& cover);
 
-/// True iff `cover` covers every element flagged in `targets`.
-bool CoversTargets(const SetSystem& system, const Cover& cover,
-                   const DynamicBitset& targets);
-
 /// True iff every element belongs to at least one set (a full cover
 /// exists at all).
 bool IsCoverable(const SetSystem& system);
-
-/// Greedily removes redundant sets from `cover` (sets whose elements are
-/// all covered by the rest), scanning in reverse pick order. Returns the
-/// number of sets removed. Keeps the cover feasible.
-size_t PruneRedundant(const SetSystem& system, Cover& cover);
 
 }  // namespace streamcover
 

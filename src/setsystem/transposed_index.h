@@ -11,15 +11,11 @@
 // greedy run: over each iterSetCover guess's sub-instance, the store-all
 // buffer, or the shard merge's candidates — over row ranges on a worker
 // pool when the store is large; offline/exact.cc builds one for
-// branching). When elements become covered, GainTracker walks
-// exactly the affected columns and decrements exact gains — each
-// (element, set) pair is touched at most ONCE over the whole run, so
-// total maintenance is nnz(F') instead of rounds × nnz(F').
-//
-// GainTracker is a CoverageDeltaListener, so it can also ride
-// PassScheduler's delta bus: streaming consumers that cover elements
-// (the threshold sieve) publish their per-pass deltas and any
-// registered tracker stays exact without a rescan.
+// branching). When a pick covers elements (LazyGreedy hands them to
+// OnCovered), GainTracker walks exactly the affected columns and
+// decrements exact gains — each (element, set) pair is touched at most
+// ONCE over the whole run, so total maintenance is nnz(F') instead of
+// rounds × nnz(F').
 //
 // Counters: `gain_updates` counts individual gain decrements (the
 // O(1) maintenance ops); consumers report `sets_touched` for the gain
@@ -36,7 +32,6 @@
 
 #include "util/bitset.h"
 #include "util/check.h"
-#include "util/coverage_delta.h"
 
 namespace streamcover {
 
@@ -139,7 +134,7 @@ class TransposedIndex {
 /// Exact residual gains for the sets a TransposedIndex covers,
 /// maintained decrementally from coverage deltas. `num_sets` is the
 /// exclusive upper bound on the set indices the index's columns hold.
-class GainTracker final : public CoverageDeltaListener {
+class GainTracker {
  public:
   /// `index` must outlive the tracker. Gains start at zero; call one
   /// Init* before reading them.
@@ -164,10 +159,6 @@ class GainTracker final : public CoverageDeltaListener {
   /// once per element over the tracker's lifetime), and < the index's
   /// universe size.
   void OnCovered(std::span<const uint32_t> newly_covered);
-
-  void OnCoverageDelta(std::span<const uint32_t> newly_covered) override {
-    OnCovered(newly_covered);
-  }
 
   /// Individual gain decrements applied so far — the output-sensitive
   /// maintenance cost (bounded by the index's entry_count()).

@@ -36,8 +36,7 @@ RunResult RunShardFamily(RunContext& ctx, bool partitioned) {
   engines.reserve(shards);
   for (uint32_t s = 0; s < shards; ++s) {
     engines.push_back(std::make_unique<ThresholdBucketEngine>(
-        n, partitioner ? &*partitioner : nullptr, s,
-        ThresholdBucketOptions{}));
+        n, partitioner ? &*partitioner : nullptr, s));
   }
 
   std::vector<size_t> slots;

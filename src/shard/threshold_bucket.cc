@@ -9,12 +9,11 @@ namespace streamcover {
 
 ThresholdBucketEngine::ThresholdBucketEngine(
     uint32_t num_elements, const StreamPartitioner* partitioner,
-    uint32_t shard, ThresholdBucketOptions options)
+    uint32_t shard)
     : num_elements_(num_elements),
       partitioner_(partitioner),
       shard_(shard),
       skip_union_(num_elements, true) {
-  SC_CHECK_GT(options.epsilon, 0.0);
   if (partitioner_ != nullptr) SC_CHECK_LT(shard, partitioner_->shards());
   // The distinct values of ceil((1+eps)^b) in [1, n]: the dense 1,2,3...
   // prefix collapses duplicates, the tail grows geometrically.
@@ -27,7 +26,7 @@ ThresholdBucketEngine::ThresholdBucketEngine(
     buckets_.push_back(std::move(bucket));
     if (tau >= n) break;
     const uint64_t next = static_cast<uint64_t>(
-        std::ceil(static_cast<double>(tau) * (1.0 + options.epsilon)));
+        std::ceil(static_cast<double>(tau) * (1.0 + kLadderEpsilon)));
     tau = std::min(std::max(next, tau + 1), n);
   }
   live_buckets_ = buckets_.size();

@@ -39,13 +39,6 @@
 
 namespace streamcover {
 
-struct ThresholdBucketOptions {
-  /// Bucket ladder ratio: thresholds are the distinct values of
-  /// ceil((1+epsilon)^b) up to n. Smaller epsilon = more buckets =
-  /// better candidates and more per-set work.
-  double epsilon = 0.25;
-};
-
 /// Counters the bench and the serve stats endpoint surface per shard.
 struct ShardEngineCounters {
   uint64_t sets_seen = 0;   ///< sets of this shard's substream
@@ -63,8 +56,11 @@ class ThresholdBucketEngine final : public ScanConsumer {
   /// `greedi` reference); otherwise only sets with ShardOf(id) ==
   /// `shard`. The partitioner must outlive the engine.
   ThresholdBucketEngine(uint32_t num_elements,
-                        const StreamPartitioner* partitioner, uint32_t shard,
-                        ThresholdBucketOptions options);
+                        const StreamPartitioner* partitioner, uint32_t shard);
+
+  /// The ladder's eps, fixed: a smaller one means more buckets, better
+  /// candidates and more per-set work.
+  static constexpr double kLadderEpsilon = 0.25;
 
   void OnSet(const SetView& set) override;
   void OnPassEnd() override { pass_done_ = true; }
@@ -73,7 +69,6 @@ class ThresholdBucketEngine final : public ScanConsumer {
   uint32_t shard() const { return shard_; }
   const ShardEngineCounters& counters() const { return counters_; }
   uint64_t space_words() const { return tracker_.peak_words(); }
-  size_t bucket_count() const { return buckets_.size(); }
 
   /// Stored candidates, in substream order.
   size_t candidate_count() const { return ids_.size(); }

@@ -51,7 +51,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <vector>
@@ -60,7 +59,6 @@
 #include "stream/set_stream.h"
 #include "util/bitset.h"
 #include "util/cover_kernels.h"
-#include "util/coverage_delta.h"
 #include "util/worker_pool.h"
 
 namespace streamcover {
@@ -81,7 +79,7 @@ class ScanConsumer {
   /// solves, sampling, phase advance) belongs. May run on a worker
   /// thread, concurrently with other consumers' OnPassEnd: like OnSet,
   /// it must touch only the consumer's own state (shared inputs such as
-  /// an OfflineSolver are read-only; the delta bus locks itself).
+  /// an OfflineSolver are read-only).
   virtual void OnPassEnd() = 0;
 
   /// True once the consumer needs no further passes. A done consumer is
@@ -168,31 +166,6 @@ class PassScheduler {
   uint32_t threads() const { return threads_; }
   SetStream& stream() { return *stream_; }
 
-  /// Registers a coverage-delta listener (setsystem/transposed_index.h's
-  /// GainTracker, or any CoverageDeltaListener). Non-owning; the
-  /// listener must outlive the scheduler's last publish.
-  /// Register before the first RunRound: publishing consumers may read
-  /// has_delta_listeners() from their worker-owned dispatches to skip
-  /// delta buffering when nobody subscribed.
-  void AddDeltaListener(CoverageDeltaListener* listener) {
-    delta_listeners_.push_back(listener);
-  }
-
-  bool has_delta_listeners() const { return !delta_listeners_.empty(); }
-
-  /// Hands a batch of newly covered elements to every registered
-  /// listener. Publishing consumers call this from OnPassEnd, never from
-  /// OnSet. Several consumers' pass ends may publish at once from
-  /// different workers; a mutex serializes them, so listeners are never
-  /// called concurrently. Each element must be published at most once
-  /// per publisher, matching the listener contract.
-  void PublishCoverageDelta(std::span<const uint32_t> newly_covered) {
-    std::lock_guard<std::mutex> lock(publish_mu_);
-    for (CoverageDeltaListener* listener : delta_listeners_) {
-      listener->OnCoverageDelta(newly_covered);
-    }
-  }
-
  private:
   struct Slot {
     ScanConsumer* consumer = nullptr;
@@ -220,8 +193,6 @@ class PassScheduler {
   std::vector<Slot> slots_;
   ScanFilter union_filter_;
   DynamicBitset union_ids_;  ///< OR of the live consumers' id masks
-  std::vector<CoverageDeltaListener*> delta_listeners_;
-  std::mutex publish_mu_;  ///< serializes PublishCoverageDelta
   uint64_t physical_scans_ = 0;
   bool stream_failed_ = false;
 };

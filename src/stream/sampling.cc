@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/check.h"
-
 namespace streamcover {
 
 std::vector<uint32_t> SampleFromBitset(const DynamicBitset& universe,
@@ -18,22 +16,6 @@ std::vector<uint32_t> SampleFromBitset(const DynamicBitset& universe,
   population.resize(k);
   std::sort(population.begin(), population.end());
   return population;
-}
-
-ReservoirSampler::ReservoirSampler(uint64_t capacity, Rng* rng)
-    : capacity_(capacity), rng_(rng) {
-  SC_CHECK(rng != nullptr);
-  sample_.reserve(capacity);
-}
-
-void ReservoirSampler::Push(uint32_t item) {
-  ++seen_;
-  if (sample_.size() < capacity_) {
-    sample_.push_back(item);
-    return;
-  }
-  uint64_t j = rng_->Uniform(seen_);
-  if (j < capacity_) sample_[j] = item;
 }
 
 }  // namespace streamcover

@@ -33,10 +33,6 @@ void DynamicBitset::SetAll() {
   }
 }
 
-void DynamicBitset::ResetAll() {
-  for (auto& w : words_) w = 0ULL;
-}
-
 size_t DynamicBitset::Count() const {
   size_t c = 0;
   for (uint64_t w : words_) c += static_cast<size_t>(__builtin_popcountll(w));
@@ -89,16 +85,6 @@ DynamicBitset& DynamicBitset::AndNot(const DynamicBitset& other) {
   SC_CHECK_EQ(size_, other.size_);
   for (size_t i = 0; i < words_.size(); ++i) words_[i] &= ~other.words_[i];
   return *this;
-}
-
-size_t DynamicBitset::AndNotCountWords(const DynamicBitset& other) const {
-  SC_CHECK_EQ(size_, other.size_);
-  size_t c = 0;
-  for (size_t i = 0; i < words_.size(); ++i) {
-    c += static_cast<size_t>(
-        __builtin_popcountll(words_[i] & ~other.words_[i]));
-  }
-  return c;
 }
 
 void DynamicBitset::OrInto(DynamicBitset& dst) const {

@@ -31,7 +31,6 @@ class DynamicBitset {
   void Set(size_t i);
   void Reset(size_t i);
   void SetAll();
-  void ResetAll();
 
   /// Number of set bits.
   size_t Count() const;
@@ -49,10 +48,6 @@ class DynamicBitset {
   DynamicBitset& operator&=(const DynamicBitset& other);
   DynamicBitset& operator|=(const DynamicBitset& other);
   DynamicBitset& AndNot(const DynamicBitset& other);
-
-  /// popcount(this & ~other) without materializing the intersection —
-  /// "how many of my bits does `other` not cover". Sizes must match.
-  size_t AndNotCountWords(const DynamicBitset& other) const;
 
   /// dst |= *this, word-parallel. Sizes must match. The accumulate-into
   /// twin of operator|= for call sites where the source is const.

@@ -52,7 +52,7 @@ namespace {
 // arena path is a parity break.
 StreamingResult VectorPathSingleGuess(SetStream& stream, uint64_t k,
                                       const IterSetCoverOptions& options) {
-  SC_CHECK(!options.final_sweep && !options.early_exit);
+  SC_CHECK(!options.early_exit);
   GreedySolver default_solver;
   const OfflineSolver& offline =
       options.offline != nullptr ? *options.offline : default_solver;

@@ -173,23 +173,5 @@ TEST(IntegrationTest, ExactSolverZeroBudgetStillFeasible) {
   EXPECT_TRUE(IsFullCover(inst.system, result.cover));
 }
 
-TEST(IntegrationTest, PruneRedundantImprovesStreamingCovers) {
-  Rng rng(6);
-  PlantedOptions options;
-  options.num_elements = 400;
-  options.num_sets = 900;
-  options.cover_size = 12;
-  PlantedInstance inst = GeneratePlanted(options, rng);
-  SetStream stream(&inst.system);
-  IterSetCoverOptions algo;
-  algo.delta = 0.34;
-  StreamingResult result = IterSetCover(stream, algo);
-  ASSERT_TRUE(result.success);
-  Cover pruned = result.cover;
-  PruneRedundant(inst.system, pruned);
-  EXPECT_TRUE(IsFullCover(inst.system, pruned));
-  EXPECT_LE(pruned.size(), result.cover.size());
-}
-
 }  // namespace
 }  // namespace streamcover

@@ -145,17 +145,6 @@ TEST(IterSetCoverTest, ExactOfflineSolverImprovesApproximation) {
   EXPECT_TRUE(IsFullCover(inst.system, with_exact.cover));
 }
 
-TEST(IterSetCoverTest, FinalSweepFinishesResidual) {
-  PlantedInstance inst = MakeInstance(7);
-  SetStream stream(&inst.system);
-  IterSetCoverOptions options;
-  options.delta = 0.5;
-  options.final_sweep = true;
-  StreamingResult result = IterSetCover(stream, options);
-  ASSERT_TRUE(result.success);
-  EXPECT_TRUE(IsFullCover(inst.system, result.cover));
-}
-
 TEST(IterSetCoverTest, SpaceGrowsWithDelta) {
   // O~(m n^delta): larger delta => larger samples and more stored
   // projection words. Isolated on the correct guess k = OPT with a

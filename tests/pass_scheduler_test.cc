@@ -558,15 +558,13 @@ TEST(PassSchedulerTest, CoincidingGuessesRunOnce) {
   struct Variant {
     const char* name;
     bool early_exit = false;
-    bool final_sweep = false;
     double coverage_fraction = 1.0;
     double size_test_multiplier = 1.0;
   };
   const Variant variants[] = {{"default"},
                               {"early_exit", true},
-                              {"final_sweep", false, true},
-                              {"coverage", false, false, 0.9},
-                              {"multiplier", false, false, 1.0, 2.0}};
+                              {"coverage", false, 0.9},
+                              {"multiplier", false, 1.0, 2.0}};
 
   for (const Input& input : inputs) {
     const std::string stem = testing::TempDir() + "/coinciding_" +
@@ -581,7 +579,6 @@ TEST(PassSchedulerTest, CoincidingGuessesRunOnce) {
       options.sample_constant = 0.5;
       options.seed = 5;
       options.early_exit = variant.early_exit;
-      options.final_sweep = variant.final_sweep;
       options.coverage_fraction = variant.coverage_fraction;
       options.size_test_multiplier = variant.size_test_multiplier;
       for (uint32_t threads : {1u, 4u}) {

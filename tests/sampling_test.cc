@@ -48,35 +48,6 @@ TEST(SampleFromBitsetTest, UniformCoverage) {
   }
 }
 
-TEST(ReservoirSamplerTest, HoldsAtMostCapacity) {
-  Rng rng(2);
-  ReservoirSampler sampler(10, &rng);
-  for (uint32_t i = 0; i < 1000; ++i) sampler.Push(i);
-  EXPECT_EQ(sampler.sample().size(), 10u);
-  EXPECT_EQ(sampler.items_seen(), 1000u);
-}
-
-TEST(ReservoirSamplerTest, KeepsEverythingBelowCapacity) {
-  Rng rng(2);
-  ReservoirSampler sampler(16, &rng);
-  for (uint32_t i = 0; i < 7; ++i) sampler.Push(i * 5);
-  EXPECT_EQ(sampler.sample().size(), 7u);
-}
-
-TEST(ReservoirSamplerTest, IsRoughlyUniform) {
-  std::vector<int> counts(50, 0);
-  const int kTrials = 6000;
-  Rng rng(8);
-  for (int t = 0; t < kTrials; ++t) {
-    ReservoirSampler sampler(5, &rng);
-    for (uint32_t i = 0; i < 50; ++i) sampler.Push(i);
-    for (uint32_t v : sampler.sample()) ++counts[v];
-  }
-  for (int c : counts) {
-    EXPECT_NEAR(c, kTrials / 10, kTrials / 40);  // inclusion 5/50
-  }
-}
-
 TEST(RelativeApproxCheckTest, ExactSampleIsAlwaysApprox) {
   DynamicBitset universe(64, true);
   DynamicBitset range(64);

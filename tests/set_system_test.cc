@@ -64,15 +64,6 @@ TEST(CoverTest, CoverageMaskAndCount) {
   EXPECT_FALSE(IsFullCover(s, partial));
 }
 
-TEST(CoverTest, CoversTargets) {
-  SetSystem s = MakeSmall();
-  DynamicBitset targets(6);
-  targets.Set(3);
-  targets.Set(5);
-  EXPECT_TRUE(CoversTargets(s, Cover{{2}}, targets));
-  EXPECT_FALSE(CoversTargets(s, Cover{{1}}, targets));
-}
-
 TEST(CoverTest, IsCoverable) {
   EXPECT_TRUE(IsCoverable(MakeSmall()));
   SetSystem::Builder b(3);
@@ -84,32 +75,6 @@ TEST(CoverTest, DeduplicateRemovesRepeats) {
   Cover c{{3, 1, 3, 2, 1}};
   c.Deduplicate();
   EXPECT_EQ(c.set_ids, (std::vector<uint32_t>{1, 2, 3}));
-}
-
-TEST(CoverTest, PruneRedundantDropsSubsumedSets) {
-  SetSystem s = MakeSmall();
-  // {0,1,2} + {2,3} + {3,4,5}: set 1 is redundant (2 and 3 covered
-  // elsewhere); sets 0 and 2 are essential.
-  Cover c{{0, 1, 2}};
-  size_t removed = PruneRedundant(s, c);
-  EXPECT_EQ(removed, 1u);
-  EXPECT_TRUE(IsFullCover(s, c));
-  EXPECT_EQ(c.set_ids, (std::vector<uint32_t>{0, 2}));
-}
-
-TEST(CoverTest, PruneKeepsEssentialCoverIntact) {
-  SetSystem s = MakeSmall();
-  Cover c{{0, 2}};
-  EXPECT_EQ(PruneRedundant(s, c), 0u);
-  EXPECT_EQ(c.set_ids.size(), 2u);
-}
-
-TEST(CoverTest, PruneHandlesDuplicatePicks) {
-  SetSystem s = MakeSmall();
-  Cover c{{0, 0, 2, 2}};
-  PruneRedundant(s, c);
-  EXPECT_TRUE(IsFullCover(s, c));
-  EXPECT_EQ(c.set_ids.size(), 2u);
 }
 
 TEST(SetSystemTest, EmptySystem) {

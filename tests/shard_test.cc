@@ -104,7 +104,7 @@ TEST(ThresholdBucketEngineTest, OnePassThenDone) {
   PlantedInstance inst = MakePlanted(200, 400, 8, 11);
   SetStream stream(&inst.system);
   PassScheduler scheduler(stream);
-  ThresholdBucketEngine engine(stream.num_elements(), nullptr, 0, {});
+  ThresholdBucketEngine engine(stream.num_elements(), nullptr, 0);
   EXPECT_FALSE(engine.done());
   PassScheduler::SoloRun run = scheduler.DriveToCompletion(engine);
   EXPECT_TRUE(engine.done());
@@ -119,7 +119,7 @@ TEST(ThresholdBucketEngineTest, CandidatesCoverWhatTheSubstreamCovers) {
   PlantedInstance inst = MakePlanted(300, 600, 10, 17);
   SetStream stream(&inst.system);
   PassScheduler scheduler(stream);
-  ThresholdBucketEngine engine(stream.num_elements(), nullptr, 0, {});
+  ThresholdBucketEngine engine(stream.num_elements(), nullptr, 0);
   scheduler.DriveToCompletion(engine);
 
   // The tau=1 bucket accepts any set with positive residual gain, so
@@ -143,7 +143,7 @@ TEST(ThresholdBucketEngineTest, PartitionedEnginesSeeDisjointSubstreams) {
   for (uint32_t s = 0; s < 4; ++s) {
     SetStream stream(&inst.system);
     PassScheduler scheduler(stream);
-    ThresholdBucketEngine engine(stream.num_elements(), &partitioner, s, {});
+    ThresholdBucketEngine engine(stream.num_elements(), &partitioner, s);
     scheduler.DriveToCompletion(engine);
     per_shard.push_back(engine.counters().sets_seen);
     total_seen += engine.counters().sets_seen;

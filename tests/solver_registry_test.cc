@@ -173,6 +173,25 @@ TEST(SolverRegistryTest, IterStopsOnceNoIterationCanCover) {
   }
 }
 
+TEST(SolverRegistryTest, NoSolverClaimsSuccessWithAnElementUncovered) {
+  // Element 2 is in no set, so no cover exists. Every non-geometric
+  // solver must answer, not fail, and report success == false — dimv14
+  // too, whose base case drops the element from its frame.
+  SetSystem::Builder builder(3);
+  builder.AddSet(std::vector<uint32_t>{0, 1});
+  builder.AddSet(std::vector<uint32_t>{1});
+  SetSystem system = std::move(builder).Build();
+  Instance instance = Instance::WrapSystem(&system, {"uncoverable", ""});
+  for (const SolverRegistry::Entry* entry :
+       SolverRegistry::Global().Entries()) {
+    if (entry->kind == SolverRegistry::Kind::kGeometric) continue;
+    RunResult r = RunSolver(entry->name, instance, RunOptions{});
+    ASSERT_TRUE(r.ok()) << entry->name << ": " << r.error;
+    EXPECT_FALSE(r.success) << entry->name;
+    EXPECT_LT(instance.CountCovered(r.cover), 3u) << entry->name;
+  }
+}
+
 TEST(SolverRegistryTest, GeometricSolverCoversPlantedGeomInstance) {
   Rng rng(5);
   GeomPlantedOptions geom_options;

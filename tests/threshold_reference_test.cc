@@ -6,29 +6,22 @@
 // records backups in pass 1 only; both rules are exact, so covers (in
 // pick order), success, passes, physical scans and space words must
 // match the references on every instance, in memory and over SCOVRB01,
-// at scan_threads 1 and 4 and threads 1 and 4. A GainTracker riding the
-// scheduler's delta bus must also end where one fed the reference
-// sieve's deltas ends.
+// at scan_threads 1 and 4 and threads 1 and 4.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "baselines/baseline_result.h"
-#include "baselines/threshold_greedy.h"
 #include "core/instance.h"
 #include "core/solver_registry.h"
 #include "core/workload_registry.h"
 #include "reference_kernels.h"
 #include "setsystem/binary_io.h"
-#include "setsystem/transposed_index.h"
-#include "stream/mmap_set_source.h"
 #include "stream/pass_scheduler.h"
 #include "stream/set_stream.h"
 #include "stream/space_tracker.h"
@@ -71,8 +64,6 @@ class ReferenceSieve final : public ScanConsumer {
       cover_.set_ids.push_back(set.id);
       tracker_.Charge(1);
       for (uint32_t e : residual_) uncovered_.Reset(e);
-      pass_delta_.insert(pass_delta_.end(), residual_.begin(),
-                         residual_.end());
       remaining_ -= gain;
     }
   }
@@ -83,7 +74,6 @@ class ReferenceSieve final : public ScanConsumer {
     if (pass_index_ <= p_) {
       threshold_ = std::pow(dn_, static_cast<double>(p_ + 1 - pass_index_) /
                                      static_cast<double>(p_ + 1));
-      Flush();
       return;
     }
     for (uint32_t e : uncovered_.ToVector()) {
@@ -92,18 +82,14 @@ class ReferenceSieve final : public ScanConsumer {
       cover_.set_ids.push_back(backup_[e]);
       tracker_.Charge(1);
       uncovered_.Reset(e);
-      pass_delta_.push_back(e);
       --remaining_;
     }
     cover_.Deduplicate();
     success_ = uncovered_.Count() <= allowed_uncovered_;
-    Flush();
     done_ = true;
   }
 
   bool done() const override { return done_; }
-
-  void PublishDeltasTo(PassScheduler* scheduler) { scheduler_ = scheduler; }
 
   RunResult Finish(const PassScheduler::SoloRun& run) {
     RunResult result;
@@ -116,11 +102,6 @@ class ReferenceSieve final : public ScanConsumer {
   }
 
  private:
-  void Flush() {
-    if (scheduler_ != nullptr) scheduler_->PublishCoverageDelta(pass_delta_);
-    pass_delta_.clear();
-  }
-
   const uint32_t p_;
   const double dn_;
   uint64_t allowed_uncovered_ = 0;
@@ -128,8 +109,6 @@ class ReferenceSieve final : public ScanConsumer {
   LiveMask uncovered_;
   std::vector<uint32_t> backup_;
   std::vector<uint32_t> residual_;
-  std::vector<uint32_t> pass_delta_;
-  PassScheduler* scheduler_ = nullptr;
   uint64_t remaining_ = 0;
   uint32_t pass_index_ = 1;
   double threshold_ = 0.0;
@@ -401,66 +380,6 @@ TEST(ThresholdReferenceTest, BoundaryInstanceStraddlesEveryPass) {
     const size_t hi = static_cast<size_t>(std::ceil(t));
     EXPECT_NE(std::find(sizes.begin(), sizes.end(), hi), sizes.end())
         << "no pick of size " << hi;
-  }
-}
-
-TEST(ThresholdReferenceTest, DeltaBusGainsMatchReference) {
-  // A GainTracker on the scheduler's bus sees the library sieve's
-  // per-pass deltas; a second one is fed the reference sieve's. Both
-  // must end with the same gain for every set.
-  for (const Case& c : Cases()) {
-    const TransposedIndex index = [&] {
-      TransposedIndex::Builder builder(c.system.num_elements());
-      for (uint32_t s = 0; s < c.system.num_sets(); ++s) {
-        builder.CountSet(c.system.GetSet(s));
-      }
-      builder.PrepareFill();
-      for (uint32_t s = 0; s < c.system.num_sets(); ++s) {
-        builder.FillSet(s, c.system.GetSet(s));
-      }
-      return std::move(builder).Build();
-    }();
-    const DynamicBitset all(c.system.num_elements(), true);
-    for (const double coverage : {1.0, 0.9}) {
-      GainTracker expect(&index, c.system.num_sets());
-      expect.InitFromMask(all);
-      RunResult expect_run;
-      {
-        SetStream stream(&c.system);
-        PassScheduler scheduler(stream);
-        scheduler.AddDeltaListener(&expect);
-        ReferenceSieve sieve(c.system.num_elements(), 3, coverage);
-        sieve.PublishDeltasTo(&scheduler);
-        expect_run = sieve.Finish(scheduler.DriveToCompletion(sieve));
-      }
-      for (const bool from_disk : {false, true}) {
-        for (const uint32_t threads : {1u, 4u}) {
-          const std::string tag = c.name + (from_disk ? " disk" : " memory") +
-                                  " threads=" + std::to_string(threads) +
-                                  " coverage=" + std::to_string(coverage);
-          std::string error;
-          std::unique_ptr<SetSource> source;
-          if (from_disk) {
-            source = OpenDiskSetSource(c.binary_path, &error);
-            ASSERT_NE(source, nullptr) << error;
-          }
-          SetStream stream = from_disk ? SetStream(std::move(source))
-                                       : SetStream(&c.system);
-          stream.set_scan_threads(threads);
-          PassScheduler scheduler(stream, threads);
-          GainTracker got(&index, c.system.num_sets());
-          got.InitFromMask(all);
-          scheduler.AddDeltaListener(&got);
-          const BaselineResult result =
-              PolynomialThresholdCover(scheduler, 3, coverage);
-          EXPECT_EQ(got.gain_updates(), expect.gain_updates()) << tag;
-          for (uint32_t s = 0; s < c.system.num_sets(); ++s) {
-            ASSERT_EQ(got.gain(s), expect.gain(s)) << tag << " set " << s;
-          }
-          EXPECT_EQ(result.cover.set_ids, expect_run.cover.set_ids) << tag;
-        }
-      }
-    }
   }
 }
 

@@ -2,31 +2,25 @@
 //
 // The Builder's CSR must match brute-force element→sets membership, the
 // tracker's decremental gains must match kernel recomputation after any
-// cover sequence (the fuzz), deltas published on PassScheduler's bus
-// must keep a registered tracker exact while the threshold sieve
-// covers, and the LazyGreedy runs behind GreedySolver and MergeStage
-// must pick exactly what a textbook per-round argmax picks — including
-// when some merge candidates cross the dense-storage threshold — while
-// their work counters stay output-sensitive.
+// cover sequence (the fuzz), and the LazyGreedy runs behind GreedySolver
+// and MergeStage must pick exactly what a textbook per-round argmax
+// picks — including when some merge candidates cross the dense-storage
+// threshold — while their work counters stay output-sensitive.
 
 #include "setsystem/transposed_index.h"
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "baselines/threshold_greedy.h"
 #include "gtest/gtest.h"
 #include "offline/greedy.h"
 #include "reference_kernels.h"
 #include "setsystem/generators.h"
 #include "setsystem/set_system.h"
 #include "shard/merge_stage.h"
-#include "stream/pass_scheduler.h"
-#include "stream/set_stream.h"
 #include "util/cover_kernels.h"
 #include "util/rng.h"
 #include "util/worker_pool.h"
@@ -227,57 +221,6 @@ TEST(GainTrackerTest, DecrementalFuzzMatchesRecompute) {
     for (uint32_t s = 0; s < system.num_sets(); ++s) {
       EXPECT_EQ(tracker.gain(s), 0u);
     }
-  }
-}
-
-TEST(GainTrackerTest, RidesSchedulerDeltaBusWithThresholdSieve) {
-  // The sieve publishes each pass's newly covered elements at
-  // OnPassEnd; a tracker registered on the scheduler's bus must track
-  // the sieve's uncovered mask exactly, with zero rescans. Alone on one
-  // thread, and with non-publishing sieves whose pass ends run beside
-  // the publisher's on 4 workers (the TSan target for the bus).
-  Rng rng(24);
-  PlantedOptions options;
-  options.num_elements = 200;
-  options.num_sets = 300;
-  options.cover_size = 6;
-  PlantedInstance planted = GeneratePlanted(options, rng);
-  const SetSystem& system = planted.system;
-  const TransposedIndex index = IndexOf(system);
-
-  for (const uint32_t threads : {1u, 4u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    GainTracker tracker(&index, system.num_sets());
-    DynamicBitset all(system.num_elements(), true);
-    tracker.InitFromMask(all);
-
-    SetStream stream(&system);
-    PassScheduler scheduler(stream, threads);
-    scheduler.AddDeltaListener(&tracker);
-    ThresholdSieveConsumer sieve(system.num_elements(), /*p=*/2);
-    sieve.PublishDeltasTo(&scheduler);
-    const size_t slot = scheduler.Register(&sieve);
-    std::vector<std::unique_ptr<ThresholdSieveConsumer>> bystanders;
-    if (threads > 1) {
-      for (uint32_t p : {1u, 2u, 3u}) {
-        bystanders.push_back(std::make_unique<ThresholdSieveConsumer>(
-            system.num_elements(), p));
-        scheduler.Register(bystanders.back().get());
-      }
-    }
-    while (scheduler.AnyLive()) {
-      ASSERT_GT(scheduler.RunRound(), 0u);
-    }
-    BaselineResult result = sieve.TakeResult(scheduler.passes(slot));
-    ASSERT_TRUE(result.success);
-
-    // A full cover means every element was published exactly once, so
-    // every gain has decayed to zero and the maintenance total is the
-    // index's nnz.
-    for (uint32_t s = 0; s < system.num_sets(); ++s) {
-      EXPECT_EQ(tracker.gain(s), 0u) << "set " << s;
-    }
-    EXPECT_EQ(tracker.gain_updates(), index.entry_count());
   }
 }
 

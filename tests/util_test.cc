@@ -147,22 +147,6 @@ TEST(DynamicBitsetTest, AndNotAcrossWordBoundary) {
   EXPECT_EQ(a.Count(), 0u);
 }
 
-TEST(DynamicBitsetTest, AndNotCountWordsMatchesMaterializedAndNot) {
-  for (size_t n : {size_t{1}, size_t{63}, size_t{64}, size_t{65},
-                   size_t{127}, size_t{300}}) {
-    DynamicBitset a(n);
-    DynamicBitset b(n);
-    for (size_t i = 0; i < n; i += 3) a.Set(i);
-    for (size_t i = 0; i < n; i += 2) b.Set(i);
-    DynamicBitset expect = a;
-    expect.AndNot(b);
-    EXPECT_EQ(a.AndNotCountWords(b), expect.Count()) << "n=" << n;
-    // Against itself: nothing survives. Against empty: everything does.
-    EXPECT_EQ(a.AndNotCountWords(a), 0u);
-    EXPECT_EQ(a.AndNotCountWords(DynamicBitset(n)), a.Count());
-  }
-}
-
 TEST(DynamicBitsetTest, OrIntoMatchesOrAssign) {
   DynamicBitset src(130);
   src.Set(0);
@@ -190,12 +174,9 @@ TEST(DynamicBitsetTest, MismatchedUniversesAreFatal) {
   DynamicBitset large(65);
   EXPECT_DEATH(small.OrInto(large), "CHECK failed");
   EXPECT_DEATH(large.OrInto(small), "CHECK failed");
-  EXPECT_DEATH((void)small.AndNotCountWords(large), "CHECK failed");
-  EXPECT_DEATH((void)large.AndNotCountWords(small), "CHECK failed");
   // Same word count but different logical sizes is still a mismatch.
   DynamicBitset sixty_three(63);
   EXPECT_DEATH(sixty_three.OrInto(small), "CHECK failed");
-  EXPECT_DEATH((void)small.AndNotCountWords(sixty_three), "CHECK failed");
 }
 
 TEST(DynamicBitsetTest, WordsViewsExposeBackingStorage) {

@@ -78,9 +78,11 @@
 #include <memory>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "streamcover.h"
@@ -115,6 +117,9 @@ void InstallInterruptHandler() {
 
 /// 128 + SIGINT, the conventional "killed by signal" exit code.
 constexpr int kInterruptExit = 130;
+
+/// The largest --seed: flags are read as signed 64-bit integers.
+constexpr uint64_t kMaxSeed = INT64_MAX;
 
 struct Args {
   std::map<std::string, std::string> flags;
@@ -155,6 +160,23 @@ struct Args {
       return fallback;
     }
     return v;
+  }
+  /// Strict unsigned read: the value must be an integer in [lo, hi]. A
+  /// negative or larger one is a parse error, since a cast would wrap
+  /// it (`--shards 4294967297` to 1).
+  uint64_t GetUint(const std::string& key, uint64_t fallback,
+                   uint64_t lo = 0, uint64_t hi = UINT32_MAX) const {
+    const size_t errors = parse_errors.size();
+    const int64_t v = GetInt(key, static_cast<int64_t>(fallback));
+    if (parse_errors.size() > errors) return fallback;
+    if (v < 0 || static_cast<uint64_t>(v) < lo ||
+        static_cast<uint64_t>(v) > hi) {
+      parse_errors.push_back("--" + key + " must be in [" +
+                             std::to_string(lo) + ", " + std::to_string(hi) +
+                             "], got " + std::to_string(v));
+      return fallback;
+    }
+    return static_cast<uint64_t>(v);
   }
   double GetDouble(const std::string& key, double fallback) const {
     read.insert(key);
@@ -248,47 +270,53 @@ std::vector<std::string> SplitCommaList(const std::string& list) {
   return out;
 }
 
+/// Builds a `generate` or `generate-geom` instance through the workload
+/// registry, whose factories refuse parameters out of their generator's
+/// range. `families` maps the --type names the command takes onto
+/// registry names. Prints why and returns std::nullopt on failure.
+std::optional<Instance> MakeTypedWorkload(
+    const std::string& type,
+    const std::map<std::string, std::string>& families,
+    const WorkloadParams& params) {
+  auto family = families.find(type);
+  if (family == families.end()) {
+    std::fprintf(stderr, "unknown --type %s\n", type.c_str());
+    return std::nullopt;
+  }
+  std::string error;
+  std::optional<Instance> instance =
+      MakeWorkload(family->second, params, &error);
+  if (!instance.has_value()) std::fprintf(stderr, "%s\n", error.c_str());
+  return instance;
+}
+
 int CmdGenerateGeom(const Args& args) {
   const std::string type = args.Get("type", "disk");
-  const uint32_t n = static_cast<uint32_t>(args.GetInt("n", 500));
-  const uint32_t m = static_cast<uint32_t>(args.GetInt("m", 2000));
-  const uint32_t k = static_cast<uint32_t>(args.GetInt("k", 8));
-  const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 1));
+  WorkloadParams params;
+  params.n = static_cast<uint32_t>(args.GetUint("n", 500));
+  params.m = static_cast<uint32_t>(args.GetUint("m", 2000));
+  params.k = static_cast<uint32_t>(args.GetUint("k", 8));
+  params.seed = args.GetUint("seed", 1, 0, kMaxSeed);
   const std::string out = args.Get("out");
   if (args.BadFlags()) return 1;
   if (out.empty()) return Usage();
 
-  GeomInstance instance;
-  if (type == "figure12") {
-    instance = GenerateFigure12(n % 2 == 0 ? n : n + 1);
-  } else {
-    ShapeClass cls;
-    if (type == "disk") {
-      cls = ShapeClass::kDisk;
-    } else if (type == "rect") {
-      cls = ShapeClass::kRect;
-    } else if (type == "tri") {
-      cls = ShapeClass::kFatTriangle;
-    } else {
-      std::fprintf(stderr, "unknown --type %s\n", type.c_str());
-      return 1;
-    }
-    Rng rng(seed);
-    GeomPlantedOptions options;
-    options.num_points = n;
-    options.num_shapes = m;
-    options.cover_size = k;
-    options.shape_class = cls;
-    instance = GeneratePlantedGeom(options, rng);
-  }
-  GeomDataset dataset{instance.points, instance.shapes};
+  std::optional<Instance> instance =
+      MakeTypedWorkload(type,
+                        {{"disk", "geom_disks"},
+                         {"rect", "geom_rects"},
+                         {"tri", "geom_triangles"},
+                         {"figure12", "figure12"}},
+                        params);
+  if (!instance.has_value()) return 1;
+  const GeomDataset& dataset = *instance->geometry();
   if (!SaveGeomDatasetToFile(dataset, out)) {
     std::fprintf(stderr, "cannot write %s\n", out.c_str());
     return 1;
   }
   std::printf("wrote %s: points=%zu shapes=%zu planted_cover=%zu\n",
               out.c_str(), dataset.points.size(), dataset.shapes.size(),
-              instance.planted_cover.size());
+              instance->planted_cover().size());
   return 0;
 }
 
@@ -297,7 +325,7 @@ int CmdSolveGeom(const Args& args) {
   RunOptions options;
   options.delta = args.GetDouble("delta", 0.25);
   options.sample_constant = args.GetDouble("c", options.sample_constant);
-  options.seed = static_cast<uint64_t>(args.GetInt("seed", 1));
+  options.seed = args.GetUint("seed", 1, 0, kMaxSeed);
   if (args.BadFlags()) return 1;
   if (in.empty()) return Usage();
   std::string error;
@@ -323,13 +351,21 @@ int CmdSolveGeom(const Args& args) {
   return (r.success && feasible) ? 0 : 1;
 }
 
+/// Reads the flags `generate` and `generate-disk` share into a
+/// WorkloadParams.
+WorkloadParams ReadGenerateParams(const Args& args) {
+  WorkloadParams params;
+  params.n = static_cast<uint32_t>(args.GetUint("n", 1000));
+  params.m = static_cast<uint32_t>(args.GetUint("m", 2000));
+  params.k = static_cast<uint32_t>(args.GetUint("k", 10));
+  params.max_set_size = static_cast<uint32_t>(args.GetUint("s", 32));
+  params.seed = args.GetUint("seed", 1, 0, kMaxSeed);
+  return params;
+}
+
 int CmdGenerate(const Args& args) {
   const std::string type = args.Get("type", "planted");
-  const uint32_t n = static_cast<uint32_t>(args.GetInt("n", 1000));
-  const uint32_t m = static_cast<uint32_t>(args.GetInt("m", 2000));
-  const uint32_t k = static_cast<uint32_t>(args.GetInt("k", 10));
-  const uint32_t s = static_cast<uint32_t>(args.GetInt("s", 32));
-  const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 1));
+  const WorkloadParams params = ReadGenerateParams(args);
   const std::string out = args.Get("out");
   const std::string format = args.Get("format", "text");
   if (args.BadFlags()) return 1;
@@ -340,37 +376,24 @@ int CmdGenerate(const Args& args) {
     return 1;
   }
 
-  Rng rng(seed);
-  PlantedInstance instance;
-  if (type == "planted") {
-    PlantedOptions options;
-    options.num_elements = n;
-    options.num_sets = m;
-    options.cover_size = k;
-    options.noise_max_size = std::max(1u, n / 20);
-    instance = GeneratePlanted(options, rng);
-  } else if (type == "sparse") {
-    instance = GenerateSparse(n, m, s, rng);
-  } else if (type == "zipf") {
-    instance = GenerateZipf(n, m, /*alpha=*/1.1, s, rng);
-  } else {
-    std::fprintf(stderr, "unknown --type %s\n", type.c_str());
-    return 1;
-  }
+  std::optional<Instance> instance = MakeTypedWorkload(
+      type, {{"planted", "planted"}, {"sparse", "sparse"}, {"zipf", "zipf"}},
+      params);
+  if (!instance.has_value()) return 1;
+  const SetSystem& system = *instance->materialized();
   std::string error;
-  const bool saved =
-      format == "binary"
-          ? WriteBinarySetSystem(instance.system, out, &error)
-          : SaveSetSystemToFile(instance.system, out);
+  const bool saved = format == "binary"
+                         ? WriteBinarySetSystem(system, out, &error)
+                         : SaveSetSystemToFile(system, out);
   if (!saved) {
     std::fprintf(stderr, "cannot write %s%s%s\n", out.c_str(),
                  error.empty() ? "" : ": ", error.c_str());
     return 1;
   }
   std::printf("wrote %s: n=%u m=%u nnz=%zu planted_cover=%zu format=%s\n",
-              out.c_str(), instance.system.num_elements(),
-              instance.system.num_sets(), instance.system.total_size(),
-              instance.planted_cover.size(), format.c_str());
+              out.c_str(), system.num_elements(), system.num_sets(),
+              system.total_size(), instance->planted_cover().size(),
+              format.c_str());
   return 0;
 }
 
@@ -488,12 +511,8 @@ int CmdConvert(const Args& args) {
 
 int CmdGenerateDisk(const Args& args) {
   const std::string type = args.Get("type", "planted");
-  const uint32_t n = static_cast<uint32_t>(args.GetInt("n", 1000));
-  const uint32_t m = static_cast<uint32_t>(args.GetInt("m", 2000));
-  const uint32_t k = static_cast<uint32_t>(args.GetInt("k", 10));
-  const uint32_t s = static_cast<uint32_t>(args.GetInt("s", 32));
-  const double alpha = args.GetDouble("alpha", 1.1);
-  const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 1));
+  WorkloadParams params = ReadGenerateParams(args);
+  params.alpha = args.GetDouble("alpha", params.alpha);
   const std::string out = args.Get("out");
   const std::string format = args.Get("format", "binary");
   if (args.BadFlags()) return 1;
@@ -503,6 +522,19 @@ int CmdGenerateDisk(const Args& args) {
                  format.c_str());
     return 1;
   }
+  if (type != "planted" && type != "sparse" && type != "zipf") {
+    std::fprintf(stderr, "unknown --type %s\n", type.c_str());
+    return 1;
+  }
+  // The workload factories' bounds, checked before the output is
+  // opened: a refused spec leaves no file behind.
+  std::string error;
+  if (!WorkloadParamsFit(type, params, &error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 1;
+  }
+  const uint32_t n = params.n;
+  const uint32_t m = params.m;
 
   // Generator → sink, set by set: the instance is never materialized,
   // so paper-scale files (m in the tens of millions) stream straight to
@@ -510,7 +542,6 @@ int CmdGenerateDisk(const Args& args) {
   // (a multi-GB file takes minutes) and removes the partial output —
   // never leaves a truncated SCOVRB01 file behind.
   InstallInterruptHandler();
-  std::string error;
   std::optional<BinarySetWriter> writer;
   std::optional<TextSetSink> text_sink;
   if (format == "binary") {
@@ -534,16 +565,15 @@ int CmdGenerateDisk(const Args& args) {
     PlantedOptions options;
     options.num_elements = n;
     options.num_sets = m;
-    options.cover_size = k;
+    options.cover_size = params.k;
     options.noise_max_size = std::max(1u, n / 20);
-    result = StreamPlanted(options, seed, sink, &error);
+    result = StreamPlanted(options, params.seed, sink, &error);
   } else if (type == "sparse") {
-    result = StreamSparse(n, m, s, seed, sink, &error);
-  } else if (type == "zipf") {
-    result = StreamZipf(n, m, alpha, s, seed, sink, &error);
+    result = StreamSparse(n, m, params.max_set_size, params.seed, sink,
+                          &error);
   } else {
-    std::fprintf(stderr, "unknown --type %s\n", type.c_str());
-    return 1;
+    result = StreamZipf(n, m, params.alpha, params.max_set_size, params.seed,
+                        sink, &error);
   }
   if (!result.has_value()) {
     if (InterruptToken().cancelled()) {
@@ -697,29 +727,20 @@ std::string CanonicalAlgoName(const std::string& algo) {
   return it == kAliases.end() ? algo : it->second;
 }
 
-/// --threads must lie in [0, 256], the serve protocol's range (0 and 1
-/// both run inline). Prints why and returns false otherwise.
-bool CheckThreads(int64_t threads) {
-  if (threads < 0 || threads > 256) {
-    std::fprintf(stderr, "--threads must be in [0, 256], got %lld\n",
-                 static_cast<long long>(threads));
-    return false;
-  }
-  return true;
-}
-
-/// Reads --p (threshold_greedy's pass count) into *passes. Prints why
-/// and returns false when it lies outside [1, 2^32 - 1]; a malformed
-/// value is left to BadFlags.
-bool ReadThresholdPasses(const Args& args, uint32_t* passes) {
-  const int64_t p = args.GetInt("p", 2);
-  if ((p < 1 || p > int64_t{UINT32_MAX}) && args.parse_errors.empty()) {
-    std::fprintf(stderr, "--p must be in [1, %u], got %lld\n", UINT32_MAX,
-                 static_cast<long long>(p));
-    return false;
-  }
-  *passes = static_cast<uint32_t>(p);
-  return true;
+/// Reads the scheduler and shard flags solve and sweep share into
+/// *options: --threads in [0, kMaxThreads] (0 and 1 both run inline),
+/// --scan-threads and --shards from 1 up to serve's caps, and --p
+/// (threshold_greedy's pass count) from 1. An out-of-range value is a
+/// parse error for BadFlags.
+void ReadSchedulerOptions(const Args& args, RunOptions* options) {
+  options->threads =
+      static_cast<uint32_t>(args.GetUint("threads", 1, 0, kMaxThreads));
+  options->scan_threads = static_cast<uint32_t>(
+      args.GetUint("scan-threads", 1, 1, kMaxScanThreads));
+  options->shards =
+      static_cast<uint32_t>(args.GetUint("shards", 1, 1, kMaxShards));
+  options->threshold_passes =
+      static_cast<uint32_t>(args.GetUint("p", 2, 1));
 }
 
 /// Reads solve's run flags into *algo and *options, after the flags
@@ -730,30 +751,12 @@ bool ReadSolveOptions(const Args& args, std::string* algo,
   *algo = CanonicalAlgoName(args.Get("algo", "iter"));
   options->delta = args.GetDouble("delta", 0.5);
   options->sample_constant = args.GetDouble("c", options->sample_constant);
-  options->seed = static_cast<uint64_t>(args.GetInt("seed", 1));
+  options->seed = args.GetUint("seed", 1, 0, kMaxSeed);
   options->coverage_fraction = args.GetDouble("coverage", 1.0);
-  options->max_cover_budget =
-      static_cast<uint32_t>(args.GetInt("budget", 0));
-  const int64_t threads = args.GetInt("threads", 1);
-  const int64_t scan_threads = args.GetInt("scan-threads", 1);
-  const int64_t shards = args.GetInt("shards", 1);
+  options->max_cover_budget = static_cast<uint32_t>(args.GetUint("budget", 0));
+  ReadSchedulerOptions(args, options);
   options->early_exit = args.Has("early-exit");
-  if (!ReadThresholdPasses(args, &options->threshold_passes)) return false;
   if (args.BadFlags()) return false;
-  if (!CheckThreads(threads)) return false;
-  options->threads = static_cast<uint32_t>(threads);
-  if (scan_threads < 1) {
-    std::fprintf(stderr, "--scan-threads must be >= 1, got %lld\n",
-                 static_cast<long long>(scan_threads));
-    return false;
-  }
-  options->scan_threads = static_cast<uint32_t>(scan_threads);
-  if (shards < 1) {
-    std::fprintf(stderr, "--shards must be >= 1, got %lld\n",
-                 static_cast<long long>(shards));
-    return false;
-  }
-  options->shards = static_cast<uint32_t>(shards);
   if (!(options->coverage_fraction > 0.0 &&
         options->coverage_fraction <= 1.0)) {
     std::fprintf(stderr, "--coverage must be in (0, 1], got %g\n",
@@ -807,59 +810,38 @@ int CmdSweep(const Args& args) {
       args.Get("solvers", "iter,progressive_greedy,threshold_greedy"));
   const std::vector<std::string> workloads =
       SplitCommaList(args.Get("workloads", "planted,sparse,zipf"));
-  const int64_t num_seeds = args.GetInt("seeds", 2);
-  const int64_t num_trials = args.GetInt("trials", 1);
-  if (solvers.empty() || workloads.empty() || num_seeds <= 0 ||
-      num_trials <= 0) {
-    return Usage();
-  }
+  const uint64_t num_seeds = args.GetUint("seeds", 2, 1);
+  const uint64_t num_trials = args.GetUint("trials", 1, 1);
+  if (solvers.empty() || workloads.empty()) return Usage();
 
-  const int64_t shards = args.GetInt("shards", 1);
-  if (shards < 1 && args.parse_errors.empty()) {
-    std::fprintf(stderr, "--shards must be >= 1, got %lld\n",
-                 static_cast<long long>(shards));
-    return 1;
-  }
-  const int64_t scan_threads = args.GetInt("scan-threads", 1);
-  if (scan_threads < 1 && args.parse_errors.empty()) {
-    std::fprintf(stderr, "--scan-threads must be >= 1, got %lld\n",
-                 static_cast<long long>(scan_threads));
-    return 1;
-  }
-  const int64_t threads = args.GetInt("threads", 1);
-  if (args.parse_errors.empty() && !CheckThreads(threads)) return 1;
-  uint32_t threshold_passes = 0;
-  if (!ReadThresholdPasses(args, &threshold_passes)) return 1;
-
+  RunOptions options;
+  ReadSchedulerOptions(args, &options);
+  options.delta = args.GetDouble("delta", 0.5);
+  options.sample_constant = args.GetDouble("c", options.sample_constant);
+  options.coverage_fraction = args.GetDouble("coverage", 1.0);
+  options.early_exit = args.Has("early-exit");
   RunPlan plan;
   for (const std::string& solver : solvers) {
     SolverSpec spec;
     spec.solver = CanonicalAlgoName(solver);
-    spec.options.delta = args.GetDouble("delta", 0.5);
-    spec.options.sample_constant =
-        args.GetDouble("c", spec.options.sample_constant);
-    spec.options.threshold_passes = threshold_passes;
-    spec.options.coverage_fraction = args.GetDouble("coverage", 1.0);
-    spec.options.threads = static_cast<uint32_t>(threads);
-    spec.options.scan_threads = static_cast<uint32_t>(scan_threads);
-    spec.options.shards = static_cast<uint32_t>(shards);
-    spec.options.early_exit = args.Has("early-exit");
+    spec.options = options;
     plan.solvers.push_back(std::move(spec));
   }
+  WorkloadParams params;
+  params.n = static_cast<uint32_t>(args.GetUint("n", 500));
+  params.m = static_cast<uint32_t>(args.GetUint("m", 1000));
+  params.k = static_cast<uint32_t>(args.GetUint("k", 8));
+  params.max_set_size = static_cast<uint32_t>(args.GetUint("s", 32));
+  params.path = args.Get("path");
   for (const std::string& workload : workloads) {
     WorkloadSpec spec;
     spec.workload = workload;
-    spec.params.n = static_cast<uint32_t>(args.GetInt("n", 500));
-    spec.params.m = static_cast<uint32_t>(args.GetInt("m", 1000));
-    spec.params.k = static_cast<uint32_t>(args.GetInt("k", 8));
-    spec.params.max_set_size =
-        static_cast<uint32_t>(args.GetInt("s", 32));
-    spec.params.path = args.Get("path");
+    spec.params = params;
     plan.workloads.push_back(std::move(spec));
   }
   plan.seeds.clear();
-  for (int64_t seed = 1; seed <= num_seeds; ++seed) {
-    plan.seeds.push_back(static_cast<uint64_t>(seed));
+  for (uint64_t seed = 1; seed <= num_seeds; ++seed) {
+    plan.seeds.push_back(seed);
   }
   plan.trials = static_cast<uint32_t>(num_trials);
   const std::string json_path = args.Get("json");
@@ -913,11 +895,7 @@ int CmdSolve(const Args& args) {
   }
   WorkloadParams params;
   if (!workload.empty()) {
-    params.n = static_cast<uint32_t>(args.GetInt("n", 1000));
-    params.m = static_cast<uint32_t>(args.GetInt("m", 2000));
-    params.k = static_cast<uint32_t>(args.GetInt("k", 10));
-    params.max_set_size = static_cast<uint32_t>(args.GetInt("s", 32));
-    params.seed = static_cast<uint64_t>(args.GetInt("seed", 1));
+    params = ReadGenerateParams(args);
     params.path = args.Get("path");
   }
   std::string algo;
@@ -961,6 +939,15 @@ int CmdSelfTest() {
   const std::string dir =
       std::getenv("TMPDIR") != nullptr ? std::getenv("TMPDIR") : "/tmp";
   const std::string path = dir + "/streamcover_cli_selftest.txt";
+  // Runs a command on fresh Args: parse errors accumulate on an Args, so
+  // reusing one would let an earlier bad flag mask a later check.
+  using Command = int (*)(const Args&);
+  using Flags = std::map<std::string, std::string>;
+  auto run = [](Command command, Flags flags) {
+    Args args;
+    args.flags = std::move(flags);
+    return command(args);
+  };
 
   {
     Args gen;
@@ -1164,18 +1151,20 @@ int CmdSelfTest() {
     // Sharded solve family: the unsharded reference and the sharded
     // engine dispatch; --shards is strictly parsed (malformed and
     // non-positive values exit 1, never silently coerce).
-    Args solve;
-    solve.flags = {{"in", path}, {"algo", "greedi"}};
-    if (CmdSolve(solve) != 0) return 1;
-    solve.flags = {{"in", path}, {"algo", "sharded_greedi"},
-                   {"shards", "4"}, {"threads", "4"}};
-    if (CmdSolve(solve) != 0) return 1;
-    solve.flags = {{"in", path}, {"algo", "sharded_greedi"},
-                   {"shards", "2x"}};
-    if (CmdSolve(solve) != 1) return 1;
-    solve.flags = {{"in", path}, {"algo", "sharded_greedi"},
-                   {"shards", "0"}};
-    if (CmdSolve(solve) != 1) return 1;
+    if (run(CmdSolve, {{"in", path}, {"algo", "greedi"}}) != 0) return 1;
+    if (run(CmdSolve, {{"in", path},
+                       {"algo", "sharded_greedi"},
+                       {"shards", "4"},
+                       {"threads", "4"}}) != 0) {
+      return 1;
+    }
+    for (const char* shards : {"2x", "0"}) {
+      if (run(CmdSolve, {{"in", path},
+                         {"algo", "sharded_greedi"},
+                         {"shards", shards}}) != 1) {
+        return 1;
+      }
+    }
   }
   {
     // Pipelined scan: --scan-threads runs the chunk decoder on a decode
@@ -1183,34 +1172,99 @@ int CmdSelfTest() {
     // a successful cover); the flag is strictly parsed —
     // malformed and non-positive values exit 1, never silently coerce.
     const std::string bin_path = dir + "/streamcover_cli_selftest.bin";
-    Args solve;
-    solve.flags = {{"in", bin_path}, {"algo", "iter"},
-                   {"from-disk", "1"}, {"scan-threads", "4"}};
-    if (CmdSolve(solve) != 0) return 1;
-    solve.flags = {{"in", path}, {"algo", "iter"}, {"scan-threads", "0"}};
-    if (CmdSolve(solve) != 1) return 1;
-    solve.flags = {{"in", path}, {"algo", "iter"}, {"scan-threads", "4x"}};
-    if (CmdSolve(solve) != 1) return 1;
-    Args bad;
-    bad.flags = {{"solvers", "iter"}, {"workloads", "planted"},
-                 {"scan-threads", "-2"}};
-    if (CmdSweep(bad) != 1) return 1;
+    if (run(CmdSolve, {{"in", bin_path},
+                       {"algo", "iter"},
+                       {"from-disk", "1"},
+                       {"scan-threads", "4"}}) != 0) {
+      return 1;
+    }
+    for (const char* scan_threads : {"0", "4x"}) {
+      if (run(CmdSolve, {{"in", path},
+                         {"algo", "iter"},
+                         {"scan-threads", scan_threads}}) != 1) {
+        return 1;
+      }
+    }
+    if (run(CmdSweep, {{"solvers", "iter"},
+                       {"workloads", "planted"},
+                       {"scan-threads", "-2"}}) != 1) {
+      return 1;
+    }
   }
   {
     // --threads is range-checked like the serve protocol's field: -1
     // (which a cast would wrap to 2^32 - 1) and 257 exit 1 before any
     // thread starts, in solve and in sweep; 0 runs inline.
-    Args solve;
-    solve.flags = {{"in", path}, {"algo", "iter"}, {"threads", "-1"}};
-    if (CmdSolve(solve) != 1) return 1;
-    solve.flags = {{"in", path}, {"algo", "iter"}, {"threads", "257"}};
-    if (CmdSolve(solve) != 1) return 1;
-    solve.flags = {{"in", path}, {"algo", "iter"}, {"threads", "0"}};
-    if (CmdSolve(solve) != 0) return 1;
-    Args bad;
-    bad.flags = {{"solvers", "iter"}, {"workloads", "planted"},
-                 {"threads", "-1"}};
-    if (CmdSweep(bad) != 1) return 1;
+    for (const char* threads : {"-1", "257"}) {
+      if (run(CmdSolve, {{"in", path}, {"algo", "iter"},
+                         {"threads", threads}}) != 1) {
+        return 1;
+      }
+    }
+    if (run(CmdSolve, {{"in", path}, {"algo", "iter"}, {"threads", "0"}}) !=
+        0) {
+      return 1;
+    }
+    if (run(CmdSweep, {{"solvers", "iter"},
+                       {"workloads", "planted"},
+                       {"threads", "-1"}}) != 1) {
+      return 1;
+    }
+  }
+  {
+    // Parameters a workload factory refuses exit 1 and write nothing, in
+    // every generate command: generate-disk checks the bound before it
+    // opens its output, and none reaches a generator's SC_CHECK.
+    const std::string unwritten = dir + "/streamcover_cli_selftest_refused";
+    const std::vector<std::pair<Command, Flags>> cases = {
+        {CmdGenerateDisk,
+         {{"type", "planted"}, {"n", "100"}, {"m", "200"}, {"k", "0"}}},
+        {CmdGenerateDisk,
+         {{"type", "sparse"}, {"n", "100"}, {"m", "2"}, {"s", "10"}}},
+        {CmdGenerateDisk, {{"type", "sparse"}, {"n", "-1"}}},
+        {CmdGenerate,
+         {{"type", "planted"}, {"n", "100"}, {"m", "50"}, {"k", "60"}}},
+        {CmdGenerateGeom,
+         {{"type", "disk"}, {"n", "100"}, {"m", "2"}, {"k", "5"}}},
+        {CmdGenerateGeom, {{"type", "figure12"}, {"n", "2"}}},
+    };
+    for (auto [command, flags] : cases) {
+      std::remove(unwritten.c_str());
+      flags["out"] = unwritten;
+      if (run(command, flags) != 1 || std::ifstream(unwritten).good()) {
+        std::fprintf(stderr, "selftest: a refused spec did not exit 1 "
+                             "without output\n");
+        return 1;
+      }
+    }
+  }
+  {
+    // Integer flags never wrap: a negative value, one past 2^32 and one
+    // past serve's caps exit 1 instead of running with a cast value.
+    const std::string bin_path = dir + "/streamcover_cli_selftest.bin";
+    const Flags cases[] = {
+        {{"in", path}, {"algo", "sharded_greedi"}, {"shards", "4294967297"}},
+        {{"in", path}, {"algo", "sharded_greedi"}, {"shards", "1025"}},
+        {{"in", bin_path},
+         {"algo", "iter"},
+         {"from-disk", "1"},
+         {"scan-threads", "4294967298"}},
+        {{"in", path}, {"algo", "iter"}, {"scan-threads", "257"}},
+        {{"in", path}, {"algo", "streaming_max_cover"}, {"budget", "-1"}},
+        {{"in", path}, {"algo", "iter"}, {"seed", "-5"}},
+    };
+    for (const Flags& flags : cases) {
+      if (run(CmdSolve, flags) != 1) return 1;
+    }
+  }
+  {
+    // An element in no set: dimv14 answers success=false and exits 1,
+    // like every other non-geometric solver.
+    const std::string uncoverable = dir + "/streamcover_cli_selftest_unc.txt";
+    std::ofstream(uncoverable) << "setcover 3 2\n2 0 1\n1 1\n";
+    if (run(CmdSolve, {{"in", uncoverable}, {"algo", "dimv14"}}) != 1) {
+      return 1;
+    }
   }
   {
     // Sharded sweep: the shards axis must land in the report's solver
