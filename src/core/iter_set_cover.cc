@@ -129,6 +129,8 @@ class GuessConsumer final : public ScanConsumer {
   uint64_t k() const { return k_; }
   bool success() const { return success_; }
   bool killed() const { return killed_; }
+  /// Elements the guess's cover leaves uncovered; final once done().
+  uint64_t uncovered_count() const { return uncovered_.Count(); }
   /// Deduplicated cover size; valid once done() and not killed.
   uint64_t final_cover_size() const { return sol_.size(); }
   /// Distinct sets picked so far (maintained only with early_exit on).
@@ -558,25 +560,37 @@ StreamingResult IterSetCover(PassScheduler& scheduler,
   }
 
   // Winner selection identical to the sequential implementation:
-  // ascending k, replace only on strictly smaller cover. Accounting is
-  // the parallel composition (passes: max; space: sum) plus the new
-  // physical column.
+  // ascending k, replace only on strictly smaller cover. When no guess
+  // succeeds, the finished guess whose cover leaves the fewest elements
+  // uncovered stands in (ties: the smaller cover, then the smaller k);
+  // it stays success = false. Accounting is the parallel composition
+  // (passes: max; space: sum) plus the new physical column.
   StreamingResult best;
+  uint64_t best_uncovered = UINT64_MAX;
   uint64_t passes_max = 0;
   uint64_t scans_total = 0;
   uint64_t space_sum = 0;
   uint64_t space_max = 0;
   for (size_t i = 0; i < guesses.size(); ++i) {
-    const uint64_t peak = guesses[i]->peak_words();
-    StreamingResult guess_result =
-        guesses[i]->TakeResult(guesses[i]->passes());
+    GuessConsumer& guess = *guesses[i];
+    const uint64_t peak = guess.peak_words();
+    const bool finished = guess.done() && !guess.killed();
+    const uint64_t uncovered = guess.uncovered_count();
+    StreamingResult guess_result = guess.TakeResult(guess.passes());
     passes_max = std::max(passes_max, guess_result.passes);
     scans_total += guess_result.sequential_scans;
     space_sum += peak;
     space_max = std::max(space_max, peak);
-    if (guess_result.success &&
-        (!best.success || guess_result.cover.size() < best.cover.size())) {
+    if (guess_result.success) {
+      if (!best.success || guess_result.cover.size() < best.cover.size()) {
+        best = std::move(guess_result);
+      }
+    } else if (!best.success && finished &&
+               (uncovered < best_uncovered ||
+                (uncovered == best_uncovered &&
+                 guess_result.cover.size() < best.cover.size()))) {
       best = std::move(guess_result);
+      best_uncovered = uncovered;
     }
     if (slots[i] != kNoSlot) scheduler.Retire(slots[i]);
   }

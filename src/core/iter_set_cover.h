@@ -155,7 +155,11 @@ struct StreamingResult {
 
 /// Runs iterSetCover with every guess multiplexed on `scheduler` (and
 /// on its worker threads, if any). The returned cover is verified
-/// feasible iff `success`.
+/// feasible iff `success`. When no guess succeeds (an element in no
+/// set), the result is the guess whose cover leaves the fewest elements
+/// uncovered, ties going to the smaller cover and then the smaller k,
+/// with `success` false; passes, scans and space still compose over
+/// every guess.
 StreamingResult IterSetCover(PassScheduler& scheduler,
                              const IterSetCoverOptions& options);
 

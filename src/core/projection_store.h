@@ -19,7 +19,12 @@
 // The hand-off is optional (an iteration whose sample died to heavy sets
 // solves nothing). When it happens, the arena's buffer leaves with the
 // sub-instance and is freed with it, so the next epoch grows a fresh
-// buffer; without it, ResetEpoch keeps the capacity.
+// buffer; without it, ResetEpoch keeps the capacity. When the
+// sub-instance keeps every element (num_sub_elements == reindex.size(),
+// as in an iteration that samples the whole residual of an untouched
+// universe), the increasing reindex map onto [0, n) is the identity:
+// the words are handed on as staged, and only the offsets and ids are
+// laid out.
 //
 // Accounting discipline: the store counts the logical words (elements
 // + one id word per stored projection) its refs pin, and TakeSubInstance
@@ -103,9 +108,11 @@ class ProjectionStore {
   /// sub-instance id, UINT32_MAX drops e); projections left empty are
   /// skipped, the rest keep their commit order, and `set_ids` receives
   /// their original ids. `reindex` must be increasing on the elements it
-  /// keeps, so the sorted projections stay sorted. The arena's buffer
-  /// moves into the returned system; the store holds no projection
-  /// afterwards, but its words stay charged until ReleaseEpoch.
+  /// keeps, so the sorted projections stay sorted; when it keeps all
+  /// reindex.size() of them it is the identity and no word is
+  /// rewritten. The arena's buffer moves into the returned system; the
+  /// store holds no projection afterwards, but its words stay charged
+  /// until ReleaseEpoch.
   SetSystem TakeSubInstance(std::span<const uint32_t> reindex,
                             uint32_t num_sub_elements,
                             std::vector<uint32_t>& set_ids) {
@@ -116,6 +123,15 @@ class ProjectionStore {
     std::vector<uint32_t> words = arena_.TakeWords();
     std::vector<size_t> offsets{0};
     set_ids.clear();
+    if (num_sub_elements == reindex.size()) {
+      for (const Ref& ref : refs_) {
+        SC_DCHECK_EQ(ref.offset, offsets.back());
+        if (ref.length == 0) continue;
+        offsets.push_back(ref.offset + ref.length);
+        set_ids.push_back(ref.set_id);
+      }
+      return HandOff(num_sub_elements, std::move(offsets), std::move(words));
+    }
     size_t write = 0;
     for (const Ref& ref : refs_) {
       SC_DCHECK_LE(write, ref.offset);
@@ -131,10 +147,7 @@ class ProjectionStore {
       set_ids.push_back(ref.set_id);
     }
     words.resize(write);
-    refs_.clear();
-    handed_off_ = true;
-    return SetSystem::FromSortedCsr(num_sub_elements, std::move(offsets),
-                                    std::move(words));
+    return HandOff(num_sub_elements, std::move(offsets), std::move(words));
   }
 
   /// Releases this epoch's projection words from `tracker`, checking
@@ -157,6 +170,16 @@ class ProjectionStore {
   }
 
  private:
+  /// Ends TakeSubInstance: the store keeps no ref, and the laid-out
+  /// CSR becomes the sub-instance.
+  SetSystem HandOff(uint32_t num_sub_elements, std::vector<size_t> offsets,
+                    std::vector<uint32_t> words) {
+    refs_.clear();
+    handed_off_ = true;
+    return SetSystem::FromSortedCsr(num_sub_elements, std::move(offsets),
+                                    std::move(words));
+  }
+
   U32Arena arena_;
   std::vector<Ref> refs_;
   uint64_t words_ = 0;

@@ -1,6 +1,7 @@
 #include "offline/lazy_greedy.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <utility>
 
@@ -22,6 +23,47 @@ namespace {
 /// 0.5M–2M pairs, and slower in most runs below 300K pairs.
 constexpr uint64_t kRangeElementPairs = 4;
 constexpr uint64_t kRangeBasePairs = uint64_t{1} << 18;
+
+constexpr int kRadixDigitBits = 11;
+constexpr uint32_t kRadixDigits = uint32_t{1} << kRadixDigitBits;
+
+/// Sorts distinct claims ascending: std::sort below
+/// LazyGreedy::kRadixSortCutoff, where clearing and prefix-summing the
+/// digit counts costs more than it saves, else an LSD radix sort on
+/// 11-bit digits through `scratch` (one count sweep for all three
+/// digits, then one scatter per digit the claims do not all share).
+void SortClaims(std::vector<uint32_t>& claims,
+                std::vector<uint32_t>& scratch) {
+  const size_t count = claims.size();
+  if (count < LazyGreedy::kRadixSortCutoff) {
+    std::sort(claims.begin(), claims.end());
+    return;
+  }
+  constexpr int kPasses = (32 + kRadixDigitBits - 1) / kRadixDigitBits;
+  std::array<uint32_t, kPasses * kRadixDigits> starts{};
+  for (const uint32_t claim : claims) {
+    for (int p = 0; p < kPasses; ++p) {
+      ++starts[p * kRadixDigits +
+               ((claim >> (p * kRadixDigitBits)) & (kRadixDigits - 1))];
+    }
+  }
+  scratch.resize(count);
+  for (int p = 0; p < kPasses; ++p) {
+    const int shift = p * kRadixDigitBits;
+    uint32_t* start = starts.data() + p * kRadixDigits;
+    if (start[(claims[0] >> shift) & (kRadixDigits - 1)] == count) {
+      continue;  // every claim has this digit: the pass moves nothing
+    }
+    uint32_t next = 0;
+    for (uint32_t d = 0; d < kRadixDigits; ++d) {
+      next += std::exchange(start[d], next);
+    }
+    for (const uint32_t claim : claims) {
+      scratch[start[(claim >> shift) & (kRadixDigits - 1)]++] = claim;
+    }
+    claims.swap(scratch);
+  }
+}
 
 /// Visits every set bit of a dense row, ascending.
 template <typename Fn>
@@ -78,7 +120,8 @@ uint32_t LazyGreedy::IndexRanges(const WorkerPool* pool) const {
       std::clamp<uint64_t>(pairs / range_pairs, 1, pool->threads()));
 }
 
-TransposedIndex LazyGreedy::BuildIndex() const {
+TransposedIndex LazyGreedy::BuildIndex(const DynamicBitset& targets,
+                                       std::span<uint32_t> gains) const {
   WorkerPool* pool = WorkerPool::Current();
   const uint32_t ranges = IndexRanges(pool);
   // visit(i, row, range) for every candidate; range r holds candidates
@@ -98,13 +141,21 @@ TransposedIndex LazyGreedy::BuildIndex() const {
       pool->ParallelFor(ranges, body);
     }
   };
+  // When every element is a target (GreedySolver's runs), a sparse
+  // row's gain is its size, and the sweep reads no mask for it.
+  const bool every_target = targets.Count() == targets.size();
   TransposedIndex::Builder builder(num_elements_, ranges);
-  sweep([&](uint32_t, const Row& row, uint32_t range) {
+  sweep([&](uint32_t i, const Row& row, uint32_t range) {
     if (row.dense.empty()) {
       builder.CountSet(row.sparse, range);
+      gains[i] = static_cast<uint32_t>(
+          every_target ? row.sparse.size()
+                       : CountUncovered(row.sparse, targets));
     } else {
       ForEachRowBit(row.dense,
                     [&](uint32_t e) { builder.CountElement(e, range); });
+      gains[i] =
+          static_cast<uint32_t>(CountUncoveredDense(row.dense, targets));
     }
   });
   builder.PrepareFill();
@@ -123,17 +174,19 @@ LazyGreedyResult LazyGreedy::Run(const DynamicBitset& targets,
                                  uint64_t required) const {
   SC_CHECK_EQ(targets.size(), num_elements_);
   const uint32_t m = static_cast<uint32_t>(rows_.size());
-  const TransposedIndex index = BuildIndex();
+  std::vector<uint32_t> start_gains(m);
+  const TransposedIndex index = BuildIndex(targets, start_gains);
 
-  // Targets no candidate contains can never be covered: drop them.
+  // Targets no candidate contains can never be covered: drop them. The
+  // count sweep's gains |row ∩ targets| are already the gains over
+  // `live`, since every element of a row is coverable.
   DynamicBitset live = targets;
   for (uint32_t e = 0; e < num_elements_; ++e) {
     if (!index.Coverable(e)) live.Reset(e);
   }
   if (required == kAllCoverable) required = live.Count();
 
-  GainTracker gains(&index, m);
-  gains.InitFromMask(live);
+  GainTracker gains(&index, std::move(start_gains));
 
   // The bucket queue (see the header). A counting sort by gain lays the
   // initial claims out bucket after bucket, bucket g at [first[g],
@@ -157,6 +210,7 @@ LazyGreedyResult LazyGreedy::Run(const DynamicBitset& targets,
     }
   }
   std::vector<std::vector<uint32_t>> moved(level + 1);
+  std::vector<uint32_t> sort_scratch;
   std::vector<uint32_t> top;  // the top bucket's claims, ascending
   ++level;                    // the bucket `top` holds; none yet
 
@@ -170,7 +224,7 @@ LazyGreedyResult LazyGreedy::Run(const DynamicBitset& targets,
       // the claims that fell to it. Nothing falls to it again while it
       // is the top.
       std::vector<uint32_t>& in = moved[level];
-      std::sort(in.begin(), in.end());
+      SortClaims(in, sort_scratch);
       top.resize(first[level + 1] - first[level] + in.size());
       std::merge(initial.begin() + first[level],
                  initial.begin() + first[level + 1], in.begin(), in.end(),

@@ -7,16 +7,22 @@
 // (mask-shaped BitsetCSR rows) — and runs exact greedy over it:
 //
 //   * an element → candidates TransposedIndex is built over the store
-//     in one count sweep + one fill sweep, and a GainTracker keeps every
-//     candidate's residual gain exact by decrementing along each pick's
-//     newly covered elements. Each (element, candidate) pair is touched
-//     at most once, so total maintenance is nnz(candidates). Run inside
-//     a WorkerPool loop (a PassScheduler pass end), both sweeps run over
-//     up to one candidate range per pool thread, fanned out onto the
-//     pool's idle workers, when the store holds at least
-//     4·num_elements + 2^18 pairs per range: each range pays for its own
-//     n-entry count row and a wake-up. The ranged builder makes the
-//     same index.
+//     in one count sweep + one fill sweep. The count sweep also writes
+//     each candidate's starting gain |row ∩ targets| (CountUncovered /
+//     CountUncoveredDense; a sparse row's size when every element is a
+//     target, as in GreedySolver's runs). That is its gain over the
+//     coverable targets, since every element of a row is coverable, so
+//     no third sweep over the index computes them. A GainTracker starts from
+//     those gains and keeps every candidate's residual gain exact by
+//     decrementing along each pick's newly covered elements. Each
+//     (element, candidate) pair is touched at most once, so total
+//     maintenance is nnz(candidates). Run inside a WorkerPool loop (a
+//     PassScheduler pass end), both sweeps run over up to one candidate
+//     range per pool thread, fanned out onto the pool's idle workers,
+//     when the store holds at least 4·num_elements + 2^18 pairs per
+//     range: each range pays for its own n-entry count row and a
+//     wake-up. The ranged builder makes the same index, and each range
+//     writes only its own candidates' gains.
 //   * candidates wait in a bucket queue of claims: bucket g holds the
 //     tie keys of the candidates last seen at gain g, ascending, so the
 //     top bucket's back is the largest (gain, tie key) claim. Claims
@@ -25,10 +31,13 @@
 //     the exact greedy argmax. A stale claim moves to the bucket of its
 //     true gain, and a claim whose gain fell to zero is dropped. Moved
 //     claims collect per bucket and are sorted and merged in when their
-//     bucket reaches the top; a bucket never receives a claim while it
-//     is the top (claims only fall), so every inspection sees exactly
-//     the claim a max-heap of packed (gain << 32 | tie key) entries
-//     would have at its root.
+//     bucket reaches the top: by an LSD radix sort on 11-bit digits
+//     once a bucket holds kRadixSortCutoff of them (the store-all
+//     guess on iter_disk moves about 580K claims), by std::sort below.
+//     The keys are distinct, so both give the same order. A bucket
+//     never receives a claim while it is the top (claims only fall), so
+//     every inspection sees exactly the claim a max-heap of packed
+//     (gain << 32 | tie key) entries would have at its root.
 //
 // Ties among equal gains go by candidate index, in the direction the
 // caller fixes at construction: GreedySolver prefers the larger set id,
@@ -47,6 +56,7 @@
 #ifndef STREAMCOVER_OFFLINE_LAZY_GREEDY_H_
 #define STREAMCOVER_OFFLINE_LAZY_GREEDY_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -89,6 +99,10 @@ class LazyGreedy {
   static constexpr uint64_t kAllCoverable =
       std::numeric_limits<uint64_t>::max();
 
+  /// Moved claims a bucket must gather before they are radix-sorted
+  /// rather than std::sort-ed (see the header comment).
+  static constexpr size_t kRadixSortCutoff = 512;
+
   LazyGreedy(uint32_t num_elements, Ties ties);
 
   /// Every set of `system` as a sparse candidate, candidate index = set
@@ -123,8 +137,11 @@ class LazyGreedy {
 
   /// The element → candidate index over the store, built over
   /// IndexRanges(WorkerPool::Current()) candidate ranges, the ranges
-  /// after the first on the current pool's idle workers.
-  TransposedIndex BuildIndex() const;
+  /// after the first on the current pool's idle workers. The count
+  /// sweep also writes gains[i] = |row i ∩ targets|, each range only
+  /// its own candidates' slots.
+  TransposedIndex BuildIndex(const DynamicBitset& targets,
+                             std::span<uint32_t> gains) const;
 
   uint32_t num_elements_;
   /// XOR-ed into a candidate index to make its tie key: all ones

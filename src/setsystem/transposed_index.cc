@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "util/huge_pages.h"
+
 namespace streamcover {
 
 TransposedIndex::Builder::Builder(uint32_t num_elements, uint32_t ranges)
@@ -32,7 +34,20 @@ void TransposedIndex::Builder::PrepareFill() {
     }
   }
   offsets_[num_elements_] = next;
-  entries_.resize(next);
+  // Entries of at least two huge pages are left unzeroed and advised
+  // onto huge pages: the fill sweep is their first touch, and zeroing
+  // them first would only fault their pages in serially (0.02–0.06 s
+  // for the 80 MB index of iter_disk's store-all guess). Smaller ones
+  // are zeroed first: that sequential sweep brings them into cache
+  // ahead of the fill's scattered writes, which measured 4–5% faster
+  // per solve on serve_mix's 200K-pair instances.
+  const size_t bytes = next * sizeof(uint32_t);
+  if (bytes >= 2 * kHugePageBytes) {
+    entries_ = std::make_unique_for_overwrite<uint32_t[]>(next);
+    AdviseHugePages(entries_.get(), bytes);
+  } else {
+    entries_ = std::make_unique<uint32_t[]>(next);
+  }
 }
 
 TransposedIndex TransposedIndex::Builder::Build() && {
@@ -51,17 +66,6 @@ TransposedIndex TransposedIndex::Builder::Build() && {
   index.offsets_ = std::move(offsets_);
   index.entries_ = std::move(entries_);
   return index;
-}
-
-void GainTracker::InitFromMask(const DynamicBitset& uncovered) {
-  SC_CHECK_EQ(uncovered.size(), index_->num_elements());
-  for (uint32_t& g : gains_) g = 0;
-  uncovered.ForEach([&](uint32_t e) {
-    for (uint32_t s : index_->Sets(e)) {
-      SC_DCHECK_LT(s, gains_.size());
-      ++gains_[s];
-    }
-  });
 }
 
 void GainTracker::OnCovered(std::span<const uint32_t> newly_covered) {

@@ -11,11 +11,19 @@
 // greedy run: over each iterSetCover guess's sub-instance, the store-all
 // buffer, or the shard merge's candidates — over row ranges on a worker
 // pool when the store is large; offline/exact.cc builds one for
-// branching). When a pick covers elements (LazyGreedy hands them to
-// OnCovered), GainTracker walks exactly the affected columns and
-// decrements exact gains — each (element, set) pair is touched at most
-// ONCE over the whole run, so total maintenance is nnz(F') instead of
-// rounds × nnz(F').
+// branching). An entries array of at least two huge pages is allocated
+// without zeroing and advised onto huge pages (util/huge_pages.h): the
+// fill sweep is its first touch, and Build()'s cursor check proves it
+// wrote every entry. A smaller one is zeroed first, which warms it in
+// cache for the fill.
+//
+// A GainTracker is constructed with every candidate's starting gain,
+// which the caller already knows (LazyGreedy's count sweep computes
+// them while it visits each row). When a pick covers elements
+// (LazyGreedy hands them to OnCovered), the tracker walks exactly the
+// affected columns and decrements exact gains — each (element, set)
+// pair is touched at most ONCE over the whole run, so total
+// maintenance is nnz(F') instead of rounds × nnz(F').
 //
 // Counters: `gain_updates` counts individual gain decrements (the
 // O(1) maintenance ops); consumers report `sets_touched` for the gain
@@ -27,10 +35,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
-#include "util/bitset.h"
 #include "util/check.h"
 
 namespace streamcover {
@@ -69,7 +78,9 @@ class TransposedIndex {
     }
 
     /// Freezes the counts into column offsets and each range's slice
-    /// starts. Call exactly once, between the counting and fill sweeps.
+    /// starts, and allocates the entries (large ones not zeroed: the
+    /// fill writes each one). Call exactly once, between the counting
+    /// and fill sweeps.
     void PrepareFill();
 
     void FillElement(uint32_t set_index, uint32_t element,
@@ -93,7 +104,7 @@ class TransposedIndex {
     std::vector<size_t> slices_;
     std::vector<size_t> counts_;  ///< the counts, kept for Build's check
     std::vector<size_t> offsets_;
-    std::vector<uint32_t> entries_;
+    std::unique_ptr<uint32_t[]> entries_;
     uint32_t num_elements_ = 0;
     uint32_t ranges_ = 1;
     size_t stride_ = 0;  ///< slices_ entries per range
@@ -104,14 +115,15 @@ class TransposedIndex {
     return static_cast<uint32_t>(
         offsets_.empty() ? 0 : offsets_.size() - 1);
   }
-  size_t entry_count() const { return entries_.size(); }
+  size_t entry_count() const {
+    return offsets_.empty() ? 0 : offsets_.back();
+  }
 
   /// Indices of the sets containing `element`, in fill order.
   std::span<const uint32_t> Sets(uint32_t element) const {
     SC_DCHECK_LT(static_cast<size_t>(element) + 1, offsets_.size());
-    return std::span<const uint32_t>(entries_)
-        .subspan(offsets_[element],
-                 offsets_[element + 1] - offsets_[element]);
+    return {entries_.get() + offsets_[element],
+            offsets_[element + 1] - offsets_[element]};
   }
 
   /// True iff some set contains `element` (the coverability test).
@@ -123,28 +135,24 @@ class TransposedIndex {
   /// per offset + half a word per uint32 entry, rounded up.
   uint64_t word_count() const {
     return static_cast<uint64_t>(offsets_.size()) +
-           (static_cast<uint64_t>(entries_.size()) + 1) / 2;
+           (static_cast<uint64_t>(entry_count()) + 1) / 2;
   }
 
  private:
   std::vector<size_t> offsets_;
-  std::vector<uint32_t> entries_;
+  std::unique_ptr<uint32_t[]> entries_;
 };
 
 /// Exact residual gains for the sets a TransposedIndex covers,
-/// maintained decrementally from coverage deltas. `num_sets` is the
-/// exclusive upper bound on the set indices the index's columns hold.
+/// maintained decrementally from coverage deltas.
 class GainTracker {
  public:
-  /// `index` must outlive the tracker. Gains start at zero; call one
-  /// Init* before reading them.
-  GainTracker(const TransposedIndex* index, uint32_t num_sets)
-      : index_(index), gains_(num_sets, 0) {}
-
-  /// gains[s] = |S_s ∩ uncovered| for the current mask, via one sweep
-  /// over the uncovered columns. The mask must span the index's
-  /// universe.
-  void InitFromMask(const DynamicBitset& uncovered);
+  /// `index` must outlive the tracker. `gains[s]` is set s's starting
+  /// gain, |S_s ∩ uncovered| for the uncovered mask OnCovered will
+  /// shrink; gains.size() is the exclusive upper bound on the set
+  /// indices the index's columns hold.
+  GainTracker(const TransposedIndex* index, std::vector<uint32_t> gains)
+      : index_(index), gains_(std::move(gains)) {}
 
   uint64_t gain(uint32_t set_index) const {
     SC_DCHECK_LT(set_index, gains_.size());

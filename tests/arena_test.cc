@@ -4,12 +4,15 @@
 // CHECK-fails if the attribution was not settled first (the projection
 // words of one iteration can never silently leak into the next
 // iteration's watermark). The in-place sub-instance hand-off is checked
-// against a SetSystem::Builder oracle.
+// against a SetSystem::Builder oracle, on rewriting and identity maps.
+// The arena's growth (fresh buffers advised onto huge pages) must keep
+// every committed run.
 
 #include "util/arena.h"
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,6 +53,85 @@ TEST(U32ArenaTest, EpochResetDropsContentAndCounts) {
   EXPECT_EQ(arena.epoch(), 1u);
   arena.Push(42);
   EXPECT_EQ(arena.SpanAt(0, 1)[0], 42u);
+}
+
+// About 6M words staged in runs of varying length, the way the kernels
+// and the Size Test stage them: pushed one by one, or extended in bulk
+// and rewound to the kept prefix; some runs are abandoned. The buffer
+// grows past the 2 MiB huge-page advice threshold and through several
+// doublings after it, and every committed run must keep its words at
+// its offset across each growth; TakeWords returns the committed runs
+// back to back, in order.
+TEST(U32ArenaTest, GrowthKeepsEveryCommittedRun) {
+  struct Run {
+    size_t offset;
+    size_t length;
+    uint32_t seed;
+  };
+  auto word = [](uint32_t seed, size_t i) {
+    return static_cast<uint32_t>(seed * 2654435761u + i * 40503u);
+  };
+  Rng rng(43);
+  U32Arena arena;
+  std::vector<Run> runs;
+  auto check_runs = [&] {
+    for (const Run& run : runs) {
+      const std::span<const uint32_t> got = arena.SpanAt(run.offset, run.length);
+      for (size_t i = 0; i < run.length; ++i) {
+        ASSERT_EQ(got[i], word(run.seed, i))
+            << "run at " << run.offset << ", word " << i;
+      }
+    }
+  };
+  constexpr size_t kTarget = size_t{6} << 20;
+  size_t next_check = size_t{1} << 20;
+  uint64_t abandoned = 0;
+  for (uint32_t seed = 0; arena.size() < kTarget; ++seed) {
+    const size_t mark = arena.size();
+    // Mostly short runs, now and then one of up to 64K words.
+    const size_t length = rng.Uniform(16) == 0
+                              ? rng.Uniform(uint64_t{1} << 16)
+                              : rng.Uniform(300);
+    size_t kept = length;
+    if (seed % 2 == 0) {
+      for (size_t i = 0; i < length; ++i) arena.Push(word(seed, i));
+    } else {
+      uint32_t* out = arena.Extend(length);
+      for (size_t i = 0; i < length; ++i) out[i] = word(seed, i);
+      kept = length == 0 ? 0 : rng.Uniform(length + 1);
+      arena.RewindTo(mark + kept);
+    }
+    ASSERT_EQ(arena.size(), mark + kept);
+    if (rng.Uniform(5) == 0) {
+      arena.RewindTo(mark);
+      ++abandoned;
+    } else {
+      runs.push_back({mark, kept, seed});
+    }
+    if (arena.size() >= next_check) {
+      check_runs();
+      next_check += size_t{1} << 20;
+    }
+  }
+  check_runs();
+  EXPECT_GT(abandoned, 0u);
+
+  const size_t total = arena.size();
+  const std::vector<uint32_t> words = arena.TakeWords();
+  ASSERT_EQ(words.size(), total);
+  size_t at = 0;
+  for (const Run& run : runs) {
+    ASSERT_EQ(run.offset, at);
+    for (size_t i = 0; i < run.length; ++i) {
+      ASSERT_EQ(words[at + i], word(run.seed, i));
+    }
+    at += run.length;
+  }
+  EXPECT_EQ(at, total);
+  // The arena gave its buffer away and grows a fresh one.
+  EXPECT_TRUE(arena.empty());
+  arena.Push(7);
+  EXPECT_EQ(arena.SpanAt(0, 1)[0], 7u);
 }
 
 // Simulates two Size-Test iterations: the store's words() must mirror
@@ -206,6 +288,82 @@ TEST(ProjectionStoreTest, TakeSubInstanceMatchesBuilderOracle) {
   EXPECT_GT(dropped_elements, 0u);
   EXPECT_GT(emptied_sets, 0u);
   EXPECT_GT(abandoned_stages, 0u);
+}
+
+// When the sub-instance keeps every element (n_sub == n), the reindex
+// map is the identity and the hand-off lays out offsets and ids without
+// rewriting a word. It must build what the Builder oracle builds, with
+// zero-length refs (committed from an empty stage) skipped like emptied
+// ones. Trials alternate with maps that drop one element, which take
+// the rewriting path on the same kind of store.
+TEST(ProjectionStoreTest, IdentityHandOffMatchesBuilderOracle) {
+  Rng rng(42);
+  uint64_t identity_trials = 0;
+  uint64_t zero_length_refs = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const uint32_t n = 1 + static_cast<uint32_t>(rng.Uniform(150));
+    std::vector<uint32_t> reindex(n);
+    for (uint32_t e = 0; e < n; ++e) reindex[e] = e;
+    uint32_t n_sub = n;
+    if (trial % 2 == 1) {
+      const uint32_t dropped = static_cast<uint32_t>(rng.Uniform(n));
+      reindex[dropped] = UINT32_MAX;
+      for (uint32_t e = dropped + 1; e < n; ++e) --reindex[e];
+      --n_sub;
+    }
+
+    ProjectionStore store;
+    SpaceTracker tracker;
+    SetSystem::Builder oracle(n_sub);
+    std::vector<uint32_t> oracle_ids;
+    const uint32_t stages = static_cast<uint32_t>(rng.Uniform(40));
+    for (uint32_t id = 0; id < stages; ++id) {
+      const uint64_t density = 1 + rng.Uniform(12);
+      std::vector<uint32_t> projection;
+      if (rng.Uniform(6) != 0) {
+        for (uint32_t e = 0; e < n; ++e) {
+          if (rng.Uniform(density) == 0) projection.push_back(e);
+        }
+      }
+      const size_t mark = store.StageMark();
+      for (uint32_t e : projection) store.StagePush(e);
+      if (!projection.empty() && rng.Uniform(4) == 0) {
+        store.Abandon(mark);
+        continue;
+      }
+      const uint32_t set_id = 5 * id + 1;
+      tracker.Charge(projection.size() + 1);
+      store.CommitLight(set_id, mark);
+      if (projection.empty()) ++zero_length_refs;
+      std::vector<uint32_t> mapped;
+      for (uint32_t e : projection) {
+        if (reindex[e] != UINT32_MAX) mapped.push_back(reindex[e]);
+      }
+      if (mapped.empty()) continue;
+      oracle.AddSet(mapped);
+      oracle_ids.push_back(set_id);
+    }
+
+    identity_trials += n_sub == reindex.size();
+    std::vector<uint32_t> ids;
+    const SetSystem sub = store.TakeSubInstance(reindex, n_sub, ids);
+    const SetSystem expect = std::move(oracle).Build();
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    ASSERT_EQ(sub.num_elements(), expect.num_elements());
+    ASSERT_EQ(sub.num_sets(), expect.num_sets());
+    EXPECT_EQ(sub.total_size(), expect.total_size());
+    for (uint32_t s = 0; s < sub.num_sets(); ++s) {
+      EXPECT_TRUE(std::ranges::equal(sub.GetSet(s), expect.GetSet(s)))
+          << "set " << s;
+    }
+    EXPECT_EQ(ids, oracle_ids);
+    EXPECT_TRUE(store.refs().empty());
+    store.ReleaseEpoch(tracker);
+    EXPECT_EQ(tracker.current_words(), 0u);
+    store.ResetEpoch();
+  }
+  EXPECT_EQ(identity_trials, 100u);
+  EXPECT_GT(zero_length_refs, 0u);
 }
 
 TEST(ProjectionStoreTest, ResetWithUnsettledWordsAborts) {

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "offline/lazy_greedy.h"
@@ -96,8 +97,15 @@ inline LazyGreedyResult HeapGreedyReference(
   }
   if (required == LazyGreedy::kAllCoverable) required = live.Count();
 
-  GainTracker gains(&index, m);
-  gains.InitFromMask(live);
+  // Starting gains over the coverable targets, counted per row.
+  std::vector<uint32_t> start_gains(m);
+  for (uint32_t i = 0; i < m; ++i) {
+    start_gains[i] = static_cast<uint32_t>(
+        rows[i].dense.empty()
+            ? reference::CountUncovered(rows[i].sparse, live)
+            : reference::CountUncoveredDense(rows[i].dense, live));
+  }
+  GainTracker gains(&index, std::move(start_gains));
   auto pack = [&](uint64_t gain, uint32_t i) {
     return (gain << 32) | (i ^ tie_mask);
   };

@@ -5,9 +5,12 @@
 // picks (in order), covered, success, sets_touched, gain_updates and
 // working_words all match the reference — under both tie rules
 // (GreedySolver's larger id, MergeStage's earliest candidate), with
-// `required` counts, dense rows, and targets no candidate contains. A run inside a 4-thread WorkerPool loop builds its index
-// over row ranges and must equal the serial run. CI runs this suite
-// under TSan.
+// `required` counts, dense rows, targets no candidate contains, and
+// buckets that gather enough moved claims to radix-sort them. The heap
+// loop counts its starting gains per row; LazyGreedy takes them from
+// its count sweep. A run inside a 4-thread WorkerPool loop builds its
+// index (and writes its starting gains) over row ranges and must equal
+// the serial run. CI runs this suite under TSan.
 
 #include "offline/lazy_greedy.h"
 
@@ -223,6 +226,62 @@ TEST(LazyGreedyOracleTest, GreedySolverAndMergeStageMatchTheHeapLoop) {
     EXPECT_EQ(merged.covered, expect_merge.covered);
     EXPECT_EQ(stage.counters().sets_touched, expect_merge.sets_touched);
     EXPECT_EQ(stage.counters().gain_updates, expect_merge.gain_updates);
+  }
+}
+
+TEST(LazyGreedyOracleTest, MatchesTheHeapLoopWhenABucketRadixSortsItsClaims) {
+  // Eight hub elements and a candidate holding all of them, picked
+  // first at gain 8 + 1. Every other candidate holds one hub and one to
+  // three private elements, so the first pick drops each of their gains
+  // by one: the buckets at gains 2..4 each hold about a third of the
+  // 6,000 claims, all of which turn out stale and move one bucket down.
+  // Buckets 1..3 thus each receive well over kRadixSortCutoff moved
+  // claims to sort and merge with their own initial ones.
+  constexpr uint32_t kHubs = 8;
+  constexpr uint32_t kSmall = 6000;
+  static_assert(kSmall / 3 / 2 > LazyGreedy::kRadixSortCutoff);
+  Rng rng(906);
+  Store store;
+  std::vector<uint32_t> big;
+  for (uint32_t h = 0; h < kHubs; ++h) big.push_back(h);
+  uint32_t next_private = kHubs;
+  big.push_back(next_private++);
+  std::vector<std::vector<uint32_t>> small;
+  for (uint32_t i = 0; i < kSmall; ++i) {
+    std::vector<uint32_t> set{static_cast<uint32_t>(rng.Uniform(kHubs))};
+    const uint64_t privates = 1 + rng.Uniform(3);
+    for (uint64_t p = 0; p < privates; ++p) set.push_back(next_private++);
+    small.push_back(std::move(set));
+  }
+  store.n = next_private;
+  store.dense = BitsetCSR(store.n);
+  // The big candidate sits in the middle, so both tie rules see claims
+  // on either side of it.
+  for (uint32_t i = 0; i < kSmall; ++i) {
+    if (i == kSmall / 2) store.sets.push_back(big);
+    store.sets.push_back(small[i]);
+  }
+  store.dense_row.assign(store.sets.size(), -1);
+
+  // The moved claims per bucket, counted as the heap loop sees them:
+  // every small candidate falls from its starting gain by one.
+  std::vector<uint64_t> moved_into(5, 0);
+  for (const std::vector<uint32_t>& set : small) ++moved_into[set.size() - 1];
+  for (uint32_t gain = 1; gain <= 3; ++gain) {
+    EXPECT_GT(moved_into[gain], LazyGreedy::kRadixSortCutoff) << gain;
+  }
+
+  const std::vector<ReferenceRow> rows = store.ReferenceRows();
+  const DynamicBitset all(store.n, true);
+  for (const Ties ties : {Ties::kHighestIndex, Ties::kLowestIndex}) {
+    SCOPED_TRACE("ties " + std::to_string(static_cast<int>(ties)));
+    const LazyGreedyResult expect =
+        HeapGreedyReference(store.n, ties, rows, all);
+    const LazyGreedyResult got = store.Greedy(ties).Run(all);
+    ExpectSameRun(expect, got);
+    ASSERT_FALSE(got.picks.empty());
+    EXPECT_EQ(got.picks.front(), kSmall / 2);
+    EXPECT_TRUE(got.success);
   }
 }
 

@@ -180,11 +180,14 @@ class FilterRecordingSource final : public SetSource {
 
 // The pre-scheduler execution: one guess at a time, every logical pass
 // a dedicated physical scan. The multiplexed run must reproduce it
-// byte for byte.
+// byte for byte. When no guess succeeds, the guess leaving the fewest
+// elements uncovered after its last iteration stands in (ties: the
+// smaller cover, then the smaller k).
 StreamingResult SequentialPerGuessPath(SetStream& stream,
                                        const IterSetCoverOptions& options) {
   const uint32_t n = stream.num_elements();
   StreamingResult best;
+  uint64_t best_uncovered = UINT64_MAX;
   uint64_t passes_max = 0;
   uint64_t scans_total = 0;
   uint64_t space_sum = 0;
@@ -195,9 +198,19 @@ StreamingResult SequentialPerGuessPath(SetStream& stream,
     scans_total += guess.passes;
     space_sum += guess.space_words_parallel;
     space_max = std::max(space_max, guess.space_words_max_guess);
-    if (guess.success &&
-        (!best.success || guess.cover.size() < best.cover.size())) {
+    const uint64_t uncovered = guess.diagnostics.empty()
+                                   ? n
+                                   : guess.diagnostics.back().uncovered_after;
+    if (guess.success) {
+      if (!best.success || guess.cover.size() < best.cover.size()) {
+        best = std::move(guess);
+      }
+    } else if (!best.success &&
+               (uncovered < best_uncovered ||
+                (uncovered == best_uncovered &&
+                 guess.cover.size() < best.cover.size()))) {
       best = std::move(guess);
+      best_uncovered = uncovered;
     }
     if (k >= n) break;
   }

@@ -1,8 +1,9 @@
 // TransposedIndex / GainTracker — the output-sensitive gain machinery.
 //
 // The Builder's CSR must match brute-force element→sets membership, the
-// tracker's decremental gains must match kernel recomputation after any
-// cover sequence (the fuzz), and the LazyGreedy runs behind GreedySolver
+// tracker must start from the gains it is given and its decremental
+// gains must match kernel recomputation after any cover sequence (the
+// fuzz), and the LazyGreedy runs behind GreedySolver
 // and MergeStage must pick exactly what a textbook per-round argmax
 // picks — including when some merge candidates cross the dense-storage
 // threshold — while their work counters stay output-sensitive.
@@ -169,24 +170,46 @@ TEST(TransposedIndexTest, RangedBuildEqualsTheOneRangeBuild) {
   }
 }
 
-TEST(GainTrackerTest, InitFromMaskMatchesKernelCounts) {
+/// Every set's starting gain |S ∩ mask|, counted by the reference
+/// kernel.
+std::vector<uint32_t> StartingGains(const SetSystem& system,
+                                    const DynamicBitset& mask) {
+  std::vector<uint32_t> gains;
+  for (uint32_t s = 0; s < system.num_sets(); ++s) {
+    gains.push_back(static_cast<uint32_t>(
+        reference::CountUncovered(system.GetSet(s), mask)));
+  }
+  return gains;
+}
+
+TEST(GainTrackerTest, StartsFromTheGivenGains) {
   Rng rng(22);
   const SetSystem system = RandomSystem(100, 60, rng);
   const TransposedIndex index = IndexOf(system);
-  GainTracker tracker(&index, system.num_sets());
-
   DynamicBitset mask(system.num_elements());
   for (uint32_t e = 0; e < system.num_elements(); ++e) {
     if (rng.Bernoulli(0.6)) mask.Set(e);
   }
-  tracker.InitFromMask(mask);
+  const std::vector<uint32_t> start = StartingGains(system, mask);
+  GainTracker tracker(&index, start);
+  ASSERT_EQ(tracker.num_sets(), system.num_sets());
+  EXPECT_EQ(tracker.word_count(), (system.num_sets() + 1u) / 2);
   for (uint32_t s = 0; s < system.num_sets(); ++s) {
-    EXPECT_EQ(tracker.gain(s),
-              reference::CountUncovered(system.GetSet(s), mask))
-        << "set " << s;
+    EXPECT_EQ(tracker.gain(s), start[s]) << "set " << s;
   }
-  // Init is a rebuild, not maintenance: no decrements counted.
+  // Starting gains are given, not maintained: no decrements counted.
   EXPECT_EQ(tracker.gain_updates(), 0u);
+
+  // Covering the whole mask takes every set to zero, one decrement per
+  // (masked element, set) pair.
+  const std::vector<uint32_t> masked = mask.ToVector();
+  tracker.OnCovered(masked);
+  uint64_t pairs = 0;
+  for (uint32_t e : masked) pairs += index.Sets(e).size();
+  EXPECT_EQ(tracker.gain_updates(), pairs);
+  for (uint32_t s = 0; s < system.num_sets(); ++s) {
+    EXPECT_EQ(tracker.gain(s), 0u) << "set " << s;
+  }
 }
 
 TEST(GainTrackerTest, DecrementalFuzzMatchesRecompute) {
@@ -196,9 +219,8 @@ TEST(GainTrackerTest, DecrementalFuzzMatchesRecompute) {
     const SetSystem system =
         RandomSystem(n, 30 + static_cast<uint32_t>(rng.Uniform(60)), rng);
     const TransposedIndex index = IndexOf(system);
-    GainTracker tracker(&index, system.num_sets());
     DynamicBitset uncovered(n, true);
-    tracker.InitFromMask(uncovered);
+    GainTracker tracker(&index, StartingGains(system, uncovered));
 
     // Cover random batches of distinct still-uncovered elements; after
     // every batch the tracked gains must equal a full recompute.

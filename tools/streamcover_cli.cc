@@ -86,6 +86,7 @@
 #include <vector>
 
 #include "streamcover.h"
+#include "util/huge_pages.h"
 #include "util/json.h"
 #include "util/timer.h"
 
@@ -351,14 +352,22 @@ int CmdSolveGeom(const Args& args) {
   return (r.success && feasible) ? 0 : 1;
 }
 
-/// Reads the flags `generate` and `generate-disk` share into a
-/// WorkloadParams.
-WorkloadParams ReadGenerateParams(const Args& args) {
+/// Reads the shape flags `generate`, `generate-disk` and `solve
+/// --workload` share into a WorkloadParams; everything but the seed,
+/// which solve reads once with its run options.
+WorkloadParams ReadShapeParams(const Args& args) {
   WorkloadParams params;
   params.n = static_cast<uint32_t>(args.GetUint("n", 1000));
   params.m = static_cast<uint32_t>(args.GetUint("m", 2000));
   params.k = static_cast<uint32_t>(args.GetUint("k", 10));
   params.max_set_size = static_cast<uint32_t>(args.GetUint("s", 32));
+  return params;
+}
+
+/// Reads the flags `generate` and `generate-disk` share into a
+/// WorkloadParams.
+WorkloadParams ReadGenerateParams(const Args& args) {
+  WorkloadParams params = ReadShapeParams(args);
   params.seed = args.GetUint("seed", 1, 0, kMaxSeed);
   return params;
 }
@@ -652,6 +661,9 @@ int CmdStats(const Args& args) {
   std::printf("  kernel isa   : %s (the tier the dense kernels run on "
               "here)\n",
               KernelIsaName(DetectKernelIsa()));
+  std::printf("  thp mode     : %s (transparent huge pages; solves advise "
+              "their large buffers onto them)\n",
+              TransparentHugePageMode().c_str());
   std::printf("  coverable    : %s\n",
               IsCoverable(*system) ? "yes" : "NO (some element in no set)");
   // Scan-path diagnostics: which source `solve --from-disk` would draw
@@ -895,7 +907,7 @@ int CmdSolve(const Args& args) {
   }
   WorkloadParams params;
   if (!workload.empty()) {
-    params = ReadGenerateParams(args);
+    params = ReadShapeParams(args);
     params.path = args.Get("path");
   }
   std::string algo;
@@ -904,6 +916,8 @@ int CmdSolve(const Args& args) {
   if (!workload.empty()) {
     // Solve directly on a registered workload family — no file needed.
     // Unknown names fail with the full list of registered workloads.
+    // One --seed seeds both the generator and the run.
+    params.seed = options.seed;
     std::string error;
     std::optional<Instance> instance =
         MakeWorkload(workload, params, &error);
