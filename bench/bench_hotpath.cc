@@ -423,8 +423,7 @@ bool RunScanStage(uint64_t scan_m, uint64_t seed, JsonValue* scan_json) {
       return false;
     }
   }
-  std::optional<SetSystem> system =
-      LoadBinarySetSystemFromFile(bin_path, &error);
+  std::optional<SetSystem> system = LoadAnySetSystemFromFile(bin_path, &error);
   if (!system.has_value()) {
     std::fprintf(stderr, "scan stage: load failed: %s\n", error.c_str());
     return false;

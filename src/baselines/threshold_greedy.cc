@@ -11,17 +11,17 @@ namespace {
 
 // One threshold pass: takes (immediately) every set whose residual
 // coverage is >= threshold, stopping acquisition once `remaining`
-// reaches `allowed_uncovered` (the epsilon-Partial stop; the scan still
-// finishes — a pass cannot be aborted — but nothing more is stored).
-// A set smaller than the threshold cannot clear it (gain <= |S|), so
-// it is skipped before any kernel runs. Returns the number of sets
-// taken; `remaining` is kept in sync.
-size_t ThresholdPass(SetStream& stream, LiveMask& uncovered,
-                     uint64_t& remaining, uint64_t allowed_uncovered,
-                     double threshold, Cover& cover, SpaceTracker& tracker) {
-  size_t taken = 0;
+// reaches `allowed_uncovered` (the epsilon-Partial stop) or the cover
+// holds `max_picks` sets (the scan still finishes — a pass cannot be
+// aborted — but nothing more is stored). A set smaller than the
+// threshold cannot clear it (gain <= |S|), so it is skipped before any
+// kernel runs. `remaining` is kept in sync.
+void ThresholdPass(SetStream& stream, LiveMask& uncovered,
+                   uint64_t& remaining, uint64_t allowed_uncovered,
+                   uint64_t max_picks, double threshold, Cover& cover,
+                   SpaceTracker& tracker) {
   stream.ForEachSet([&](const SetView& set) {
-    if (remaining <= allowed_uncovered) return;
+    if (remaining <= allowed_uncovered || cover.size() >= max_picks) return;
     if (static_cast<double>(set.size()) < threshold) return;
     const size_t gain = CountUncovered(set, uncovered);
     if (gain > 0 && static_cast<double>(gain) >= threshold) {
@@ -29,15 +29,14 @@ size_t ThresholdPass(SetStream& stream, LiveMask& uncovered,
       tracker.Charge(1);
       MarkCovered(set, uncovered);
       remaining -= gain;
-      ++taken;
     }
   });
-  return taken;
 }
 
 }  // namespace
 
-BaselineResult ProgressiveGreedy(SetStream& stream, double coverage_fraction) {
+BaselineResult ProgressiveGreedy(SetStream& stream, double coverage_fraction,
+                                 uint64_t max_picks) {
   SC_CHECK(coverage_fraction > 0.0 && coverage_fraction <= 1.0);
   SpaceTracker tracker;
   const uint64_t passes_before = stream.passes();
@@ -55,8 +54,9 @@ BaselineResult ProgressiveGreedy(SetStream& stream, double coverage_fraction) {
        threshold /= 2.0) {
     if (threshold < 1.0) threshold = 1.0;
     ThresholdPass(stream, uncovered, remaining, allowed_uncovered,
-                  threshold, result.cover, tracker);
+                  max_picks, threshold, result.cover, tracker);
     if (remaining <= allowed_uncovered) break;
+    if (result.cover.size() >= max_picks) break;
     if (threshold == 1.0) break;  // leftovers are uncoverable
   }
 

@@ -3,7 +3,10 @@
 // * ProgressiveGreedy — the [SG09]-style thresholding of greedy: passes
 //   with thresholds n/2, n/4, ..., 1; any set covering >= threshold
 //   yet-uncovered elements is taken on sight. O(log n) passes, O(log n)
-//   approximation, O~(n) space (Figure 1.1 row [SG09]).
+//   approximation, O~(n) space (Figure 1.1 row [SG09]). Under a pick
+//   budget it is also streaming Max k-Cover (registry
+//   `streaming_max_cover`): it stops taking sets once it holds k, a
+//   constant-factor loss against greedy's 1 - 1/e coverage.
 //
 // * PolynomialThresholdCover — the [ER14]/[CW16] trade-off: p passes
 //   with thresholds n^{(p+1-i)/(p+1)} (i = 1..p); throughout, each
@@ -61,9 +64,11 @@ namespace streamcover {
 /// [SG09]-style: halving thresholds, O(log n) passes, O~(n) space.
 /// `coverage_fraction` < 1 runs the epsilon-Partial Set Cover variant
 /// (both [ER14] and [CW16] state their results for it): the algorithm
-/// stops as soon as that fraction of U is covered.
+/// stops as soon as that fraction of U is covered. It also stops once
+/// it has taken `max_picks` sets (0 takes none).
 BaselineResult ProgressiveGreedy(SetStream& stream,
-                                 double coverage_fraction = 1.0);
+                                 double coverage_fraction = 1.0,
+                                 uint64_t max_picks = UINT64_MAX);
 
 /// The [ER14]/[CW16] polynomial threshold sieve as a pass-driven state
 /// machine: pass i applies threshold n^{(p+1-i)/(p+1)}; after pass p

@@ -55,12 +55,6 @@ class GuessConsumer final : public ScanConsumer {
     allowed_uncovered_ = AllowedUncovered(n, options.coverage_fraction);
     // Residual ground set, kept across all passes: n/64 words.
     tracker_.Charge(uncovered_.WordCount());
-    if (options.early_exit) {
-      // Distinct-pick mask for the retire rule; only charged when the
-      // feature is on so default space accounting is unchanged.
-      picked_distinct_ = DynamicBitset(m);
-      tracker_.Charge(picked_distinct_.WordCount());
-    }
     Advance();
   }
   // Leaders and followers hold each other's addresses.
@@ -126,16 +120,8 @@ class GuessConsumer final : public ScanConsumer {
     return {};
   }
 
-  uint64_t k() const { return k_; }
-  bool success() const { return success_; }
-  bool killed() const { return killed_; }
   /// Elements the guess's cover leaves uncovered; final once done().
   uint64_t uncovered_count() const { return uncovered_.Count(); }
-  /// Deduplicated cover size; valid once done() and not killed.
-  uint64_t final_cover_size() const { return sol_.size(); }
-  /// Distinct sets picked so far (maintained only with early_exit on).
-  /// Monotone non-decreasing, so it lower-bounds the final cover size.
-  uint64_t distinct_picks() const { return distinct_picks_; }
   uint64_t peak_words() const { return tracker_.peak_words(); }
   /// Logical passes this guess consumed: its own OnPassEnd calls, or its
   /// leader's while it followed.
@@ -152,23 +138,6 @@ class GuessConsumer final : public ScanConsumer {
   void Lead(GuessConsumer* follower) {
     follower->leader_ = this;
     followers_.push_back(follower);
-  }
-
-  /// Retires the guess: it provably cannot beat the current winner, so
-  /// its partial cover is abandoned (peak space already stands). A
-  /// follower detaches from its leader; a leader takes its followers
-  /// down too — they hold its distinct picks with a larger k, so the
-  /// retire rule would kill each of them anyway.
-  void Kill() {
-    if (leader_ != nullptr) std::erase(leader_->followers_, this);
-    leader_ = nullptr;
-    for (GuessConsumer* follower : std::exchange(followers_, {})) {
-      follower->leader_ = nullptr;
-      follower->Kill();
-    }
-    killed_ = true;
-    success_ = false;
-    phase_ = Phase::kDone;
   }
 
   StreamingResult TakeResult(uint64_t logical_passes) {
@@ -189,14 +158,6 @@ class GuessConsumer final : public ScanConsumer {
 
  private:
   enum class Phase { kPass1, kPass2, kDone };
-
-  void TakeSet(uint32_t id) {
-    sol_.set_ids.push_back(id);
-    if (options_->early_exit && !picked_distinct_.Test(id)) {
-      picked_distinct_.Set(id);
-      ++distinct_picks_;
-    }
-  }
 
   // Inter-pass work at the top of an iteration: termination checks,
   // sampling, Size-Test threshold. Leaves the consumer waiting for a
@@ -265,7 +226,8 @@ class GuessConsumer final : public ScanConsumer {
   void FinishPass1() {
     diag_.heavy_picked = heavy_picks_.size();
     diag_.projection_words = projections_.words();
-    for (uint32_t id : heavy_picks_) TakeSet(id);
+    sol_.set_ids.insert(sol_.set_ids.end(), heavy_picks_.begin(),
+                        heavy_picks_.end());
 
     // --- Offline solve on the sampled sub-instance (no pass). ---
     // Re-index the still-live sampled elements to [0, n_sub). The
@@ -311,7 +273,7 @@ class GuessConsumer final : public ScanConsumer {
       }
       diag_.offline_picked = take;
       for (size_t i = 0; i < take; ++i) {
-        TakeSet(original_ids[offline_result.cover.set_ids[i]]);
+        sol_.set_ids.push_back(original_ids[offline_result.cover.set_ids[i]]);
         tracker_.Charge(1);
       }
     }
@@ -367,17 +329,15 @@ class GuessConsumer final : public ScanConsumer {
   }
 
   // Copies the cross-pass state into every follower: everything the
-  // driver reads between rounds (distinct picks, peak space) and
-  // everything TakeResult reports. A follower's phase and Rng stay its
-  // own: it is not done while its leader is not, and a collapsible
-  // iteration never draws from the Rng.
+  // winner selection reads (peak space, residual) and everything
+  // TakeResult reports. A follower's phase and Rng stay its own: it is
+  // not done while its leader is not, and a collapsible iteration never
+  // draws from the Rng.
   void SyncFollowers() {
     for (GuessConsumer* follower : followers_) {
       follower->tracker_ = tracker_;
       follower->uncovered_ = uncovered_;
       follower->sol_ = sol_;
-      follower->picked_distinct_ = picked_distinct_;
-      follower->distinct_picks_ = distinct_picks_;
       follower->diagnostics_ = diagnostics_;
       follower->gain_updates_ = gain_updates_;
       follower->sets_touched_ = sets_touched_;
@@ -389,9 +349,6 @@ class GuessConsumer final : public ScanConsumer {
   void Finalize() {
     success_ = uncovered_.Count() <= allowed_uncovered_;
     tracker_.Release(uncovered_.WordCount());
-    if (options_->early_exit) {
-      tracker_.Release(picked_distinct_.WordCount());
-    }
     sol_.Deduplicate();
     phase_ = Phase::kDone;
   }
@@ -412,15 +369,12 @@ class GuessConsumer final : public ScanConsumer {
   SpaceTracker tracker_;
   LiveMask uncovered_;
   Cover sol_;
-  DynamicBitset picked_distinct_;
-  uint64_t distinct_picks_ = 0;
   std::vector<IterSetCoverIterationDiag> diagnostics_;
   uint64_t gain_updates_ = 0;
   uint64_t sets_touched_ = 0;
   uint64_t iter_ = 0;
   uint64_t passes_ = 0;
   bool success_ = false;
-  bool killed_ = false;
   Phase phase_ = Phase::kDone;
 
   // Class membership: a follower points at its leader, a leader lists
@@ -440,36 +394,6 @@ class GuessConsumer final : public ScanConsumer {
   ProjectionStore projections_;
   DynamicBitset picked_this_iter_;
 };
-
-// The winner rule of the sequential implementation — ascending k, a
-// success replaces the incumbent only when strictly smaller — picks the
-// success minimizing (cover size, k) lexicographically. A live guess
-// whose distinct-pick count already sorts at-or-after the incumbent on
-// that key can therefore never win: distinct picks only grow and
-// deduplication cannot shrink below them.
-void RetireHopelessGuesses(
-    std::vector<std::unique_ptr<GuessConsumer>>& guesses) {
-  uint64_t best_size = UINT64_MAX;
-  uint64_t best_k = UINT64_MAX;
-  for (const auto& guess : guesses) {
-    if (guess->done() && !guess->killed() && guess->success()) {
-      const uint64_t size = guess->final_cover_size();
-      if (size < best_size || (size == best_size && guess->k() < best_k)) {
-        best_size = size;
-        best_k = guess->k();
-      }
-    }
-  }
-  if (best_size == UINT64_MAX) return;
-  for (auto& guess : guesses) {
-    if (guess->done()) continue;
-    const uint64_t distinct = guess->distinct_picks();
-    if (distinct > best_size ||
-        (distinct == best_size && guess->k() > best_k)) {
-      guess->Kill();
-    }
-  }
-}
 
 }  // namespace
 
@@ -556,7 +480,6 @@ StreamingResult IterSetCover(PassScheduler& scheduler,
     // and RunSolver reports the stream error.
     if (scheduler.RunRound() == 0) break;
     register_leavers();
-    if (options.early_exit) RetireHopelessGuesses(guesses);
   }
 
   // Winner selection identical to the sequential implementation:
@@ -574,7 +497,7 @@ StreamingResult IterSetCover(PassScheduler& scheduler,
   for (size_t i = 0; i < guesses.size(); ++i) {
     GuessConsumer& guess = *guesses[i];
     const uint64_t peak = guess.peak_words();
-    const bool finished = guess.done() && !guess.killed();
+    const bool finished = guess.done();
     const uint64_t uncovered = guess.uncovered_count();
     StreamingResult guess_result = guess.TakeResult(guess.passes());
     passes_max = std::max(passes_max, guess_result.passes);

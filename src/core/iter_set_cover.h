@@ -98,14 +98,6 @@ struct IterSetCoverOptions {
   /// once at least this fraction of U is covered; `success` then means
   /// the fraction was reached. 1.0 = classic full cover.
   double coverage_fraction = 1.0;
-  /// Retire a still-running guess between rounds once a completed guess
-  /// already beats everything it could still produce (its deduplicated
-  /// partial cover is provably no smaller than the winner's — the
-  /// distinct-pick count only grows). Never changes the winning cover;
-  /// shaves physical scans and makes `passes` reflect passes actually
-  /// consumed. Off by default so pass accounting matches Lemma 2.1's
-  /// run-to-completion reading exactly.
-  bool early_exit = false;
 };
 
 /// Per-iteration trace of the winning guess (benches & tests).

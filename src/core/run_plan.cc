@@ -57,7 +57,6 @@ JsonValue OptionsJson(const RunOptions& options) {
   out.Set("scan_threads", static_cast<uint64_t>(options.scan_threads));
   out.Set("shards", static_cast<uint64_t>(options.shards));
   if (options.iter_guess > 0) out.Set("iter_guess", options.iter_guess);
-  if (options.early_exit) out.Set("early_exit", true);
   return out;
 }
 

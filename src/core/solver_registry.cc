@@ -7,7 +7,6 @@
 
 #include "baselines/dimv14.h"
 #include "baselines/iterative_greedy.h"
-#include "baselines/streaming_max_cover.h"
 #include "baselines/threshold_greedy.h"
 #include "core/instance.h"
 #include "core/iter_set_cover.h"
@@ -51,7 +50,6 @@ RunResult RunIterSetCover(RunContext& ctx) {
   opts.offline = ctx.options.offline;
   opts.seed = ctx.options.seed;
   opts.coverage_fraction = ctx.options.coverage_fraction;
-  opts.early_exit = ctx.options.early_exit;
   StreamingResult r =
       ctx.options.iter_guess > 0
           ? IterSetCoverSingleGuess(ctx.scheduler, ctx.options.iter_guess,
@@ -77,21 +75,6 @@ RunResult RunDimv14(RunContext& ctx) {
   opts.offline = ctx.options.offline;
   opts.seed = ctx.options.seed;
   return FromBaseline(Dimv14Cover(ctx.scheduler, opts));
-}
-
-RunResult RunStreamingMaxCover(RunContext& ctx) {
-  const uint32_t budget = ctx.options.max_cover_budget > 0
-                              ? ctx.options.max_cover_budget
-                              : ctx.stream.num_elements();
-  StreamingMaxCoverResult r = StreamingMaxCover(ctx.stream, budget);
-  RunResult result;
-  result.cover = std::move(r.cover);
-  result.success = r.covered >= ctx.stream.num_elements();
-  result.passes = r.passes;
-  result.sequential_scans = r.passes;
-  result.physical_scans = r.passes;
-  result.space_words = r.space_words;
-  return result;
 }
 
 /// Store-all wrapper turning any OfflineSolver into a one-pass
@@ -199,9 +182,17 @@ void RegisterBuiltins(SolverRegistry& registry) {
       "[DIMV14] recursive sampling: O(4^{1/delta}) passes, "
       "O~(m n^delta) space",
       Kind::kStreaming, RunDimv14);
+  // Max k-Cover is progressive_greedy under a pick budget, read as a
+  // full-cover target whatever --coverage says.
   add("streaming_max_cover",
       "[SG09]-style Max k-Cover: thresholded picks under a set budget",
-      Kind::kStreaming, RunStreamingMaxCover);
+      Kind::kStreaming,
+      [](RunContext& ctx) {
+        const uint32_t budget = ctx.options.max_cover_budget > 0
+                                    ? ctx.options.max_cover_budget
+                                    : ctx.stream.num_elements();
+        return FromBaseline(ProgressiveGreedy(ctx.stream, 1.0, budget));
+      });
   add("greedi",
       "distributed-greedy reference: 1 pass, geometric gain buckets + "
       "greedy merge (sharded_greedi with one unpartitioned shard)",

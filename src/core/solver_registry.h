@@ -66,8 +66,9 @@ struct RunOptions {
   /// p for PolynomialThresholdCover ([ER14] p=1, [CW16] p>=1); 0 fails
   /// the run with a diagnostic.
   uint32_t threshold_passes = 2;
-  /// Pick budget for streaming_max_cover; 0 means |U| (always enough
-  /// for a full cover when one exists).
+  /// Pick budget for streaming_max_cover (progressive_greedy's pick
+  /// budget); 0 means |U| (always enough for a full cover when one
+  /// exists).
   uint32_t max_cover_budget = 0;
   /// If nonzero, iterSetCover / algGeomSC run only this single optimum
   /// guess k instead of all parallel guesses — the space-probe mode of
@@ -90,10 +91,6 @@ struct RunOptions {
   /// on mmap-backed instances. Text and in-memory repositories ignore
   /// it. Results are bit-identical at every value.
   uint32_t scan_threads = 1;
-  /// iterSetCover: retire guesses that provably cannot beat a completed
-  /// winner (never changes the winning cover; shaves physical scans and
-  /// makes `passes` reflect passes actually consumed).
-  bool early_exit = false;
   /// Shard count for the sharded_greedi family: the stream is
   /// hash-partitioned into this many substreams, each solved by its own
   /// bucket engine on the shared scan, then merged (src/shard/). Other

@@ -5,13 +5,11 @@
 #include <utility>
 
 #include "offline/lazy_greedy.h"
-#include "util/bitset.h"
 
 namespace streamcover {
 
 OfflineResult GreedySolver::Solve(const SetSystem& system) const {
-  LazyGreedyResult run = LazyGreedy::OverSets(system).Run(
-      DynamicBitset(system.num_elements(), true));
+  LazyGreedyResult run = LazyGreedy::OverSets(system).Run();
   OfflineResult result;
   result.cover.set_ids = std::move(run.picks);
   result.work = run.sets_touched;

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "setsystem/transposed_index.h"
+#include "util/bitset.h"
 #include "util/check.h"
 #include "util/cover_kernels.h"
 #include "util/worker_pool.h"
@@ -120,8 +121,7 @@ uint32_t LazyGreedy::IndexRanges(const WorkerPool* pool) const {
       std::clamp<uint64_t>(pairs / range_pairs, 1, pool->threads()));
 }
 
-TransposedIndex LazyGreedy::BuildIndex(const DynamicBitset& targets,
-                                       std::span<uint32_t> gains) const {
+TransposedIndex LazyGreedy::BuildIndex(std::span<uint32_t> gains) const {
   WorkerPool* pool = WorkerPool::Current();
   const uint32_t ranges = IndexRanges(pool);
   // visit(i, row, range) for every candidate; range r holds candidates
@@ -141,21 +141,18 @@ TransposedIndex LazyGreedy::BuildIndex(const DynamicBitset& targets,
       pool->ParallelFor(ranges, body);
     }
   };
-  // When every element is a target (GreedySolver's runs), a sparse
-  // row's gain is its size, and the sweep reads no mask for it.
-  const bool every_target = targets.Count() == targets.size();
   TransposedIndex::Builder builder(num_elements_, ranges);
   sweep([&](uint32_t i, const Row& row, uint32_t range) {
     if (row.dense.empty()) {
       builder.CountSet(row.sparse, range);
-      gains[i] = static_cast<uint32_t>(
-          every_target ? row.sparse.size()
-                       : CountUncovered(row.sparse, targets));
+      gains[i] = static_cast<uint32_t>(row.sparse.size());
     } else {
-      ForEachRowBit(row.dense,
-                    [&](uint32_t e) { builder.CountElement(e, range); });
-      gains[i] =
-          static_cast<uint32_t>(CountUncoveredDense(row.dense, targets));
+      uint32_t size = 0;
+      ForEachRowBit(row.dense, [&](uint32_t e) {
+        builder.CountElement(e, range);
+        ++size;
+      });
+      gains[i] = size;
     }
   });
   builder.PrepareFill();
@@ -170,19 +167,16 @@ TransposedIndex LazyGreedy::BuildIndex(const DynamicBitset& targets,
   return std::move(builder).Build();
 }
 
-LazyGreedyResult LazyGreedy::Run(const DynamicBitset& targets,
-                                 uint64_t required) const {
-  SC_CHECK_EQ(targets.size(), num_elements_);
+LazyGreedyResult LazyGreedy::Run(uint64_t required) const {
   const uint32_t m = static_cast<uint32_t>(rows_.size());
   std::vector<uint32_t> start_gains(m);
-  const TransposedIndex index = BuildIndex(targets, start_gains);
+  const TransposedIndex index = BuildIndex(start_gains);
 
-  // Targets no candidate contains can never be covered: drop them. The
-  // count sweep's gains |row ∩ targets| are already the gains over
-  // `live`, since every element of a row is coverable.
-  DynamicBitset live = targets;
+  // The elements some candidate contains; the count sweep's row sizes
+  // are the gains over them.
+  DynamicBitset live(num_elements_);
   for (uint32_t e = 0; e < num_elements_; ++e) {
-    if (!index.Coverable(e)) live.Reset(e);
+    if (index.Coverable(e)) live.Set(e);
   }
   if (required == kAllCoverable) required = live.Count();
 

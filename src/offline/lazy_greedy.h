@@ -8,11 +8,10 @@
 //
 //   * an element → candidates TransposedIndex is built over the store
 //     in one count sweep + one fill sweep. The count sweep also writes
-//     each candidate's starting gain |row ∩ targets| (CountUncovered /
-//     CountUncoveredDense; a sparse row's size when every element is a
-//     target, as in GreedySolver's runs). That is its gain over the
-//     coverable targets, since every element of a row is coverable, so
-//     no third sweep over the index computes them. A GainTracker starts from
+//     each candidate's starting gain: a sparse row's size, a dense
+//     row's popcount. Every element of a row is coverable, so that is
+//     its gain over the coverable elements, and no third sweep over the
+//     index computes them. A GainTracker starts from
 //     those gains and keeps every candidate's residual gain exact by
 //     decrementing along each pick's newly covered elements. Each
 //     (element, candidate) pair is touched at most once, so total
@@ -42,12 +41,12 @@
 // Ties among equal gains go by candidate index, in the direction the
 // caller fixes at construction: GreedySolver prefers the larger set id,
 // MergeStage the earliest-inserted candidate. All keys are distinct, so
-// the pick sequence is a pure function of the store, the target mask and
-// the tie rule — identical at every kernel tier.
+// the pick sequence is a pure function of the store and the tie rule —
+// identical at every kernel tier.
 //
-// A run starts from a target mask (targets no candidate contains are
-// dropped) and stops at the first of: `required` targets covered, no
-// candidate with positive gain left.
+// A run targets every element some candidate contains and stops at the
+// first of: `required` of them covered, no candidate with positive gain
+// left.
 //
 // Counters: `sets_touched` counts claim inspections (gain evaluations),
 // `gain_updates` the tracker's O(1) decrements — the pair the sweep
@@ -63,7 +62,6 @@
 #include <vector>
 
 #include "setsystem/set_system.h"
-#include "util/bitset.h"
 
 namespace streamcover {
 
@@ -72,7 +70,7 @@ class WorkerPool;
 
 struct LazyGreedyResult {
   std::vector<uint32_t> picks;  ///< candidate indices, in greedy order
-  uint64_t covered = 0;         ///< target elements the picks cover
+  uint64_t covered = 0;         ///< elements the picks cover
   bool success = false;         ///< covered reached `required`
   uint64_t sets_touched = 0;    ///< claim inspections (gain evaluations)
   uint64_t gain_updates = 0;    ///< GainTracker decrements
@@ -95,7 +93,7 @@ class LazyGreedy {
     kLowestIndex,   ///< the earliest-added candidate
   };
 
-  /// `required` meaning "every target some candidate contains".
+  /// `required` meaning "every element some candidate contains".
   static constexpr uint64_t kAllCoverable =
       std::numeric_limits<uint64_t>::max();
 
@@ -117,11 +115,10 @@ class LazyGreedy {
   /// BitsetCSR::Row over num_elements). Borrowed likewise.
   void AddDense(std::span<const uint64_t> row);
 
-  /// Exact greedy from `targets` (a mask over num_elements). Stops once
-  /// `required` targets are covered or no candidate covers a remaining
-  /// target.
-  LazyGreedyResult Run(const DynamicBitset& targets,
-                       uint64_t required = kAllCoverable) const;
+  /// Exact greedy over every element some candidate contains. Stops
+  /// once `required` elements are covered or no candidate covers a
+  /// remaining one.
+  LazyGreedyResult Run(uint64_t required = kAllCoverable) const;
 
  private:
   /// A candidate: sparse (`dense` empty) or dense.
@@ -138,10 +135,9 @@ class LazyGreedy {
   /// The element → candidate index over the store, built over
   /// IndexRanges(WorkerPool::Current()) candidate ranges, the ranges
   /// after the first on the current pool's idle workers. The count
-  /// sweep also writes gains[i] = |row i ∩ targets|, each range only
-  /// its own candidates' slots.
-  TransposedIndex BuildIndex(const DynamicBitset& targets,
-                             std::span<uint32_t> gains) const;
+  /// sweep also writes gains[i] = |row i|, each range only its own
+  /// candidates' slots.
+  TransposedIndex BuildIndex(std::span<uint32_t> gains) const;
 
   uint32_t num_elements_;
   /// XOR-ed into a candidate index to make its tie key: all ones

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
-#include <functional>
 #include <utility>
 
-#include "setsystem/io.h"
 #include "util/check.h"
 
 namespace streamcover {
@@ -243,16 +241,7 @@ BinarySetWriter::~BinarySetWriter() {
 bool BinarySetWriter::AddSet(std::span<const uint32_t> elements) {
   if (!error_.empty()) return false;
   SC_CHECK(!finished_);  // AddSet after Finish is a programming error
-  // Generated and decoded sets arrive strictly increasing; only other
-  // input pays for the normalizing copy.
-  if (std::adjacent_find(elements.begin(), elements.end(),
-                         std::greater_equal<uint32_t>()) != elements.end()) {
-    scratch_.assign(elements.begin(), elements.end());
-    std::sort(scratch_.begin(), scratch_.end());
-    scratch_.erase(std::unique(scratch_.begin(), scratch_.end()),
-                   scratch_.end());
-    elements = scratch_;
-  }
+  elements = SortedUnique(elements, scratch_);
   if (!elements.empty() && elements.back() >= num_elements_) {
     error_ = "element id " + std::to_string(elements.back()) +
              " out of range in set " + std::to_string(num_sets());
@@ -336,80 +325,6 @@ bool WriteBinarySetSystem(const SetSystem& system, const std::string& path,
     }
   }
   return writer->Finish(error);
-}
-
-std::optional<SetSystem> LoadBinarySetSystemFromFile(const std::string& path,
-                                                     std::string* error) {
-  auto fail = [error](const std::string& msg) -> std::optional<SetSystem> {
-    if (error != nullptr) *error = msg;
-    return std::nullopt;
-  };
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return fail("cannot open " + path);
-  std::fseek(f, 0, SEEK_END);
-  long file_size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  if (file_size < 0) {
-    std::fclose(f);
-    return fail("cannot stat " + path);
-  }
-  std::vector<uint8_t> bytes(static_cast<size_t>(file_size));
-  size_t read = bytes.empty() ? 0 : std::fread(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  if (read != bytes.size()) return fail("short read on " + path);
-
-  binfmt::BinaryLayout layout;
-  if (!binfmt::ValidateBinaryLayout(bytes.data(), bytes.size(), &layout,
-                                    error)) {
-    return std::nullopt;
-  }
-  const uint8_t* body = bytes.data() + kHeaderBytes;
-  const uint64_t body_len = layout.footer_offset - kHeaderBytes;
-  if (binfmt::Fnv1a(body, body_len, binfmt::kFnvOffset) != layout.checksum) {
-    return fail("body checksum mismatch (corrupt file)");
-  }
-
-  SetSystem::Builder builder(static_cast<uint32_t>(layout.n));
-  std::vector<uint32_t> elems;
-  for (uint64_t s = 0; s < layout.m; ++s) {
-    const uint8_t* cursor = bytes.data() + layout.SetOffset(s);
-    const uint8_t* end = bytes.data() + layout.SetOffset(s + 1);
-    auto size = binfmt::DecodeVarint(&cursor, end);
-    if (!size.has_value() || *size > layout.n) {
-      return fail("corrupt set " + std::to_string(s) + ": bad size");
-    }
-    elems.clear();
-    elems.reserve(*size);
-    uint64_t prev = 0;
-    for (uint64_t i = 0; i < *size; ++i) {
-      auto delta = binfmt::DecodeVarint(&cursor, end);
-      if (!delta.has_value()) {
-        return fail("corrupt set " + std::to_string(s) + ": truncated body");
-      }
-      // No delta >= n is valid, and one near 2^64 would wrap the sum
-      // below to a small id.
-      uint64_t e = (i == 0) ? *delta : prev + *delta + 1;
-      if (*delta >= layout.n || e >= layout.n) {
-        return fail("corrupt set " + std::to_string(s) +
-                    ": element id out of range");
-      }
-      elems.push_back(static_cast<uint32_t>(e));
-      prev = e;
-    }
-    if (cursor != end) {
-      return fail("corrupt set " + std::to_string(s) + ": trailing bytes");
-    }
-    builder.AddSet(std::span<const uint32_t>(elems));
-  }
-  return std::move(builder).Build();
-}
-
-std::optional<SetSystem> LoadAnySetSystemFromFile(const std::string& path,
-                                                  std::string* error) {
-  if (IsBinarySetSystemFile(path)) {
-    return LoadBinarySetSystemFromFile(path, error);
-  }
-  return LoadSetSystemFromFile(path, error);
 }
 
 }  // namespace streamcover

@@ -103,9 +103,9 @@ struct BinaryLayout {
 /// version, dimension bounds, file size consistent with the footer
 /// offset, end magic present, and footer offsets monotone spanning
 /// exactly the body; fills the set-size bound on the same footer walk.
-/// Decodes NO set bodies — this is the cheap Open-time
-/// validation shared by the in-memory loader and MmapSetSource; the body
-/// checksum is verified separately by whoever reads the bytes.
+/// Decodes NO set bodies — this is MmapSetSource's cheap Open-time
+/// validation; the scan decoder checks every body, and a full load
+/// also checks the body checksum (MmapSetSource::VerifyChecksum).
 bool ValidateBinaryLayout(const uint8_t* data, uint64_t size,
                           BinaryLayout* layout, std::string* error);
 
@@ -132,7 +132,7 @@ std::vector<ScanChunk> BuildChunkPlan(const BinaryLayout& layout,
 }  // namespace binfmt
 
 /// True iff `path` starts with the binary magic. False for missing,
-/// short, or text files — callers fall back to the text parser.
+/// short, or text files — OpenDiskSetSource then opens the text parser.
 bool IsBinarySetSystemFile(const std::string& path);
 
 /// Streaming writer: sets go straight from the caller to disk, so
@@ -195,17 +195,6 @@ class BinarySetWriter {
 /// *error on IO failure.
 bool WriteBinarySetSystem(const SetSystem& system, const std::string& path,
                           std::string* error);
-
-/// Loads a binary file fully into memory. Returns std::nullopt + *error
-/// on a malformed, truncated, or corrupt file (structure AND checksum
-/// are verified — an in-memory load touches every byte anyway).
-std::optional<SetSystem> LoadBinarySetSystemFromFile(const std::string& path,
-                                                     std::string* error);
-
-/// Loads `path` in whichever format its magic announces — binary or the
-/// text format of setsystem/io.h.
-std::optional<SetSystem> LoadAnySetSystemFromFile(const std::string& path,
-                                                  std::string* error);
 
 }  // namespace streamcover
 

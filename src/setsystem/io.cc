@@ -1,64 +1,64 @@
 #include "setsystem/io.h"
 
+#include <charconv>
 #include <fstream>
 
 namespace streamcover {
 
-void WriteSetSystem(const SetSystem& system, std::ostream& os) {
-  os << "setcover " << system.num_elements() << ' ' << system.num_sets()
-     << '\n';
-  for (uint32_t s = 0; s < system.num_sets(); ++s) {
-    auto elems = system.GetSet(s);
-    os << elems.size();
-    for (uint32_t e : elems) os << ' ' << e;
-    os << '\n';
-  }
+TextSetWriter::TextSetWriter(std::ostream& os, uint32_t num_elements,
+                             uint32_t num_sets)
+    : os_(&os), num_elements_(num_elements), declared_sets_(num_sets) {
+  *os_ << "setcover " << num_elements << ' ' << num_sets << '\n';
 }
 
-std::optional<SetSystem> ReadSetSystem(std::istream& is, std::string* error) {
-  auto fail = [error](const std::string& msg) -> std::optional<SetSystem> {
-    if (error != nullptr) *error = msg;
-    return std::nullopt;
-  };
-  std::string magic;
-  if (!(is >> magic)) return fail("empty input");
-  if (magic != "setcover") return fail("bad magic: " + magic);
-  uint64_t n = 0, m = 0;
-  if (!(is >> n >> m)) return fail("missing n/m header");
-  if (n > (1ULL << 31) || m > (1ULL << 31)) return fail("n/m out of range");
-  SetSystem::Builder builder(static_cast<uint32_t>(n));
-  std::vector<uint32_t> elems;  // reused across sets; CSR copies from it
-  for (uint64_t s = 0; s < m; ++s) {
-    uint64_t size = 0;
-    if (!(is >> size)) return fail("truncated set header");
-    if (size > n) return fail("set larger than universe");
-    elems.clear();  // no reserve from `size`: the header may lie
-    for (uint64_t i = 0; i < size; ++i) {
-      uint64_t e = 0;
-      if (!(is >> e)) return fail("truncated set body");
-      if (e >= n) return fail("element id out of range");
-      elems.push_back(static_cast<uint32_t>(e));
-    }
-    builder.AddSet(std::span<const uint32_t>(elems));
+bool TextSetWriter::AddSet(std::span<const uint32_t> elements) {
+  if (!error_.empty()) return false;
+  elements = SortedUnique(elements, scratch_);
+  if (!elements.empty() && elements.back() >= num_elements_) {
+    error_ = "element id " + std::to_string(elements.back()) +
+             " out of range in set " + std::to_string(sets_);
+    return false;
   }
-  return std::move(builder).Build();
+  // One line per set: the size, then " id" per element; a decimal
+  // uint64 takes at most 20 characters.
+  const size_t worst = 21 * (elements.size() + 1) + 1;
+  if (line_.size() < worst) line_.resize(worst);
+  char* out = line_.data();
+  out = std::to_chars(out, out + 20, elements.size()).ptr;
+  for (uint32_t e : elements) {
+    *out++ = ' ';
+    out = std::to_chars(out, out + 10, e).ptr;
+  }
+  *out++ = '\n';
+  os_->write(line_.data(), out - line_.data());
+  ++sets_;
+  nnz_ += elements.size();
+  if (!os_->good()) error_ = "write failed";
+  return error_.empty();
+}
+
+bool TextSetWriter::Finish(std::string* error) {
+  if (error_.empty() && sets_ != declared_sets_) {
+    error_ = "wrote " + std::to_string(sets_) + " sets, header says " +
+             std::to_string(declared_sets_);
+  }
+  if (error_.empty() && !os_->flush().good()) error_ = "write failed";
+  if (error != nullptr) *error = error_;
+  return error_.empty();
+}
+
+void WriteSetSystem(const SetSystem& system, std::ostream& os) {
+  TextSetWriter writer(os, system.num_elements(), system.num_sets());
+  for (uint32_t s = 0; s < system.num_sets(); ++s) {
+    writer.AddSet(system.GetSet(s));
+  }
 }
 
 bool SaveSetSystemToFile(const SetSystem& system, const std::string& path) {
   std::ofstream out(path);
   if (!out) return false;
   WriteSetSystem(system, out);
-  return static_cast<bool>(out);
-}
-
-std::optional<SetSystem> LoadSetSystemFromFile(const std::string& path,
-                                               std::string* error) {
-  std::ifstream in(path);
-  if (!in) {
-    if (error != nullptr) *error = "cannot open " + path;
-    return std::nullopt;
-  }
-  return ReadSetSystem(in, error);
+  return static_cast<bool>(out.flush());
 }
 
 }  // namespace streamcover

@@ -1,10 +1,23 @@
 #include "setsystem/set_system.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "util/check.h"
 
 namespace streamcover {
+
+std::span<const uint32_t> SortedUnique(std::span<const uint32_t> elements,
+                                       std::vector<uint32_t>& scratch) {
+  if (std::adjacent_find(elements.begin(), elements.end(),
+                         std::greater_equal<uint32_t>()) == elements.end()) {
+    return elements;
+  }
+  scratch.assign(elements.begin(), elements.end());
+  std::sort(scratch.begin(), scratch.end());
+  scratch.erase(std::unique(scratch.begin(), scratch.end()), scratch.end());
+  return scratch;
+}
 
 SetSystem::Builder::Builder(uint32_t num_elements)
     : num_elements_(num_elements), offsets_{0} {}

@@ -22,6 +22,14 @@
 
 namespace streamcover {
 
+/// `elements` sorted and duplicate-free, as Builder::AddSet stores them:
+/// the span itself when strictly increasing (what the generators and
+/// every scan hand over), else a normalized copy held in `scratch`. The
+/// text and binary writers normalize through it, so both formats carry
+/// the same logical instance.
+std::span<const uint32_t> SortedUnique(std::span<const uint32_t> elements,
+                                       std::vector<uint32_t>& scratch);
+
 /// Immutable set system (U, F) in CSR layout.
 class SetSystem {
  public:

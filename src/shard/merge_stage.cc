@@ -49,8 +49,7 @@ MergeOutcome MergeStage::Merge() {
   const uint64_t required =
       num_elements_ - AllowedUncovered(num_elements_,
                                        options_.coverage_fraction);
-  LazyGreedyResult run =
-      greedy.Run(DynamicBitset(num_elements_, true), required);
+  LazyGreedyResult run = greedy.Run(required);
   // Working state, then one cover word per pick.
   tracker_.Charge(run.working_words + run.picks.size());
   counters_.rounds = run.picks.size();

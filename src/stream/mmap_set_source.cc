@@ -100,6 +100,19 @@ bool MmapSetSource::ScanBatches(const SetBatchVisitor& visit) {
   return true;
 }
 
+bool MmapSetSource::VerifyChecksum(std::string* error) const {
+  const binfmt::BinaryLayout& layout = map_->layout;
+  const uint8_t* body = map_->data + binfmt::kHeaderBytes;
+  if (binfmt::Fnv1a(body, layout.footer_offset - binfmt::kHeaderBytes,
+                    binfmt::kFnvOffset) == layout.checksum) {
+    return true;
+  }
+  if (error != nullptr) {
+    *error = map_->path + ": body checksum mismatch (corrupt file)";
+  }
+  return false;
+}
+
 std::unique_ptr<SetSource> OpenDiskSetSource(const std::string& path,
                                              std::string* error) {
   // Magic sniffing is authoritative: a file announcing the binary magic
@@ -121,6 +134,24 @@ std::unique_ptr<SetSource> OpenDiskSetSource(const std::string& path,
   std::optional<FileSetSource> source = FileSetSource::Open(path, error);
   if (!source.has_value()) return nullptr;
   return std::make_unique<FileSetSource>(std::move(*source));
+}
+
+std::optional<SetSystem> LoadAnySetSystemFromFile(const std::string& path,
+                                                  std::string* error) {
+  std::unique_ptr<SetSource> source = OpenDiskSetSource(path, error);
+  if (source == nullptr) return std::nullopt;
+  const auto* mapped = dynamic_cast<const MmapSetSource*>(source.get());
+  if (mapped != nullptr && !mapped->VerifyChecksum(error)) {
+    return std::nullopt;
+  }
+  SetSystem::Builder builder(source->num_elements());
+  if (!source->ScanBatches([&builder](std::span<const SetView> sets) {
+        for (const SetView& set : sets) builder.AddSet(set.elems);
+      })) {
+    if (error != nullptr) *error = source->error();
+    return std::nullopt;
+  }
+  return std::move(builder).Build();
 }
 
 }  // namespace streamcover

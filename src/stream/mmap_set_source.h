@@ -50,8 +50,9 @@ class MmapSetSource : public SetSource {
   /// version, dimensions, size consistency, monotone offsets). Returns
   /// std::nullopt and fills *error on any mismatch. The body checksum
   /// is NOT verified here — that would cost a full read of a file this
-  /// class exists to stream lazily; LoadBinarySetSystemFromFile checks
-  /// it, and body corruption still fails cleanly during a scan.
+  /// class exists to stream lazily; a full load checks it
+  /// (VerifyChecksum), and body corruption still fails cleanly during a
+  /// scan.
   static std::optional<MmapSetSource> Open(const std::string& path,
                                            std::string* error);
 
@@ -83,6 +84,11 @@ class MmapSetSource : public SetSource {
   /// and error state, so fork and parent may scan concurrently.
   /// The pages stay mapped until the last fork drops them.
   std::unique_ptr<SetSource> Fork(std::string* error) const override;
+
+  /// Re-folds the body's FNV-1a checksum over the mapping and compares
+  /// it with the header's. Returns false with *error set on a mismatch.
+  /// Reads every body byte, so only a full load calls it.
+  bool VerifyChecksum(std::string* error) const;
 
   const std::string& path() const { return map_->path; }
   uint64_t nnz() const { return map_->layout.nnz; }
@@ -134,6 +140,14 @@ class MmapSetSource : public SetSource {
 /// automatically. Returns nullptr and fills *error on failure.
 std::unique_ptr<SetSource> OpenDiskSetSource(const std::string& path,
                                              std::string* error);
+
+/// Loads `path` into memory in whichever format its magic announces:
+/// OpenDiskSetSource, then (binary only) the body checksum, then one scan
+/// into SetSystem::Builder. So a load decodes and validates exactly as a
+/// scan of the same file does. Returns std::nullopt and fills *error on
+/// a missing, malformed, truncated or corrupt file.
+std::optional<SetSystem> LoadAnySetSystemFromFile(const std::string& path,
+                                                  std::string* error);
 
 }  // namespace streamcover
 

@@ -1,4 +1,6 @@
-// The chunk decoder behind every binary mmap scan.
+// The chunk decoder behind every binary mmap scan, and the format's one
+// body decoder: a load into memory (LoadAnySetSystemFromFile) scans
+// through it too.
 //
 // The set range is split into fixed-work chunks via the SCOVRB01 offsets
 // footer (~256KB of encoded body each, so set-size skew cannot starve a

@@ -166,9 +166,8 @@ bool FileSetSource::ScanBatches(const SetBatchVisitor& visit) {
       // in the library: the CSR builder enforces it in memory
       // (SetSystem::Builder::AddSet), and the word-parallel coverage
       // kernels (util/cover_kernels.h) rely on it. Normalize a malformed
-      // file line here so streaming from disk sees exactly what loading
-      // the same file into memory would; well-formed files pay only the
-      // monotonicity check above.
+      // file line here, as the builder would; well-formed files pay only
+      // the monotonicity check above.
       if (!sorted_unique) {
         const auto first = elems.begin() + static_cast<ptrdiff_t>(begin);
         std::sort(first, elems.end());

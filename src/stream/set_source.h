@@ -232,6 +232,8 @@ class InMemorySetSource : public SetSource {
 
 /// Scans a file in the setsystem text format (setsystem/io.h),
 /// re-parsing it front to back on every pass into a reused SetBatch.
+/// This scan is the format's one parser: a load into memory
+/// (LoadAnySetSystemFromFile) runs it too.
 /// Scans are not concurrency-safe with each other (they share the
 /// batch); PassScheduler serializes them by construction.
 class FileSetSource : public SetSource {

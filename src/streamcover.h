@@ -12,7 +12,6 @@
 
 #include "baselines/dimv14.h"                 // IWYU pragma: export
 #include "baselines/iterative_greedy.h"       // IWYU pragma: export
-#include "baselines/streaming_max_cover.h"    // IWYU pragma: export
 #include "baselines/threshold_greedy.h"       // IWYU pragma: export
 #include "commlb/chasing.h"                   // IWYU pragma: export
 #include "commlb/isc_to_setcover.h"           // IWYU pragma: export

@@ -5,7 +5,7 @@
 // are relaxed atomics, and Record never allocates or locks — worker
 // threads on the serve hot path stamp a completed request with one
 // fetch_add. Snapshots fold the buckets into the p50/p90/p99/max cells
-// of the `{"op":"stats"}` endpoint and BENCH_serve.json.
+// of the `{"op":"stats"}` endpoint.
 //
 // Thread-safety: Record is wait-free and safe from any thread.
 // TakeSnapshot reads concurrently-updated counters without

@@ -15,6 +15,7 @@
 #include "setsystem/binary_io.h"
 #include "setsystem/generators.h"
 #include "setsystem/io.h"
+#include "stream/mmap_set_source.h"
 #include "util/rng.h"
 
 namespace streamcover {
@@ -117,7 +118,7 @@ TEST(BinaryIoTest, WriteLoadRoundTripMatchesTextFormat) {
   EXPECT_FALSE(IsBinarySetSystemFile(txt));
   EXPECT_FALSE(IsBinarySetSystemFile(TempPath("missing.bin")));
 
-  auto from_bin = LoadBinarySetSystemFromFile(bin, &error);
+  auto from_bin = LoadAnySetSystemFromFile(bin, &error);
   ASSERT_TRUE(from_bin.has_value()) << error;
   ASSERT_EQ(from_bin->num_elements(), inst.system.num_elements());
   ASSERT_EQ(from_bin->num_sets(), inst.system.num_sets());
@@ -151,7 +152,7 @@ TEST(BinaryIoTest, WriterNormalizesUnsortedDuplicatedSets) {
   EXPECT_EQ(writer->num_sets(), 2u);
   EXPECT_EQ(writer->nnz(), 3u);
 
-  auto loaded = LoadBinarySetSystemFromFile(path, &error);
+  auto loaded = LoadAnySetSystemFromFile(path, &error);
   ASSERT_TRUE(loaded.has_value()) << error;
   auto got = loaded->GetSet(0);
   EXPECT_EQ(std::vector<uint32_t>(got.begin(), got.end()),
@@ -188,7 +189,7 @@ TEST(BinaryIoTest, WriterBuffersSetsLargerThanItsBufferAcrossFlushes) {
   EXPECT_EQ(writer->nnz(), nnz);
   EXPECT_GT(ReadFileBytes(path).size(), size_t{1} << 20);
 
-  auto loaded = LoadBinarySetSystemFromFile(path, &error);
+  auto loaded = LoadAnySetSystemFromFile(path, &error);
   ASSERT_TRUE(loaded.has_value()) << error;
   ASSERT_EQ(loaded->num_sets(), sets.size());
   for (uint32_t s = 0; s < loaded->num_sets(); ++s) {
@@ -227,12 +228,12 @@ TEST(BinaryIoTest, RejectsTruncatedFilesAtEveryPrefixLength) {
   for (size_t len = 0; len < bytes.size(); len += 7) {
     WriteFileBytes(cut_path, bytes.substr(0, len));
     error.clear();
-    EXPECT_FALSE(LoadBinarySetSystemFromFile(cut_path, &error).has_value())
+    EXPECT_FALSE(LoadAnySetSystemFromFile(cut_path, &error).has_value())
         << "prefix " << len << " of " << bytes.size() << " accepted";
     EXPECT_FALSE(error.empty());
   }
   WriteFileBytes(cut_path, bytes.substr(0, bytes.size() - 1));
-  EXPECT_FALSE(LoadBinarySetSystemFromFile(cut_path, &error).has_value());
+  EXPECT_FALSE(LoadAnySetSystemFromFile(cut_path, &error).has_value());
 }
 
 TEST(BinaryIoTest, RejectsCorruptedBodyViaChecksum) {
@@ -250,7 +251,7 @@ TEST(BinaryIoTest, RejectsCorruptedBodyViaChecksum) {
   const std::string bad = TempPath("corrupt_flipped.bin");
   WriteFileBytes(bad, bytes);
   error.clear();
-  EXPECT_FALSE(LoadBinarySetSystemFromFile(bad, &error).has_value());
+  EXPECT_FALSE(LoadAnySetSystemFromFile(bad, &error).has_value());
   EXPECT_FALSE(error.empty());
 }
 
@@ -268,7 +269,7 @@ TEST(BinaryIoTest, RejectsBadMagicVersionAndDimensions) {
     std::string b = good;
     b[0] = 'X';  // magic
     WriteFileBytes(bad, b);
-    EXPECT_FALSE(LoadBinarySetSystemFromFile(bad, &error).has_value());
+    EXPECT_FALSE(LoadAnySetSystemFromFile(bad, &error).has_value());
     EXPECT_NE(error.find("magic"), std::string::npos) << error;
   }
   {
@@ -276,7 +277,7 @@ TEST(BinaryIoTest, RejectsBadMagicVersionAndDimensions) {
     b[8] = 2;  // version
     WriteFileBytes(bad, b);
     error.clear();
-    EXPECT_FALSE(LoadBinarySetSystemFromFile(bad, &error).has_value());
+    EXPECT_FALSE(LoadAnySetSystemFromFile(bad, &error).has_value());
     EXPECT_NE(error.find("version"), std::string::npos) << error;
   }
   {
@@ -284,7 +285,7 @@ TEST(BinaryIoTest, RejectsBadMagicVersionAndDimensions) {
     b[23] = 1;  // n high byte -> beyond kMaxDimension
     WriteFileBytes(bad, b);
     error.clear();
-    EXPECT_FALSE(LoadBinarySetSystemFromFile(bad, &error).has_value());
+    EXPECT_FALSE(LoadAnySetSystemFromFile(bad, &error).has_value());
     EXPECT_FALSE(error.empty());
   }
 }
@@ -295,7 +296,7 @@ TEST(BinaryIoTest, EmptyAndSingletonSystemsRoundTrip) {
   const std::string path = TempPath("empty.bin");
   std::string error;
   ASSERT_TRUE(WriteBinarySetSystem(empty, path, &error)) << error;
-  auto loaded = LoadBinarySetSystemFromFile(path, &error);
+  auto loaded = LoadAnySetSystemFromFile(path, &error);
   ASSERT_TRUE(loaded.has_value()) << error;
   EXPECT_EQ(loaded->num_elements(), 5u);
   EXPECT_EQ(loaded->num_sets(), 0u);
@@ -306,7 +307,7 @@ TEST(BinaryIoTest, EmptyAndSingletonSystemsRoundTrip) {
   SetSystem single = std::move(one).Build();
   const std::string spath = TempPath("single.bin");
   ASSERT_TRUE(WriteBinarySetSystem(single, spath, &error)) << error;
-  auto sloaded = LoadBinarySetSystemFromFile(spath, &error);
+  auto sloaded = LoadAnySetSystemFromFile(spath, &error);
   ASSERT_TRUE(sloaded.has_value()) << error;
   EXPECT_EQ(sloaded->num_sets(), 1u);
   EXPECT_EQ(sloaded->SetSize(0), 1u);

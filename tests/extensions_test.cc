@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "baselines/streaming_max_cover.h"
 #include "baselines/threshold_greedy.h"
 #include "core/iter_set_cover.h"
 #include "offline/greedy.h"
@@ -102,21 +101,21 @@ TEST(PartialCoverTest, PartialSucceedsOnUncoverableInstances) {
 }
 
 // ----- Max k-Cover ---------------------------------------------------
+// ProgressiveGreedy under a pick budget (registry streaming_max_cover).
 
 TEST(StreamingMaxCoverTest, BudgetRespectedAndCompetitive) {
   PlantedInstance inst = MakeInstance(6);
   for (uint32_t budget : {4u, 8u, 16u}) {
     SetStream stream(&inst.system);
-    StreamingMaxCoverResult streamed = StreamingMaxCover(stream, budget);
+    BaselineResult streamed = ProgressiveGreedy(stream, 1.0, budget);
     EXPECT_LE(streamed.cover.size(), budget);
-    EXPECT_EQ(streamed.covered,
-              CoveredCount(inst.system, streamed.cover));
+    const uint64_t covered = CoveredCount(inst.system, streamed.cover);
     // Offline greedy Max k-Cover: the first `budget` picks of the
     // greedy cover. Thresholding loses at most a constant factor to it.
     Cover offline = GreedySolver().Solve(inst.system).cover;
     offline.set_ids.resize(std::min<size_t>(offline.size(), budget));
     const uint64_t offline_covered = CoveredCount(inst.system, offline);
-    EXPECT_GE(streamed.covered, offline_covered / 3);
+    EXPECT_GE(covered, offline_covered / 3);
     // O~(n) space.
     EXPECT_LT(streamed.space_words, inst.system.total_size());
   }
@@ -125,11 +124,12 @@ TEST(StreamingMaxCoverTest, BudgetRespectedAndCompetitive) {
 TEST(StreamingMaxCoverTest, SingleBudgetTakesABigSet) {
   PlantedInstance inst = MakeInstance(7);
   SetStream stream(&inst.system);
-  StreamingMaxCoverResult r = StreamingMaxCover(stream, 1);
+  BaselineResult r = ProgressiveGreedy(stream, 1.0, 1);
   ASSERT_EQ(r.cover.size(), 1u);
   // The thresholding guarantees at least n/2^passes coverage; with a
   // planted block structure the first qualifying set is large.
-  EXPECT_GE(r.covered, inst.system.num_elements() / 64);
+  EXPECT_GE(CoveredCount(inst.system, r.cover),
+            inst.system.num_elements() / 64);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "core/iter_set_cover.h"
 #include "setsystem/generators.h"
 #include "setsystem/io.h"
+#include "stream/mmap_set_source.h"
 #include "stream/set_source.h"
 #include "stream/set_stream.h"
 
@@ -90,7 +91,7 @@ TEST(FileSetSourceTest, NormalizesUnsortedAndDuplicatedLines) {
   EXPECT_TRUE(sets[2].empty());
 
   // And the streamed view agrees with the in-memory load of the file.
-  auto loaded = LoadSetSystemFromFile(path, &error);
+  auto loaded = LoadAnySetSystemFromFile(path, &error);
   ASSERT_TRUE(loaded.has_value()) << error;
   for (uint32_t s = 0; s < loaded->num_sets(); ++s) {
     const auto span = loaded->GetSet(s);

@@ -101,8 +101,8 @@ void ExpectSameResult(const RunResult& a, const RunResult& b) {
 }
 
 /// The option sets every solver runs under: the defaults, and a
-/// partial cover over four sieve passes with iterSetCover's early exit
-/// (the sieve then declares "none" once its target is met).
+/// partial cover over four sieve passes (the sieve then declares "none"
+/// once its target is met).
 std::vector<RunOptions> OptionSets(uint32_t threads) {
   RunOptions plain;
   plain.seed = 5;
@@ -111,7 +111,6 @@ std::vector<RunOptions> OptionSets(uint32_t threads) {
   RunOptions partial = plain;
   partial.threshold_passes = 4;
   partial.coverage_fraction = 0.8;
-  partial.early_exit = true;
   partial.shards = 3;
   return {plain, partial};
 }

@@ -66,7 +66,7 @@ void ForEachRowBit(std::span<const uint64_t> row, Fn&& fn) {
 
 inline LazyGreedyResult HeapGreedyReference(
     uint32_t num_elements, LazyGreedy::Ties ties,
-    const std::vector<ReferenceRow>& rows, const DynamicBitset& targets,
+    const std::vector<ReferenceRow>& rows,
     uint64_t required = LazyGreedy::kAllCoverable) {
   using reference_detail::ForEachRowBit;
   const uint32_t tie_mask =
@@ -91,13 +91,13 @@ inline LazyGreedyResult HeapGreedyReference(
   }
   const TransposedIndex index = std::move(builder).Build();
 
-  DynamicBitset live = targets;
+  DynamicBitset live(num_elements, true);
   for (uint32_t e = 0; e < num_elements; ++e) {
     if (!index.Coverable(e)) live.Reset(e);
   }
   if (required == LazyGreedy::kAllCoverable) required = live.Count();
 
-  // Starting gains over the coverable targets, counted per row.
+  // Starting gains over the coverable elements, counted per row.
   std::vector<uint32_t> start_gains(m);
   for (uint32_t i = 0; i < m; ++i) {
     start_gains[i] = static_cast<uint32_t>(

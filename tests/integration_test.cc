@@ -4,8 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "baselines/iterative_greedy.h"
 #include "baselines/threshold_greedy.h"
 #include "commlb/isc_to_setcover.h"
@@ -19,6 +17,7 @@
 #include "offline/greedy.h"
 #include "setsystem/generators.h"
 #include "setsystem/io.h"
+#include "stream/mmap_set_source.h"
 
 namespace streamcover {
 namespace {
@@ -31,10 +30,14 @@ TEST(IntegrationTest, GenerateSaveLoadSolveRoundTrip) {
   options.cover_size = 8;
   PlantedInstance inst = GeneratePlanted(options, rng);
 
-  std::stringstream buffer;
-  WriteSetSystem(inst.system, buffer);
+  // A temp file named after the test: ctest runs the cases in parallel.
+  const std::string path =
+      ::testing::TempDir() + "/integration_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".txt";
+  ASSERT_TRUE(SaveSetSystemToFile(inst.system, path));
   std::string error;
-  auto loaded = ReadSetSystem(buffer, &error);
+  auto loaded = LoadAnySetSystemFromFile(path, &error);
   ASSERT_TRUE(loaded.has_value()) << error;
 
   SetStream stream(&*loaded);

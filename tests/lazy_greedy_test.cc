@@ -5,7 +5,7 @@
 // picks (in order), covered, success, sets_touched, gain_updates and
 // working_words all match the reference — under both tie rules
 // (GreedySolver's larger id, MergeStage's earliest candidate), with
-// `required` counts, dense rows, targets no candidate contains, and
+// `required` counts, dense rows, elements no candidate contains, and
 // buckets that gather enough moved claims to radix-sort them. The heap
 // loop counts its starting gains per row; LazyGreedy takes them from
 // its count sweep. A run inside a 4-thread WorkerPool loop builds its
@@ -103,14 +103,6 @@ Store RandomStore(uint32_t n, uint32_t m, uint32_t max_size,
   return store;
 }
 
-DynamicBitset RandomTargets(uint32_t n, double share, Rng& rng) {
-  DynamicBitset targets(n);
-  for (uint32_t e = 0; e < n; ++e) {
-    if (rng.Bernoulli(share)) targets.Set(e);
-  }
-  return targets;
-}
-
 TEST(LazyGreedyOracleTest, MatchesTheHeapLoopUnderBothTieRules) {
   Rng rng(901);
   for (int trial = 0; trial < 30; ++trial) {
@@ -119,18 +111,12 @@ TEST(LazyGreedyOracleTest, MatchesTheHeapLoopUnderBothTieRules) {
     const Store store = RandomStore(n, m, 10, trial % 3 == 0 ? 0.2 : 0.0, rng);
     const std::vector<ReferenceRow> rows = store.ReferenceRows();
     for (const Ties ties : {Ties::kHighestIndex, Ties::kLowestIndex}) {
-      const LazyGreedy greedy = store.Greedy(ties);
-      for (const double share : {1.0, 0.5}) {
-        SCOPED_TRACE("trial " + std::to_string(trial) + " ties " +
-                     std::to_string(static_cast<int>(ties)) + " share " +
-                     std::to_string(share));
-        const DynamicBitset targets = RandomTargets(n, share, rng);
-        const LazyGreedyResult expect =
-            HeapGreedyReference(n, ties, rows, targets);
-        ExpectSameRun(expect, greedy.Run(targets));
-        // Targets outside every row were dropped, so a full run covers.
-        EXPECT_TRUE(expect.success);
-      }
+      SCOPED_TRACE("trial " + std::to_string(trial) + " ties " +
+                   std::to_string(static_cast<int>(ties)));
+      const LazyGreedyResult expect = HeapGreedyReference(n, ties, rows);
+      ExpectSameRun(expect, store.Greedy(ties).Run());
+      // Elements outside every row were dropped, so a full run covers.
+      EXPECT_TRUE(expect.success);
     }
   }
 }
@@ -141,17 +127,16 @@ TEST(LazyGreedyOracleTest, MatchesTheHeapLoopUnderBudgetsAndRequiredCounts) {
     const uint32_t n = 200 + static_cast<uint32_t>(rng.Uniform(200));
     const Store store = RandomStore(n, 120, 14, 0.1, rng);
     const std::vector<ReferenceRow> rows = store.ReferenceRows();
-    const DynamicBitset targets(n, true);
     for (const Ties ties : {Ties::kHighestIndex, Ties::kLowestIndex}) {
       const LazyGreedy greedy = store.Greedy(ties);
-      const uint64_t all = HeapGreedyReference(n, ties, rows, targets).covered;
+      const uint64_t all = HeapGreedyReference(n, ties, rows).covered;
       // Below, at and above the coverable count (above never succeeds).
       for (const uint64_t required :
            {uint64_t{0}, all / 2, all, all + 1, LazyGreedy::kAllCoverable}) {
         SCOPED_TRACE("trial " + std::to_string(trial) + " required " +
                      std::to_string(required));
-        ExpectSameRun(HeapGreedyReference(n, ties, rows, targets, required),
-                      greedy.Run(targets, required));
+        ExpectSameRun(HeapGreedyReference(n, ties, rows, required),
+                      greedy.Run(required));
       }
     }
   }
@@ -159,8 +144,8 @@ TEST(LazyGreedyOracleTest, MatchesTheHeapLoopUnderBudgetsAndRequiredCounts) {
 
 TEST(LazyGreedyOracleTest, MatchesTheHeapLoopOnDenseRowsAndUncoverableTargets) {
   Rng rng(903);
-  // Every row dense; then a store whose rows are all empty (no claim at
-  // all); then targets that lie wholly outside every row.
+  // Every row dense (the top tenth of the universe in none of them);
+  // then a store whose rows are all empty (no claim at all).
   const Store dense = RandomStore(500, 40, 0, 1.0, rng);
   Store empty;
   empty.n = 100;
@@ -169,22 +154,16 @@ TEST(LazyGreedyOracleTest, MatchesTheHeapLoopOnDenseRowsAndUncoverableTargets) {
   empty.dense_row.assign(5, -1);
   for (const Store* store : std::vector<const Store*>{&dense, &empty}) {
     for (const Ties ties : {Ties::kHighestIndex, Ties::kLowestIndex}) {
-      const DynamicBitset all(store->n, true);
       ExpectSameRun(
-          HeapGreedyReference(store->n, ties, store->ReferenceRows(), all),
-          store->Greedy(ties).Run(all));
+          HeapGreedyReference(store->n, ties, store->ReferenceRows()),
+          store->Greedy(ties).Run());
     }
   }
-  DynamicBitset outside(dense.n);
-  for (uint32_t e = dense.n - dense.n / 10; e < dense.n; ++e) outside.Set(e);
-  const LazyGreedyResult run = dense.Greedy(Ties::kHighestIndex).Run(outside);
-  ExpectSameRun(HeapGreedyReference(dense.n, Ties::kHighestIndex,
-                                    dense.ReferenceRows(), outside),
-                run);
+  const LazyGreedyResult run = empty.Greedy(Ties::kHighestIndex).Run();
   EXPECT_TRUE(run.picks.empty());
   EXPECT_EQ(run.sets_touched, 0u);
-  EXPECT_TRUE(run.success);  // nothing coverable was asked for
-  EXPECT_FALSE(dense.Greedy(Ties::kHighestIndex).Run(outside, 1).success);
+  EXPECT_TRUE(run.success);  // nothing is coverable
+  EXPECT_FALSE(empty.Greedy(Ties::kHighestIndex).Run(1).success);
 }
 
 TEST(LazyGreedyOracleTest, GreedySolverAndMergeStageMatchTheHeapLoop) {
@@ -196,7 +175,6 @@ TEST(LazyGreedyOracleTest, GreedySolverAndMergeStageMatchTheHeapLoop) {
     for (const std::vector<uint32_t>& set : store.sets) {
       sparse_rows.push_back({set, {}});
     }
-    const DynamicBitset all(n, true);
     SCOPED_TRACE("trial " + std::to_string(trial));
 
     // GreedySolver: every set sparse, the larger id wins ties.
@@ -204,7 +182,7 @@ TEST(LazyGreedyOracleTest, GreedySolverAndMergeStageMatchTheHeapLoop) {
     for (const std::vector<uint32_t>& set : store.sets) builder.AddSet(set);
     const SetSystem system = std::move(builder).Build();
     const LazyGreedyResult expect_greedy =
-        HeapGreedyReference(n, Ties::kHighestIndex, sparse_rows, all);
+        HeapGreedyReference(n, Ties::kHighestIndex, sparse_rows);
     const OfflineResult greedy = GreedySolver().Solve(system);
     EXPECT_EQ(greedy.cover.set_ids, expect_greedy.picks);
     EXPECT_EQ(greedy.sets_touched, expect_greedy.sets_touched);
@@ -214,7 +192,7 @@ TEST(LazyGreedyOracleTest, GreedySolverAndMergeStageMatchTheHeapLoop) {
     // dense, which changes neither picks nor counters. It asks for all
     // n elements, so it runs until no claim is left.
     const LazyGreedyResult expect_merge =
-        HeapGreedyReference(n, Ties::kLowestIndex, sparse_rows, all, n);
+        HeapGreedyReference(n, Ties::kLowestIndex, sparse_rows, n);
     MergeStage stage(n, static_cast<uint32_t>(store.sets.size()),
                      MergeStageOptions{});
     for (uint32_t i = 0; i < store.sets.size(); ++i) {
@@ -272,12 +250,10 @@ TEST(LazyGreedyOracleTest, MatchesTheHeapLoopWhenABucketRadixSortsItsClaims) {
   }
 
   const std::vector<ReferenceRow> rows = store.ReferenceRows();
-  const DynamicBitset all(store.n, true);
   for (const Ties ties : {Ties::kHighestIndex, Ties::kLowestIndex}) {
     SCOPED_TRACE("ties " + std::to_string(static_cast<int>(ties)));
-    const LazyGreedyResult expect =
-        HeapGreedyReference(store.n, ties, rows, all);
-    const LazyGreedyResult got = store.Greedy(ties).Run(all);
+    const LazyGreedyResult expect = HeapGreedyReference(store.n, ties, rows);
+    const LazyGreedyResult got = store.Greedy(ties).Run();
     ExpectSameRun(expect, got);
     ASSERT_FALSE(got.picks.empty());
     EXPECT_EQ(got.picks.front(), kSmall / 2);
@@ -296,21 +272,19 @@ TEST(LazyGreedyOracleTest, RunInsideAPoolLoopEqualsTheSerialRun) {
   uint64_t pairs = 0;
   for (const std::vector<uint32_t>& set : store.sets) pairs += set.size();
   ASSERT_GE(pairs, 4 * (4 * uint64_t{store.n} + (uint64_t{1} << 18)));
-  const DynamicBitset targets = RandomTargets(store.n, 0.9, rng);
   for (const Ties ties : {Ties::kHighestIndex, Ties::kLowestIndex}) {
     const LazyGreedy greedy = store.Greedy(ties);
-    const LazyGreedyResult serial = greedy.Run(targets);
-    ExpectSameRun(
-        HeapGreedyReference(store.n, ties, store.ReferenceRows(), targets),
-        serial);
+    const LazyGreedyResult serial = greedy.Run();
+    ExpectSameRun(HeapGreedyReference(store.n, ties, store.ReferenceRows()),
+                  serial);
     WorkerPool pool(4);
     std::vector<LazyGreedyResult> runs(4);
     pool.ParallelFor(runs.size(), [&](size_t r) {
       ASSERT_EQ(WorkerPool::Current(), &pool);
-      runs[r] = greedy.Run(targets);
+      runs[r] = greedy.Run();
     });
     // One run alone on the pool: every worker is idle and helps.
-    pool.ParallelFor(1, [&](size_t) { runs.push_back(greedy.Run(targets)); });
+    pool.ParallelFor(1, [&](size_t) { runs.push_back(greedy.Run()); });
     for (const LazyGreedyResult& run : runs) ExpectSameRun(serial, run);
   }
 }

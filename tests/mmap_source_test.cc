@@ -835,7 +835,7 @@ TEST(ChunkDecoderTest, WrappingDeltaIsOutOfRangeOnEveryDecoder) {
     EXPECT_EQ(source->error(), path + ": " + expect);
   }
   std::string error;
-  EXPECT_FALSE(LoadBinarySetSystemFromFile(path, &error).has_value());
+  EXPECT_FALSE(LoadAnySetSystemFromFile(path, &error).has_value());
   EXPECT_NE(error.find(expect), std::string::npos) << error;
 }
 

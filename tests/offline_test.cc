@@ -1,5 +1,5 @@
 // Offline solver tests: greedy correctness/approximation behaviour,
-// LazyGreedy's target mask and stop rules, and exact
+// LazyGreedy's stop rules, and exact
 // branch-and-bound validated against brute force on random instances
 // (property sweep).
 
@@ -59,20 +59,6 @@ TEST(GreedySolverTest, EmptyInstance) {
   EXPECT_TRUE(r.cover.set_ids.empty());
 }
 
-TEST(LazyGreedyTest, TargetMaskRestrictsCover) {
-  SetSystem::Builder b(6);
-  b.AddSet({0, 1, 2});
-  b.AddSet({3});
-  b.AddSet({4, 5});
-  SetSystem s = std::move(b).Build();
-  DynamicBitset targets(6);
-  targets.Set(3);
-  LazyGreedyResult r = LazyGreedy::OverSets(s).Run(targets);
-  EXPECT_EQ(r.picks, (std::vector<uint32_t>{1}));
-  EXPECT_EQ(r.covered, 1u);
-  EXPECT_TRUE(r.success);
-}
-
 // Three disjoint sets of sizes 3, 2, 1 over 6 elements: greedy takes
 // them largest first.
 SetSystem Staircase() {
@@ -85,8 +71,7 @@ SetSystem Staircase() {
 
 TEST(LazyGreedyTest, StopsWhenCoverageTargetReached) {
   const SetSystem s = Staircase();
-  LazyGreedyResult r =
-      LazyGreedy::OverSets(s).Run(DynamicBitset(6, true), /*required=*/4);
+  LazyGreedyResult r = LazyGreedy::OverSets(s).Run(/*required=*/4);
   EXPECT_EQ(r.picks, (std::vector<uint32_t>{0, 1}));
   EXPECT_EQ(r.covered, 5u);
   EXPECT_TRUE(r.success);
@@ -100,8 +85,7 @@ TEST(LazyGreedyTest, HeapExhaustedBeforeTargetFails) {
   b.AddSet({3, 4});
   b.AddSet({5});
   const SetSystem s = std::move(b).Build();
-  LazyGreedyResult r =
-      LazyGreedy::OverSets(s).Run(DynamicBitset(8, true), /*required=*/8);
+  LazyGreedyResult r = LazyGreedy::OverSets(s).Run(/*required=*/8);
   EXPECT_EQ(r.picks, (std::vector<uint32_t>{0, 1, 2}));
   EXPECT_EQ(r.covered, 6u);
   EXPECT_FALSE(r.success);

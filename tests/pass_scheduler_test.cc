@@ -7,9 +7,9 @@
 // iterSetCover is byte-identical to the old sequential per-guess path
 // (in-memory and file-backed), the re-scan regression (source scans ==
 // physical scans, not sequential scans), heterogeneous consumers
-// (DIMV14 + threshold sieves sharing scans), the winner-preserving
-// early-exit rule, guesses that provably coincide running once (also a
-// TSan target: a leader writes its followers from a worker), and the
+// (DIMV14 + threshold sieves sharing scans), guesses that provably
+// coincide running once (also a TSan target: a leader writes its
+// followers from a worker), and the
 // scan filter a round hands its source: the union of the live
 // consumers' filters, or none when one of them wants every set.
 
@@ -493,27 +493,23 @@ TEST(PassSchedulerTest, ThreadedIterSetCoverIsBitIdentical) {
   // Full iterSetCover (>= 8 guess consumers) fanned out over 4 workers,
   // scans and pass ends alike: byte-identical to serial, and TSan-clean
   // under the sanitizer job. Inputs: greedy and exact offline solves
-  // running concurrently, a partial cover (which reads each
-  // sub-instance after its solve), and the early-exit rule.
+  // running concurrently, and a partial cover (which reads each
+  // sub-instance after its solve).
   PlantedInstance inst = MakePlanted(7);
   ExactSolver exact(20000);
   struct Variant {
     const OfflineSolver* offline;
     double coverage_fraction;
-    bool early_exit;
   };
-  for (const Variant& variant : {Variant{nullptr, 1.0, false},
-                                 Variant{&exact, 1.0, false},
-                                 Variant{nullptr, 0.9, false},
-                                 Variant{nullptr, 1.0, true}}) {
+  for (const Variant& variant : {Variant{nullptr, 1.0},
+                                 Variant{&exact, 1.0},
+                                 Variant{nullptr, 0.9}}) {
     IterSetCoverOptions options = SmallIterOptions();
     options.offline = variant.offline;
     options.coverage_fraction = variant.coverage_fraction;
-    options.early_exit = variant.early_exit;
     SCOPED_TRACE(::testing::Message()
                  << "exact=" << (variant.offline != nullptr)
-                 << " coverage=" << variant.coverage_fraction
-                 << " early_exit=" << variant.early_exit);
+                 << " coverage=" << variant.coverage_fraction);
 
     SetStream serial_stream(&inst.system);
     PassScheduler serial(serial_stream, 1);
@@ -570,14 +566,11 @@ TEST(PassSchedulerTest, CoincidingGuessesRunOnce) {
 
   struct Variant {
     const char* name;
-    bool early_exit = false;
     double coverage_fraction = 1.0;
     double size_test_multiplier = 1.0;
   };
-  const Variant variants[] = {{"default"},
-                              {"early_exit", true},
-                              {"coverage", false, 0.9},
-                              {"multiplier", false, 1.0, 2.0}};
+  const Variant variants[] = {
+      {"default"}, {"coverage", 0.9}, {"multiplier", 1.0, 2.0}};
 
   for (const Input& input : inputs) {
     const std::string stem = testing::TempDir() + "/coinciding_" +
@@ -591,7 +584,6 @@ TEST(PassSchedulerTest, CoincidingGuessesRunOnce) {
       options.delta = input.delta;
       options.sample_constant = 0.5;
       options.seed = 5;
-      options.early_exit = variant.early_exit;
       options.coverage_fraction = variant.coverage_fraction;
       options.size_test_multiplier = variant.size_test_multiplier;
       for (uint32_t threads : {1u, 4u}) {
@@ -627,16 +619,13 @@ TEST(PassSchedulerTest, CoincidingGuessesRunOnce) {
         EXPECT_LT(memory_calls, text_calls);
         EXPECT_LT(mmap_calls, text_calls);
 
-        // The retire rule has no one-guess-at-a-time counterpart.
-        if (!variant.early_exit) {
-          SetStream sequential_stream(&input.system);
-          const StreamingResult sequential =
-              SequentialPerGuessPath(sequential_stream, options);
-          ExpectSameOutcome(in_memory, sequential);
-          EXPECT_EQ(in_memory.gain_updates, sequential.gain_updates);
-          EXPECT_EQ(in_memory.sets_touched, sequential.sets_touched);
-          EXPECT_TRUE(in_memory.diagnostics == sequential.diagnostics);
-        }
+        SetStream sequential_stream(&input.system);
+        const StreamingResult sequential =
+            SequentialPerGuessPath(sequential_stream, options);
+        ExpectSameOutcome(in_memory, sequential);
+        EXPECT_EQ(in_memory.gain_updates, sequential.gain_updates);
+        EXPECT_EQ(in_memory.sets_touched, sequential.sets_touched);
+        EXPECT_TRUE(in_memory.diagnostics == sequential.diagnostics);
       }
     }
     std::remove((stem + ".txt").c_str());
@@ -774,31 +763,6 @@ TEST(PassSchedulerTest, SoloDriversIgnoreForeignConsumers) {
   SetStream solo_stream(&inst.system);
   BaselineResult solo = PolynomialThresholdCover(solo_stream, 2);
   EXPECT_EQ(shared.cover.set_ids, solo.cover.set_ids);
-}
-
-TEST(PassSchedulerTest, EarlyExitPreservesWinnerAndSavesScans) {
-  // The retire rule kills only guesses that provably cannot win, so the
-  // winning cover is identical; pass and scan counts can only shrink.
-  for (uint64_t seed : {11, 12, 13, 14}) {
-    PlantedInstance inst = MakePlanted(seed + 100);
-    IterSetCoverOptions options = SmallIterOptions();
-    options.seed = seed;
-
-    SetStream normal_stream(&inst.system);
-    StreamingResult normal = IterSetCover(normal_stream, options);
-
-    options.early_exit = true;
-    SetStream early_stream(&inst.system);
-    StreamingResult early = IterSetCover(early_stream, options);
-
-    ASSERT_TRUE(normal.success);
-    ASSERT_TRUE(early.success);
-    EXPECT_EQ(early.cover.set_ids, normal.cover.set_ids) << "seed " << seed;
-    EXPECT_EQ(early.winning_k, normal.winning_k) << "seed " << seed;
-    EXPECT_LE(early.physical_scans, normal.physical_scans);
-    EXPECT_LE(early.passes, normal.passes);
-    EXPECT_LE(early.sequential_scans, normal.sequential_scans);
-  }
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <fstream>
 #include <future>
 #include <string>
 #include <thread>
@@ -322,6 +323,28 @@ TEST(ServeTest, OutOfRangeDeltaAnswersSolveFailedAndKeepsServing) {
     JsonValue ping = ParseResponse(Call(server, R"({"op":"ping"})"));
     EXPECT_TRUE(ping.At("ok").AsBool());
   }
+  server.Shutdown();
+}
+
+TEST(ServeTest, EmptyUniverseMaxCoverAnswersAndKeepsServing) {
+  // `setcover 0 0`: streaming_max_cover's default budget is n, here 0,
+  // which used to abort the server. It answers like progressive_greedy,
+  // and the server keeps answering.
+  const std::string path = ::testing::TempDir() + "/serve_empty_universe.txt";
+  std::ofstream(path) << "setcover 0 0\n";
+  ServerOptions options;
+  options.workers = 1;
+  CoverageServer server(options);
+  server.Start();
+  JsonValue solve = ParseResponse(Call(
+      server, std::string(R"({"op":"solve","instance":")") + path +
+                  R"(","solver":"streaming_max_cover"})"));
+  EXPECT_TRUE(solve.At("ok").AsBool()) << solve.Dump(0);
+  EXPECT_TRUE(solve.At("success").AsBool()) << solve.Dump(0);
+  EXPECT_EQ(solve.At("cover_size").AsUint64(), 0u);
+  EXPECT_EQ(solve.At("passes").AsUint64(), 1u);
+  JsonValue ping = ParseResponse(Call(server, R"({"op":"ping"})"));
+  EXPECT_TRUE(ping.At("ok").AsBool());
   server.Shutdown();
 }
 

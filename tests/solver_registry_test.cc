@@ -194,6 +194,28 @@ TEST(SolverRegistryTest, NoSolverClaimsSuccessWithAnElementUncovered) {
   }
 }
 
+TEST(SolverRegistryTest, EverySolverAnswersAnEmptyUniverse) {
+  // n = 0, with no sets and with two empty ones: there is nothing to
+  // cover, so every non-geometric solver returns an empty cover and
+  // success. streaming_max_cover's default budget is n, here 0, which
+  // used to abort the process.
+  for (const uint32_t m : {0u, 2u}) {
+    SetSystem::Builder builder(0);
+    for (uint32_t s = 0; s < m; ++s) builder.AddSet(std::vector<uint32_t>{});
+    SetSystem system = std::move(builder).Build();
+    Instance instance = Instance::WrapSystem(&system, {"empty", ""});
+    for (const SolverRegistry::Entry* entry :
+         SolverRegistry::Global().Entries()) {
+      if (entry->kind == SolverRegistry::Kind::kGeometric) continue;
+      SCOPED_TRACE(entry->name + " m=" + std::to_string(m));
+      RunResult r = RunSolver(entry->name, instance, RunOptions{});
+      ASSERT_TRUE(r.ok()) << r.error;
+      EXPECT_TRUE(r.success);
+      EXPECT_TRUE(r.cover.set_ids.empty());
+    }
+  }
+}
+
 TEST(SolverRegistryTest, GeometricSolverCoversPlantedGeomInstance) {
   Rng rng(5);
   GeomPlantedOptions geom_options;

@@ -20,7 +20,7 @@
 //       Accepts both formats.
 //   solve    (--in FILE | --workload NAME) --algo ALGO [--n N --m M
 //            --k K] [--delta D] [--c C] [--p P] [--seed SEED] [--coverage F]
-//            [--budget B] [--threads N] [--early-exit] [--from-disk]
+//            [--budget B] [--threads N] [--from-disk]
 //       ALGO: any name from `list-solvers` (plus the legacy aliases
 //       store-all / iterative / progressive / threshold); --workload
 //       takes any name from `list-workloads` and generates the
@@ -42,7 +42,7 @@
 //       Prints every registered workload family with its kind.
 //   sweep    [--solvers a,b,c] [--workloads x,y,z] [--seeds S]
 //            [--trials T] [--n N --m M --k K] [--delta D] [--c C]
-//            [--threads N] [--early-exit] [--json FILE]
+//            [--threads N] [--json FILE]
 //       Executes the (solvers × workloads × seeds × trials) grid
 //       through WorkloadRegistry/RunPlan, prints the summary table
 //       (passes vs sequential vs physical scans), and optionally
@@ -67,14 +67,12 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <charconv>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <memory>
 #include <iostream>
 #include <map>
@@ -246,13 +244,12 @@ int Usage() {
       "(see list-solvers / list-workloads) [--n N --m M --k K] [--delta D] "
       "[--c C] [--p P] [--seed SEED] [--coverage F] [--budget B] "
       "[--threads N] "
-      "[--scan-threads N] [--shards S] [--early-exit] [--from-disk]\n"
+      "[--scan-threads N] [--shards S] [--from-disk]\n"
       "  streamcover_cli list-solvers\n"
       "  streamcover_cli list-workloads\n"
       "  streamcover_cli sweep [--solvers a,b,c] [--workloads x,y,z] "
       "[--seeds S] [--trials T] [--n N --m M --k K] [--delta D] [--c C] "
-      "[--threads N] [--scan-threads N] [--shards S] [--early-exit] "
-      "[--json FILE]\n"
+      "[--threads N] [--scan-threads N] [--shards S] [--json FILE]\n"
       "  streamcover_cli generate-geom --type disk|rect|tri|figure12 "
       "--n N --m M --k K [--seed SEED] --out FILE\n"
       "  streamcover_cli solve-geom --in FILE [--delta D] [--c C] "
@@ -372,6 +369,15 @@ WorkloadParams ReadGenerateParams(const Args& args) {
   return params;
 }
 
+/// Checks a --format value; prints the choices and returns false if it
+/// names neither format.
+bool KnownFormat(const std::string& format) {
+  if (format == "text" || format == "binary") return true;
+  std::fprintf(stderr, "unknown --format '%s'; available: text, binary\n",
+               format.c_str());
+  return false;
+}
+
 int CmdGenerate(const Args& args) {
   const std::string type = args.Get("type", "planted");
   const WorkloadParams params = ReadGenerateParams(args);
@@ -379,11 +385,7 @@ int CmdGenerate(const Args& args) {
   const std::string format = args.Get("format", "text");
   if (args.BadFlags()) return 1;
   if (out.empty()) return Usage();
-  if (format != "text" && format != "binary") {
-    std::fprintf(stderr, "unknown --format '%s'; available: text, binary\n",
-                 format.c_str());
-    return 1;
-  }
+  if (!KnownFormat(format)) return 1;
 
   std::optional<Instance> instance = MakeTypedWorkload(
       type, {{"planted", "planted"}, {"sparse", "sparse"}, {"zipf", "zipf"}},
@@ -406,51 +408,42 @@ int CmdGenerate(const Args& args) {
   return 0;
 }
 
-/// Streams one set to a text-format file. Normalizes exactly like
-/// BinarySetWriter so the two formats carry identical logical instances,
-/// and like it skips the normalizing copy for a strictly increasing set.
-class TextSetSink {
- public:
-  TextSetSink(const std::string& path, uint32_t num_elements,
-              uint32_t num_sets)
-      : os_(path) {
-    os_ << "setcover " << num_elements << " " << num_sets << "\n";
-  }
+/// The writer a --format names, behind one AddSet/Finish, so convert
+/// and generate-disk each keep one write path for both formats. Exactly
+/// one writer is set once Open succeeds.
+struct FormatWriter {
+  std::optional<BinarySetWriter> binary;
+  std::ofstream text_file;
+  std::optional<TextSetWriter> text;
 
-  bool Add(std::span<const uint32_t> elements) {
-    if (std::adjacent_find(elements.begin(), elements.end(),
-                           std::greater_equal<uint32_t>()) !=
-        elements.end()) {
-      scratch_.assign(elements.begin(), elements.end());
-      std::sort(scratch_.begin(), scratch_.end());
-      scratch_.erase(std::unique(scratch_.begin(), scratch_.end()),
-                     scratch_.end());
-      elements = scratch_;
+  /// Creates `path` for `format`, whose header holds `n` and `m` sets.
+  bool Open(const std::string& path, const std::string& format, uint32_t n,
+            uint32_t m, std::string* error) {
+    if (format == "binary") {
+      binary = BinarySetWriter::Create(path, n, error);
+      return binary.has_value();
     }
-    // One line per set: the size, then " id" per element; a decimal
-    // uint64 takes at most 20 characters.
-    const size_t worst = 21 * (elements.size() + 1) + 1;
-    if (line_.size() < worst) line_.resize(worst);
-    char* out = line_.data();
-    out = std::to_chars(out, out + 20, elements.size()).ptr;
-    for (uint32_t e : elements) {
-      *out++ = ' ';
-      out = std::to_chars(out, out + 10, e).ptr;
+    text_file.open(path);
+    if (!text_file) {
+      *error = "cannot open " + path + " for writing";
+      return false;
     }
-    *out++ = '\n';
-    os_.write(line_.data(), out - line_.data());
-    nnz_ += elements.size();
-    return os_.good();
+    text.emplace(text_file, n, m);
+    return true;
   }
-
-  bool Finish() { return os_.flush().good(); }
-  uint64_t nnz() const { return nnz_; }
-
- private:
-  std::ofstream os_;
-  std::vector<uint32_t> scratch_;
-  std::vector<char> line_;
-  uint64_t nnz_ = 0;
+  bool AddSet(std::span<const uint32_t> elements) {
+    return binary.has_value() ? binary->AddSet(elements)
+                              : text->AddSet(elements);
+  }
+  bool Finish(std::string* error) {
+    return binary.has_value() ? binary->Finish(error) : text->Finish(error);
+  }
+  uint64_t nnz() const {
+    return binary.has_value() ? binary->nnz() : text->nnz();
+  }
+  const std::string& error() const {
+    return binary.has_value() ? binary->error() : text->error();
+  }
 };
 
 int CmdConvert(const Args& args) {
@@ -459,11 +452,7 @@ int CmdConvert(const Args& args) {
   const std::string format = args.Get("format", "binary");
   if (args.BadFlags()) return 1;
   if (in.empty() || out.empty()) return Usage();
-  if (format != "text" && format != "binary") {
-    std::fprintf(stderr, "unknown --format '%s'; available: text, binary\n",
-                 format.c_str());
-    return 1;
-  }
+  if (!KnownFormat(format)) return 1;
 
   // One streaming pass: never materializes the instance, so a multi-GB
   // file converts in O(largest set) memory.
@@ -473,48 +462,30 @@ int CmdConvert(const Args& args) {
     std::fprintf(stderr, "open failed: %s\n", error.c_str());
     return 1;
   }
-  uint64_t nnz = 0;
+  FormatWriter writer;
+  if (!writer.Open(out, format, source->num_elements(), source->num_sets(),
+                   &error)) {
+    std::fprintf(stderr, "cannot write %s: %s\n", out.c_str(),
+                 error.c_str());
+    return 1;
+  }
   bool sink_ok = true;
-  if (format == "binary") {
-    auto writer = BinarySetWriter::Create(out, source->num_elements(),
-                                          &error);
-    if (!writer.has_value()) {
-      std::fprintf(stderr, "cannot write %s: %s\n", out.c_str(),
-                   error.c_str());
-      return 1;
-    }
-    const bool scan_ok = source->Scan([&](const SetView& view) {
-      if (sink_ok) sink_ok = writer->AddSet(view.elems);
-    });
-    if (!scan_ok) {
-      std::fprintf(stderr, "scan failed: %s\n", source->error().c_str());
-      return 1;
-    }
-    if (!sink_ok || !writer->Finish(&error)) {
-      std::fprintf(stderr, "cannot write %s: %s\n", out.c_str(),
-                   sink_ok ? error.c_str() : writer->error().c_str());
-      return 1;
-    }
-    nnz = writer->nnz();
-  } else {
-    TextSetSink sink(out, source->num_elements(), source->num_sets());
-    const bool scan_ok = source->Scan([&](const SetView& view) {
-      if (sink_ok) sink_ok = sink.Add(view.elems);
-    });
-    if (!scan_ok) {
-      std::fprintf(stderr, "scan failed: %s\n", source->error().c_str());
-      return 1;
-    }
-    if (!sink_ok || !sink.Finish()) {
-      std::fprintf(stderr, "cannot write %s\n", out.c_str());
-      return 1;
-    }
-    nnz = sink.nnz();
+  const bool scan_ok = source->Scan([&](const SetView& view) {
+    if (sink_ok) sink_ok = writer.AddSet(view.elems);
+  });
+  if (!scan_ok) {
+    std::fprintf(stderr, "scan failed: %s\n", source->error().c_str());
+    return 1;
+  }
+  if (!sink_ok || !writer.Finish(&error)) {
+    std::fprintf(stderr, "cannot write %s: %s\n", out.c_str(),
+                 sink_ok ? error.c_str() : writer.error().c_str());
+    return 1;
   }
   std::printf("converted %s -> %s: n=%u m=%u nnz=%llu format=%s\n",
               in.c_str(), out.c_str(), source->num_elements(),
-              source->num_sets(), static_cast<unsigned long long>(nnz),
-              format.c_str());
+              source->num_sets(),
+              static_cast<unsigned long long>(writer.nnz()), format.c_str());
   return 0;
 }
 
@@ -526,11 +497,7 @@ int CmdGenerateDisk(const Args& args) {
   const std::string format = args.Get("format", "binary");
   if (args.BadFlags()) return 1;
   if (out.empty()) return Usage();
-  if (format != "text" && format != "binary") {
-    std::fprintf(stderr, "unknown --format '%s'; available: text, binary\n",
-                 format.c_str());
-    return 1;
-  }
+  if (!KnownFormat(format)) return 1;
   if (type != "planted" && type != "sparse" && type != "zipf") {
     std::fprintf(stderr, "unknown --type %s\n", type.c_str());
     return 1;
@@ -551,22 +518,15 @@ int CmdGenerateDisk(const Args& args) {
   // (a multi-GB file takes minutes) and removes the partial output —
   // never leaves a truncated SCOVRB01 file behind.
   InstallInterruptHandler();
-  std::optional<BinarySetWriter> writer;
-  std::optional<TextSetSink> text_sink;
-  if (format == "binary") {
-    writer = BinarySetWriter::Create(out, n, &error);
-    if (!writer.has_value()) {
-      std::fprintf(stderr, "cannot write %s: %s\n", out.c_str(),
-                   error.c_str());
-      return 1;
-    }
-  } else {
-    text_sink.emplace(out, n, m);
+  FormatWriter writer;
+  if (!writer.Open(out, format, n, m, &error)) {
+    std::fprintf(stderr, "cannot write %s: %s\n", out.c_str(),
+                 error.c_str());
+    return 1;
   }
   SetSink sink = [&](std::span<const uint32_t> elements) {
     if (InterruptToken().cancelled()) return false;
-    return writer.has_value() ? writer->AddSet(elements)
-                              : text_sink->Add(elements);
+    return writer.AddSet(elements);
   };
 
   std::optional<StreamGenResult> result;
@@ -587,40 +547,27 @@ int CmdGenerateDisk(const Args& args) {
   if (!result.has_value()) {
     if (InterruptToken().cancelled()) {
       // The sink refused the next set because SIGINT/SIGTERM fired.
-      // Drop the writer (closing the half-written file) and remove it:
-      // a truncated SCOVRB01 file would fail validation downstream.
-      writer.reset();
-      text_sink.reset();
+      // Remove the half-written file: a truncated SCOVRB01 file would
+      // fail validation downstream.
       std::remove(out.c_str());
       std::fprintf(stderr, "interrupted; removed partial %s\n",
                    out.c_str());
       return kInterruptExit;
     }
     std::fprintf(stderr, "generation aborted: %s%s%s\n", error.c_str(),
-                 writer.has_value() && !writer->error().empty() ? ": " : "",
-                 writer.has_value() ? writer->error().c_str() : "");
+                 writer.error().empty() ? "" : ": ", writer.error().c_str());
     return 1;
   }
-  uint64_t nnz = 0;
-  if (writer.has_value()) {
-    if (!writer->Finish(&error)) {
-      std::fprintf(stderr, "cannot write %s: %s\n", out.c_str(),
-                   error.c_str());
-      return 1;
-    }
-    nnz = writer->nnz();
-  } else {
-    if (!text_sink->Finish()) {
-      std::fprintf(stderr, "cannot write %s\n", out.c_str());
-      return 1;
-    }
-    nnz = text_sink->nnz();
+  if (!writer.Finish(&error)) {
+    std::fprintf(stderr, "cannot write %s: %s\n", out.c_str(),
+                 error.c_str());
+    return 1;
   }
   std::printf("wrote %s: n=%u m=%llu nnz=%llu planted_cover=%zu "
               "format=%s\n",
               out.c_str(), n,
               static_cast<unsigned long long>(result->num_sets),
-              static_cast<unsigned long long>(nnz),
+              static_cast<unsigned long long>(writer.nnz()),
               result->planted_positions.size(), format.c_str());
   return 0;
 }
@@ -711,15 +658,10 @@ int CmdStats(const Args& args) {
       return 1;
     }
     // The bound iterSetCover uses to prove that guesses coincide; the
-    // sizes the loader decoded must respect it.
+    // decoder rejects any set above it, so the decoded max respects it.
     std::printf("  size bound   : %u (widest footer span - 1; decoded "
                 "max %zu)\n",
                 source->max_set_size(), max_size);
-    if (max_size > source->max_set_size()) {
-      std::fprintf(stderr, "decoded max set size %zu > footer bound %u\n",
-                   max_size, source->max_set_size());
-      return 1;
-    }
   } else {
     std::printf("  scan path    : text (re-parsed per pass; `convert "
                 "--format binary` unlocks the mmap + pipelined scan)\n");
@@ -767,7 +709,6 @@ bool ReadSolveOptions(const Args& args, std::string* algo,
   options->coverage_fraction = args.GetDouble("coverage", 1.0);
   options->max_cover_budget = static_cast<uint32_t>(args.GetUint("budget", 0));
   ReadSchedulerOptions(args, options);
-  options->early_exit = args.Has("early-exit");
   if (args.BadFlags()) return false;
   if (!(options->coverage_fraction > 0.0 &&
         options->coverage_fraction <= 1.0)) {
@@ -831,7 +772,6 @@ int CmdSweep(const Args& args) {
   options.delta = args.GetDouble("delta", 0.5);
   options.sample_constant = args.GetDouble("c", options.sample_constant);
   options.coverage_fraction = args.GetDouble("coverage", 1.0);
-  options.early_exit = args.Has("early-exit");
   RunPlan plan;
   for (const std::string& solver : solvers) {
     SolverSpec spec;
