@@ -9,27 +9,35 @@
 namespace streamcover {
 namespace {
 
-// One threshold pass: takes (immediately) every set whose residual
-// coverage is >= threshold, stopping acquisition once `remaining`
-// reaches `allowed_uncovered` (the epsilon-Partial stop) or the cover
-// holds `max_picks` sets (the scan still finishes — a pass cannot be
-// aborted — but nothing more is stored). A set smaller than the
-// threshold cannot clear it (gain <= |S|), so it is skipped before any
-// kernel runs. `remaining` is kept in sync.
+// The take rule both threshold baselines share: a set is taken iff its
+// residual gain is positive and clears `threshold`. A set smaller than
+// the threshold cannot clear it (gain <= |S|), so it is skipped before
+// any kernel runs; otherwise the gain is counted first, and only a
+// taken set writes the mask. `remaining` is kept in sync.
+void TakeIfGainClears(const SetView& set, double threshold,
+                      LiveMask& uncovered, uint64_t& remaining, Cover& cover,
+                      SpaceTracker& tracker) {
+  if (static_cast<double>(set.size()) < threshold) return;
+  const size_t gain = CountUncovered(set, uncovered);
+  if (gain == 0 || static_cast<double>(gain) < threshold) return;
+  cover.set_ids.push_back(set.id);
+  tracker.Charge(1);
+  MarkCovered(set, uncovered);
+  remaining -= gain;
+}
+
+// One threshold pass: takes (immediately) every set the take rule
+// accepts, stopping acquisition once `remaining` reaches
+// `allowed_uncovered` (the epsilon-Partial stop) or the cover holds
+// `max_picks` sets (the scan still finishes — a pass cannot be
+// aborted — but nothing more is stored).
 void ThresholdPass(SetStream& stream, LiveMask& uncovered,
                    uint64_t& remaining, uint64_t allowed_uncovered,
                    uint64_t max_picks, double threshold, Cover& cover,
                    SpaceTracker& tracker) {
   stream.ForEachSet([&](const SetView& set) {
     if (remaining <= allowed_uncovered || cover.size() >= max_picks) return;
-    if (static_cast<double>(set.size()) < threshold) return;
-    const size_t gain = CountUncovered(set, uncovered);
-    if (gain > 0 && static_cast<double>(gain) >= threshold) {
-      cover.set_ids.push_back(set.id);
-      tracker.Charge(1);
-      MarkCovered(set, uncovered);
-      remaining -= gain;
-    }
+    TakeIfGainClears(set, threshold, uncovered, remaining, cover, tracker);
   });
 }
 
@@ -97,16 +105,7 @@ void ThresholdSieveConsumer::OnSet(const SetView& set) {
     }
   }
   if (remaining_ <= allowed_uncovered_) return;  // partial target met
-  // gain <= |S|: a set below the threshold cannot be taken.
-  if (static_cast<double>(set.size()) < threshold_) return;
-  residual_scratch_.clear();
-  const size_t gain = FilterInto(set, uncovered_, residual_scratch_);
-  if (gain > 0 && static_cast<double>(gain) >= threshold_) {
-    sol_.set_ids.push_back(set.id);
-    tracker_.Charge(1);
-    for (uint32_t e : residual_scratch_) uncovered_.Reset(e);
-    remaining_ -= gain;
-  }
+  TakeIfGainClears(set, threshold_, uncovered_, remaining_, sol_, tracker_);
 }
 
 ScanFilter ThresholdSieveConsumer::needs() const {

@@ -17,10 +17,14 @@
 //   threshold skeletons, which realize the stated bounds; paper-specific
 //   charging refinements do not change the exponent (see DESIGN.md).
 //
-// Both take a set only if its residual gain clears the pass threshold,
-// and a set's gain is at most its size. So a set smaller than the
-// threshold is skipped before any kernel runs. On sparse inputs a pass
-// whose threshold exceeds every set size runs no kernel at all.
+// Both share one take rule, written once in threshold_greedy.cc: a set
+// is taken iff its residual gain is positive and clears the pass
+// threshold. A set's gain is at most its size, so a set smaller than
+// the threshold is skipped before any kernel runs; on sparse inputs a
+// pass whose threshold exceeds every set size runs no kernel at all.
+// The rule counts before it writes: CountUncovered gives the gain, and
+// only a taken set runs MarkCovered, so the many sets that reach the
+// kernel but fail the threshold cost one read-only sweep each.
 //
 // The sieve records its backup pointers in pass 1 only, straight from
 // each set. Pass 1 sees every set, and an element is still uncovered
@@ -102,7 +106,6 @@ class ThresholdSieveConsumer final : public ScanConsumer {
   /// Elements whose backup_ is still UINT32_MAX; pass 1 stops walking
   /// sets for backups once it reaches 0.
   uint32_t missing_backups_ = 0;
-  std::vector<uint32_t> residual_scratch_;  ///< per-set transient, not charged
   uint64_t remaining_ = 0;
   uint32_t pass_index_ = 1;
   double threshold_ = 0.0;

@@ -73,25 +73,33 @@ bool PipelinedScanner::DecodeChunk(uint64_t c, SetBatch& batch,
         path + ": corrupt set " + std::to_string(set_id) + ": " + msg;
     return false;
   };
+  // Polled at every chunk start and every kCancelStride sets. The racy
+  // read of abort_ is fine: abort only accelerates exit.
+  auto stopped = [&] {
+    if ((cancel != nullptr && cancel->cancelled()) || abort_) {
+      *error = kDeadlineExceededError;
+      return true;
+    }
+    return false;
+  };
   const binfmt::ScanChunk& chunk = chunks_[c];
   // Only a chunk that already decoded cleanly may skip bodies, so every
   // byte of the file is validated once before any filter applies.
   if (clean_[c] == 0) filter = nullptr;
   batch.Reset(chunk.first_set);
+  if (filter != nullptr &&
+      filter->NamesNoneIn(chunk.first_set, chunk.set_count,
+                          layout_->max_set_size)) {
+    // No set here can be named: deliver an empty batch, read no byte.
+    if (stopped()) return false;
+    batch.MakeViews();
+    return true;
+  }
   batch.offsets.reserve(chunk.set_count + 1);
   const uint8_t* cursor = data_ + chunk.byte_begin;
   for (uint32_t i = 0; i < chunk.set_count; ++i) {
     const uint32_t s = chunk.first_set + i;
-    if (i % kCancelStride == 0) {
-      if (cancel != nullptr && cancel->cancelled()) {
-        *error = kDeadlineExceededError;
-        return false;
-      }
-      if (abort_) {  // racy read is fine: abort only accelerates exit
-        *error = kDeadlineExceededError;
-        return false;
-      }
-    }
+    if (i % kCancelStride == 0 && stopped()) return false;
     // Offsets were validated monotone at Open, so every
     // [cursor, set_end) is an in-bounds window; only varint contents
     // still need checking.
@@ -189,16 +197,20 @@ bool PipelinedScanner::RunPool(const std::string& path,
   }
   next_claim_ = 0;
   next_consume_ = 0;
+  claim_sleepers_ = 0;
+  consumer_waits_for_ = kNoChunk;
 
   auto worker = [&] {
     for (;;) {
       uint64_t c = 0;
       {
         std::unique_lock<std::mutex> lock(mu_);
-        claim_cv_.wait(lock, [&] {
-          return abort_ || next_claim_ >= num_chunks ||
-                 next_claim_ < next_consume_ + depth_;
-        });
+        while (!abort_ && next_claim_ < num_chunks &&
+               next_claim_ >= next_consume_ + depth_) {
+          ++claim_sleepers_;
+          claim_cv_.wait(lock);
+          --claim_sleepers_;
+        }
         if (abort_ || next_claim_ >= num_chunks) return;
         c = next_claim_++;
         Slot& slot = slots_[c % depth_];
@@ -214,12 +226,14 @@ bool PipelinedScanner::RunPool(const std::string& path,
       std::string decode_error;
       const bool ok = DecodeChunk(c, slot.batch, filter, path, cancel,
                                   &decode_error);
+      bool wake_consumer = false;
       {
         std::lock_guard<std::mutex> lock(mu_);
         slot.state = ok ? Slot::State::kReady : Slot::State::kFailed;
         slot.error = ok ? std::string() : decode_error;
+        wake_consumer = consumer_waits_for_ == c;
       }
-      consume_cv_.notify_all();
+      if (wake_consumer) consume_cv_.notify_one();
     }
   };
 
@@ -234,10 +248,12 @@ bool PipelinedScanner::RunPool(const std::string& path,
     Slot& slot = slots_[c % depth_];
     {
       std::unique_lock<std::mutex> lock(mu_);
-      consume_cv_.wait(lock, [&] {
-        return slot.chunk == c && (slot.state == Slot::State::kReady ||
-                                   slot.state == Slot::State::kFailed);
-      });
+      while (slot.chunk != c || (slot.state != Slot::State::kReady &&
+                                 slot.state != Slot::State::kFailed)) {
+        consumer_waits_for_ = c;
+        consume_cv_.wait(lock);
+      }
+      consumer_waits_for_ = kNoChunk;
       if (slot.state == Slot::State::kFailed) {
         // First failed chunk in set-id order — its recorded error names
         // the first corrupt set in stream order, as an inline run would.
@@ -251,12 +267,15 @@ bool PipelinedScanner::RunPool(const std::string& path,
     // the consumer works through this one. The slot stays kReady (so no
     // worker reuses it) until we mark it consumed below.
     visit(slot.batch.views);
+    bool wake_decoder = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
       slot.state = Slot::State::kEmpty;
       ++next_consume_;
+      wake_decoder = claim_sleepers_ > 0;
     }
-    claim_cv_.notify_all();
+    // The release makes exactly one more chunk claimable: one decoder.
+    if (wake_decoder) claim_cv_.notify_one();
   }
   {
     std::lock_guard<std::mutex> lock(mu_);

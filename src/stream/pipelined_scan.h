@@ -15,6 +15,22 @@
 // and the CancelToken is polled at every chunk start and every
 // kCancelStride sets inside it.
 //
+// The handoff between the decode pool and the consumer (the thread that
+// called Run) costs one wake per event that unblocks someone. Both
+// sides sleep under one mutex and count themselves as sleepers first:
+// - A decoder sleeps on claim_cv_ while the ring is full (chunk
+//   next_claim_ must wait for chunk next_claim_ - depth to be
+//   consumed). The consumer's release of a slot makes exactly one more
+//   chunk claimable, so it wakes one decoder (notify_one), and only if
+//   one is asleep.
+// - The consumer sleeps on consume_cv_ for the one chunk it delivers
+//   next and records which. A decoder that finishes (or fails) a chunk
+//   wakes the consumer only if that is the chunk it waits for; chunks
+//   that finish out of order wake nobody, since the consumer checks
+//   their state before it sleeps again.
+// - An abort and the end of the scan wake every decoder (notify_all),
+//   so each sees the stop and exits before the join.
+//
 // One decode loop reads every set: its size varint, then one batch
 // growth by that size, then the elements written through a pointer. An
 // element varint of at most 3 bytes (every delta below 2^21) that ends
@@ -34,6 +50,17 @@
 // scan of a file decodes and validates every body whatever the filter,
 // and a corrupt file fails exactly as it would unfiltered. Cancel polls
 // keep their kCancelStride cadence over skipped sets too.
+//
+// A clean chunk can also be skipped whole: when the filter's `min_size`
+// exceeds the footer bound (BinaryLayout::max_set_size, so no set can
+// clear it) and its `ids` mark no set of the chunk
+// (ScanFilter::NamesNoneIn, one bitset scan over the chunk's id range),
+// the decoder polls the cancel token as at every chunk start and
+// delivers an empty batch without reading a byte of the chunk. A
+// threshold pass whose size floor exceeds the footer bound then costs
+// one poll per chunk, and iterSetCover's second pass (an id mask of its
+// picks) reads only the chunks that hold a pick. The scan still counts
+// as a physical scan.
 
 #ifndef STREAMCOVER_STREAM_PIPELINED_SCAN_H_
 #define STREAMCOVER_STREAM_PIPELINED_SCAN_H_
@@ -126,6 +153,9 @@ class PipelinedScanner {
   /// decodes that chunk, after the earlier run that set it was joined.
   std::vector<uint8_t> clean_;
 
+  /// consumer_waits_for_ while the consumer is awake.
+  static constexpr uint64_t kNoChunk = UINT64_MAX;
+
   // Per-run pipeline state, guarded by mu_ except where noted.
   std::mutex mu_;
   std::condition_variable claim_cv_;    // workers wait for ring space
@@ -134,6 +164,9 @@ class PipelinedScanner {
   uint64_t next_claim_ = 0;    // next chunk index a worker takes
   uint64_t next_consume_ = 0;  // next chunk index the consumer needs
   uint64_t advise_frontier_ = 0;  // chunks already madvise'd
+  uint32_t claim_sleepers_ = 0;   // workers asleep on claim_cv_
+  /// The chunk the consumer sleeps on consume_cv_ for, else kNoChunk.
+  uint64_t consumer_waits_for_ = kNoChunk;
   /// Consumer saw a failure; workers bail out. Atomic because decode
   /// loops poll it lock-free at kCancelStride granularity.
   std::atomic<bool> abort_{false};

@@ -66,8 +66,10 @@ inline constexpr uint32_t kCancelStride = 256;
 /// id order, each with its exact elements. It may deliver others, and
 /// its batches may then be empty. The in-memory and text sources
 /// deliver every set; the binary decoder skips the bodies of unnamed
-/// sets in chunks it has already decoded cleanly
-/// (stream/pipelined_scan.h). `ids`, when set, must outlive the scan.
+/// sets in chunks it has already decoded cleanly, and a clean chunk in
+/// which NamesNoneIn holds becomes an empty batch without a byte of it
+/// read (stream/pipelined_scan.h). `ids`, when set, must outlive the
+/// scan.
 struct ScanFilter {
   uint32_t min_size = 0;
   const DynamicBitset* ids = nullptr;
@@ -75,6 +77,17 @@ struct ScanFilter {
   /// True iff the filter names set `id` of `size` elements.
   bool Names(uint32_t id, uint64_t size) const {
     return size >= min_size || (ids != nullptr && ids->Test(id));
+  }
+
+  /// True iff the filter names no set in [first, first + count) when no
+  /// set has more than `size_bound` elements: `min_size` exceeds the
+  /// bound and no id in the range is marked (one bounded bitset scan).
+  bool NamesNoneIn(uint32_t first, uint32_t count,
+                   uint64_t size_bound) const {
+    if (min_size <= size_bound) return false;
+    if (ids == nullptr || count == 0) return true;
+    return !ids->Test(first) &&
+           ids->FindNext(first) >= uint64_t{first} + count;
   }
 };
 

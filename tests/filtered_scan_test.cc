@@ -9,9 +9,18 @@
 // scheduler threads 1 and 4; every RunResult field but the wall clocks
 // must agree. A consumer that declares too narrow a filter loses a set
 // it acts on here and changes its result.
+//
+// The decoder's half: on a binary file, a chunk that already decoded
+// cleanly and holds no named set becomes an empty batch without a byte
+// of it read (stream/pipelined_scan.h), while a first scan still
+// validates every body and a fired token still stops the scan.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <string>
@@ -20,10 +29,15 @@
 #include "core/instance.h"
 #include "core/solver_registry.h"
 #include "geometry/geom_generators.h"
+#include "reference_decode.h"
+#include "setsystem/binary_io.h"
 #include "setsystem/generators.h"
+#include "stream/mmap_set_source.h"
 #include "stream/pass_scheduler.h"
+#include "stream/pipelined_scan.h"
 #include "stream/set_source.h"
 #include "stream/set_stream.h"
+#include "util/cancel_token.h"
 #include "util/rng.h"
 
 namespace streamcover {
@@ -186,6 +200,173 @@ TEST(FilteredScanTest, GeometricSolverIgnoresTheSetsItsFilterLeavesOut) {
   ASSERT_NE(instance.materialized(), nullptr);
   CompareSolvers(*instance.materialized(), instance.geometry(),
                  SolverRegistry::Kind::kGeometric);
+}
+
+// --- The binary decoder: whole-chunk skips --------------------------------
+
+/// A sparse system (sets of 1..32 elements) and its binary image.
+struct BinaryFile {
+  SetSystem system;
+  std::string path;
+  std::string image;
+};
+
+BinaryFile MakeBinaryFile(const std::string& name) {
+  Rng rng(21);
+  BinaryFile file;
+  file.system = GenerateSparse(2000, 6000, 32, rng).system;
+  file.path = ::testing::TempDir() + "/" + name;
+  std::string error;
+  EXPECT_TRUE(WriteBinarySetSystem(file.system, file.path, &error)) << error;
+  std::ifstream is(file.path, std::ios::binary);
+  file.image.assign(std::istreambuf_iterator<char>(is),
+                    std::istreambuf_iterator<char>{});
+  return file;
+}
+
+/// One scan of `scanner` under `filter`: the ids and elements it
+/// delivered, in order.
+struct Delivered {
+  std::vector<uint32_t> ids;
+  std::vector<std::vector<uint32_t>> sets;
+};
+
+bool RunScan(PipelinedScanner& scanner, const ScanFilter* filter,
+             Delivered* out, std::string* error) {
+  return scanner.Run(
+      "image",
+      [&](std::span<const SetView> views) {
+        for (const SetView& set : views) {
+          out->ids.push_back(set.id);
+          out->sets.emplace_back(set.begin(), set.end());
+        }
+      },
+      /*cancel=*/nullptr, error, filter);
+}
+
+TEST(FilteredScanTest, CleanChunksAboveTheSizeBoundAreSkippedWhole) {
+  const BinaryFile file = MakeBinaryFile("skip_whole.bin");
+  for (const uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE("scan_threads=" + std::to_string(threads));
+    std::string error;
+    auto source = MmapSetSource::Open(file.path, &error);
+    ASSERT_TRUE(source.has_value()) << error;
+    source->set_scan_threads(threads);
+    ASSERT_TRUE(source->Scan([](const SetView&) {})) << source->error();
+    const ScanFilter above_bound{source->max_set_size() + 1};
+    source->set_scan_filter(&above_bound);
+    size_t delivered = 0;
+    ASSERT_TRUE(source->Scan([&](const SetView&) { ++delivered; }))
+        << source->error();
+    EXPECT_EQ(delivered, 0u);
+    EXPECT_EQ(source->scans(), 2u);  // a skipped scan is still a scan
+
+    // The skip reads no byte of a clean chunk: once every body byte is
+    // overwritten with a continuation byte, the skipping scan still
+    // succeeds, and only a scan that reads the bodies sees the damage.
+    std::string image = file.image;
+    const uint8_t* data = reinterpret_cast<const uint8_t*>(image.data());
+    const binfmt::BinaryLayout layout = reference::ImageLayout(image);
+    const std::vector<binfmt::ScanChunk> chunks =
+        binfmt::BuildChunkPlan(layout, /*target_bytes=*/1024);
+    ASSERT_GT(chunks.size(), 16u);
+    PipelinedScanner scanner(data, layout.n, layout,
+                             std::span<const binfmt::ScanChunk>(chunks),
+                             threads);
+    Delivered clean;
+    ASSERT_TRUE(RunScan(scanner, nullptr, &clean, &error)) << error;
+    ASSERT_EQ(clean.sets.size(), file.system.num_sets());
+    std::fill(image.begin() + binfmt::kHeaderBytes,
+              image.begin() + static_cast<ptrdiff_t>(layout.footer_offset),
+              static_cast<char>(0xFF));
+    Delivered skipped;
+    EXPECT_TRUE(RunScan(scanner, &above_bound, &skipped, &error)) << error;
+    EXPECT_TRUE(skipped.ids.empty());
+    Delivered unfiltered;
+    EXPECT_FALSE(RunScan(scanner, nullptr, &unfiltered, &error));
+    EXPECT_EQ(error, "image: corrupt set 0: bad size varint");
+  }
+}
+
+TEST(FilteredScanTest, IdFilterDeliversTheNamedSetsOfOneChunk) {
+  const BinaryFile file = MakeBinaryFile("skip_ids.bin");
+  const uint8_t* data = reinterpret_cast<const uint8_t*>(file.image.data());
+  const binfmt::BinaryLayout layout = reference::ImageLayout(file.image);
+  const std::vector<binfmt::ScanChunk> chunks =
+      binfmt::BuildChunkPlan(layout, /*target_bytes=*/1024);
+  ASSERT_GT(chunks.size(), 16u);
+  // Two sets of one chunk in the middle of the file, neither its first.
+  const binfmt::ScanChunk& chunk = chunks[chunks.size() / 2];
+  ASSERT_GE(chunk.set_count, 4u);
+  const uint32_t a = chunk.first_set + 1;
+  const uint32_t b = chunk.first_set + chunk.set_count - 1;
+  DynamicBitset ids(file.system.num_sets());
+  ids.Set(a);
+  ids.Set(b);
+  const ScanFilter named{UINT32_MAX, &ids};
+  for (const uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE("scan_threads=" + std::to_string(threads));
+    PipelinedScanner scanner(data, layout.n, layout,
+                             std::span<const binfmt::ScanChunk>(chunks),
+                             threads);
+    std::string error;
+    Delivered clean;
+    ASSERT_TRUE(RunScan(scanner, nullptr, &clean, &error)) << error;
+    Delivered got;
+    ASSERT_TRUE(RunScan(scanner, &named, &got, &error)) << error;
+    EXPECT_EQ(got.ids, (std::vector<uint32_t>{a, b}));
+    ASSERT_EQ(got.sets.size(), 2u);
+    for (size_t i = 0; i < 2; ++i) {
+      const auto want = file.system.GetSet(got.ids[i]);
+      EXPECT_EQ(got.sets[i], std::vector<uint32_t>(want.begin(), want.end()));
+    }
+  }
+}
+
+TEST(FilteredScanTest, FirstScanOfACorruptFileFailsLikeTheReference) {
+  const BinaryFile file = MakeBinaryFile("skip_corrupt_src.bin");
+  const binfmt::BinaryLayout layout = reference::ImageLayout(file.image);
+  // A mid-file set claims 2^35 elements: only a decode of its body can
+  // tell, and a filter naming no set would skip its chunk once clean.
+  std::string image = file.image;
+  const uint64_t at = layout.SetOffset(layout.m / 2);
+  for (uint64_t i = 0; i < 5; ++i) image[at + i] = static_cast<char>(0xFF);
+  const std::string bad = ::testing::TempDir() + "/skip_corrupt.bin";
+  {
+    std::ofstream os(bad, std::ios::binary);
+    os << image;
+  }
+  const reference::Decoded expect = reference::ReferenceDecode(image);
+  ASSERT_NE(expect.error, "");
+  const ScanFilter none{UINT32_MAX};
+  for (const uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE("scan_threads=" + std::to_string(threads));
+    std::string error;
+    auto source = MmapSetSource::Open(bad, &error);
+    ASSERT_TRUE(source.has_value()) << error;
+    source->set_scan_threads(threads);
+    source->set_scan_filter(&none);
+    EXPECT_FALSE(source->Scan([](const SetView&) {}));
+    EXPECT_EQ(source->error(), bad + ": " + expect.error);
+  }
+}
+
+TEST(FilteredScanTest, FiredTokenFailsAFullySkippableScan) {
+  const BinaryFile file = MakeBinaryFile("skip_cancel.bin");
+  for (const uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE("scan_threads=" + std::to_string(threads));
+    std::string error;
+    auto source = MmapSetSource::Open(file.path, &error);
+    ASSERT_TRUE(source.has_value()) << error;
+    source->set_scan_threads(threads);
+    ASSERT_TRUE(source->Scan([](const SetView&) {})) << source->error();
+    const ScanFilter none{UINT32_MAX};
+    source->set_scan_filter(&none);
+    CancelToken expired = CancelToken::AfterMillis(0);
+    source->set_cancel(&expired);
+    EXPECT_FALSE(source->Scan([](const SetView&) {}));
+    EXPECT_EQ(source->error(), kDeadlineExceededError);
+  }
 }
 
 }  // namespace

@@ -13,8 +13,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <set>
@@ -24,6 +26,7 @@
 #include <vector>
 
 #include "core/iter_set_cover.h"
+#include "reference_decode.h"
 #include "setsystem/binary_io.h"
 #include "setsystem/generators.h"
 #include "setsystem/io.h"
@@ -492,66 +495,114 @@ TEST(PipelinedScanTest, ConcurrentForksScanPipelinedSoak) {
   }
 }
 
-// --- The decode loop's short-varint fast path ---------------------------
-
-/// What a scan of a SCOVRB01 image yields: the sets delivered, in order,
-/// and the diagnostic that stopped it ("" after a full scan), without the
-/// path prefix.
-struct Decoded {
-  std::vector<std::vector<uint32_t>> sets;
-  std::string error;
-};
-
-binfmt::BinaryLayout ImageLayout(const std::string& image) {
+TEST(PipelinedScanTest, SlowAndFastConsumersMatchInlineDecode) {
+  // The decode ring's handoff in both regimes, over a plan of about one
+  // set per chunk: (a) a consumer slower than the decoders keeps the
+  // ring full, so every slot release must hand its slot to one sleeping
+  // decoder; (b) a consumer that returns at once waits on chunks that
+  // finish out of order; (c) a cancel fired from the visitor stops the
+  // scan. A lost wake-up hangs the test, a wrong one breaks the order.
+  Rng rng(14);
+  PlantedOptions options;
+  options.num_elements = 400;
+  options.num_sets = 2000;
+  options.cover_size = 10;
+  const PlantedInstance inst = GeneratePlanted(options, rng);
+  const std::string bin = WriteBinary(inst.system, "pipe_handoff.bin");
+  std::ifstream is(bin, std::ios::binary);
+  const std::string bytes(std::istreambuf_iterator<char>(is),
+                          std::istreambuf_iterator<char>{});
+  const uint8_t* data = reinterpret_cast<const uint8_t*>(bytes.data());
   binfmt::BinaryLayout layout;
   std::string error;
-  EXPECT_TRUE(binfmt::ValidateBinaryLayout(
-      reinterpret_cast<const uint8_t*>(image.data()), image.size(), &layout,
-      &error))
+  ASSERT_TRUE(
+      binfmt::ValidateBinaryLayout(data, bytes.size(), &layout, &error))
       << error;
-  return layout;
+  const std::vector<binfmt::ScanChunk> chunks =
+      binfmt::BuildChunkPlan(layout, /*target_bytes=*/8);
+  ASSERT_GT(chunks.size(), 1000u);
+
+  struct Delivery {
+    std::vector<std::vector<uint32_t>> sets;
+    size_t batches = 0;
+    bool whole_chunks = true;  // batch b holds exactly chunk b's sets
+  };
+  // One scan; `after_batch(b)` runs once batch b has been recorded.
+  auto scan = [&](uint32_t threads, const CancelToken* cancel,
+                  const std::function<void(size_t)>& after_batch,
+                  Delivery* out, std::string* scan_error) {
+    PipelinedScanner scanner(data, layout.n, layout,
+                             std::span<const binfmt::ScanChunk>(chunks),
+                             threads);
+    return scanner.Run(
+        bin,
+        [&](std::span<const SetView> views) {
+          const binfmt::ScanChunk& chunk = chunks[out->batches];
+          out->whole_chunks = out->whole_chunks &&
+                              views.size() == chunk.set_count &&
+                              views.front().id == chunk.first_set;
+          for (const SetView& set : views) {
+            out->sets.emplace_back(set.begin(), set.end());
+          }
+          after_batch(out->batches++);
+        },
+        cancel, scan_error);
+  };
+  auto no_op = [](size_t) {};
+  auto spin = [](size_t) {
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::microseconds(50);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  };
+
+  Delivery inline_run;
+  ASSERT_TRUE(scan(1, nullptr, no_op, &inline_run, &error)) << error;
+  ASSERT_EQ(inline_run.sets.size(), inst.system.num_sets());
+  ASSERT_TRUE(inline_run.whole_chunks);
+
+  const size_t cancel_at = chunks.size() / 2;
+  for (int repeat = 0; repeat < 20; ++repeat) {
+    SCOPED_TRACE("repeat " + std::to_string(repeat));
+    for (const bool slow : {true, false}) {
+      SCOPED_TRACE(slow ? "slow consumer" : "fast consumer");
+      Delivery run;
+      ASSERT_TRUE(scan(4, nullptr, slow ? std::function<void(size_t)>(spin)
+                                        : std::function<void(size_t)>(no_op),
+                       &run, &error))
+          << error;
+      EXPECT_TRUE(run.whole_chunks);
+      ASSERT_EQ(run.sets, inline_run.sets);
+    }
+    // (c) The token fires inside the visitor of batch cancel_at. Chunks
+    // decoded before that may still arrive, whole; the first chunk whose
+    // decode polls the fired token fails the scan, and none of its sets
+    // is delivered.
+    CancelToken token;
+    Delivery run;
+    std::string cancel_error;
+    EXPECT_FALSE(scan(
+        4, &token,
+        [&](size_t b) {
+          if (b == cancel_at) token.Cancel();
+        },
+        &run, &cancel_error));
+    EXPECT_EQ(cancel_error, kDeadlineExceededError);
+    EXPECT_TRUE(run.whole_chunks);
+    ASSERT_GT(run.batches, cancel_at);
+    ASSERT_LT(run.batches, chunks.size());
+    EXPECT_EQ(run.sets.size(), chunks[run.batches].first_set)
+        << "a set of the failing chunk was delivered";
+    EXPECT_TRUE(std::equal(run.sets.begin(), run.sets.end(),
+                           inline_run.sets.begin()));
+  }
 }
 
-/// The reference the scan decoder must agree with: the serial loop that
-/// reads every varint through DecodeVarint. It keeps every set before
-/// the first corrupt one.
-Decoded ReferenceDecode(const std::string& image) {
-  const uint8_t* data = reinterpret_cast<const uint8_t*>(image.data());
-  const binfmt::BinaryLayout layout = ImageLayout(image);
-  Decoded out;
-  for (uint64_t s = 0; s < layout.m; ++s) {
-    const uint8_t* cursor = data + layout.SetOffset(s);
-    const uint8_t* end = data + layout.SetOffset(s + 1);
-    const std::string where = "corrupt set " + std::to_string(s) + ": ";
-    auto size = binfmt::DecodeVarint(&cursor, end);
-    if (!size.has_value() || *size > layout.max_set_size) {
-      out.error = where + "bad size varint";
-      return out;
-    }
-    std::vector<uint32_t> set;
-    uint64_t prev = 0;
-    for (uint64_t j = 0; j < *size; ++j) {
-      auto delta = binfmt::DecodeVarint(&cursor, end);
-      if (!delta.has_value()) {
-        out.error = where + "truncated body";
-        return out;
-      }
-      const uint64_t e = (j == 0) ? *delta : prev + *delta + 1;
-      if (*delta >= layout.n || e >= layout.n) {
-        out.error = where + "element id out of range";
-        return out;
-      }
-      set.push_back(static_cast<uint32_t>(e));
-      prev = e;
-    }
-    if (cursor != end) {
-      out.error = where + "trailing bytes";
-      return out;
-    }
-    out.sets.push_back(std::move(set));
-  }
-  return out;
-}
+// --- The decode loop's short-varint fast path ---------------------------
+
+using reference::Decoded;
+using reference::ImageLayout;
+using reference::ReferenceDecode;
 
 /// Scans `image` with the chunk decoder at `threads` decode threads over
 /// a `chunk_bytes` chunk plan. The buffer holds exactly the file's bytes,

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "setsystem/binary_io.h"
 #include "setsystem/generators.h"
 #include "setsystem/io.h"
+#include "stream/mmap_set_source.h"
 #include "util/rng.h"
 
 namespace streamcover {
@@ -149,6 +151,52 @@ TEST(SourceParityTest, PartialCoverageAgreesAcrossSources) {
     ASSERT_TRUE(memory.ok()) << memory.error;
     ASSERT_TRUE(binary.ok()) << binary.error;
     EXPECT_EQ(memory.cover.set_ids, binary.cover.set_ids) << solver;
+  }
+}
+
+TEST(SourceParityTest, SieveSkippingWholePassesFromDiskMatchesMemory) {
+  // threshold_greedy at p = 4 with n = 5*10^4 and sets of at most 32:
+  // passes 2 and 3 (thresholds n^{3/5} ~ 661 and n^{2/5} ~ 76) can take
+  // no set, and both exceed the file's footer bound, so from disk they
+  // skip every chunk whole. Every accounting field must still equal the
+  // in-memory run's, at (threads, scan_threads) = (1, 1) and (4, 4).
+  constexpr uint32_t kN = 50000;
+  Rng rng(23);
+  Sources sources;
+  sources.system = GenerateSparse(kN, 40000, 32, rng).system;
+  sources.binary_path = ::testing::TempDir() + "/parity_sieve.bin";
+  std::string error;
+  ASSERT_TRUE(
+      WriteBinarySetSystem(sources.system, sources.binary_path, &error))
+      << error;
+  auto source = MmapSetSource::Open(sources.binary_path, &error);
+  ASSERT_TRUE(source.has_value()) << error;
+  ASSERT_LT(source->max_set_size(),
+            std::ceil(std::pow(static_cast<double>(kN), 2.0 / 5.0)))
+      << "pass 3 would not skip whole chunks";
+  for (const double coverage : {1.0, 0.9}) {
+    RunResult serial;  // memory at (1, 1)
+    for (const uint32_t threads : {1u, 4u}) {
+      RunOptions options;
+      options.threshold_passes = 4;
+      options.coverage_fraction = coverage;
+      options.threads = threads;
+      options.scan_threads = threads;
+      SCOPED_TRACE("coverage=" + std::to_string(coverage) +
+                   " threads=scan_threads=" + std::to_string(threads));
+      const RunResult memory =
+          SolveFromMemory(sources, "threshold_greedy", options);
+      ASSERT_TRUE(memory.ok()) << memory.error;
+      const RunResult binary =
+          SolveFromDisk(sources.binary_path, "threshold_greedy", options);
+      ASSERT_TRUE(binary.ok()) << binary.error;
+      EXPECT_TRUE(binary.success);
+      EXPECT_EQ(binary.passes, 4u);
+      EXPECT_EQ(binary.physical_scans, 4u);
+      if (threads == 1) serial = memory;
+      ExpectSameAccounting(memory, binary);
+      ExpectSameAccounting(serial, binary);
+    }
   }
 }
 

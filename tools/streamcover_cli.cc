@@ -662,6 +662,11 @@ int CmdStats(const Args& args) {
     std::printf("  size bound   : %u (widest footer span - 1; decoded "
                 "max %zu)\n",
                 source->max_set_size(), max_size);
+    // What the same bound lets a filtered pass skip without reading it
+    // (ScanFilter::NamesNoneIn).
+    std::printf("  filtered pass: a clean chunk is skipped whole when the "
+                "pass's min size exceeds %u and it holds no named id\n",
+                source->max_set_size());
   } else {
     std::printf("  scan path    : text (re-parsed per pass; `convert "
                 "--format binary` unlocks the mmap + pipelined scan)\n");
